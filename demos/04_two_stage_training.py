@@ -8,10 +8,10 @@ chronological split against the repeat-last-value baseline.
 
 import numpy as np
 
+from tsmamba import Tensor, forecast, no_grad
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import train as TR
-from tsmamba.cli import _batched_forecast
 
 L, T_HORIZON = 128, 32
 spec = D.SplitSpec()
@@ -51,7 +51,8 @@ print(f"head-init loss {r2.step_losses[0]:.4f} -> final {r2.step_losses[-1]:.4f}
 
 print("\n== held-out evaluation ==")
 inputs, targets = D.stack_inputs(test), D.stack_targets(test)
-preds = _batched_forecast(r2.model, inputs, 64)
+with no_grad():
+    preds = forecast(Tensor(inputs.astype(np.float32)), r2.model).array
 naive = np.repeat(inputs[:, :, -1:], T_HORIZON, axis=2)
 mse, mae = D.metric_mse(preds, targets), D.metric_mae(preds, targets)
 mse_naive = D.metric_mse(naive, targets)

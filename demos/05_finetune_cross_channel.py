@@ -11,10 +11,10 @@ import hashlib
 
 import numpy as np
 
+from tsmamba import Tensor, forecast, no_grad
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import train as TR
-from tsmamba.cli import _batched_forecast
 
 L, T_HORIZON = 128, 4
 spec = D.SplitSpec()
@@ -62,7 +62,8 @@ results = {}
 for enable in (False, True):
     ft_cfg = TR.finetune_config(epochs=3, batch_size=16, enable_xchannel=enable, min_samples_for_xchannel=1)
     r = TR.run_finetune(fx, fy, ft_cfg, foundation, seed=11)
-    preds = _batched_forecast(r.model, D.stack_inputs(ftest), 64)
+    with no_grad():
+        preds = forecast(Tensor(D.stack_inputs(ftest).astype(np.float32)), r.model).array
     results[enable] = D.metric_mse(preds, D.stack_targets(ftest))
     label = "with xchannel" if enable else "no xchannel  "
     print(f"{label}: step-0 loss {r.step_losses[0]:.5f}, final {r.step_losses[-1]:.5f}, "

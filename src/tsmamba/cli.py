@@ -159,21 +159,15 @@ def load_run_config(path: str) -> RunConfig:
 def _load_dataset(path: str, ffill: bool = False) -> D.TimeSeriesDataset:
     if not os.path.exists(path):
         raise DataError(f"data file not found: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    body = rows[1:] if rows[1:] and not all(_numeric(c) for c in rows[0]) else rows
-    has_date = bool(body) and all(not _numeric(r[0]) for r in body if r)
-    return D.load_csv(path, has_date_column=has_date, ffill=ffill)
+    return D.load_csv(path, ffill=ffill)
 
 
-def _numeric(cell: str) -> bool:
+def _int_list(text: str, flag: str) -> list[int]:
+    """Comma-separated integers of a CLI flag; empty entries are skipped."""
     try:
-        float(cell)
-        return True
+        return [int(v) for v in text.split(",") if v]
     except ValueError:
-        return False
+        raise InvalidConfig(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _standardized_splits(
@@ -343,27 +337,22 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
 
 
 def _batched_forecast(model: M.Model, inputs: np.ndarray, batch: int) -> np.ndarray:
-    n, d, length = inputs.shape
-    cfg = model.config
+    """Raw-space forecasts [n, D, horizon] of windows [n, D, L], ``batch`` windows per call."""
     dtype = model.embedding.weight.value.dtype
-    preds = np.empty((n, d, cfg.horizon), dtype=np.float64)
     with T.no_grad():
-        for start in range(0, n, batch):
-            chunk = inputs[start : start + batch].astype(dtype)
-            x = chunk.reshape(-1, length)
-            x_hat, stats = M.revin_normalize(Tensor(x), eps=cfg.revin_eps)
-            x_hat = T.reshape(x_hat, chunk.shape)
-            y_hat = M.forecast_normalized_multichannel(x_hat, model, scan_mode="parallel").array
-            denom = stats.denom.reshape(chunk.shape[0], d, 1)
-            mean = stats.mean.reshape(chunk.shape[0], d, 1)
-            preds[start : start + batch] = y_hat * denom + mean
-    return preds
+        chunks = [
+            M.forecast(Tensor(inputs[start : start + batch].astype(dtype)), model).array
+            for start in range(0, inputs.shape[0], batch)
+        ]
+    return np.concatenate(chunks).astype(np.float64)
 
 
 def _run_evaluate(args) -> int:
-    horizons = [int(h) for h in args.horizons.split(",") if h]
+    horizons = _int_list(args.horizons, "--horizons")
     if not horizons:
         raise InvalidConfig("--horizons must name at least one horizon")
+    if args.batch < 1:
+        raise InvalidConfig(f"--batch must be >= 1, got {args.batch}")
     ckpts = _checkpoints_for_horizons(args.model, horizons)
     ds = _load_dataset(args.data, args.ffill)
     spec = D.SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, test_frac=args.test_frac)
@@ -464,7 +453,7 @@ def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: 
 
 
 def _run_bench_scan(args) -> int:
-    lengths = [int(v) for v in args.len_list.split(",") if v]
+    lengths = _int_list(args.len_list, "--len-list")
     if not lengths or min(lengths) < 1:
         raise InvalidConfig("--len-list needs positive lengths")
     if args.reps < 5:

@@ -80,15 +80,17 @@ def _looks_numeric(cell: str) -> bool:
 
 def load_csv(
     path: str,
-    has_date_column: bool = True,
+    has_date_column: bool | None = None,
     ffill: bool = False,
     name: str | None = None,
 ) -> TimeSeriesDataset:
     """Read a rectangular numeric CSV; optional header and leading date column.
 
-    Non-numeric body cells raise ParseError naming the 1-based row/column;
-    uneven row widths raise RaggedRows. NaNs are rejected unless ``ffill``
-    forward-fills them (leading NaNs still reject).
+    ``has_date_column=None`` detects the date column: it is present when the
+    first cell of every data row is non-numeric. Non-numeric body cells raise
+    ParseError naming the 1-based row/column; uneven row widths raise
+    RaggedRows. NaNs are rejected unless ``ffill`` forward-fills them (leading
+    NaNs still reject).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -98,6 +100,9 @@ def load_csv(
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRows(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+    if has_date_column is None:
+        data_rows = rows[1:] if len(rows) > 1 and not all(_looks_numeric(c) for c in rows[0]) else rows
+        has_date_column = not any(_looks_numeric(row[0]) for row in data_rows)
     start_col = 1 if has_date_column else 0
     if width - start_col < 1:
         raise DataError(f"{path}: no value columns after dropping the date column")

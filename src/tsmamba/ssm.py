@@ -1,16 +1,17 @@
 """Selective state-space core: discretization, scans, and Mamba blocks.
 
 The continuous system h' = A h + B x, y = C h is discretized per step with a
-zero-order hold and input-dependent (B, C, dt), then evaluated either as a
-strict left-to-right recurrence (the differentiation path) or as a
-work-efficient associative scan (the inference/benchmark path). A is diagonal
-per inner channel, stored as ``a_log`` with A = -exp(a_log) so the state
-always decays.
+zero-order hold and input-dependent (B, C, dt), then evaluated as a strict
+left-to-right recurrence: taped when gradients are recorded, blocked and
+tape-free otherwise. The work-efficient associative scan is kept as a
+single-threaded reference for the equivalence check and ``bench-scan``; at the
+model's token counts it is slower than the sequential kernel on a CPU. A is
+diagonal per inner channel, stored as ``a_log`` with A = -exp(a_log) so the
+state always decays.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import tensor as T
 from .errors import InvalidConfig, NonPositiveDt, ShapeMismatch
 from .params import Parameter, uniform_init
 from .tensor import Tensor
-from .utils import worker_count
 
 NORM_EPS = 1e-5
 SMALL_DT_A = 1e-6  # below this |dt*A| the ZOH input factor collapses to dt*B
@@ -233,9 +233,9 @@ def _scan_coeffs(x: Tensor, ssm: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
 
 
 def _scan_coeffs_np(x: np.ndarray, ssm: SSMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inference fast path for :func:`_scan_coeffs`: same math and operation
-    order with numpy broadcasting instead of tape nodes, so results match the
-    taped path bit for bit."""
+    """No-tape form of :func:`_scan_coeffs` for the associative reference
+    scan: same math and operation order with numpy broadcasting instead of
+    tape nodes, so results match the taped path bit for bit."""
     b_, l_, d = x.shape
     w_b = ssm.x_to_b.value.array
     w_c = ssm.x_to_c.value.array
@@ -403,38 +403,15 @@ def _blelloch_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def linear_recurrence_parallel(a: np.ndarray, b: np.ndarray, time_axis: int = 0) -> np.ndarray:
     """Associative-scan evaluation of h_t = a_t h_{t-1} + b_t (h_0 = 0).
 
-    Work O(L), depth O(log L). Columns are independent, so the optional
-    thread pool (capped by TSMAMBA_THREADS) shards them without changing
-    any result bit.
+    Work O(L), depth O(log L); a single-threaded reference for the
+    sequential kernels.
     """
     if a.shape != b.shape:
         raise ShapeMismatch(f"linear_recurrence_parallel: {a.shape} vs {b.shape}")
     a_m = np.moveaxis(a, time_axis, 0)
     b_m = np.moveaxis(b, time_axis, 0)
     lead = a_m.shape[0]
-    flat_a = np.ascontiguousarray(a_m.reshape(lead, -1))
-    flat_b = np.ascontiguousarray(b_m.reshape(lead, -1))
-    m = flat_a.shape[1]
-    workers = min(worker_count(), m)
-    if workers > 1 and m >= 2 * workers and lead >= 64:
-        out = np.empty_like(flat_a)
-        bounds = np.linspace(0, m, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    lambda s, e: out.__setitem__(
-                        (slice(None), slice(s, e)), _blelloch_columns(flat_a[:, s:e], flat_b[:, s:e])
-                    ),
-                    int(bounds[i]),
-                    int(bounds[i + 1]),
-                )
-                for i in range(workers)
-                if bounds[i] < bounds[i + 1]
-            ]
-            for f in futures:
-                f.result()
-    else:
-        out = _blelloch_columns(flat_a, flat_b)
+    out = _blelloch_columns(a_m.reshape(lead, -1), b_m.reshape(lead, -1))
     return np.moveaxis(out.reshape(a_m.shape), 0, time_axis)
 
 
@@ -448,23 +425,17 @@ def _check_scan_input(x: Tensor, ssm: SSMParams) -> None:
         raise ShapeMismatch(f"scan input must be [d_inner, L], got {x.shape}")
 
 
-def _selective_scan_batched(x: Tensor, ssm: SSMParams, mode: str = "auto") -> Tensor:
-    """Selective scan over x [B, L, d_inner] -> [B, L, d_inner]."""
-    if mode == "auto":
-        mode = "sequential" if T.grad_enabled() else "parallel"
+def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
+    """Selective scan over x [B, L, d_inner] -> [B, L, d_inner].
+
+    With the tape on it runs the taped recurrence; with it off, the blocked
+    no-tape kernel, which evaluates the same recurrence in the same order.
+    """
     b_, l_, d = x.shape
-    if mode == "sequential":
-        if T.grad_enabled():
-            a_bar, bx, c_seq = _scan_coeffs(x, ssm)
-            y = scan_recurrence(a_bar, bx, c_seq)
-        else:
-            y = Tensor(_sequential_scan_np(x.array, ssm))
-    elif mode == "parallel":
-        av, bv, cv = _scan_coeffs_np(x.array, ssm)
-        h = linear_recurrence_parallel(av, bv, time_axis=1)
-        y = Tensor(np.matmul(h, cv[..., None])[..., 0])
+    if T.grad_enabled():
+        y = scan_recurrence(*_scan_coeffs(x, ssm))
     else:
-        raise InvalidConfig(f"unknown scan mode {mode!r}")
+        y = Tensor(_sequential_scan_np(x.array, ssm))
     skip = T.broadcast_to(T.reshape(ssm.d_skip.value, (1, 1, d)), (b_, l_, d))
     return T.add(y, T.mul(skip, x))
 
@@ -472,18 +443,22 @@ def _selective_scan_batched(x: Tensor, ssm: SSMParams, mode: str = "auto") -> Te
 def selective_scan_sequential(x: Tensor, ssm: SSMParams) -> Tensor:
     """Strictly ordered scan of a channel-major sequence x [d_inner, L]."""
     _check_scan_input(x, ssm)
-    y = _selective_scan_batched(T.reshape(T.transpose(x, (1, 0)), (1, x.shape[1], x.shape[0])), ssm, "sequential")
+    y = _selective_scan_batched(T.reshape(T.transpose(x, (1, 0)), (1, x.shape[1], x.shape[0])), ssm)
     return T.transpose(T.reshape(y, (x.shape[1], x.shape[0])), (1, 0))
 
 
 def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
     """Associative-scan evaluation; numerically equal to the sequential scan.
 
-    Inference/benchmark path: the result is detached from the tape.
+    Single-threaded reference and benchmark path: the result is detached
+    from the tape.
     """
     _check_scan_input(x, ssm)
-    y = _selective_scan_batched(T.reshape(T.transpose(x, (1, 0)), (1, x.shape[1], x.shape[0])), ssm, "parallel")
-    return T.transpose(T.reshape(y, (x.shape[1], x.shape[0])), (1, 0))
+    xv = np.ascontiguousarray(x.array.T[None])  # [1, L, d_inner]
+    av, bv, cv = _scan_coeffs_np(xv, ssm)
+    h = linear_recurrence_parallel(av, bv, time_axis=1)
+    y = np.matmul(h, cv[..., None])[..., 0] + ssm.d_skip.value.array * xv
+    return Tensor(np.ascontiguousarray(y[0].T))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +466,7 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def mamba_block_batched(u: Tensor, p: MambaBlockParams, scan_mode: str = "auto") -> Tensor:
+def mamba_block_batched(u: Tensor, p: MambaBlockParams) -> Tensor:
     """Gated-MLP Mamba block over token-major input [B, L, d_model]."""
     if u.ndim != 3 or u.shape[2] != p.d_model:
         raise ShapeMismatch(f"mamba block input {u.shape} vs d_model {p.d_model}")
@@ -504,29 +479,29 @@ def mamba_block_batched(u: Tensor, p: MambaBlockParams, scan_mode: str = "auto")
         T.transpose(z_main, (0, 2, 1)), p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0
     )
     x_inner = T.silu(T.transpose(conv, (0, 2, 1)))
-    y = _selective_scan_batched(x_inner, p.ssm, scan_mode)
+    y = _selective_scan_batched(x_inner, p.ssm)
     gated = T.mul(y, T.silu(z_gate))
     return T.matmul(gated, p.out_proj.value)
 
 
-def mamba_block(u: Tensor, p: MambaBlockParams, scan_mode: str = "auto") -> Tensor:
+def mamba_block(u: Tensor, p: MambaBlockParams) -> Tensor:
     """Single-sequence block over u [L, d_model]."""
     if u.ndim != 2:
         raise ShapeMismatch(f"mamba_block expects [L, d_model], got {u.shape}")
-    out = mamba_block_batched(T.reshape(u, (1,) + u.shape), p, scan_mode)
+    out = mamba_block_batched(T.reshape(u, (1,) + u.shape), p)
     return T.reshape(out, u.shape)
 
 
-def encoder_forward_batched(tokens: Tensor, enc: EncoderParams, scan_mode: str = "auto") -> Tensor:
+def encoder_forward_batched(tokens: Tensor, enc: EncoderParams) -> Tensor:
     """Pre-norm residual stack of Mamba blocks with a final RMSNorm."""
     u = tokens
     for block, gain in enc.layers:
-        u = T.add(u, mamba_block_batched(T.rmsnorm(u, gain.value, NORM_EPS), block, scan_mode))
+        u = T.add(u, mamba_block_batched(T.rmsnorm(u, gain.value, NORM_EPS), block))
     return T.rmsnorm(u, enc.final_norm.value, NORM_EPS)
 
 
-def encoder_forward(tokens: Tensor, enc: EncoderParams, scan_mode: str = "auto") -> Tensor:
+def encoder_forward(tokens: Tensor, enc: EncoderParams) -> Tensor:
     if tokens.ndim != 2:
         raise ShapeMismatch(f"encoder_forward expects [L, d_model], got {tokens.shape}")
-    out = encoder_forward_batched(T.reshape(tokens, (1,) + tokens.shape), enc, scan_mode)
+    out = encoder_forward_batched(T.reshape(tokens, (1,) + tokens.shape), enc)
     return T.reshape(out, tokens.shape)

@@ -401,77 +401,6 @@ def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
     raise ShapeMismatch(f"conv input must be 2-d or 3-d, got {x.ndim}-d")
 
 
-def conv1d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """Cross-correlation over the last axis with zero padding.
-
-    ``x`` is ``[C_in, L]`` or ``[B, C_in, L]``; ``weight`` is
-    ``[C_out, C_in, K]``; output length is ``(L + 2*padding - K)//stride + 1``.
-    """
-    if stride < 1:
-        raise InvalidConfig("conv1d stride must be >= 1")
-    if padding < 0:
-        raise InvalidConfig("conv1d padding must be >= 0")
-    xv, squeeze = _as_batched(x.array)
-    wv = weight.array
-    if wv.ndim != 3:
-        raise ShapeMismatch(f"conv1d weight must be [C_out, C_in, K], got {wv.shape}")
-    b_, c_in, length = xv.shape
-    c_out, c_in_w, k = wv.shape
-    if c_in != c_in_w:
-        raise ShapeMismatch(f"conv1d: input channels {c_in} != weight channels {c_in_w}")
-    if k > length + 2 * padding:
-        raise InvalidConfig(f"conv1d: kernel {k} exceeds padded length {length + 2 * padding}")
-    if bias is not None and bias.array.shape != (c_out,):
-        raise ShapeMismatch(f"conv1d: bias shape {bias.array.shape} != ({c_out},)")
-
-    xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding))) if padding else xv
-    l_out = (length + 2 * padding - k) // stride + 1
-    # windows: [B, C_in, L_out, K]
-    win = np.lib.stride_tricks.sliding_window_view(xp, k, axis=-1)[:, :, ::stride, :]
-    win = np.ascontiguousarray(win[:, :, :l_out, :])
-    flat = win.transpose(0, 2, 1, 3).reshape(b_, l_out, c_in * k)
-    wmat = wv.reshape(c_out, c_in * k)
-    out = np.matmul(flat, wmat.T).transpose(0, 2, 1)  # [B, C_out, L_out]
-    if bias is not None:
-        out = out + bias.array[None, :, None]
-
-    pad_len = length + 2 * padding
-
-    def vjp_x(g):
-        if squeeze:
-            g = g[None]
-        gflat = g.transpose(0, 2, 1)  # [B, L_out, C_out]
-        gwin = np.matmul(gflat, wmat).reshape(b_, l_out, c_in, k)
-        gxp = np.zeros((b_, c_in, pad_len), dtype=g.dtype)
-        for kk in range(k):
-            gxp[:, :, kk : kk + stride * l_out : stride] += gwin[:, :, :, kk].transpose(0, 2, 1)
-        gx = gxp[:, :, padding : padding + length] if padding else gxp
-        return gx[0] if squeeze else gx
-
-    def vjp_w(g):
-        if squeeze:
-            g = g[None]
-        gflat = g.transpose(0, 2, 1).reshape(b_ * l_out, c_out)
-        return (gflat.T @ flat.reshape(b_ * l_out, c_in * k)).reshape(c_out, c_in, k)
-
-    pairs = [(x, vjp_x), (weight, vjp_w)]
-    if bias is not None:
-        def vjp_b(g):
-            if squeeze:
-                g = g[None]
-            return g.sum(axis=(0, 2))
-
-        pairs.append((bias, vjp_b))
-    out = out[0] if squeeze else out
-    return apply_op(out, pairs)
-
-
 def depthwise_conv1d(
     x: Tensor,
     weight: Tensor,

@@ -24,7 +24,6 @@ from .model import (
     build_model,
     backbone_forward,
     forecast_normalized,
-    forecast_normalized_multichannel,
     revin_normalize,
 )
 from .params import Parameter, uniform_init
@@ -117,7 +116,7 @@ def _apply_patch_head(rep: Tensor, w: Parameter, b: Parameter) -> Tensor:
     return T.add(out, T.broadcast_to(T.reshape(b.value, (1, 1, b.value.shape[0])), out.shape))
 
 
-def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads, scan_mode: str = "sequential") -> Tensor:
+def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     """Next-patch and previous-patch Huber loss over channel windows [B, L].
 
     Token t's forward representation predicts normalized patch t+1; token t's
@@ -131,7 +130,7 @@ def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads, scan_mode: st
     if n_tokens < 2:
         raise InsufficientPatches(f"need >= 2 patches, got {n_tokens}")
     x_hat, _ = revin_normalize(windows, eps=cfg.revin_eps)
-    bb = backbone_forward(x_hat, model, scan_mode)
+    bb = backbone_forward(x_hat, model)
     patches = x_hat.array.reshape(b_, n_tokens, cfg.patch_len)
 
     next_pred = _apply_patch_head(T.slice_axis(bb.fwd_rep, 1, 0, n_tokens - 1), heads.next_w, heads.next_b)
@@ -147,7 +146,7 @@ def _normalize_pair(inputs: np.ndarray, targets: np.ndarray, eps: float):
     return x_hat, Tensor(t_hat.astype(targets.dtype, copy=False))
 
 
-def stage2_loss(inputs: Tensor, targets: Tensor, model: Model, scan_mode: str = "sequential") -> Tensor:
+def stage2_loss(inputs: Tensor, targets: Tensor, model: Model) -> Tensor:
     """Huber between normalized forecasts and normalized targets.
 
     ``inputs`` is [B, L] with [B, T] targets for channel-independent training,
@@ -158,13 +157,13 @@ def stage2_loss(inputs: Tensor, targets: Tensor, model: Model, scan_mode: str = 
     if inputs.ndim == 2:
         if model.xchannel is not None:
             raise InvalidConfig("xchannel model needs multivariate [B, D, L] batches")
-        x_hat, t_hat = _normalize_pair(inputs.array, targets.array, cfg.revin_eps)
-        pred = forecast_normalized(x_hat, model, scan_mode)
-    elif inputs.ndim == 3:
-        x_hat, t_hat = _normalize_pair(inputs.array, targets.array, cfg.revin_eps)
-        pred = forecast_normalized_multichannel(x_hat, model, scan_mode)
-    else:
+        if model.revin_affine is not None:
+            raise InvalidConfig("learned RevIN affine needs channel identity; use multichannel batches")
+    elif inputs.ndim != 3:
         raise ShapeMismatch(f"stage2_loss inputs must be 2-d or 3-d, got {inputs.ndim}-d")
+    x_hat, t_hat = _normalize_pair(inputs.array, targets.array, cfg.revin_eps)
+    batch = x_hat if inputs.ndim == 3 else T.reshape(x_hat, (x_hat.shape[0], 1, x_hat.shape[1]))
+    pred = T.reshape(forecast_normalized(batch, model), x_hat.shape[:-1] + (cfg.horizon,))
     return huber_loss(pred, t_hat, cfg.huber_delta)
 
 

@@ -165,6 +165,24 @@ def test_evaluate_explicit_boundaries(workdir, tmp_path):
     assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--train-end", "150"]) == 2
 
 
+def test_evaluate_bad_batch_and_horizons_exit2(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    base = ["evaluate", "--model", s2, "--data", data_path, "--horizons", "4"]
+    for batch in ("-1", "0"):
+        assert main(base + ["--batch", batch]) == 2
+        assert "--batch" in capsys.readouterr().err
+    assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4,x"]) == 2
+    assert "--horizons" in capsys.readouterr().err
+    # chunking does not change the report
+    reports = []
+    for batch in ("1", "64"):
+        out = tmp_path / f"batch{batch}.csv"
+        assert main(base + ["--batch", batch, "--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]
+
+
 # ---------------------------------------------------------------------------
 # forecast
 # ---------------------------------------------------------------------------
@@ -367,6 +385,10 @@ def test_bench_scan_both_modes_and_degenerate_length(tmp_path):
 
 def test_bench_scan_rejects_low_reps():
     assert main(["bench-scan", "--len-list", "8", "--reps", "2"]) == 2
+
+
+def test_bench_scan_rejects_non_integer_lengths():
+    assert main(["bench-scan", "--len-list", "8,a"]) == 2
 
 
 def test_unknown_command_exit2():

@@ -117,6 +117,47 @@ def test_patch_embed_single_point_patch_is_linear_map():
     np.testing.assert_allclose(tokens.array, x[0][:, None] * w[None, :] + b[None, :], atol=1e-12)
 
 
+def test_patch_embed_is_linear_map_of_patches():
+    # stride = kernel = patch_len: token t is W @ x[t*P : (t+1)*P] + b
+    cfg = tiny_config()
+    rng = np.random.default_rng(6)
+    emb = M.init_embedding(rng, cfg, np.float64)
+    emb.bias.assign(rng.standard_normal(8))
+    x = rng.standard_normal((3, 32))
+    tokens = M.patch_embed_batched(T.tensor(x), emb, 8)
+    w = emb.weight.value.array[:, 0, :]
+    want = np.stack([[w @ x[i, t * 8 : (t + 1) * 8] + emb.bias.value.array for t in range(4)] for i in range(3)])
+    assert tokens.shape == (3, 4, 8)
+    np.testing.assert_allclose(tokens.array, want, atol=1e-12)
+
+
+def test_patch_embed_gradients():
+    cfg = tiny_config()
+    rng = np.random.default_rng(7)
+    emb = M.init_embedding(rng, cfg, np.float64)
+    x = rng.standard_normal((2, 32))
+    proj = rng.standard_normal((2, 4, 8))
+
+    def loss(xt):
+        return T.sum_all(T.mul(M.patch_embed_batched(xt, emb, 8), T.tensor(proj)))
+
+    live = T.Tensor(x.copy(), requires=True)
+    analytic = T.grad_map(loss(live))[id(live)]
+    fd = T.finite_diff_grad(loss, T.tensor(x), 1e-6).array
+    np.testing.assert_allclose(analytic, fd, atol=1e-6)
+    for param in emb.parameters():
+        base = param.value.array.copy()
+        T.backward(loss(T.tensor(x)), [param])
+
+        def f(t, param=param):
+            param.assign(t.array)
+            return loss(T.tensor(x))
+
+        fd = T.finite_diff_grad(f, T.tensor(base), 1e-6).array
+        param.assign(base)
+        np.testing.assert_allclose(param.grad.array, fd, atol=1e-6, err_msg=param.name)
+
+
 def test_patch_embed_rejects_indivisible_length():
     cfg = tiny_config()
     emb = M.init_embedding(np.random.default_rng(5), cfg, np.float64)
@@ -332,6 +373,26 @@ def test_forecast_zero_init_xchannel_matches_disabled():
     assert a.tobytes() == b.tobytes()
 
 
+def test_forecast_batch_matches_single_windows():
+    cfg = tiny_config()
+    model = M.build_model(cfg, seed=37, dtype=np.float64)
+    randomize(model, np.random.default_rng(38))
+    x = np.random.default_rng(39).standard_normal((3, 2, 32))
+    with T.no_grad():
+        batched = M.forecast(T.tensor(x), model).array
+        single = np.stack([M.forecast(T.tensor(w), model).array for w in x])
+    assert batched.shape == (3, 2, 4)
+    np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+def test_forecast_scan_mode_only_sequential():
+    model = M.build_model(tiny_config(), seed=40, dtype=np.float64)
+    x = T.tensor(np.random.default_rng(41).standard_normal((2, 32)))
+    assert M.forecast(x, model, scan_mode="sequential").shape == (2, 4)
+    with pytest.raises(InvalidConfig):
+        M.forecast(x, model, scan_mode="parallel")
+
+
 def test_forecast_shape_checks():
     cfg = tiny_config()
     model = M.build_model(cfg, seed=35, dtype=np.float64)
@@ -387,12 +448,12 @@ def test_revin_affine_identity_matches_plain_and_gets_gradients():
     x = rng.standard_normal((1, 2, 32))
     affine = M.build_model(tiny_config(revin_affine=True), seed=44, dtype=np.float64)
     plain = M.build_model(tiny_config(), seed=44, dtype=np.float64)
-    got = M.forecast_normalized_multichannel(T.tensor(x), affine).array
-    want = M.forecast_normalized_multichannel(T.tensor(x), plain).array
+    got = M.forecast_normalized(T.tensor(x), affine).array
+    want = M.forecast_normalized(T.tensor(x), plain).array
     assert got.tobytes() == want.tobytes()  # gamma=1, beta=0 at init
 
     randomize(affine, rng)
-    loss = T.mean_all(M.forecast_normalized_multichannel(T.tensor(x), affine))
+    loss = T.mean_all(M.forecast_normalized(T.tensor(x), affine))
     params = affine.revin_affine.parameters()
     T.backward(loss, params)
     assert all(np.abs(p.grad.array).sum() > 0 for p in params)

@@ -168,17 +168,6 @@ def test_parallel_recurrence_matches_sequential(length):
     assert np.max(np.abs(h_par - h_seq)) < 1e-12
 
 
-def test_parallel_recurrence_worker_count_independent(monkeypatch):
-    rng = np.random.default_rng(5)
-    a = rng.uniform(0, 1, size=(128, 24))
-    b = rng.standard_normal((128, 24))
-    monkeypatch.setenv("TSMAMBA_THREADS", "1")
-    one = ssm.linear_recurrence_parallel(a, b)
-    monkeypatch.setenv("TSMAMBA_THREADS", "3")
-    three = ssm.linear_recurrence_parallel(a, b)
-    assert one.tobytes() == three.tobytes()
-
-
 def test_scan_recurrence_gradients():
     rng = np.random.default_rng(6)
     shape = (2, 5, 3, 2)
@@ -420,12 +409,12 @@ def test_mamba_block_parameter_gradients():
 
     for param in [p.in_proj, p.conv_weight, p.ssm.a_log, p.ssm.dt_bias, p.ssm.x_to_b, p.out_proj]:
         base = param.value.array.copy()
-        loss = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p, scan_mode="sequential"), T.tensor(proj)))
+        loss = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p), T.tensor(proj)))
         T.backward(loss, [param])
 
         def f(t, param=param):
             param.assign(t.array)
-            out = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p, scan_mode="sequential"), T.tensor(proj)))
+            out = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p), T.tensor(proj)))
             return out
 
         fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tsmamba import tensor as T
-from tsmamba.errors import GraphError, InvalidConfig, ShapeMismatch
+from tsmamba.errors import GraphError, ShapeMismatch
 from tsmamba.params import Parameter
 
 
@@ -31,91 +31,22 @@ def fd_check(f, x, tol=1e-4, h=1e-5):
 
 
 # ---------------------------------------------------------------------------
-# conv1d
+# depthwise_conv1d
 # ---------------------------------------------------------------------------
-
-
-def test_conv1d_hand_cross_correlation():
-    # stride-2 windows of [1,2,3,4] with kernel [1,1]: 1+2=3, 3+4=7
-    out = T.conv1d(
-        T.tensor([[1.0, 2.0, 3.0, 4.0]]),
-        T.tensor([[[1.0, 1.0]]]),
-        T.tensor([0.0]),
-        stride=2,
-        padding=0,
-    )
-    np.testing.assert_allclose(out.array, [[3.0, 7.0]])
-
-
-def test_conv1d_zero_kernel_gives_bias():
-    rng = np.random.default_rng(0)
-    x = T.tensor(rng.standard_normal((2, 9)))
-    out = T.conv1d(x, T.zeros((3, 2, 4)), T.tensor([1.5, -2.0, 0.25]), stride=1, padding=0)
-    assert out.shape == (3, 6)
-    np.testing.assert_allclose(out.array, np.array([1.5, -2.0, 0.25])[:, None] * np.ones((3, 6)))
-
-
-def test_conv1d_identity_single_tap():
-    out = T.conv1d(T.tensor([[5.0]]), T.tensor([[[1.0]]]), T.tensor([0.0]), stride=1, padding=0)
-    np.testing.assert_array_equal(out.array, [[5.0]])
-
-
-def test_conv1d_identity_kernel_is_exact_identity():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((3, 17))
-    w = np.zeros((3, 3, 1))
-    for c in range(3):
-        w[c, c, 0] = 1.0
-    out = T.conv1d(T.tensor(x), T.tensor(w), None, stride=1, padding=0)
-    np.testing.assert_array_equal(out.array, x)
-
-
-def test_conv1d_errors():
-    with pytest.raises(ShapeMismatch):
-        T.conv1d(T.ones((2, 8)), T.ones((4, 3, 2)), None)
-    with pytest.raises(InvalidConfig):
-        T.conv1d(T.ones((1, 3)), T.ones((1, 1, 6)), None, stride=1, padding=1)
-
-
-def test_conv1d_output_length_and_padding():
-    out = T.conv1d(T.ones((1, 10)), T.ones((2, 1, 3)), None, stride=2, padding=1)
-    assert out.shape == (2, (10 + 2 - 3) // 2 + 1)
-
-
-@pytest.mark.parametrize("stride,padding,k", [(1, 0, 3), (2, 1, 3), (3, 2, 5), (1, 2, 1)])
-def test_conv1d_gradients(stride, padding, k):
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((2, 11))
-    w = rng.standard_normal((3, 2, k))
-    b = rng.standard_normal(3)
-    proj = rng.standard_normal((3, (11 + 2 * padding - k) // stride + 1))
-
-    def loss_x(xt):
-        out = T.conv1d(xt, T.tensor(w), T.tensor(b), stride=stride, padding=padding)
-        return T.sum_all(T.mul(out, T.tensor(proj)))
-
-    def loss_w(wt):
-        out = T.conv1d(T.tensor(x), wt, T.tensor(b), stride=stride, padding=padding)
-        return T.sum_all(T.mul(out, T.tensor(proj)))
-
-    def loss_b(bt):
-        out = T.conv1d(T.tensor(x), T.tensor(w), bt, stride=stride, padding=padding)
-        return T.sum_all(T.mul(out, T.tensor(proj)))
-
-    fd_check(loss_x, x)
-    fd_check(loss_w, w)
-    fd_check(loss_b, b)
 
 
 def test_depthwise_conv1d_matches_grouped_conv1d():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((2, 4, 12))
     w = rng.standard_normal((4, 3))
-    dense = np.zeros((4, 4, 3))
-    for c in range(4):
-        dense[c, c] = w[c]
     got = T.depthwise_conv1d(T.tensor(x), T.tensor(w), None, pad_left=2, pad_right=0)
-    ref = np.stack([T.conv1d(T.tensor(np.pad(x[i], ((0, 0), (2, 0)))), T.tensor(dense), None).array for i in range(2)])
+    # grouped (one filter per channel) cross-correlation, written out per output
+    xp = np.pad(x, ((0, 0), (0, 0), (2, 0)))
+    ref = np.empty_like(x)
+    for i in range(2):
+        for c in range(4):
+            for t in range(12):
+                ref[i, c, t] = xp[i, c, t : t + 3] @ w[c]
     np.testing.assert_allclose(got.array, ref, atol=1e-12)
 
 

@@ -153,7 +153,7 @@ def test_stage2_loss_perfect_prediction_is_zero():
     x = rng.standard_normal((3, 32))
     with T.no_grad():
         x_hat, stats = M.revin_normalize(Tensor(x), eps=cfg.revin_eps)
-        pred_hat = M.forecast_normalized(x_hat, model).array
+        pred_hat = M.forecast_normalized(T.reshape(x_hat, (3, 1, 32)), model).array[:, 0]
     targets = pred_hat * stats.denom[:, None] + stats.mean[:, None]
     assert TR.stage2_loss(Tensor(x), Tensor(targets), model).item() == pytest.approx(0.0, abs=1e-12)
 
@@ -183,7 +183,7 @@ def test_stage2_loss_matches_compositional_oracle():
     got = TR.stage2_loss(Tensor(x), Tensor(y), model).item()
     with T.no_grad():
         x_hat, stats = M.revin_normalize(Tensor(x), eps=cfg.revin_eps)
-        pred_hat = M.forecast_normalized(x_hat, model, scan_mode="sequential")
+        pred_hat = T.reshape(M.forecast_normalized(T.reshape(x_hat, (3, 1, 32)), model), (3, 4))
     t_hat = (y - stats.mean[:, None]) / stats.denom[:, None]
     want = TR.huber_loss(pred_hat, Tensor(t_hat), cfg.huber_delta).item()
     assert got == pytest.approx(want, rel=1e-12)
