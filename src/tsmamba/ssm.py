@@ -1,13 +1,15 @@
-"""Selective state-space core: discretization, scans, and Mamba blocks.
+"""Selective state-space core: discretization, the scan kernel, Mamba blocks.
 
 The continuous system h' = A h + B x, y = C h is discretized per step with a
 zero-order hold and input-dependent (B, C, dt), then evaluated as a strict
-left-to-right recurrence: taped when gradients are recorded, blocked and
-tape-free otherwise. The work-efficient associative scan is kept as a
-single-threaded reference for the equivalence check and ``bench-scan``; at the
-model's token counts it is slower than the sequential kernel on a CPU. A is
-diagonal per inner channel, stored as ``a_log`` with A = -exp(a_log) so the
-state always decays.
+left-to-right recurrence by one blocked kernel, with the tape on or off. The
+tape records a scan as a single op whose backward walks the time blocks in
+reverse and recomputes each block's coefficients and states from the state
+that entered it, so training stores no per-step coefficient arrays. The
+work-efficient associative scan is kept as a single-threaded reference for
+the equivalence check and ``bench-scan``; at the model's token counts it is
+slower than the sequential kernel on a CPU. A is diagonal per inner channel,
+stored as ``a_log`` with A = -exp(a_log) so the state always decays.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import tensor as T
 from .errors import InvalidConfig, NonPositiveDt, ShapeMismatch
@@ -158,20 +161,8 @@ def init_encoder(
 
 
 # ---------------------------------------------------------------------------
-# Discretization and selective parameter maps
+# Single-step discretization and selective parameter maps
 # ---------------------------------------------------------------------------
-
-
-def _discretize_core(a_full: Tensor, b_full: Tensor, dt_full: Tensor) -> tuple[Tensor, Tensor]:
-    """ZOH on pre-broadcast operands of identical shape [..., d_inner, n_state]."""
-    u = T.mul(dt_full, a_full)
-    a_bar = T.exp(u)
-    small = np.abs(u.array) < SMALL_DT_A
-    one = T.constant_like(u, 1.0)
-    u_safe = T.where(small, one, u)
-    phi = T.where(small, one, T.div(T.sub(a_bar, one), u_safe))
-    b_bar = T.mul(phi, T.mul(dt_full, b_full))
-    return a_bar, b_bar
 
 
 def discretize_zoh(a: Tensor, b_t: Tensor, dt_t: Tensor) -> tuple[Tensor, Tensor]:
@@ -192,179 +183,222 @@ def discretize_zoh(a: Tensor, b_t: Tensor, dt_t: Tensor) -> tuple[Tensor, Tensor
     full = (d_inner, n_state)
     dt_full = T.broadcast_to(T.reshape(dt_t, (d_inner, 1)), full)
     b_full = T.broadcast_to(T.reshape(b_t, (1, n_state)), full)
-    return _discretize_core(a, b_full, dt_full)
-
-
-def _selective_params_batched(x: Tensor, ssm: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Maps for a token-major batch x [B, L, d_inner] -> (B, C, dt) sequences."""
-    b_, l_, d = x.shape
-    if d != ssm.d_inner:
-        raise ShapeMismatch(f"selective params: input width {d} != d_inner {ssm.d_inner}")
-    b_seq = T.matmul(x, ssm.x_to_b.value)  # [B, L, n_state]
-    c_seq = T.matmul(x, ssm.x_to_c.value)
-    s = T.matmul(x, T.reshape(ssm.x_to_dt.value, (d, 1)))  # [B, L, 1]
-    bias = T.broadcast_to(T.reshape(ssm.dt_bias.value, (1, 1, d)), (b_, l_, d))
-    dt = T.softplus(T.add(T.broadcast_to(s, (b_, l_, d)), bias))
-    return b_seq, c_seq, dt
+    u = T.mul(dt_full, a)
+    a_bar = T.exp(u)
+    small = np.abs(u.array) < SMALL_DT_A
+    one = T.constant_like(u, 1.0)
+    phi = T.where(small, one, T.div(T.sub(a_bar, one), T.where(small, one, u)))
+    return a_bar, T.mul(phi, T.mul(dt_full, b_full))
 
 
 def selective_params(x_t: Tensor, ssm: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
     """Single-step maps: B_t, C_t in state space, dt_t per inner channel."""
-    if x_t.shape != (ssm.d_inner,):
-        raise ShapeMismatch(f"selective_params: x shape {x_t.shape} != ({ssm.d_inner},)")
-    b_seq, c_seq, dt = _selective_params_batched(T.reshape(x_t, (1, 1, ssm.d_inner)), ssm)
-    n = ssm.n_state
-    return T.reshape(b_seq, (n,)), T.reshape(c_seq, (n,)), T.reshape(dt, (ssm.d_inner,))
-
-
-def _scan_coeffs(x: Tensor, ssm: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-step (A_bar, B_bar*x, C) for x [B, L, d_inner]."""
-    b_, l_, d = x.shape
-    n = ssm.n_state
-    b_seq, c_seq, dt = _selective_params_batched(x, ssm)
-    full = (b_, l_, d, n)
-    a = T.neg(T.exp(ssm.a_log.value))
-    a_full = T.broadcast_to(T.reshape(a, (1, 1, d, n)), full)
-    dt_full = T.broadcast_to(T.reshape(dt, (b_, l_, d, 1)), full)
-    b_full = T.broadcast_to(T.reshape(b_seq, (b_, l_, 1, n)), full)
-    a_bar, b_bar = _discretize_core(a_full, b_full, dt_full)
-    bx = T.mul(b_bar, T.broadcast_to(T.reshape(x, (b_, l_, d, 1)), full))
-    return a_bar, bx, c_seq
-
-
-def _scan_coeffs_np(x: np.ndarray, ssm: SSMParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """No-tape form of :func:`_scan_coeffs` for the associative reference
-    scan: same math and operation order with numpy broadcasting instead of
-    tape nodes, so results match the taped path bit for bit."""
-    b_, l_, d = x.shape
-    w_b = ssm.x_to_b.value.array
-    w_c = ssm.x_to_c.value.array
-    b_seq = np.matmul(x, w_b)
-    c_seq = np.matmul(x, w_c)
-    s = np.matmul(x, ssm.x_to_dt.value.array.reshape(d, 1))
-    dt = T._softplus_np(s + ssm.dt_bias.value.array.reshape(1, 1, d))
-    a = -np.exp(ssm.a_log.value.array)
-    u = dt[:, :, :, None] * a[None, None]
-    a_bar = np.exp(u)
-    small = np.abs(u) < SMALL_DT_A
-    phi = np.where(small, 1.0, (a_bar - 1.0) / np.where(small, 1.0, u))
-    bx = (phi * (dt[:, :, :, None] * b_seq[:, :, None, :])) * x[:, :, :, None]
-    return a_bar.astype(x.dtype, copy=False), bx.astype(x.dtype, copy=False), c_seq
+    d, n = ssm.d_inner, ssm.n_state
+    if x_t.shape != (d,):
+        raise ShapeMismatch(f"selective_params: x shape {x_t.shape} != ({d},)")
+    row = T.reshape(x_t, (1, d))
+    b_t = T.reshape(T.matmul(row, ssm.x_to_b.value), (n,))
+    c_t = T.reshape(T.matmul(row, ssm.x_to_c.value), (n,))
+    s = T.matmul(row, T.reshape(ssm.x_to_dt.value, (d, 1)))  # [1, 1]
+    dt_t = T.softplus(T.add(T.reshape(T.broadcast_to(s, (1, d)), (d,)), ssm.dt_bias.value))
+    return b_t, c_t, dt_t
 
 
 # ---------------------------------------------------------------------------
-# Recurrence kernels
+# The selective-scan kernel
 # ---------------------------------------------------------------------------
 
+_SEQ_BLOCK = 256  # time steps per coefficient block
 
-def scan_recurrence(a_bar: Tensor, bx: Tensor, c_seq: Tensor) -> Tensor:
-    """y[b,t,d] = <C_t, h_t> with h_t = A_bar_t * h_{t-1} + bx_t, h_0 = 0.
 
-    Fused sequential kernel; the backward pass replays the recurrence adjoint
-    in reverse, so this is the differentiation path for training.
+class _BlockCoeffs:
+    """Scan coefficients for one time block at a time, in reused buffers.
+
+    ``fill(xb)`` computes, for a block xb [B, m, d_inner] of m <= ``blk``
+    steps, the selective maps b, c and dt = softplus(pre), dtx = dt * x, and
+    the ZOH terms a_bar = exp(u) with u = dt*A, phi = (a_bar - 1)/u (1 where
+    |u| is tiny, flagged in ``small``; ``u`` then holds 1 there, the safe
+    divisor) and bx = phi * dtx * b, as views of the first m steps. Buffers
+    allocated once keep the working set cache-resident and allocation-free
+    however long the sequence is, so wall time stays proportional to L.
+    Outer products go through einsum, about twice as fast as a broadcast
+    multiply over the short state axis.
     """
-    av, bv, cv = a_bar.array, bx.array, c_seq.array
-    if av.shape != bv.shape:
-        raise ShapeMismatch(f"scan_recurrence: {av.shape} vs {bv.shape}")
-    b_, l_, d, n = av.shape
-    if cv.shape != (b_, l_, n):
-        raise ShapeMismatch(f"scan_recurrence: C shape {cv.shape} != {(b_, l_, n)}")
-    hs = np.empty_like(av)
-    ys = np.empty((b_, l_, d), dtype=av.dtype)
-    h = np.zeros((b_, d, n), dtype=av.dtype)
-    for t in range(l_):
-        h = av[:, t] * h + bv[:, t]
-        hs[:, t] = h
-        ys[:, t] = np.matmul(h, cv[:, t, :, None])[:, :, 0]
 
-    cache: dict[int, tuple] = {}
+    def __init__(self, weights: tuple[np.ndarray, ...], batch: int, blk: int, dtype):
+        self.w_b, self.w_c, self.w_dt, self.dt_bias, self.a, _ = weights
+        d, n = self.a.shape
+        tails = {"b": (n,), "c": (n,), "s": (1,), "pre": (d,), "dt": (d,), "dtx": (d,)}
+        tails.update(dict.fromkeys(("u", "a_bar", "phi", "bx"), (d, n)))
+        self._buffers = {name: np.empty((batch, blk) + tail, dtype=dtype) for name, tail in tails.items()}
 
-    def _adjoint(g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        key = id(g)
-        if key not in cache:
-            ga = np.empty_like(av)
-            gb = np.empty_like(bv)
-            gc = np.empty_like(cv)
-            adj = np.zeros((b_, d, n), dtype=av.dtype)
-            for t in range(l_ - 1, -1, -1):
-                if t < l_ - 1:
-                    adj = adj * av[:, t + 1]
-                adj = adj + g[:, t, :, None] * cv[:, t, None, :]
-                gb[:, t] = adj
-                ga[:, t] = adj * (hs[:, t - 1] if t > 0 else 0.0)
-                gc[:, t] = np.matmul(g[:, t, None, :], hs[:, t])[:, 0, :]
-            cache.clear()
-            cache[key] = (ga, gb, gc)
-        return cache[key]
+    def fill(self, xb: np.ndarray) -> None:
+        for name, buf in self._buffers.items():
+            setattr(self, name, buf[:, : xb.shape[1]])
+        np.matmul(xb, self.w_b, out=self.b)
+        np.matmul(xb, self.w_c, out=self.c)
+        np.matmul(xb, self.w_dt, out=self.s)
+        np.add(self.s, self.dt_bias, out=self.pre)
+        # softplus(pre) = max(pre, 0) + log1p(exp(-|pre|)) in place: several
+        # times faster than np.logaddexp(0, pre) on float32
+        np.abs(self.pre, out=self.dt)
+        np.negative(self.dt, out=self.dt)
+        np.exp(self.dt, out=self.dt)
+        np.log1p(self.dt, out=self.dt)
+        self.dt += np.maximum(self.pre, 0.0)
+        np.einsum("btd,dn->btdn", self.dt, self.a, out=self.u)
+        np.exp(self.u, out=self.a_bar)
+        self.small = self.u > -SMALL_DT_A  # u <= 0: dt >= 0 and A < 0
+        np.copyto(self.u, 1.0, where=self.small)
+        np.subtract(self.a_bar, 1.0, out=self.phi)
+        np.divide(self.phi, self.u, out=self.phi)
+        np.copyto(self.phi, 1.0, where=self.small)
+        np.multiply(self.dt, xb, out=self.dtx)
+        np.einsum("btd,btn->btdn", self.dtx, self.b, out=self.bx)
+        np.multiply(self.phi, self.bx, out=self.bx)
 
-    return T.apply_op(
-        ys,
-        [
-            (a_bar, lambda g: _adjoint(g)[0]),
-            (bx, lambda g: _adjoint(g)[1]),
-            (c_seq, lambda g: _adjoint(g)[2]),
-        ],
+
+def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
+    """The SSM parameters as the kernel reads them: (W_b, W_c, W_dt as a
+    column, dt_bias, A = -exp(a_log), d_skip). They must have the input's dtype."""
+    for p in ssm.parameters():
+        if p.value.dtype != dtype:
+            raise ShapeMismatch(f"scan: input dtype {dtype} != {p.name} dtype {p.value.dtype}")
+    return (
+        ssm.x_to_b.value.array,
+        ssm.x_to_c.value.array,
+        ssm.x_to_dt.value.array[:, None],
+        ssm.dt_bias.value.array,
+        -np.exp(ssm.a_log.value.array),
+        ssm.d_skip.value.array,
     )
 
 
-_SEQ_BLOCK = 256  # coefficient block for the no-tape sequential kernel
+def _block_states(co: _BlockCoeffs, h: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """h_t = a_bar_t h_{t-1} + bx_t over the block in ``co`` from the state
+    ``h`` entering it, written to ``hs`` (which may be ``co.bx`` itself)."""
+    ah = np.empty_like(h)
+    for t in range(hs.shape[1]):
+        np.multiply(co.a_bar[:, t], h, out=ah)
+        h = np.add(ah, co.bx[:, t], out=hs[:, t])
+    return h
 
 
-def _sequential_scan_np(x: np.ndarray, ssm: SSMParams) -> np.ndarray:
-    """No-tape sequential scan with blocked, buffer-reusing coefficients.
-
-    Computing (A_bar, B_bar x, C) in fixed-size time blocks into preallocated
-    buffers keeps the working set cache-resident and allocation-free no matter
-    how long the sequence is, so wall time stays proportional to L instead of
-    inheriting a cache or allocator cliff.
+def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int) -> tuple[np.ndarray, list]:
+    """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], strictly left to
+    right in time blocks of ``blk`` steps. Returns y and the state entering
+    each block, which is all the backward pass keeps.
     """
     b_, l_, d = x.shape
-    n = ssm.n_state
-    dtype = x.dtype
-    w_b = ssm.x_to_b.value.array
-    w_c = ssm.x_to_c.value.array
-    w_dt = ssm.x_to_dt.value.array.reshape(d, 1)
-    dt_bias = ssm.dt_bias.value.array.reshape(1, 1, d)
-    a = -np.exp(ssm.a_log.value.array)
-
-    blk = min(_SEQ_BLOCK, l_)
-    b_seq = np.empty((b_, blk, n), dtype=dtype)
-    c_seq = np.empty((b_, blk, n), dtype=dtype)
-    s = np.empty((b_, blk, 1), dtype=dtype)
-    dt = np.empty((b_, blk, d), dtype=dtype)
-    u = np.empty((b_, blk, d, n), dtype=dtype)
-    a_bar = np.empty_like(u)
-    bx = np.empty_like(u)
-    scratch = np.empty_like(u)
-
-    ys = np.empty((b_, l_, d), dtype=dtype)
-    h = np.zeros((b_, d, n), dtype=dtype)
-    hc = np.empty((b_, d, 1), dtype=dtype)
+    co = _BlockCoeffs(weights, b_, blk, x.dtype)
+    ys = np.empty((b_, l_, d), dtype=x.dtype)
+    h = np.zeros((b_, d, weights[4].shape[1]), dtype=x.dtype)
+    h_in = []
     for start in range(0, l_, blk):
-        m = min(blk, l_ - start)
-        xb = np.ascontiguousarray(x[:, start : start + m])
-        bs, cs, sv, dtv = b_seq[:, :m], c_seq[:, :m], s[:, :m], dt[:, :m]
-        uv, av, bxv, sc = u[:, :m], a_bar[:, :m], bx[:, :m], scratch[:, :m]
-        np.matmul(xb, w_b, out=bs)
-        np.matmul(xb, w_c, out=cs)
-        np.matmul(xb, w_dt, out=sv)
-        np.add(sv, dt_bias, out=dtv)
-        dtv[...] = T._softplus_np(dtv)
-        np.multiply(dtv[:, :, :, None], a[None, None], out=uv)
-        np.exp(uv, out=av)
-        small = np.abs(uv) < SMALL_DT_A
-        np.subtract(av, 1.0, out=sc)
-        np.divide(sc, np.where(small, 1.0, uv), out=sc)
-        np.copyto(sc, 1.0, where=small)  # phi
-        np.multiply(dtv[:, :, :, None], bs[:, :, None, :], out=bxv)
-        np.multiply(sc, bxv, out=bxv)
-        np.multiply(bxv, xb[:, :, :, None], out=bxv)
-        for t in range(m):
-            np.multiply(av[:, t], h, out=h)
-            np.add(h, bxv[:, t], out=h)
-            np.matmul(h, cs[:, t, :, None], out=hc)
-            ys[:, start + t] = hc[:, :, 0]
-    return ys
+        h_in.append(h)
+        co.fill(np.ascontiguousarray(x[:, start : start + blk]))
+        h = _block_states(co, h, co.bx).copy()  # co.bx now holds the block's states
+        ys[:, start : start + blk] = np.matmul(co.bx, co.c[..., None])[..., 0]
+    ys += weights[5] * x
+    return ys, h_in
+
+
+def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int, h_in: list):
+    """Gradients of <g, y> for y from :func:`_sequential_scan_np`, as
+    (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip).
+
+    Walks the time blocks in reverse and recomputes each block's coefficients
+    and states from the state that entered it, with the forward's operations,
+    so they are bit-identical to the forward's; spent coefficient buffers
+    are reused as scratch.
+    """
+    b_, l_, d = x.shape
+    w_b, w_c, w_dt, _, a, d_skip = weights
+    n = a.shape[1]
+    co = _BlockCoeffs(weights, b_, blk, x.dtype)
+    hs = np.empty((b_, blk, d, n), dtype=x.dtype)
+    lam = np.empty_like(hs)  # state adjoint dL/dh_t
+    gx = g * d_skip
+    g_wb, g_wc, g_a = np.zeros_like(w_b), np.zeros_like(w_c), np.zeros_like(a)
+    g_wdt, g_bias = np.zeros_like(w_dt), np.zeros((d,), dtype=x.dtype)
+    carry = np.zeros((b_, d, n), dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
+    for k in range(len(h_in) - 1, -1, -1):
+        start = k * blk
+        xb = np.ascontiguousarray(x[:, start : start + blk])
+        gb = g[:, start : start + blk]
+        m = xb.shape[1]
+        co.fill(xb)
+        hv, lv = hs[:, :m], lam[:, :m]
+        _block_states(co, h_in[k], hv)
+        # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
+        # adjoint lam_t = g_t c_t + a_bar_{t+1} lam_{t+1}
+        np.einsum("btd,btn->btdn", gb, co.c, out=lv)
+        for t in range(m - 1, -1, -1):
+            np.add(lv[:, t], carry, out=lv[:, t])
+            np.multiply(co.a_bar[:, t], lv[:, t], out=carry)
+        g_c = np.matmul(gb[:, :, None, :], hv)[:, :, 0, :]
+        # dL/da_bar_t = lam_t h_{t-1} replaces h_t; going backwards keeps h_{t-1}
+        for t in range(m - 1, 0, -1):
+            np.multiply(lv[:, t], hv[:, t - 1], out=hv[:, t])
+        np.multiply(lv[:, 0], h_in[k], out=hv[:, 0])
+        g_ab = hv
+        # bx = phi * dt * x * b
+        r = np.multiply(lv, co.phi, out=co.bx)
+        rb = np.matmul(r, co.b[:, :, :, None])[..., 0]
+        g_b = np.matmul(co.dtx[:, :, None, :], r)[:, :, 0, :]
+        # phi = (a_bar - 1) / u, so dphi/du = (a_bar - phi) / u; 0 on the small branch
+        dphi = np.subtract(co.a_bar, co.phi, out=co.phi)
+        np.divide(dphi, co.u, out=dphi)
+        np.copyto(dphi, 0.0, where=co.small)
+        # dL/du = dL/dphi * dphi/du + dL/da_bar * a_bar, dL/dphi = lam * dt * x * b
+        g_u = np.einsum("btd,btn->btdn", co.dtx, co.b, out=co.bx)
+        g_u *= lv
+        g_u *= dphi
+        g_ab *= co.a_bar
+        g_u += g_ab
+        # u = dt * A; dt = softplus(pre); pre = x W_dt + dt_bias. einsum
+        # reduces the short state axis several times faster than sum().
+        g_a += np.einsum("btdn,btd->dn", g_u, co.dt)
+        g_pre = (xb * rb + np.einsum("btdn,dn->btd", g_u, a)) * expit(co.pre)
+        g_s = g_pre.sum(axis=-1, keepdims=True)
+        gx[:, start : start + m] += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T
+        xf = xb.reshape(-1, d).T
+        g_wb += xf @ g_b.reshape(-1, n)
+        g_wc += xf @ g_c.reshape(-1, n)
+        g_wdt += xf @ g_s.reshape(-1, 1)
+        g_bias += g_pre.sum(axis=(0, 1))
+    # A = -exp(a_log), so dA/da_log = A
+    return gx, g_wb, g_wc, g_wdt.reshape(-1), g_bias, g_a * a, (g * x).sum(axis=(0, 1))
+
+
+def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
+    """Selective scan over x [B, L, d_inner] -> [B, L, d_inner], skip included.
+
+    Recorded on the tape as one op whose backward recomputes the
+    coefficients block by block instead of storing them, so a taped scan
+    keeps only its input, the weights and one state per time block.
+    """
+    if x.ndim != 3 or x.shape[2] != ssm.d_inner:
+        raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
+    xv = x.array
+    weights = _scan_weights(ssm, xv.dtype)
+    blk = min(_SEQ_BLOCK, xv.shape[1])
+    ys, h_in = _sequential_scan_np(xv, weights, blk)
+
+    held: list = [None, None]  # (gradient, its adjoint): one adjoint per gradient
+
+    def adjoint(g: np.ndarray) -> tuple[np.ndarray, ...]:
+        if held[0] is not g:
+            held[:] = g, _sequential_scan_vjp(g, xv, weights, blk, h_in)
+        return held[1]
+
+    parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
+    return T.apply_op(ys, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
+
+
+# ---------------------------------------------------------------------------
+# Associative (Blelloch) reference scan
+# ---------------------------------------------------------------------------
 
 
 def _blelloch_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,7 +438,7 @@ def linear_recurrence_parallel(a: np.ndarray, b: np.ndarray, time_axis: int = 0)
     """Associative-scan evaluation of h_t = a_t h_{t-1} + b_t (h_0 = 0).
 
     Work O(L), depth O(log L); a single-threaded reference for the
-    sequential kernels.
+    sequential kernel.
     """
     if a.shape != b.shape:
         raise ShapeMismatch(f"linear_recurrence_parallel: {a.shape} vs {b.shape}")
@@ -416,28 +450,13 @@ def linear_recurrence_parallel(a: np.ndarray, b: np.ndarray, time_axis: int = 0)
 
 
 # ---------------------------------------------------------------------------
-# Selective scans
+# Channel-major selective scans
 # ---------------------------------------------------------------------------
 
 
 def _check_scan_input(x: Tensor, ssm: SSMParams) -> None:
     if x.ndim != 2 or x.shape[0] != ssm.d_inner:
         raise ShapeMismatch(f"scan input must be [d_inner, L], got {x.shape}")
-
-
-def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
-    """Selective scan over x [B, L, d_inner] -> [B, L, d_inner].
-
-    With the tape on it runs the taped recurrence; with it off, the blocked
-    no-tape kernel, which evaluates the same recurrence in the same order.
-    """
-    b_, l_, d = x.shape
-    if T.grad_enabled():
-        y = scan_recurrence(*_scan_coeffs(x, ssm))
-    else:
-        y = Tensor(_sequential_scan_np(x.array, ssm))
-    skip = T.broadcast_to(T.reshape(ssm.d_skip.value, (1, 1, d)), (b_, l_, d))
-    return T.add(y, T.mul(skip, x))
 
 
 def selective_scan_sequential(x: Tensor, ssm: SSMParams) -> Tensor:
@@ -450,14 +469,15 @@ def selective_scan_sequential(x: Tensor, ssm: SSMParams) -> Tensor:
 def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
     """Associative-scan evaluation; numerically equal to the sequential scan.
 
-    Single-threaded reference and benchmark path: the result is detached
-    from the tape.
+    Single-threaded reference and benchmark path: it shares the kernel's
+    coefficients, and the result is detached from the tape.
     """
     _check_scan_input(x, ssm)
     xv = np.ascontiguousarray(x.array.T[None])  # [1, L, d_inner]
-    av, bv, cv = _scan_coeffs_np(xv, ssm)
-    h = linear_recurrence_parallel(av, bv, time_axis=1)
-    y = np.matmul(h, cv[..., None])[..., 0] + ssm.d_skip.value.array * xv
+    co = _BlockCoeffs(_scan_weights(ssm, xv.dtype), 1, xv.shape[1], xv.dtype)
+    co.fill(xv)
+    h = linear_recurrence_parallel(co.a_bar, co.bx, time_axis=1)
+    y = np.matmul(h, co.c[..., None])[..., 0] + ssm.d_skip.value.array * xv
     return Tensor(np.ascontiguousarray(y[0].T))
 
 

@@ -17,11 +17,10 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
+from scipy.special import erf as _erf, expit
 
 from .errors import GraphError, InvalidConfig, ShapeMismatch
 
-_SOFTPLUS_CUTOFF = 20.0  # exp(20) is representable; linear tail error < 1e-9
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -184,10 +183,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(a.array * c, [(a, lambda g: g * c)])
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.array)
     return apply_op(out, [(a, lambda g: g * out)])
@@ -323,31 +318,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _softplus_np(x: np.ndarray) -> np.ndarray:
-    # x + ln(1+exp(-x)) above the cutoff avoids overflow; log1p(exp(x)) below.
-    out = np.where(
-        x > _SOFTPLUS_CUTOFF,
-        x + np.log1p(np.exp(-np.abs(x))),
-        np.log1p(np.exp(np.minimum(x, _SOFTPLUS_CUTOFF))),
-    )
-    return out.astype(x.dtype, copy=False)
-
-
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    pos = x >= 0
-    e = np.exp(np.where(pos, -x, x))
-    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def softplus(a: Tensor) -> Tensor:
     av = a.array
-    sig = _sigmoid_np(av)
-    return apply_op(_softplus_np(av), [(a, lambda g: g * sig)])
+    sig = expit(av)
+    return apply_op(np.logaddexp(0.0, av), [(a, lambda g: g * sig)])
 
 
 def silu(a: Tensor) -> Tensor:
     av = a.array
-    sig = _sigmoid_np(av)
+    sig = expit(av)
     return apply_op(av * sig, [(a, lambda g: g * (sig * (1.0 + av * (1.0 - sig))))])
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import tensor as T
 from tsmamba.errors import NonPositiveDt, ShapeMismatch
@@ -138,12 +139,9 @@ def test_selective_params_matches_matvec_oracle():
 
 
 def test_scan_recurrence_hand_rolled():
-    # a=0.5, b*x=1, c=1, no skip: h = 1, 1.5, 1.75 and y = h
-    a = np.full((1, 3, 1, 1), 0.5)
-    bx = np.ones((1, 3, 1, 1))
-    c = np.ones((1, 3, 1))
-    y = ssm.scan_recurrence(T.tensor(a), T.tensor(bx), T.tensor(c))
-    np.testing.assert_allclose(y.array[0, :, 0], [1.0, 1.5, 1.75], rtol=1e-15)
+    # a=0.5, b*x=1: h = 1, 1.5, 1.75
+    h = ssm.linear_recurrence_parallel(np.full((3, 1), 0.5), np.ones((3, 1)), time_axis=0)
+    np.testing.assert_allclose(h[:, 0], [1.0, 1.5, 1.75], rtol=1e-15)
 
 
 def test_parallel_recurrence_prefix_sums():
@@ -168,30 +166,84 @@ def test_parallel_recurrence_matches_sequential(length):
     assert np.max(np.abs(h_par - h_seq)) < 1e-12
 
 
-def test_scan_recurrence_gradients():
-    rng = np.random.default_rng(6)
-    shape = (2, 5, 3, 2)
-    a = rng.uniform(0.1, 0.9, size=shape)
-    bx = rng.standard_normal(shape)
-    c = rng.standard_normal((2, 5, 2))
-    proj = rng.standard_normal((2, 5, 3))
+def make_scan_case(seed, batch=2, length=8, d_inner=3, n_state=2):
+    """SSM with perturbed, well-spread parameters plus an input and a projection."""
+    rng = np.random.default_rng(seed)
+    p = make_ssm(rng, d_inner, n_state)
+    for q in p.parameters():
+        q.assign(q.value.array + 0.3 * rng.standard_normal(q.value.shape))
+    x = rng.standard_normal((batch, length, d_inner))
+    proj = rng.standard_normal((batch, length, d_inner))
+    return p, x, proj
 
-    def run(at, bxt, ct):
-        return T.sum_all(T.mul(ssm.scan_recurrence(at, bxt, ct), T.tensor(proj)))
 
-    for i, arr in enumerate([a, bx, c]):
-        args = [T.tensor(a), T.tensor(bx), T.tensor(c)]
-        live = Tensor(arr.copy(), requires=True)
-        args[i] = live
-        grads = T.grad_map(run(*args))
+def scan_loss(x, p, proj):
+    return T.sum_all(T.mul(ssm._selective_scan_batched(x, p), T.tensor(proj)))
 
-        def f(t, i=i):
-            probe = [T.tensor(a), T.tensor(bx), T.tensor(c)]
-            probe[i] = t
-            return run(*probe)
 
-        fd = T.finite_diff_grad(f, T.tensor(arr), 1e-6)
-        assert rel_err(grads[id(live)], fd.array) < 1e-4, f"operand {i}"
+def test_scan_recurrence_gradients(monkeypatch):
+    # 3-step blocks: the 8-step sequence spans three blocks, so the backward
+    # carries the state adjoint across block boundaries.
+    monkeypatch.setattr(ssm, "_SEQ_BLOCK", 3)
+    p, x, proj = make_scan_case(6)
+    xt = Tensor(x.copy(), requires=True)
+    grads = T.grad_map(scan_loss(xt, p, proj))
+    fd = T.finite_diff_grad(lambda t: scan_loss(t, p, proj), T.tensor(x), 1e-6)
+    assert rel_err(grads[id(xt)], fd.array) < 1e-4, "x"
+    assert len(p.parameters()) == 6
+    analytic = {q.name: grads[id(q.value)] for q in p.parameters()}
+    for q in p.parameters():
+        base = q.value.array.copy()
+
+        def f(t, q=q):
+            q.assign(t.array)
+            return scan_loss(T.tensor(x), p, proj)
+
+        fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)
+        q.assign(base)
+        assert rel_err(analytic[q.name], fd.array) < 1e-4, q.name
+
+
+def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
+    monkeypatch.setattr(ssm, "_SEQ_BLOCK", 3)
+    p, x, proj = make_scan_case(23)
+    xt = Tensor(x.copy(), requires=True)
+    trained = T.grad_map(scan_loss(xt, p, proj))[id(xt)]
+    for q in p.parameters():
+        q.set_trainable(False)
+    xt = Tensor(x.copy(), requires=True)
+    y = ssm._selective_scan_batched(xt, p)
+    assert [parent is xt for parent, _ in y.pairs] == [True]
+    grads = T.grad_map(T.sum_all(T.mul(y, T.tensor(proj))))
+    assert all(id(q.value) not in grads for q in p.parameters())
+    assert grads[id(xt)].tobytes() == trained.tobytes()
+    fd = T.finite_diff_grad(lambda t: scan_loss(t, p, proj), T.tensor(x), 1e-6)
+    assert rel_err(grads[id(xt)], fd.array) < 1e-4
+
+
+def test_scan_adjoint_follows_each_gradient():
+    # one recorded scan, back-propagated from two different losses
+    p, x, proj = make_scan_case(25)
+    xt = Tensor(x.copy(), requires=True)
+    y = ssm._selective_scan_batched(xt, p)
+    for weights in (proj, -2.0 * proj):
+        got = T.grad_map(T.sum_all(T.mul(y, T.tensor(weights))))[id(xt)]
+        xf = Tensor(x.copy(), requires=True)
+        want = T.grad_map(scan_loss(xf, p, weights))[id(xf)]
+        assert got.tobytes() == want.tobytes()
+
+
+def test_scan_rejects_input_dtype_mismatch():
+    rng = np.random.default_rng(24)
+    p = make_ssm(rng, 4, 3, dtype=np.float64)
+    x32 = rng.standard_normal((2, 5, 4)).astype(np.float32)
+    with pytest.raises(ShapeMismatch):
+        ssm._selective_scan_batched(Tensor(x32, requires=True), p)
+    with T.no_grad(), pytest.raises(ShapeMismatch):
+        ssm._selective_scan_batched(Tensor(x32), p)
+    for kernel in (ssm.selective_scan_sequential, ssm.selective_scan_parallel):
+        with pytest.raises(ShapeMismatch):
+            kernel(Tensor(x32[0].T.copy()), p)
 
 
 def test_scan_linearity_at_fixed_coefficients():
@@ -205,8 +257,8 @@ def test_scan_linearity_at_fixed_coefficients():
     alpha, beta = 0.7, -1.3
 
     def scan(x):
-        bx = b_bar * x[:, :, :, None]
-        return ssm.scan_recurrence(T.tensor(a), T.tensor(bx), T.tensor(c)).array
+        h = ssm.linear_recurrence_parallel(a, b_bar * x[:, :, :, None], time_axis=1)
+        return np.matmul(h, c[..., None])[..., 0]
 
     lhs = scan(alpha * x1 + beta * x2)
     rhs = alpha * scan(x1) + beta * scan(x2)
@@ -230,10 +282,10 @@ def test_state_bound_constant_coefficients():
 def test_a_bar_strictly_inside_unit_interval():
     rng = np.random.default_rng(9)
     p = make_ssm(rng, 6, 4)
-    x = Tensor(rng.standard_normal((2, 10, 6)))
-    a_bar, _, _ = ssm._scan_coeffs(x, p)
-    assert np.all(a_bar.array > 0.0)
-    assert np.all(a_bar.array < 1.0)
+    co = ssm._BlockCoeffs(ssm._scan_weights(p, np.float64), 2, 10, np.float64)
+    co.fill(rng.standard_normal((2, 10, 6)))
+    assert np.all(co.a_bar > 0.0)
+    assert np.all(co.a_bar < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,26 +347,25 @@ def test_selective_scan_shape_check():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_fast_coeff_path_bit_matches_taped_path(dtype):
-    rng = np.random.default_rng(15)
-    p = make_ssm(rng, 6, 3, dtype=dtype)
-    x = rng.standard_normal((2, 9, 6)).astype(dtype)
-    a_t, bx_t, c_t = ssm._scan_coeffs(Tensor(x), p)
-    a_n, bx_n, c_n = ssm._scan_coeffs_np(x, p)
-    assert a_t.array.tobytes() == a_n.tobytes()
-    assert bx_t.array.tobytes() == bx_n.tobytes()
-    assert c_t.array.tobytes() == c_n.tobytes()
-
-
-def test_scan_mode_paths_agree_closely():
-    # blocked no-tape kernel vs taped kernel, spanning a block boundary
+def test_tape_on_and_off_agree_exactly(dtype):
+    # one kernel runs either way; the scan spans a block boundary
     rng = np.random.default_rng(16)
-    p = make_ssm(rng, 4, 3)
-    x = T.tensor(rng.standard_normal((4, ssm._SEQ_BLOCK + 33)))
+    p = make_ssm(rng, 4, 3, dtype=dtype)
+    x = Tensor(rng.standard_normal((4, ssm._SEQ_BLOCK + 33)).astype(dtype), requires=True)
     with T.no_grad():
-        fast = ssm.selective_scan_sequential(x, p).array
-    taped = ssm.selective_scan_sequential(x, p).array
-    assert np.max(np.abs(fast - taped)) < 1e-12
+        off = ssm.selective_scan_sequential(x, p)
+    on = ssm.selective_scan_sequential(x, p)
+    assert on.pairs and not off.pairs
+    assert on.array.tobytes() == off.array.tobytes()
+
+    cfg = M.ModelConfig(horizon=4, n_channels=2, lookback=32, patch_len=8, d_model=8, n_layers=1, d_state=4)
+    model = M.build_model(cfg, seed=3, dtype=dtype)
+    window = Tensor(rng.standard_normal((3, 2, 32)).astype(dtype))
+    with T.no_grad():
+        off = M.forecast(window, model)
+    on = M.forecast(window, model)
+    assert on.pairs and not off.pairs
+    assert on.array.tobytes() == off.array.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +458,7 @@ def test_mamba_block_parameter_gradients():
     u = rng.standard_normal((4, 3))
     proj = rng.standard_normal((4, 3))
 
-    for param in [p.in_proj, p.conv_weight, p.ssm.a_log, p.ssm.dt_bias, p.ssm.x_to_b, p.out_proj]:
+    for param in p.parameters():
         base = param.value.array.copy()
         loss = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p), T.tensor(proj)))
         T.backward(loss, [param])
