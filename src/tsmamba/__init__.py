@@ -33,11 +33,8 @@ from .model import (
     backbone_forward,
     build_model,
     forecast,
-    patch_embed,
-    prediction_head,
     revin_denormalize,
     revin_normalize,
-    xchannel_attention,
 )
 from .params import Parameter
 from .ssm import (
@@ -45,9 +42,7 @@ from .ssm import (
     MambaBlockParams,
     SSMParams,
     discretize_zoh,
-    encoder_forward,
     linear_recurrence_parallel,
-    mamba_block,
     selective_params,
     selective_scan_parallel,
     selective_scan_sequential,

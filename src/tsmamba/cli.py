@@ -178,7 +178,7 @@ def _standardized_splits(
     stride: int,
     boundaries: tuple[int, int] | None = None,
 ):
-    n1, n2 = boundaries if boundaries is not None else D.train_boundaries(ds.n_total, rc_split)
+    n1, _ = D.split_boundaries(ds.n_total, rc_split, boundaries)
     stats = D.compute_train_stats(ds, n1)
     std_ds = D.standardize(ds, stats)
     return D.split_windows(std_ds, rc_split, lookback, horizon, stride, boundaries), stats, std_ds
@@ -310,6 +310,11 @@ def _run_forecast(args) -> int:
 
 
 def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Checkpoint]:
+    """One checkpoint per horizon from a checkpoint file or a directory.
+
+    In a directory, unreadable files are named on stderr and skipped; a
+    horizon matched by no file or by several is a CheckpointMismatch.
+    """
     out: dict[int, Checkpoint] = {}
     if os.path.isdir(path):
         candidates = []
@@ -318,14 +323,17 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
             if not os.path.isfile(full):
                 continue
             try:
-                candidates.append(load_checkpoint(full))
-            except CorruptCheckpoint:
-                continue
+                candidates.append((name, load_checkpoint(full)))
+            except CorruptCheckpoint as exc:
+                _err(f"skipping unreadable checkpoint: {exc}")
         for horizon in horizons:
-            match = [c for c in candidates if c.config().horizon == horizon]
+            match = [(name, c) for name, c in candidates if c.config().horizon == horizon]
             if not match:
                 raise CheckpointMismatch(f"no checkpoint for horizon {horizon} in {path}")
-            out[horizon] = match[0]
+            if len(match) > 1:
+                names = ", ".join(name for name, _ in match)
+                raise CheckpointMismatch(f"several checkpoints for horizon {horizon} in {path}: {names}")
+            out[horizon] = match[0][1]
     else:
         ckpt = load_checkpoint(path)
         trained = ckpt.config().horizon

@@ -47,15 +47,12 @@ class SplitSpec:
     train_frac: float = 0.7
     val_frac: float = 0.1
     test_frac: float = 0.2
-    boundary_mode: str = "chronological"
 
     def __post_init__(self):
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
             raise InvalidConfig("split fractions must sum to 1")
         if min(self.train_frac, self.val_frac, self.test_frac) < 0:
             raise InvalidConfig("split fractions must be non-negative")
-        if self.boundary_mode != "chronological":
-            raise InvalidConfig("only chronological splits are supported")
 
 
 @dataclass
@@ -88,7 +85,8 @@ def load_csv(
 
     ``has_date_column=None`` detects the date column: it is present when the
     first cell of every data row is non-numeric. Non-numeric body cells raise
-    ParseError naming the 1-based row/column; uneven row widths raise
+    ParseError and infinite ones (``inf``, or overflowing like ``1e999``)
+    DataError, each naming the 1-based row/column; uneven row widths raise
     RaggedRows. NaNs are rejected unless ``ffill`` forward-fills them (leading
     NaNs still reject).
     """
@@ -123,6 +121,11 @@ def load_csv(
                 raise ParseError(
                     f"{path}: non-numeric cell at row {i + 1 + header_offset}, column {j + 1 + start_col}: {cell!r}"
                 ) from None
+    if np.isinf(values).any():
+        i, j = np.argwhere(np.isinf(values))[0]
+        raise DataError(
+            f"{path}: infinite cell at row {i + 1 + header_offset}, column {j + 1 + start_col}: {body[i][j + start_col]!r}"
+        )
 
     if np.isnan(values).any():
         if not ffill:
@@ -171,6 +174,17 @@ def train_boundaries(n_total: int, spec: SplitSpec) -> tuple[int, int]:
     """(train_end, val_end) indices of the chronological split."""
     n1 = int(n_total * spec.train_frac)
     n2 = n1 + int(n_total * spec.val_frac)
+    return n1, n2
+
+
+def split_boundaries(n_total: int, spec: SplitSpec, boundaries: tuple[int, int] | None = None) -> tuple[int, int]:
+    """Explicit (train_end, val_end) checked against the series length, or
+    the fractional split when ``boundaries`` is None."""
+    if boundaries is None:
+        return train_boundaries(n_total, spec)
+    n1, n2 = boundaries
+    if not 0 < n1 <= n2 <= n_total:
+        raise InvalidConfig(f"split boundaries {boundaries} outside 0..{n_total}")
     return n1, n2
 
 
@@ -233,12 +247,7 @@ def split_windows(
     (train_end, val_end) row indices, matching benchmark conventions that fix
     split points instead of fractions.
     """
-    if boundaries is not None:
-        n1, n2 = boundaries
-        if not 0 < n1 <= n2 <= ds.n_total:
-            raise InvalidConfig(f"split boundaries {boundaries} outside 0..{ds.n_total}")
-    else:
-        n1, n2 = train_boundaries(ds.n_total, spec)
+    n1, n2 = split_boundaries(ds.n_total, spec, boundaries)
     train, val, test = [], [], []
     for w in make_windows(ds, lookback, horizon, stride):
         t = w.origin_index

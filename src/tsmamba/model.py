@@ -9,7 +9,7 @@ attention module, which deliberately mixes channels during fine-tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,11 @@ from .tensor import Tensor
 
 ALIGN_KERNEL = 3
 XSHIFT_KERNEL = 3
+EXPAND_FACTOR = 2  # Mamba block inner width = EXPAND_FACTOR * d_model
+
+# Keys of configs written before these choices were fixed; each is accepted
+# only at the value the architecture now hardwires.
+_RETIRED_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +44,10 @@ class ModelConfig:
     d_model: int = 768
     n_layers: int = 3
     d_state: int = 16
-    expand_factor: int = 2
     head_compress_dim: int = 0  # 0 derives max(4, d_model // 12)
     local_conv_kernel: int = 4
     huber_delta: float = 1.0
     revin_eps: float = 1e-5
-    revin_affine: bool = False
-    combine_mode: str = "add"
     xchannel_enabled: bool = False
 
     def __post_init__(self):
@@ -60,14 +62,10 @@ class ModelConfig:
             raise PatchLengthMismatch(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}"
             )
-        if self.expand_factor != 2:
-            raise InvalidConfig("expand_factor is fixed at 2")
         if self.head_dim >= self.d_model:
             raise InvalidConfig(
                 f"head_compress_dim {self.head_dim} must be < d_model {self.d_model}"
             )
-        if self.combine_mode not in ("add", "concat"):
-            raise InvalidConfig(f"unknown combine_mode {self.combine_mode!r}")
         if self.xchannel_enabled and self.n_channels < 2:
             raise InvalidConfig("cross-channel attention requires n_channels >= 2")
         if self.huber_delta <= 0:
@@ -81,23 +79,23 @@ class ModelConfig:
 
     @property
     def d_inner(self) -> int:
-        return self.expand_factor * self.d_model
+        return EXPAND_FACTOR * self.d_model
 
     @property
     def head_dim(self) -> int:
         return self.head_compress_dim if self.head_compress_dim > 0 else max(4, self.d_model // 12)
-
-    @property
-    def combined_width(self) -> int:
-        return self.d_model * (2 if self.combine_mode == "concat" else 1)
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+        d = dict(d)
+        for key, fixed in _RETIRED_KEYS.items():
+            value = d.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise InvalidConfig(f"{key} {value!r} is not supported; the architecture fixes it at {fixed!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidConfig(f"unknown ModelConfig keys: {sorted(unknown)}")
         return cls(**d)
@@ -179,7 +177,7 @@ class AlignConvParams:
 
 @dataclass
 class HeadParams:
-    compress_w: Parameter  # [combined_width, head_dim]
+    compress_w: Parameter  # [d_model, head_dim]
     compress_b: Parameter  # [head_dim]
     out_w: Parameter  # [n_tokens * head_dim, horizon]
     out_b: Parameter  # [horizon]
@@ -208,15 +206,6 @@ class XChannelParams:
 
 
 @dataclass
-class RevinAffineParams:
-    gamma: Parameter  # [n_channels]
-    beta: Parameter  # [n_channels]
-
-    def parameters(self) -> list[Parameter]:
-        return [self.gamma, self.beta]
-
-
-@dataclass
 class Model:
     config: ModelConfig
     embedding: EmbeddingParams
@@ -225,7 +214,6 @@ class Model:
     align: AlignConvParams
     head: HeadParams
     xchannel: XChannelParams | None = None
-    revin_affine: RevinAffineParams | None = None
 
     def parameters(self) -> list[Parameter]:
         out = [
@@ -237,8 +225,6 @@ class Model:
         ]
         if self.xchannel is not None:
             out.extend(self.xchannel.parameters())
-        if self.revin_affine is not None:
-            out.extend(self.revin_affine.parameters())
         return out
 
     def named_parameters(self) -> dict[str, Parameter]:
@@ -281,7 +267,7 @@ def init_head(rng, cfg: ModelConfig, dtype) -> HeadParams:
     # out_w starts at zero: the untrained head predicts the window mean,
     # which anchors the loss-reduction baseline for stage 2
     return HeadParams(
-        compress_w=Parameter("head.compress_w", uniform_init(rng, (cfg.combined_width, cfg.head_dim), cfg.combined_width, dtype)),
+        compress_w=Parameter("head.compress_w", uniform_init(rng, (cfg.d_model, cfg.head_dim), cfg.d_model, dtype)),
         compress_b=Parameter("head.compress_b", T.zeros(cfg.head_dim, dtype=dtype)),
         out_w=Parameter("head.out_w", T.zeros((cfg.n_tokens * cfg.head_dim, cfg.horizon), dtype=dtype)),
         out_b=Parameter("head.out_b", T.zeros(cfg.horizon, dtype=dtype)),
@@ -315,14 +301,6 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
         align=init_align(rng, cfg, dtype),
         head=init_head(rng, cfg, dtype),
         xchannel=init_xchannel(rng, cfg, dtype) if cfg.xchannel_enabled else None,
-        revin_affine=(
-            RevinAffineParams(
-                gamma=Parameter("revin.gamma", T.ones(cfg.n_channels, dtype=dtype)),
-                beta=Parameter("revin.beta", T.zeros(cfg.n_channels, dtype=dtype)),
-            )
-            if cfg.revin_affine
-            else None
-        ),
     )
     check_unique_names(model.parameters())
     return model
@@ -350,14 +328,6 @@ def patch_embed_batched(x_hat: Tensor, emb: EmbeddingParams, patch_len: int) -> 
     return T.reshape(tokens, (b_, length // patch_len, d_model))
 
 
-def patch_embed(x_hat_channel: Tensor, emb: EmbeddingParams, patch_len: int) -> Tensor:
-    """Single-channel embedding: [1, L] -> [n_tokens, d_model]."""
-    if x_hat_channel.ndim != 2 or x_hat_channel.shape[0] != 1:
-        raise ShapeMismatch(f"patch_embed expects [1, L], got {x_hat_channel.shape}")
-    tokens = patch_embed_batched(x_hat_channel, emb, patch_len)
-    return T.reshape(tokens, tokens.shape[1:])
-
-
 def _align_conv(rep: Tensor, align: AlignConvParams) -> Tensor:
     """Depthwise temporal conv over the token axis, symmetric zero padding."""
     swapped = T.transpose(rep, (0, 2, 1))  # [B, d_model, n_tokens]
@@ -369,7 +339,8 @@ def backbone_forward(x_hat: Tensor, model: Model) -> BackboneOutput:
     """Embed and encode each channel of the normalized input [D, L].
 
     The backward branch runs on the time-flipped token sequence, is flipped
-    back and passed through the alignment conv before combination.
+    back and passed through the alignment conv, then added to the forward
+    representation.
     """
     if x_hat.ndim != 2:
         raise ShapeMismatch(f"backbone input must be [channels, L], got {x_hat.shape}")
@@ -378,15 +349,12 @@ def backbone_forward(x_hat: Tensor, model: Model) -> BackboneOutput:
     fwd_rep = encoder_forward_batched(tokens, model.fwd_encoder)
     bwd = encoder_forward_batched(T.flip(tokens, axis=1), model.bwd_encoder)
     bwd_rep_aligned = _align_conv(T.flip(bwd, axis=1), model.align)
-    if cfg.combine_mode == "concat":
-        combined = T.concat([fwd_rep, bwd_rep_aligned], axis=2)
-    else:
-        combined = T.add(fwd_rep, bwd_rep_aligned)
+    combined = T.add(fwd_rep, bwd_rep_aligned)
     return BackboneOutput(fwd_rep=fwd_rep, bwd_rep_aligned=bwd_rep_aligned, combined=combined)
 
 
 def head_core(combined: Tensor, head: HeadParams) -> Tensor:
-    """Compress-GELU-flatten-project: [B, n_tokens, W] -> normalized [B, T]."""
+    """Compress-GELU-flatten-project: [B, n_tokens, d_model] -> normalized [B, T]."""
     b_, n_tokens, _ = combined.shape
     h = T.matmul(combined, head.compress_w.value)
     h = T.add(h, T.broadcast_to(T.reshape(head.compress_b.value, (1, 1, head.compress_b.value.shape[0])), h.shape))
@@ -394,11 +362,6 @@ def head_core(combined: Tensor, head: HeadParams) -> Tensor:
     flat = T.reshape(h, (b_, n_tokens * h.shape[2]))
     y = T.matmul(flat, head.out_w.value)
     return T.add(y, T.broadcast_to(T.reshape(head.out_b.value, (1, head.out_b.value.shape[0])), y.shape))
-
-
-def prediction_head(combined: Tensor, stats: NormStats, head: HeadParams) -> Tensor:
-    """Denormalized forecasts [D, T] from combined representations [D, n_tokens, W]."""
-    return revin_denormalize(head_core(combined, head), stats)
 
 
 def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tensor]:
@@ -446,14 +409,6 @@ def xchannel_attention_batched(combined: Tensor, xp: XChannelParams) -> Tensor:
     return T.add(combined, correction)
 
 
-def xchannel_attention(combined: Tensor, xp: XChannelParams) -> Tensor:
-    """Single-window form: [D, n_tokens, d_model] -> same shape."""
-    if combined.ndim != 3:
-        raise ShapeMismatch(f"xchannel_attention expects [D, n_tokens, d_model], got {combined.shape}")
-    out = xchannel_attention_batched(T.reshape(combined, (1,) + combined.shape), xp)
-    return T.reshape(out, combined.shape)
-
-
 def attention_weights(combined: Tensor, xp: XChannelParams) -> np.ndarray:
     """Softmax attention matrix per token, for inspection: [n_tokens, d_c, d_c]."""
     with T.no_grad():
@@ -469,8 +424,8 @@ def attention_weights(combined: Tensor, xp: XChannelParams) -> np.ndarray:
 def forecast_normalized(x_hat: Tensor, model: Model) -> Tensor:
     """Normalized-space forecast for windows [B, D, L] -> [B, D, horizon].
 
-    Channels share the backbone as independent sequences; the learned RevIN
-    affine map and the xchannel correction apply when present.
+    Channels share the backbone as independent sequences; the xchannel
+    correction applies when present.
     """
     cfg = model.config
     if x_hat.ndim != 3:
@@ -480,25 +435,12 @@ def forecast_normalized(x_hat: Tensor, model: Model) -> Tensor:
         raise ShapeMismatch(f"expected lookback {cfg.lookback}, got {length}")
     if model.xchannel is not None and d != cfg.n_channels:
         raise ShapeMismatch(f"xchannel model expects {cfg.n_channels} channels, got {d}")
-    aff = model.revin_affine
-    if aff is not None:
-        if aff.gamma.value.shape[0] != d:
-            raise ShapeMismatch("learned RevIN affine is bound to the trained channel count")
-        gamma = T.broadcast_to(T.reshape(aff.gamma.value, (1, d, 1)), x_hat.shape)
-        beta = T.broadcast_to(T.reshape(aff.beta.value, (1, d, 1)), x_hat.shape)
-        x_hat = T.add(T.mul(x_hat, gamma), beta)
     bb = backbone_forward(T.reshape(x_hat, (b_ * d, length)), model)
     combined = bb.combined
     if model.xchannel is not None:
         stacked = T.reshape(combined, (b_, d) + combined.shape[1:])
         combined = T.reshape(xchannel_attention_batched(stacked, model.xchannel), combined.shape)
-    y = head_core(combined, model.head)
-    y = T.reshape(y, (b_, d, cfg.horizon))
-    if aff is not None:
-        gamma = T.broadcast_to(T.reshape(aff.gamma.value, (1, d, 1)), y.shape)
-        beta = T.broadcast_to(T.reshape(aff.beta.value, (1, d, 1)), y.shape)
-        y = T.div(T.sub(y, beta), gamma)
-    return y
+    return T.reshape(head_core(combined, model.head), (b_, d, cfg.horizon))
 
 
 def forecast(x: Tensor, model: Model, scan_mode: str = "sequential") -> Tensor:

@@ -504,14 +504,6 @@ def mamba_block_batched(u: Tensor, p: MambaBlockParams) -> Tensor:
     return T.matmul(gated, p.out_proj.value)
 
 
-def mamba_block(u: Tensor, p: MambaBlockParams) -> Tensor:
-    """Single-sequence block over u [L, d_model]."""
-    if u.ndim != 2:
-        raise ShapeMismatch(f"mamba_block expects [L, d_model], got {u.shape}")
-    out = mamba_block_batched(T.reshape(u, (1,) + u.shape), p)
-    return T.reshape(out, u.shape)
-
-
 def encoder_forward_batched(tokens: Tensor, enc: EncoderParams) -> Tensor:
     """Pre-norm residual stack of Mamba blocks with a final RMSNorm."""
     u = tokens
@@ -519,9 +511,3 @@ def encoder_forward_batched(tokens: Tensor, enc: EncoderParams) -> Tensor:
         u = T.add(u, mamba_block_batched(T.rmsnorm(u, gain.value, NORM_EPS), block))
     return T.rmsnorm(u, enc.final_norm.value, NORM_EPS)
 
-
-def encoder_forward(tokens: Tensor, enc: EncoderParams) -> Tensor:
-    if tokens.ndim != 2:
-        raise ShapeMismatch(f"encoder_forward expects [L, d_model], got {tokens.shape}")
-    out = encoder_forward_batched(T.reshape(tokens, (1,) + tokens.shape), enc)
-    return T.reshape(out, tokens.shape)

@@ -82,12 +82,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.array, copy=True)
-
-    def all_finite(self) -> bool:
-        return bool(np.isfinite(self.array).all())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
 
@@ -262,20 +256,6 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return apply_op(np.ascontiguousarray(a.array[sl]), [(a, vjp)])
 
 
-def index_axis(a: Tensor, axis: int, i: int) -> Tensor:
-    """Take index ``i`` along ``axis``, dropping that axis."""
-    src_shape = a.array.shape
-
-    def vjp(g):
-        full = np.zeros(src_shape, dtype=g.dtype)
-        sl = [slice(None)] * len(src_shape)
-        sl[axis] = i
-        full[tuple(sl)] = g
-        return full
-
-    return apply_op(np.ascontiguousarray(np.take(a.array, i, axis=axis)), [(a, vjp)])
-
-
 # ---------------------------------------------------------------------------
 # Reductions and linear algebra
 # ---------------------------------------------------------------------------
@@ -372,14 +352,6 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _as_batched(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    if x.ndim == 2:
-        return x[None], True
-    if x.ndim == 3:
-        return x, False
-    raise ShapeMismatch(f"conv input must be 2-d or 3-d, got {x.ndim}-d")
-
-
 def depthwise_conv1d(
     x: Tensor,
     weight: Tensor,
@@ -389,11 +361,13 @@ def depthwise_conv1d(
 ) -> Tensor:
     """Per-channel FIR filter along the last axis.
 
-    ``x`` is ``[B, C, L]`` (or ``[C, L]``), ``weight`` is ``[C, K]``; output
-    length is ``L + pad_left + pad_right - K + 1``. Causal use passes
-    ``(K-1, 0)``; same-length symmetric use passes ``(K//2, K//2)``.
+    ``x`` is ``[B, C, L]`` and ``weight`` is ``[C, K]``; output length is
+    ``L + pad_left + pad_right - K + 1``. Causal use passes ``(K-1, 0)``;
+    same-length symmetric use passes ``(K//2, K//2)``.
     """
-    xv, squeeze = _as_batched(x.array)
+    xv = x.array
+    if xv.ndim != 3:
+        raise ShapeMismatch(f"depthwise_conv1d input must be [B, C, L], got {xv.shape}")
     wv = weight.array
     b_, c, length = xv.shape
     if wv.ndim != 2 or wv.shape[0] != c:
@@ -412,17 +386,12 @@ def depthwise_conv1d(
         out = out + bias.array[None, :, None]
 
     def vjp_x(g):
-        if squeeze:
-            g = g[None]
         gxp = np.zeros_like(xp)
         for kk in range(k):
             gxp[:, :, kk : kk + l_out] += wv[None, :, kk : kk + 1] * g
-        gx = gxp[:, :, pad_left : pad_left + length]
-        return gx[0] if squeeze else gx
+        return gxp[:, :, pad_left : pad_left + length]
 
     def vjp_w(g):
-        if squeeze:
-            g = g[None]
         gw = np.empty_like(wv)
         for kk in range(k):
             gw[:, kk] = (g * xp[:, :, kk : kk + l_out]).sum(axis=(0, 2))
@@ -431,12 +400,10 @@ def depthwise_conv1d(
     pairs = [(x, vjp_x), (weight, vjp_w)]
     if bias is not None:
         def vjp_b(g):
-            if squeeze:
-                g = g[None]
             return g.sum(axis=(0, 2))
 
         pairs.append((bias, vjp_b))
-    return apply_op(out[0] if squeeze else out, pairs)
+    return apply_op(out, pairs)
 
 
 # ---------------------------------------------------------------------------

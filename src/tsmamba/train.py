@@ -41,7 +41,6 @@ class StageConfig:
     batch_size: int
     weight_decay: float = 0.0
     grad_clip_norm: float = 1.0
-    freeze_mamba_blocks: bool = False
     enable_xchannel: bool = False
     min_samples_for_xchannel: int = 10_000
 
@@ -52,8 +51,6 @@ class StageConfig:
             raise InvalidConfig("epochs must be >= 0 and batch_size >= 1")
         if self.stage == "stage2_head" and self.lr_backbone > self.lr_new:
             raise InvalidConfig("stage 2 requires lr_backbone <= lr_new")
-        if self.stage == "finetune" and not self.freeze_mamba_blocks:
-            raise InvalidConfig("fine-tuning keeps Mamba blocks frozen")
         if self.stage != "finetune" and self.enable_xchannel:
             raise InvalidConfig("cross-channel attention is a fine-tuning module")
 
@@ -67,7 +64,6 @@ def stage2_config(epochs: int, batch_size: int, lr_new: float = 1e-3, lr_backbon
 
 
 def finetune_config(epochs: int, batch_size: int, lr: float = 5e-4, **kw) -> StageConfig:
-    kw.setdefault("freeze_mamba_blocks", True)
     return StageConfig("finetune", lr_new=lr, lr_backbone=lr, epochs=epochs, batch_size=batch_size, **kw)
 
 
@@ -123,8 +119,6 @@ def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     aligned backward representation predicts normalized patch t-1.
     """
     cfg = model.config
-    if model.revin_affine is not None:
-        raise InvalidConfig("learned RevIN affine needs channel identity; pretraining flattens channels")
     b_, length = windows.shape
     n_tokens = length // cfg.patch_len
     if n_tokens < 2:
@@ -157,8 +151,6 @@ def stage2_loss(inputs: Tensor, targets: Tensor, model: Model) -> Tensor:
     if inputs.ndim == 2:
         if model.xchannel is not None:
             raise InvalidConfig("xchannel model needs multivariate [B, D, L] batches")
-        if model.revin_affine is not None:
-            raise InvalidConfig("learned RevIN affine needs channel identity; use multichannel batches")
     elif inputs.ndim != 3:
         raise ShapeMismatch(f"stage2_loss inputs must be 2-d or 3-d, got {inputs.ndim}-d")
     x_hat, t_hat = _normalize_pair(inputs.array, targets.array, cfg.revin_eps)

@@ -8,7 +8,8 @@ import pytest
 
 from tsmamba import checkpoint as C
 from tsmamba import model as M
-from tsmamba.errors import CheckpointMismatch, CorruptCheckpoint, VersionMismatch
+from tsmamba import tensor as T
+from tsmamba.errors import CheckpointMismatch, CorruptCheckpoint, InvalidConfig, VersionMismatch
 
 
 def tiny_model(seed=0, dtype=np.float64, **overrides):
@@ -149,3 +150,39 @@ def test_float32_roundtrip(tmp_path):
     assert all(arr.dtype == np.float32 for arr in back.tensors.values())
     rebuilt = C.model_from_checkpoint(back)
     assert rebuilt.embedding.weight.value.dtype == np.float32
+
+
+# the three ModelConfig keys of earlier manifests, at the values they were
+# always saved with; the architecture now hardwires them
+LEGACY_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
+
+
+def test_legacy_manifest_loads_and_forecasts_identically(tmp_path):
+    model = tiny_model(seed=14, dtype=np.float32)
+    rng = np.random.default_rng(15)
+    for p in model.parameters():
+        p.assign((rng.standard_normal(p.value.shape) * 0.2).astype(np.float32))
+    path = tmp_path / "legacy.ckpt"
+    C.save_checkpoint(C.checkpoint_from_model(model, "stage2"), str(path))
+    manifest, payload = _read_parts(path)
+    manifest["model_config"].update(LEGACY_KEYS)
+    _write_parts(path, manifest, payload)
+
+    back = C.load_checkpoint(str(path))
+    assert back.config() == model.config
+    x = T.tensor(rng.standard_normal((3, 2, 16)), dtype=np.float32)
+    with T.no_grad():
+        want = M.forecast(x, model).array
+        got = M.forecast(x, C.model_from_checkpoint(back)).array
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("key,value", [("combine_mode", "concat"), ("revin_affine", True), ("expand_factor", 3)])
+def test_legacy_manifest_with_other_setting_rejected(tmp_path, key, value):
+    path = tmp_path / "legacy.ckpt"
+    C.save_checkpoint(C.checkpoint_from_model(tiny_model(seed=16), "stage2"), str(path))
+    manifest, payload = _read_parts(path)
+    manifest["model_config"].update({**LEGACY_KEYS, key: value})
+    _write_parts(path, manifest, payload)
+    with pytest.raises(InvalidConfig, match=key):
+        C.model_from_checkpoint(C.load_checkpoint(str(path)))

@@ -102,6 +102,23 @@ def test_pretrain_zero_epochs_checkpoint_equals_init(workdir, tmp_path):
         assert arr.tobytes() == named[name].value.array.tobytes(), name
 
 
+def test_pretrain_retired_model_keys(workdir, tmp_path, capsys):
+    # run configs written before these choices were fixed still parse at the
+    # fixed value; any other value is a configuration error naming the key
+    _, data_path, config_path = workdir
+    raw = json.loads(open(config_path).read())
+    raw["stage1"]["epochs"] = 0
+    fixed = {"combine_mode": "add", "revin_affine": False, "expand_factor": 2}
+    cfg = tmp_path / "retired.json"
+    argv = ["pretrain", "--stage", "1", "--config", str(cfg), "--data", data_path, "--out", str(tmp_path / "r.ckpt")]
+    cfg.write_text(json.dumps({**raw, "model": {**raw["model"], **fixed}}))
+    assert main(argv) == 0
+    for key, value in (("combine_mode", "concat"), ("revin_affine", True), ("expand_factor", 3)):
+        cfg.write_text(json.dumps({**raw, "model": {**raw["model"], **fixed, key: value}}))
+        assert main(argv) == 2
+        assert key in capsys.readouterr().err
+
+
 def test_pretrain_deterministic_checkpoints(workdir, tmp_path):
     _, data_path, config_path = workdir
     a = tmp_path / "a.ckpt"
@@ -163,6 +180,12 @@ def test_evaluate_explicit_boundaries(workdir, tmp_path):
     # test rows start at origin >= 190: origins in [190, 236] at stride 1
     assert rows[0]["n_windows"] == str(240 - 4 - 190 + 1)
     assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--train-end", "150"]) == 2
+    # out-of-range pairs are configuration errors, also where the train split would be empty
+    for train_end, val_end in (("150", "120"), ("0", "190"), ("-5", "190"), ("150", "241")):
+        code = main(
+            ["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--train-end", train_end, "--val-end", val_end]
+        )
+        assert code == 2, (train_end, val_end)
 
 
 def test_evaluate_bad_batch_and_horizons_exit2(workdir, tmp_path, capsys):
@@ -301,21 +324,42 @@ def test_evaluate_empty_split_exit3(workdir, tmp_path):
     assert code == 3
 
 
+def test_evaluate_infinite_cell_exit3(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    lines = open(data_path).read().splitlines()
+    lines[5] = lines[5].split(",", 1)[0] + ",1e999"
+    bad = tmp_path / "inf.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    for extra in ([], ["--ffill"]):
+        assert main(["evaluate", "--model", s2, "--data", str(bad), "--horizons", "4", *extra]) == 3
+        assert "row 6, column 2" in capsys.readouterr().err
+
+
 def test_evaluate_horizon_mismatch_exit4(workdir):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
     assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "8"]) == 4
 
 
-def test_evaluate_checkpoint_directory(workdir, tmp_path):
+def test_evaluate_checkpoint_directory(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
     (ckpt_dir / "h4.ckpt").write_bytes(open(s2, "rb").read())
+    (ckpt_dir / "broken.ckpt").write_bytes(b"TSMBCKPT" + b"\xff" * 12)
     report = tmp_path / "dir_report.csv"
+    capsys.readouterr()
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4", "--out", str(report)]) == 0
+    err = capsys.readouterr().err
+    assert "broken.ckpt" in err and "h4.ckpt" not in err  # the unreadable file is named, not skipped silently
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8"]) == 4
+
+    (ckpt_dir / "h4-copy.ckpt").write_bytes(open(s2, "rb").read())
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 4
+    err = capsys.readouterr().err
+    assert "h4-copy.ckpt" in err and "h4.ckpt" in err and "horizon 4" in err
 
 
 # ---------------------------------------------------------------------------

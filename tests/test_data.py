@@ -56,6 +56,18 @@ def test_load_csv_nan_policy(tmp_path):
     np.testing.assert_array_equal(ds.values, [[1, 2], [1, 4], [5, 6]])
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "1e999", "-Infinity"])
+def test_load_csv_rejects_infinite_cells(tmp_path, cell):
+    p = tmp_path / "inf.csv"
+    p.write_text(f"a,b\n1,2\n3,nan\n5,{cell}\n")
+    for ffill in (False, True):
+        with pytest.raises(DataError) as err:
+            D.load_csv(str(p), has_date_column=False, ffill=ffill)
+        assert "infinite" in str(err.value)
+        assert "row 4" in str(err.value)
+        assert "column 2" in str(err.value)
+
+
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     ds = D.TimeSeriesDataset(name="r", values=rng.standard_normal((20, 3)))
@@ -150,8 +162,9 @@ def test_split_windows_explicit_boundaries():
     assert max(w.origin_index for w in train) + 8 <= 120
     assert all(120 <= w.origin_index and w.origin_index + 8 <= 160 for w in val)
     assert min(w.origin_index for w in test) >= 160
-    with pytest.raises(InvalidConfig):
-        D.split_windows(ds, spec, 16, 8, boundaries=(150, 120))
+    for bad in ((150, 120), (0, 160), (-5, 160), (120, 201)):
+        with pytest.raises(InvalidConfig):
+            D.split_windows(ds, spec, 16, 8, boundaries=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def test_patch_embed_token_count():
     cfg = M.ModelConfig(horizon=96, n_channels=1, lookback=512, patch_len=16, d_model=12, head_compress_dim=4)
     rng = np.random.default_rng(2)
     emb = M.init_embedding(rng, cfg, np.float64)
-    tokens = M.patch_embed(T.ones((1, 512)), emb, cfg.patch_len)
-    assert tokens.shape == (32, 12)
+    tokens = M.patch_embed_batched(T.ones((1, 512)), emb, cfg.patch_len)
+    assert tokens.shape == (1, 32, 12)
 
 
 def test_patch_embed_zero_weights_gives_bias():
@@ -102,8 +102,8 @@ def test_patch_embed_zero_weights_gives_bias():
     emb = M.init_embedding(rng, cfg, np.float64)
     emb.weight.assign(np.zeros_like(emb.weight.value.array))
     emb.bias.assign(np.arange(8.0))
-    tokens = M.patch_embed(T.tensor(rng.standard_normal((1, 32))), emb, 8)
-    np.testing.assert_allclose(tokens.array, np.tile(np.arange(8.0), (4, 1)))
+    tokens = M.patch_embed_batched(T.tensor(rng.standard_normal((1, 32))), emb, 8)
+    np.testing.assert_allclose(tokens.array, np.tile(np.arange(8.0), (1, 4, 1)))
 
 
 def test_patch_embed_single_point_patch_is_linear_map():
@@ -111,10 +111,10 @@ def test_patch_embed_single_point_patch_is_linear_map():
     rng = np.random.default_rng(4)
     emb = M.init_embedding(rng, cfg, np.float64)
     x = rng.standard_normal((1, 8))
-    tokens = M.patch_embed(T.tensor(x), emb, 1)
+    tokens = M.patch_embed_batched(T.tensor(x), emb, 1)
     w = emb.weight.value.array[:, 0, 0]
     b = emb.bias.value.array
-    np.testing.assert_allclose(tokens.array, x[0][:, None] * w[None, :] + b[None, :], atol=1e-12)
+    np.testing.assert_allclose(tokens.array[0], x[0][:, None] * w[None, :] + b[None, :], atol=1e-12)
 
 
 def test_patch_embed_is_linear_map_of_patches():
@@ -162,7 +162,7 @@ def test_patch_embed_rejects_indivisible_length():
     cfg = tiny_config()
     emb = M.init_embedding(np.random.default_rng(5), cfg, np.float64)
     with pytest.raises(PatchLengthMismatch):
-        M.patch_embed(T.ones((1, 33)), emb, 8)
+        M.patch_embed_batched(T.ones((1, 33)), emb, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_head_zero_weights_predicts_window_mean():
     x = rng.standard_normal((2, 32)) * 2.0 + 7.0
     x_hat, stats = M.revin_normalize(T.tensor(x), eps=1e-5)
     bb = M.backbone_forward(x_hat, model)
-    pred = M.prediction_head(bb.combined, stats, model.head)
+    pred = M.revin_denormalize(M.head_core(bb.combined, model.head), stats)
     np.testing.assert_allclose(pred.array, np.broadcast_to(stats.mean[:, None], (2, 4)), atol=1e-12)
 
 
@@ -268,8 +268,8 @@ def test_xchannel_zero_expansion_is_identity():
     cfg = tiny_config(n_channels=4, xchannel_enabled=True)
     model = M.build_model(cfg, seed=17, dtype=np.float64)
     rng = np.random.default_rng(18)
-    combined = rng.standard_normal((4, 4, 8))
-    out = M.xchannel_attention(T.tensor(combined), model.xchannel)
+    combined = rng.standard_normal((1, 4, 4, 8))
+    out = M.xchannel_attention_batched(T.tensor(combined), model.xchannel)
     assert out.array.tobytes() == combined.tobytes()
 
 
@@ -296,17 +296,17 @@ def test_xchannel_gradients_flow():
     rng = np.random.default_rng(22)
     for p in model.xchannel.parameters():
         p.assign(rng.standard_normal(p.value.shape) * 0.3)
-    combined = rng.standard_normal((3, 4, 8))
-    proj = rng.standard_normal((3, 4, 8))
+    combined = rng.standard_normal((1, 3, 4, 8))
+    proj = rng.standard_normal((1, 3, 4, 8))
 
     for param in model.xchannel.parameters():
         base = param.value.array.copy()
-        loss = T.sum_all(T.mul(M.xchannel_attention(T.tensor(combined), model.xchannel), T.tensor(proj)))
+        loss = T.sum_all(T.mul(M.xchannel_attention_batched(T.tensor(combined), model.xchannel), T.tensor(proj)))
         T.backward(loss, [param])
 
         def f(t, param=param):
             param.assign(t.array)
-            return T.sum_all(T.mul(M.xchannel_attention(T.tensor(combined), model.xchannel), T.tensor(proj)))
+            return T.sum_all(T.mul(M.xchannel_attention_batched(T.tensor(combined), model.xchannel), T.tensor(proj)))
 
         fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)
         param.assign(base)
@@ -420,40 +420,3 @@ def test_config_roundtrip_and_strictness():
     assert again == cfg
     with pytest.raises(InvalidConfig):
         M.ModelConfig.from_dict({**cfg.to_dict(), "mystery": 1})
-
-
-def test_concat_combine_mode_shapes():
-    cfg = tiny_config(combine_mode="concat")
-    model = M.build_model(cfg, seed=37, dtype=np.float64)
-    randomize(model, np.random.default_rng(38))
-    bb = M.backbone_forward(T.ones((2, 32), dtype=np.float64), model)
-    assert bb.combined.shape == (2, 4, 16)
-    out = M.forecast(T.tensor(np.random.default_rng(39).standard_normal((2, 32))), model)
-    assert out.shape == (2, 4)
-
-
-def test_revin_affine_flag_roundtrip():
-    cfg = tiny_config(revin_affine=True)
-    model = M.build_model(cfg, seed=40, dtype=np.float64)
-    randomize(model, np.random.default_rng(41))
-    model.revin_affine.gamma.assign(np.array([1.3, 0.7]))
-    model.revin_affine.beta.assign(np.array([0.2, -0.1]))
-    out = M.forecast(T.tensor(np.random.default_rng(42).standard_normal((2, 32))), model)
-    assert out.shape == (2, 4)
-    assert np.isfinite(out.array).all()
-
-
-def test_revin_affine_identity_matches_plain_and_gets_gradients():
-    rng = np.random.default_rng(43)
-    x = rng.standard_normal((1, 2, 32))
-    affine = M.build_model(tiny_config(revin_affine=True), seed=44, dtype=np.float64)
-    plain = M.build_model(tiny_config(), seed=44, dtype=np.float64)
-    got = M.forecast_normalized(T.tensor(x), affine).array
-    want = M.forecast_normalized(T.tensor(x), plain).array
-    assert got.tobytes() == want.tobytes()  # gamma=1, beta=0 at init
-
-    randomize(affine, rng)
-    loss = T.mean_all(M.forecast_normalized(T.tensor(x), affine))
-    params = affine.revin_affine.parameters()
-    T.backward(loss, params)
-    assert all(np.abs(p.grad.array).sum() > 0 for p in params)

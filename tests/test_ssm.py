@@ -381,8 +381,8 @@ def test_mamba_block_zero_out_proj():
     rng = np.random.default_rng(15)
     p = make_block(rng)
     p.out_proj.assign(np.zeros_like(p.out_proj.value.array))
-    out = ssm.mamba_block(T.tensor(rng.standard_normal((6, 4))), p)
-    np.testing.assert_array_equal(out.array, np.zeros((6, 4)))
+    out = ssm.mamba_block_batched(T.tensor(rng.standard_normal((1, 6, 4))), p)
+    np.testing.assert_array_equal(out.array, np.zeros((1, 6, 4)))
 
 
 def test_mamba_block_gate_saturation():
@@ -391,7 +391,7 @@ def test_mamba_block_gate_saturation():
     w = p.in_proj.value.array.copy()
     w[:, p.d_inner :] = -100.0  # silu(-400) under all-ones input: gate closes
     p.in_proj.assign(w)
-    out = ssm.mamba_block(T.ones((5, 4)), p)
+    out = ssm.mamba_block_batched(T.ones((1, 5, 4)), p)
     assert np.max(np.abs(out.array)) < 1e-12
 
 
@@ -447,7 +447,7 @@ def test_mamba_block_matches_straight_line_oracle():
     rng = np.random.default_rng(17)
     p = make_block(rng, d_model=4, d_inner=8, n_state=2)
     u = rng.standard_normal((5, 4))
-    got = ssm.mamba_block(T.tensor(u), p).array
+    got = ssm.mamba_block_batched(T.tensor(u[None]), p).array[0]
     want = reference_mamba_block(u, p)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -455,17 +455,17 @@ def test_mamba_block_matches_straight_line_oracle():
 def test_mamba_block_parameter_gradients():
     rng = np.random.default_rng(18)
     p = make_block(rng, d_model=3, d_inner=6, n_state=2)
-    u = rng.standard_normal((4, 3))
-    proj = rng.standard_normal((4, 3))
+    u = rng.standard_normal((1, 4, 3))
+    proj = rng.standard_normal((1, 4, 3))
 
     for param in p.parameters():
         base = param.value.array.copy()
-        loss = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p), T.tensor(proj)))
+        loss = T.sum_all(T.mul(ssm.mamba_block_batched(T.tensor(u), p), T.tensor(proj)))
         T.backward(loss, [param])
 
         def f(t, param=param):
             param.assign(t.array)
-            out = T.sum_all(T.mul(ssm.mamba_block(T.tensor(u), p), T.tensor(proj)))
+            out = T.sum_all(T.mul(ssm.mamba_block_batched(T.tensor(u), p), T.tensor(proj)))
             return out
 
         fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)
@@ -480,8 +480,8 @@ def make_encoder(rng, n_layers, d_model=4, d_inner=8, n_state=2, prefix="enc"):
 def test_encoder_zero_layers_is_final_norm():
     rng = np.random.default_rng(19)
     enc = make_encoder(rng, 0)
-    tokens = rng.standard_normal((6, 4))
-    out = ssm.encoder_forward(T.tensor(tokens), enc)
+    tokens = rng.standard_normal((1, 6, 4))
+    out = ssm.encoder_forward_batched(T.tensor(tokens), enc)
     want = T.rmsnorm(T.tensor(tokens), enc.final_norm.value, ssm.NORM_EPS).array
     np.testing.assert_array_equal(out.array, want)
 
@@ -490,8 +490,8 @@ def test_encoder_zero_block_passes_residual():
     rng = np.random.default_rng(20)
     enc = make_encoder(rng, 1)
     enc.layers[0][0].out_proj.assign(np.zeros_like(enc.layers[0][0].out_proj.value.array))
-    tokens = rng.standard_normal((6, 4))
-    out = ssm.encoder_forward(T.tensor(tokens), enc)
+    tokens = rng.standard_normal((1, 6, 4))
+    out = ssm.encoder_forward_batched(T.tensor(tokens), enc)
     want = T.rmsnorm(T.tensor(tokens), enc.final_norm.value, ssm.NORM_EPS).array
     np.testing.assert_array_equal(out.array, want)
 
@@ -499,12 +499,12 @@ def test_encoder_zero_block_passes_residual():
 def test_encoder_matches_manual_composition():
     rng = np.random.default_rng(21)
     enc = make_encoder(rng, 2)
-    tokens = rng.standard_normal((5, 4))
-    got = ssm.encoder_forward(T.tensor(tokens), enc).array
+    tokens = rng.standard_normal((1, 5, 4))
+    got = ssm.encoder_forward_batched(T.tensor(tokens), enc).array
 
     u = T.tensor(tokens)
     for block, gain in enc.layers:
-        u = T.add(u, ssm.mamba_block(T.rmsnorm(u, gain.value, ssm.NORM_EPS), block))
+        u = T.add(u, ssm.mamba_block_batched(T.rmsnorm(u, gain.value, ssm.NORM_EPS), block))
     want = T.rmsnorm(u, enc.final_norm.value, ssm.NORM_EPS).array
     np.testing.assert_allclose(got, want, atol=1e-13)
 

@@ -71,6 +71,13 @@ def test_depthwise_conv1d_gradients():
     fd_check(loss_b, b)
 
 
+def test_depthwise_conv1d_requires_batched_input():
+    w = T.tensor(np.ones((3, 2)))
+    for shape in ((3, 8), (1, 1, 3, 8)):
+        with pytest.raises(ShapeMismatch):
+            T.depthwise_conv1d(T.tensor(np.ones(shape)), w, None, 1, 0)
+
+
 # ---------------------------------------------------------------------------
 # Activations and norms
 # ---------------------------------------------------------------------------
@@ -212,7 +219,6 @@ def test_structural_gradients():
         lambda t: T.transpose(t, (2, 0, 1)),
         lambda t: T.flip(t, axis=1),
         lambda t: T.slice_axis(t, 2, 1, 4),
-        lambda t: T.index_axis(t, 1, 2),
         lambda t: T.broadcast_to(T.reshape(t, (3, 4, 5)), (3, 4, 5)),
     ]
     for f in cases:

@@ -251,9 +251,7 @@ def test_stage_config_invariants():
     with pytest.raises(InvalidConfig):
         TR.StageConfig("stage2_head", lr_new=1e-5, lr_backbone=1e-3, epochs=1, batch_size=8)
     with pytest.raises(InvalidConfig):
-        TR.StageConfig("finetune", lr_new=1e-4, lr_backbone=1e-4, epochs=1, batch_size=8, freeze_mamba_blocks=False)
-    cfg = TR.finetune_config(epochs=1, batch_size=8)
-    assert cfg.freeze_mamba_blocks
+        TR.stage1_config(epochs=1, batch_size=8, enable_xchannel=True)
 
 
 # ---------------------------------------------------------------------------
