@@ -10,6 +10,7 @@ produced the tensors.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -100,7 +101,20 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         raise
 
 
+def _tensor_entry(path: str, name: str, entry) -> tuple[np.dtype, tuple[int, ...], int, int]:
+    """(dtype, shape, byte_offset, byte_len) of one manifest tensor entry."""
+    fields = entry if isinstance(entry, dict) else {}
+    dtype_name, shape, off, ln = (fields.get(k) for k in ("dtype", "shape", "byte_offset", "byte_len"))
+    sizes = shape + [off, ln] if isinstance(shape, list) else [None]
+    # ``type(v) is int`` also rejects JSON true/false, which Python counts as ints
+    if not isinstance(dtype_name, str) or dtype_name not in _DTYPES or not all(type(v) is int and v >= 0 for v in sizes):
+        raise CorruptCheckpoint(f"{path}: tensor {name!r} has a malformed entry {entry!r}")
+    return _DTYPES[dtype_name], tuple(shape), off, ln
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read and validate a checkpoint; any malformed file is a CorruptCheckpoint
+    naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
@@ -113,33 +127,33 @@ def load_checkpoint(path: str) -> Checkpoint:
         manifest = json.loads(blob[len(MAGIC) + 8 : header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptCheckpoint(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptCheckpoint(f"{path}: manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: format_version {version} != {FORMAT_VERSION}")
+    model_config, index = manifest.get("model_config"), manifest.get("tensors")
+    if not isinstance(model_config, dict) or not isinstance(index, dict):
+        raise CorruptCheckpoint(f"{path}: manifest needs 'model_config' and 'tensors' objects")
     payload = blob[header_end:]
-    index = manifest.get("tensors", {})
     spans = []
     tensors: dict[str, np.ndarray] = {}
     for name, entry in index.items():
-        dtype_name = entry.get("dtype")
-        if dtype_name not in _DTYPES:
-            raise CorruptCheckpoint(f"{path}: tensor {name!r} has unknown dtype {dtype_name!r}")
-        shape = tuple(int(s) for s in entry["shape"])
-        off, ln = int(entry["byte_offset"]), int(entry["byte_len"])
-        expected = int(np.prod(shape, dtype=np.int64)) * _DTYPES[dtype_name].itemsize
+        dtype, shape, off, ln = _tensor_entry(path, name, entry)
+        expected = math.prod(shape) * dtype.itemsize
         if ln != expected:
             raise CorruptCheckpoint(f"{path}: tensor {name!r} byte_len {ln} != {expected}")
-        if off < 0 or off + ln > len(payload):
+        if off + ln > len(payload):
             raise CorruptCheckpoint(f"{path}: tensor {name!r} spans outside payload")
         spans.append((off, off + ln, name))
-        tensors[name] = np.frombuffer(payload, dtype=_DTYPES[dtype_name], count=expected // _DTYPES[dtype_name].itemsize, offset=off).reshape(shape).copy()
+        tensors[name] = np.frombuffer(payload, dtype=dtype, count=ln // dtype.itemsize, offset=off).reshape(shape).copy()
     spans.sort()
     for (s0, e0, n0), (s1, _, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise CorruptCheckpoint(f"{path}: tensors {n0!r} and {n1!r} overlap")
     return Checkpoint(
         format_version=version,
-        model_config=manifest["model_config"],
+        model_config=model_config,
         stage=manifest.get("stage", ""),
         tensors=tensors,
     )

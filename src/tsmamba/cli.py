@@ -180,14 +180,13 @@ def _standardized_splits(
 ):
     n1, _ = D.split_boundaries(ds.n_total, rc_split, boundaries)
     stats = D.compute_train_stats(ds, n1)
-    std_ds = D.standardize(ds, stats)
-    return D.split_windows(std_ds, rc_split, lookback, horizon, stride, boundaries), stats, std_ds
+    return D.split_windows(D.standardize(ds, stats), rc_split, lookback, horizon, stride, boundaries), stats
 
 
 def _pool_channel_windows(datasets, rc: RunConfig, lookback: int, horizon: int):
     xs, ys = [], []
     for ds in datasets:
-        (train, _, _), _, _ = _standardized_splits(ds, rc.split, lookback, horizon, rc.window_stride)
+        (train, _, _), _ = _standardized_splits(ds, rc.split, lookback, horizon, rc.window_stride)
         if train:
             x, y = D.flatten_channel_windows(train)
             xs.append(x)
@@ -249,7 +248,7 @@ def _run_finetune(args) -> int:
     if foundation.stage not in ("stage2", "finetune"):
         raise CheckpointMismatch(f"--init must be a foundation checkpoint, got stage {foundation.stage!r}")
     model_cfg = foundation.config()
-    (train, _, _), _, _ = _standardized_splits(ds, rc.split, model_cfg.lookback, model_cfg.horizon, rc.window_stride)
+    (train, _, _), _ = _standardized_splits(ds, rc.split, model_cfg.lookback, model_cfg.horizon, rc.window_stride)
     if not train:
         raise DataError("no fine-tuning windows in the train split")
     x = D.stack_inputs(train).astype(rc.dtype)
@@ -312,8 +311,9 @@ def _run_forecast(args) -> int:
 def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Checkpoint]:
     """One checkpoint per horizon from a checkpoint file or a directory.
 
-    In a directory, unreadable files are named on stderr and skipped; a
-    horizon matched by no file or by several is a CheckpointMismatch.
+    In a directory, files that are unreadable or whose config is rejected
+    are named on stderr and skipped; a horizon matched by no file or by
+    several is a CheckpointMismatch.
     """
     out: dict[int, Checkpoint] = {}
     if os.path.isdir(path):
@@ -323,11 +323,12 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
             if not os.path.isfile(full):
                 continue
             try:
-                candidates.append((name, load_checkpoint(full)))
-            except CorruptCheckpoint as exc:
-                _err(f"skipping unreadable checkpoint: {exc}")
+                ckpt = load_checkpoint(full)
+                candidates.append((name, ckpt, ckpt.config().horizon))
+            except (CorruptCheckpoint, *_CONFIG_ERRORS) as exc:
+                _err(f"skipping checkpoint {name}: {exc}")
         for horizon in horizons:
-            match = [(name, c) for name, c in candidates if c.config().horizon == horizon]
+            match = [(name, c) for name, c, trained in candidates if trained == horizon]
             if not match:
                 raise CheckpointMismatch(f"no checkpoint for horizon {horizon} in {path}")
             if len(match) > 1:
@@ -373,7 +374,7 @@ def _run_evaluate(args) -> int:
     for horizon in horizons:
         model = model_from_checkpoint(ckpts[horizon])
         cfg = model.config
-        (train, val, test), stats, _ = _standardized_splits(ds, spec, cfg.lookback, horizon, args.stride, boundaries)
+        (train, val, test), stats = _standardized_splits(ds, spec, cfg.lookback, horizon, args.stride, boundaries)
         windows = {"train": train, "val": val, "test": test}[args.split]
         if not windows:
             raise DataError(f"{args.split} split has no windows for horizon {horizon}")
@@ -408,13 +409,11 @@ def _run_evaluate(args) -> int:
             D.write_window_errors_csv(args.window_errors, ds.name, horizon, records)
 
     if args.out:
-        D.write_report_csv(args.out, rows + raw_rows)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            D.write_report_csv(fh, rows + raw_rows)
         print(f"report written to {args.out}")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["dataset", "horizon", "mse", "mae", "n_windows"])
-        for r in rows + raw_rows:
-            writer.writerow([r["dataset"], r["horizon"], f"{r['mse']:.6f}", f"{r['mae']:.6f}", r["n_windows"]])
+        D.write_report_csv(sys.stdout, rows + raw_rows)
     return EXIT_OK
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -18,7 +19,6 @@ class TimeSeriesDataset:
     name: str
     values: np.ndarray  # [N_total, D]
     timestamps: list[str] | None = None
-    freq_hint: str | None = None
     channel_names: list[str] | None = None
 
     @property
@@ -37,6 +37,8 @@ class TimeSeriesDataset:
 
 @dataclass
 class WindowSample:
+    """Read-only views of the series a window was cut from."""
+
     input: np.ndarray  # [D, L] = values[t-L : t).T
     target: np.ndarray  # [D, T] = values[t : t+T).T
     origin_index: int
@@ -208,28 +210,22 @@ def standardize(ds: TimeSeriesDataset, stats: ChannelStats) -> TimeSeriesDataset
         name=ds.name,
         values=values,
         timestamps=ds.timestamps,
-        freq_hint=ds.freq_hint,
         channel_names=ds.channel_names,
     )
 
 
 def make_windows(ds: TimeSeriesDataset, lookback: int, horizon: int, stride: int = 1) -> list[WindowSample]:
-    """All (input, target) windows ordered by origin; empty if the series is short."""
+    """All (input, target) windows ordered by origin, as read-only views of
+    ``ds.values``; empty if the series is short."""
     if stride < 1:
         raise InvalidConfig("stride must be >= 1")
-    n = ds.n_total
-    if n < lookback + horizon:
+    if ds.n_total < lookback + horizon:
         return []
-    out = []
-    for t in range(lookback, n - horizon + 1, stride):
-        out.append(
-            WindowSample(
-                input=np.ascontiguousarray(ds.values[t - lookback : t].T),
-                target=np.ascontiguousarray(ds.values[t : t + horizon].T),
-                origin_index=t,
-            )
-        )
-    return out
+    spans = np.lib.stride_tricks.sliding_window_view(ds.values, lookback + horizon, axis=0)[::stride]
+    return [
+        WindowSample(input=span[:, :lookback], target=span[:, lookback:], origin_index=lookback + i * stride)
+        for i, span in enumerate(spans)
+    ]
 
 
 def split_windows(
@@ -260,12 +256,14 @@ def split_windows(
     return train, val, test
 
 
+# np.array, unlike np.stack, lays the copy out in C order whatever the
+# strides of the window views, so downstream reductions round the same way.
 def stack_inputs(windows: list[WindowSample]) -> np.ndarray:
-    return np.stack([w.input for w in windows])
+    return np.array([w.input for w in windows], order="C")
 
 
 def stack_targets(windows: list[WindowSample]) -> np.ndarray:
-    return np.stack([w.target for w in windows])
+    return np.array([w.target for w in windows], order="C")
 
 
 def flatten_channel_windows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
@@ -296,23 +294,23 @@ def metric_mae(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.abs(pred - target).mean())
 
 
-def write_report_csv(path: str, rows: list[dict]) -> None:
-    """Aggregate report: one row per (dataset, horizon) plus an average row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "horizon", "mse", "mae", "n_windows"])
-        for r in rows:
-            writer.writerow([r["dataset"], r["horizon"], f"{r['mse']:.6f}", f"{r['mae']:.6f}", r["n_windows"]])
-        if rows:
-            writer.writerow(
-                [
-                    rows[0]["dataset"],
-                    "avg",
-                    f"{np.mean([r['mse'] for r in rows]):.6f}",
-                    f"{np.mean([r['mae'] for r in rows]):.6f}",
-                    sum(r["n_windows"] for r in rows),
-                ]
-            )
+def write_report_csv(fh: TextIO, rows: list[dict]) -> None:
+    """Aggregate report to an open text stream: one row per (dataset,
+    horizon) plus an average row."""
+    writer = csv.writer(fh)
+    writer.writerow(["dataset", "horizon", "mse", "mae", "n_windows"])
+    for r in rows:
+        writer.writerow([r["dataset"], r["horizon"], f"{r['mse']:.6f}", f"{r['mae']:.6f}", r["n_windows"]])
+    if rows:
+        writer.writerow(
+            [
+                rows[0]["dataset"],
+                "avg",
+                f"{np.mean([r['mse'] for r in rows]):.6f}",
+                f"{np.mean([r['mae'] for r in rows]):.6f}",
+                sum(r["n_windows"] for r in rows),
+            ]
+        )
 
 
 def write_window_errors_csv(path: str, dataset: str, horizon: int, records: list[tuple[int, float, float]]) -> None:

@@ -9,22 +9,16 @@ import numpy as np
 from .errors import InvalidConfig
 from .tensor import Tensor
 
-LR_GROUPS = ("backbone", "new")
-
-
 @dataclass
 class Parameter:
-    """A named tensor with a gradient slot, trainable flag, and LR group tag."""
+    """A named tensor with a gradient slot and a trainable flag."""
 
     name: str
     value: Tensor
     grad: Tensor | None = None
     trainable: bool = True
-    lr_group: str = "backbone"
 
     def __post_init__(self):
-        if self.lr_group not in LR_GROUPS:
-            raise InvalidConfig(f"unknown lr_group {self.lr_group!r}")
         self.value.requires = self.trainable
 
     def set_trainable(self, flag: bool) -> None:

@@ -51,6 +51,8 @@ class StageConfig:
             raise InvalidConfig("epochs must be >= 0 and batch_size >= 1")
         if self.stage == "stage2_head" and self.lr_backbone > self.lr_new:
             raise InvalidConfig("stage 2 requires lr_backbone <= lr_new")
+        if self.stage != "stage2_head" and self.lr_backbone != self.lr_new:
+            raise InvalidConfig("only stage 2 trains at two learning rates")
         if self.stage != "finetune" and self.enable_xchannel:
             raise InvalidConfig("cross-channel attention is a fine-tuning module")
 
@@ -100,10 +102,10 @@ class Stage1Heads:
 
 def init_stage1_heads(rng: np.random.Generator, cfg: ModelConfig, dtype) -> Stage1Heads:
     return Stage1Heads(
-        next_w=Parameter("stage1.next_w", uniform_init(rng, (cfg.d_model, cfg.patch_len), cfg.d_model, dtype), lr_group="new"),
-        next_b=Parameter("stage1.next_b", T.zeros(cfg.patch_len, dtype=dtype), lr_group="new"),
-        prev_w=Parameter("stage1.prev_w", uniform_init(rng, (cfg.d_model, cfg.patch_len), cfg.d_model, dtype), lr_group="new"),
-        prev_b=Parameter("stage1.prev_b", T.zeros(cfg.patch_len, dtype=dtype), lr_group="new"),
+        next_w=Parameter("stage1.next_w", uniform_init(rng, (cfg.d_model, cfg.patch_len), cfg.d_model, dtype)),
+        next_b=Parameter("stage1.next_b", T.zeros(cfg.patch_len, dtype=dtype)),
+        prev_w=Parameter("stage1.prev_w", uniform_init(rng, (cfg.d_model, cfg.patch_len), cfg.d_model, dtype)),
+        prev_b=Parameter("stage1.prev_b", T.zeros(cfg.patch_len, dtype=dtype)),
     )
 
 
@@ -175,28 +177,22 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(
-        self,
-        params: list[Parameter],
-        lr_new: float,
-        lr_backbone: float,
-        weight_decay: float = 0.0,
-        grad_clip_norm: float = 0.0,
-    ) -> None:
-        live = [p for p in params if p.trainable]
-        for p in live:
+    def step(self, params: list[tuple[Parameter, float]], weight_decay: float = 0.0, grad_clip_norm: float = 0.0) -> None:
+        """One update of each trainable parameter at the learning rate paired with it."""
+        live = [(p, lr) for p, lr in params if p.trainable]
+        for p, _ in live:
             if p.grad is None:
                 raise MissingGrad(f"{p.name} is trainable but has no gradient")
         clip_scale = 1.0
         if grad_clip_norm > 0:
-            total = np.sqrt(sum(float((p.grad.array.astype(np.float64) ** 2).sum()) for p in live))
+            total = np.sqrt(sum(float((p.grad.array.astype(np.float64) ** 2).sum()) for p, _ in live))
             if total > grad_clip_norm:
                 clip_scale = grad_clip_norm / (total + 1e-12)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p in live:
+        for p, lr in live:
             g = p.grad.array * clip_scale
             m = self._m.get(p.name)
             if m is None:
@@ -207,14 +203,13 @@ class AdamW:
             v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
             self._m[p.name] = m
             self._v[p.name] = v
-            lr = lr_new if p.lr_group == "new" else lr_backbone
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps) + weight_decay * p.value.array
             p.assign((p.value.array - lr * update).astype(p.value.dtype, copy=False))
             p.grad = None
 
 
-def optimizer_step(opt: AdamW, params: list[Parameter], cfg: StageConfig) -> None:
-    opt.step(params, cfg.lr_new, cfg.lr_backbone, cfg.weight_decay, cfg.grad_clip_norm)
+def optimizer_step(opt: AdamW, params: list[tuple[Parameter, float]], cfg: StageConfig) -> None:
+    opt.step(params, cfg.weight_decay, cfg.grad_clip_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +237,9 @@ def _write_log(path: str | None, rows: list[tuple]) -> None:
 
 def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Parameter], rng, log_path):
     opt = AdamW()
+    # stage 2 trains the new head and alignment conv at lr_new and the loaded
+    # backbone at lr_backbone; the other stages have one rate
+    rated = [(p, cfg.lr_new if p.name.startswith(("head.", "align_conv.")) else cfg.lr_backbone) for p in params]
     rows = []
     step_losses: list[float] = []
     epoch_losses: list[float] = []
@@ -254,7 +252,7 @@ def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Paramete
             t0 = time.perf_counter()
             loss = loss_fn(idx)
             T.backward(loss, params)
-            optimizer_step(opt, params, cfg)
+            optimizer_step(opt, rated, cfg)
             wall_ms = (time.perf_counter() - t0) * 1e3
             value = loss.item()
             step += 1
@@ -285,8 +283,6 @@ def run_stage1(
     rng = np.random.default_rng(seed)
     if heads is None:
         heads = init_stage1_heads(rng, model.config, dtype)
-    for p in model.parameters():
-        p.lr_group = "backbone"
     # the alignment conv feeds the previous-patch head, so it trains here too
     params = (
         model.embedding.parameters()
@@ -324,8 +320,6 @@ def run_stage2(
     dtype = next(iter(stage1_ckpt.tensors.values())).dtype
     model = build_model(model_cfg, seed=seed, dtype=dtype)
     load_into_model(model, stage1_ckpt, required_prefixes=STAGE1_PREFIXES)
-    for p in model.parameters():
-        p.lr_group = "new" if p.name.startswith(("head.", "align_conv.")) else "backbone"
     params = model.parameters()
     rng = np.random.default_rng(seed)
 
@@ -379,8 +373,6 @@ def run_finetune(
 
     for p in model.frozen_block_parameters():
         p.set_trainable(False)
-    for p in model.parameters():
-        p.lr_group = "backbone" if p.name.startswith(("embedding.",)) or p.name.endswith("norm_gain") else "new"
     params = model.parameters()
     rng = np.random.default_rng(seed)
 

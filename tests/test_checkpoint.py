@@ -111,6 +111,56 @@ def test_overlapping_tensors_rejected(tmp_path):
         C.load_checkpoint(str(path))
 
 
+DROP = object()
+BIAS = ("tensors", "embedding.bias")
+
+# a well-formed JSON manifest with the wrong structure: (key path, new value or DROP)
+MALFORMED = {
+    "missing model_config": (("model_config",), DROP),
+    "model_config not an object": (("model_config",), [1]),
+    "missing tensors": (("tensors",), DROP),
+    "tensors not an object": (("tensors",), "x"),
+    "entry not an object": (BIAS, [1, 2]),
+    "missing dtype": (BIAS + ("dtype",), DROP),
+    "missing shape": (BIAS + ("shape",), DROP),
+    "shape not a list": (BIAS + ("shape",), 8),
+    "shape of floats": (BIAS + ("shape",), [8.0]),
+    "negative shape": (BIAS + ("shape",), [-8]),
+    "missing byte_offset": (BIAS + ("byte_offset",), DROP),
+    "byte_offset a string": (BIAS + ("byte_offset",), "0"),
+    "negative byte_offset": (BIAS + ("byte_offset",), -8),
+    "missing byte_len": (BIAS + ("byte_len",), DROP),
+    "byte_len a float": (BIAS + ("byte_len",), 64.0),
+    "byte_len a boolean": (BIAS + ("byte_len",), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_manifest_is_corrupt_and_names_file(tmp_path, case):
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(C.checkpoint_from_model(tiny_model(seed=17), "stage2"), str(path))
+    manifest, payload = _read_parts(path)
+    (*parents, last), value = MALFORMED[case]
+    node = manifest
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    _write_parts(path, manifest, payload)
+    with pytest.raises(CorruptCheckpoint, match="m.ckpt"):
+        C.load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("manifest", [[1, 2], "text", 1, None])
+def test_manifest_not_an_object_is_corrupt(tmp_path, manifest):
+    path = tmp_path / "m.ckpt"
+    _write_parts(path, manifest, b"")
+    with pytest.raises(CorruptCheckpoint, match="m.ckpt"):
+        C.load_checkpoint(str(path))
+
+
 def test_load_into_model_shape_conflict(tmp_path):
     small = tiny_model(seed=7)
     big = tiny_model(seed=8, d_model=16, head_compress_dim=8)

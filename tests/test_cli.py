@@ -256,9 +256,46 @@ def test_forecast_corrupt_checkpoint_exit4(workdir, tmp_path):
     assert main(["forecast", "--model", str(bad), "--input", data_path, "--horizon", "4", "--out", str(tmp_path / "o.csv")]) == 4
 
 
+def _rewrite_manifest(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its manifest."""
+    blob = open(src, "rb").read()
+    end = 16 + int.from_bytes(blob[8:16], "little")
+    manifest = json.loads(blob[16:end])
+    edit(manifest)
+    raw = json.dumps(manifest).encode("utf-8")
+    open(dst, "wb").write(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+
+
+def test_forecast_malformed_manifest_exit4(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    for name, edit in (
+        ("no-config.ckpt", lambda m: m.pop("model_config")),
+        ("no-shape.ckpt", lambda m: next(iter(m["tensors"].values())).pop("shape")),
+    ):
+        bad = tmp_path / name
+        _rewrite_manifest(s2, bad, edit)
+        capsys.readouterr()
+        assert main(["forecast", "--model", str(bad), "--input", data_path, "--horizon", "4", "--out", str(tmp_path / "o.csv")]) == 4
+        assert name in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
+
+
+def test_evaluate_stdout_matches_out_file(workdir, tmp_path, capsysbinary):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    base = ["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--raw-metrics"]
+    report = tmp_path / "report.csv"
+    capsysbinary.readouterr()
+    assert main(base) == 0
+    printed = capsysbinary.readouterr().out
+    assert main(base + ["--out", str(report)]) == 0
+    assert printed == report.read_bytes()
+    assert b",avg," in printed
 
 
 def test_evaluate_oracle_baseline_zero_rows(workdir, tmp_path):
@@ -360,6 +397,21 @@ def test_evaluate_checkpoint_directory(workdir, tmp_path, capsys):
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 4
     err = capsys.readouterr().err
     assert "h4-copy.ckpt" in err and "h4.ckpt" in err and "horizon 4" in err
+
+
+def test_evaluate_directory_skips_rejected_config(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "h4.ckpt").write_bytes(open(s2, "rb").read())
+    # a file for a horizon nobody asked for, with a config this version rejects
+    _rewrite_manifest(s2, ckpt_dir / "h8.ckpt", lambda m: m["model_config"].update(horizon=8, combine_mode="concat"))
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "h8.ckpt" in err and "combine_mode" in err
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8"]) == 4
 
 
 # ---------------------------------------------------------------------------

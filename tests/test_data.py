@@ -136,6 +136,35 @@ def test_window_contiguity():
         np.testing.assert_array_equal(w.target[0], np.arange(w.origin_index, w.origin_index + 4))
 
 
+def test_windows_are_read_only_views_of_the_series():
+    ds = D.TimeSeriesDataset(name="w", values=np.arange(60.0).reshape(30, 2))
+    for w in D.make_windows(ds, 8, 4, stride=5):
+        for arr in (w.input, w.target):
+            assert np.shares_memory(arr, ds.values)
+            with pytest.raises(ValueError):
+                arr[0, 0] = -1.0
+    np.testing.assert_array_equal(ds.values, np.arange(60.0).reshape(30, 2))
+
+
+def test_stacks_are_c_contiguous_copies():
+    rng = np.random.default_rng(4)
+    ds = D.TimeSeriesDataset(name="w", values=rng.standard_normal((40, 3)))
+    windows = D.make_windows(ds, 8, 4, stride=3)
+    want_x = np.stack([np.ascontiguousarray(w.input) for w in windows])
+    want_y = np.stack([np.ascontiguousarray(w.target) for w in windows])
+    flat_x, flat_y = D.flatten_channel_windows(windows)
+    for got, want in (
+        (D.stack_inputs(windows), want_x),
+        (D.stack_targets(windows), want_y),
+        (flat_x, want_x.reshape(-1, 8)),
+        (flat_y, want_y.reshape(-1, 4)),
+    ):
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, ds.values)
+
+
 def test_split_windows_no_leakage():
     ds = D.TimeSeriesDataset(name="w", values=np.arange(200.0)[:, None])
     spec = D.SplitSpec()

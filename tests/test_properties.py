@@ -1,5 +1,7 @@
-"""Property-based tests of the config format and the CSV reader's numeric boundaries."""
+"""Property-based tests of the config format, the CSV reader's numeric
+boundaries, the window splits and the checkpoint reader."""
 
+import functools
 import json
 import os
 import tempfile
@@ -11,9 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsmamba import checkpoint as C
 from tsmamba import data as D
 from tsmamba import model as M
-from tsmamba.errors import DataError, InvalidConfig
+from tsmamba.errors import CorruptCheckpoint, DataError, InvalidConfig
 
 # values the architecture hardwires for the keys of earlier configs
 RETIRED = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
@@ -101,3 +104,108 @@ def test_load_csv_is_finite_or_raises_data_error(grid, ffill):
         assert np.isfinite(ds.values).all()
         keep = ~np.isnan(parsed)
         np.testing.assert_array_equal(ds.values[keep], parsed[keep])
+
+
+@st.composite
+def split_cases(draw):
+    n, d = draw(st.integers(1, 80)), draw(st.integers(1, 4))
+    lookback, horizon, stride = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    boundaries = None
+    if draw(st.booleans()):
+        n1 = draw(st.integers(1, n))
+        boundaries = (n1, draw(st.integers(n1, n)))
+    return n, d, lookback, horizon, stride, boundaries
+
+
+@settings(deadline=None)
+@given(split_cases())
+def test_split_windows_match_written_out_slices(case):
+    n, d, lookback, horizon, stride, boundaries = case
+    values = np.arange(n * d, dtype=np.float64).reshape(n, d)
+    spec = D.SplitSpec()
+    train, val, test = D.split_windows(D.TimeSeriesDataset("w", values), spec, lookback, horizon, stride, boundaries)
+    n1, n2 = D.split_boundaries(n, spec, boundaries)
+
+    grid = list(range(lookback, n - horizon + 1, stride))
+    assert [w.origin_index for w in train] == [t for t in grid if t + horizon <= n1]
+    assert [w.origin_index for w in val] == [t for t in grid if t >= n1 and t + horizon <= n2]
+    assert [w.origin_index for w in test] == [t for t in grid if t >= n2]
+    for w in train + val + test:
+        t = w.origin_index
+        assert (t - lookback) % stride == 0
+        np.testing.assert_array_equal(w.input, values[t - lookback : t].T, strict=True)
+        np.testing.assert_array_equal(w.target, values[t : t + horizon].T, strict=True)
+
+
+@functools.cache
+def _saved_checkpoint() -> tuple[bytes, int]:
+    """A small saved checkpoint and the offset where its payload starts."""
+    cfg = M.ModelConfig(horizon=4, n_channels=2, lookback=8, patch_len=4, d_model=5, n_layers=1, d_state=2, head_compress_dim=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        C.save_checkpoint(C.checkpoint_from_model(M.build_model(cfg, seed=0, dtype=np.float32), "stage2"), path)
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    return blob, 16 + int.from_bytes(blob[8:16], "little")
+
+
+def _load_or_corrupt(blob: bytes) -> None:
+    """Write ``blob`` and load it: it must load or raise CorruptCheckpoint naming the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            C.load_checkpoint(path)
+        except CorruptCheckpoint as exc:
+            assert path in str(exc)
+
+
+# a flip is (in header?, position, xor mask); half land in the magic, length
+# and manifest, where the structure lives
+flips = st.lists(st.tuples(st.booleans(), st.integers(0, 10**6), st.integers(1, 255)), max_size=4)
+
+
+@settings(deadline=None, max_examples=300)
+@given(flips, st.one_of(st.none(), st.integers(0, 10**6)))
+def test_damaged_checkpoint_loads_or_is_corrupt(flips, cut):
+    saved, manifest_end = _saved_checkpoint()
+    blob = bytearray(saved)
+    for in_header, pos, mask in flips:
+        blob[pos % (manifest_end if in_header else len(blob))] ^= mask
+    if cut is not None:
+        blob = blob[: cut % (len(blob) + 1)]
+    _load_or_corrupt(bytes(blob))
+
+
+def _paths(node, prefix=()):
+    """Every key path into a JSON manifest."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, prefix + (key,))
+
+
+json_values = st.recursive(any_json_value, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+DROP = object()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), st.one_of(st.just(DROP), json_values))
+def test_restructured_manifest_loads_or_is_corrupt(data, value):
+    saved, manifest_end = _saved_checkpoint()
+    manifest = json.loads(saved[16:manifest_end])
+    path_keys = data.draw(st.sampled_from(list(_paths(manifest))))
+    if not path_keys:
+        manifest = None if value is DROP else value
+    else:
+        *parents, last = path_keys
+        node = manifest
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    raw = json.dumps(manifest).encode("utf-8")
+    _load_or_corrupt(saved[:8] + len(raw).to_bytes(8, "little") + raw + saved[manifest_end:])

@@ -198,16 +198,24 @@ def test_adamw_zero_lr_keeps_parameters():
     p = Parameter("p", T.tensor([1.0, -2.0]))
     p.grad = T.tensor([0.3, 0.4])
     before = p.value.array.tobytes()
-    TR.AdamW().step([p], lr_new=0.0, lr_backbone=0.0, weight_decay=0.1, grad_clip_norm=1.0)
+    TR.AdamW().step([(p, 0.0)], weight_decay=0.1, grad_clip_norm=1.0)
     assert p.value.array.tobytes() == before
+
+
+def test_adamw_uses_each_parameters_rate():
+    p = Parameter("p", T.tensor([1.0]))
+    q = Parameter("q", T.tensor([1.0]))
+    p.grad, q.grad = T.tensor([0.5]), T.tensor([0.5])
+    TR.AdamW().step([(p, 0.0), (q, 0.1)])
+    assert p.value.array[0] == 1.0 and q.value.array[0] < 1.0
 
 
 def test_adamw_scalar_hand_computation():
     lr, wd, b1, b2, eps = 0.1, 0.01, 0.9, 0.999, 1e-8
     g, p0 = 0.5, 1.0
-    p = Parameter("p", T.tensor([p0]), lr_group="new")
+    p = Parameter("p", T.tensor([p0]))
     p.grad = T.tensor([g])
-    TR.AdamW(beta1=b1, beta2=b2, eps=eps).step([p], lr_new=lr, lr_backbone=0.0, weight_decay=wd, grad_clip_norm=0.0)
+    TR.AdamW(beta1=b1, beta2=b2, eps=eps).step([(p, lr)], weight_decay=wd, grad_clip_norm=0.0)
     m_hat = ((1 - b1) * g) / (1 - b1)
     v_hat = ((1 - b2) * g * g) / (1 - b2)
     expected = p0 - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p0)
@@ -218,14 +226,14 @@ def test_adamw_frozen_parameter_untouched():
     p = Parameter("p", T.tensor([5.0]))
     p.set_trainable(False)
     p.grad = T.tensor([100.0])
-    TR.AdamW().step([p], lr_new=1.0, lr_backbone=1.0)
+    TR.AdamW().step([(p, 1.0)])
     assert p.value.array[0] == 5.0
 
 
 def test_adamw_missing_grad_raises():
     p = Parameter("p", T.tensor([5.0]))
     with pytest.raises(MissingGrad):
-        TR.AdamW().step([p], lr_new=0.1, lr_backbone=0.1)
+        TR.AdamW().step([(p, 0.1)])
 
 
 def test_adamw_grad_clip_scales_global_norm():
@@ -234,7 +242,7 @@ def test_adamw_grad_clip_scales_global_norm():
     q = Parameter("q", T.tensor([0.0]))
     q.grad = T.tensor([40.0])  # joint norm 50, clip to 1 => grads scaled by 1/50
     opt = TR.AdamW()
-    opt.step([p, q], lr_new=1.0, lr_backbone=1.0, grad_clip_norm=1.0)
+    opt.step([(p, 1.0), (q, 1.0)], grad_clip_norm=1.0)
     # Adam normalizes magnitudes, but the m/v ratio reflects the clipped grads;
     # direction must be preserved and the two moments consistent
     assert p.value.array[0] < 0 and q.value.array[0] < 0
@@ -252,6 +260,9 @@ def test_stage_config_invariants():
         TR.StageConfig("stage2_head", lr_new=1e-5, lr_backbone=1e-3, epochs=1, batch_size=8)
     with pytest.raises(InvalidConfig):
         TR.stage1_config(epochs=1, batch_size=8, enable_xchannel=True)
+    for stage in ("stage1_autoregressive", "finetune"):  # only stage 2 has two learning rates
+        with pytest.raises(InvalidConfig):
+            TR.StageConfig(stage, lr_new=1e-3, lr_backbone=1e-5, epochs=1, batch_size=8)
 
 
 # ---------------------------------------------------------------------------
