@@ -43,7 +43,6 @@ print(f"recorded parents under no_grad: {len(silent.pairs)} (tape suspended)")
 
 print("\n== activations used by the model ==")
 z = T.tensor([-2.0, 0.0, 1.0, 25.0])
-print(f"softplus {T.softplus(z).array.round(6).tolist()}")
 print(f"silu     {T.silu(z).array.round(6).tolist()}")
 print(f"gelu     {T.gelu(z).array.round(6).tolist()}")
 

@@ -41,9 +41,7 @@ from .ssm import (
     EncoderParams,
     MambaBlockParams,
     SSMParams,
-    discretize_zoh,
     linear_recurrence_parallel,
-    selective_params,
     selective_scan_parallel,
     selective_scan_sequential,
 )

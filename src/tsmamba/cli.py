@@ -27,7 +27,6 @@ from .errors import (
     CorruptCheckpoint,
     DataError,
     InvalidConfig,
-    NonPositiveDt,
     PatchLengthMismatch,
     ShapeMismatch,
     TSMambaError,
@@ -41,7 +40,7 @@ EXIT_CHECKPOINT = 4
 
 _CONFIG_ERRORS = (InvalidConfig, PatchLengthMismatch)
 _DATA_ERRORS = (DataError,)
-_CKPT_ERRORS = (CheckpointMismatch, CorruptCheckpoint, ShapeMismatch, NonPositiveDt)
+_CKPT_ERRORS = (CheckpointMismatch, CorruptCheckpoint, ShapeMismatch)
 
 
 def _err(msg: str) -> None:

@@ -113,16 +113,22 @@ def load_csv(
     if not body:
         raise DataError(f"{path}: header only, no data rows")
 
-    values = np.empty((len(body), width - start_col), dtype=np.float64)
     header_offset = 1 if header is not None else 0
-    for i, row in enumerate(body):
-        for j, cell in enumerate(row[start_col:]):
-            try:
-                values[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: non-numeric cell at row {i + 1 + header_offset}, column {j + 1 + start_col}: {cell!r}"
-                ) from None
+    cells = [row[start_col:] for row in body] if start_col else body
+    try:
+        # numpy converts each str cell with float() itself, so the bits match
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        # the cell loop names the first cell float() rejects
+        values = np.empty((len(cells), width - start_col), dtype=np.float64)
+        for i, row in enumerate(cells):
+            for j, cell in enumerate(row):
+                try:
+                    values[i, j] = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell at row {i + 1 + header_offset}, column {j + 1 + start_col}: {cell!r}"
+                    ) from None
     if np.isinf(values).any():
         i, j = np.argwhere(np.isinf(values))[0]
         raise DataError(

@@ -21,10 +21,6 @@ class MissingGrad(TSMambaError):
     """Optimizer step on a trainable parameter whose grad slot is empty."""
 
 
-class NonPositiveDt(TSMambaError):
-    pass
-
-
 class DegenerateWindow(TSMambaError):
     pass
 

@@ -329,10 +329,8 @@ def patch_embed_batched(x_hat: Tensor, emb: EmbeddingParams, patch_len: int) -> 
 
 
 def _align_conv(rep: Tensor, align: AlignConvParams) -> Tensor:
-    """Depthwise temporal conv over the token axis, symmetric zero padding."""
-    swapped = T.transpose(rep, (0, 2, 1))  # [B, d_model, n_tokens]
-    out = T.depthwise_conv1d(swapped, align.weight.value, align.bias.value, pad_left=ALIGN_KERNEL // 2, pad_right=ALIGN_KERNEL // 2)
-    return T.transpose(out, (0, 2, 1))
+    """Depthwise temporal conv over the token axis of [B, n_tokens, d_model], symmetric zero padding."""
+    return T.depthwise_conv1d(rep, align.weight.value, align.bias.value, pad_left=ALIGN_KERNEL // 2, pad_right=ALIGN_KERNEL // 2)
 
 
 def backbone_forward(x_hat: Tensor, model: Model) -> BackboneOutput:
@@ -367,7 +365,7 @@ def head_core(combined: Tensor, head: HeadParams) -> Tensor:
 def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tensor]:
     """Steps 1-3 of the cross-channel module over [B, D, n_tokens, d_model]:
     (attention weights [B, n_tokens, d_c, d_c], attended [B, n_tokens, d_c, d_model])."""
-    b_, d, n_tokens, d_model = combined.shape
+    d, d_model = combined.shape[1], combined.shape[3]
     if d != xp.n_channels:
         raise ShapeMismatch(f"xchannel built for {xp.n_channels} channels, got {d}")
     if d < 2:
@@ -375,9 +373,8 @@ def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tens
     d_c = xp.compress_w.value.shape[1]
 
     # (1) time shift: one FIR filter per data channel, shared across features
-    shift_in = T.reshape(T.transpose(combined, (0, 3, 1, 2)), (b_ * d_model, d, n_tokens))
+    shift_in = T.transpose(combined, (0, 2, 3, 1))  # [B, n_tokens, d_model, D]
     shifted = T.depthwise_conv1d(shift_in, xp.tshift_w.value, None, pad_left=XSHIFT_KERNEL // 2, pad_right=XSHIFT_KERNEL // 2)
-    shifted = T.transpose(T.reshape(shifted, (b_, d_model, d, n_tokens)), (0, 3, 1, 2))  # [B, n_tokens, d_model, D]
 
     # (2) kernel-size-1 conv across the channel axis: D -> d_c
     comp = T.matmul(shifted, xp.compress_w.value)

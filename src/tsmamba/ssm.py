@@ -1,15 +1,20 @@
-"""Selective state-space core: discretization, the scan kernel, Mamba blocks.
+"""Selective state-space core: the scan kernel, Mamba blocks, encoders.
 
 The continuous system h' = A h + B x, y = C h is discretized per step with a
 zero-order hold and input-dependent (B, C, dt), then evaluated as a strict
-left-to-right recurrence by one blocked kernel, with the tape on or off. The
-tape records a scan as a single op whose backward walks the time blocks in
-reverse and recomputes each block's coefficients and states from the state
-that entered it, so training stores no per-step coefficient arrays. The
-work-efficient associative scan is kept as a single-threaded reference for
-the equivalence check and ``bench-scan``; at the model's token counts it is
-slower than the sequential kernel on a CPU. A is diagonal per inner channel,
-stored as ``a_log`` with A = -exp(a_log) so the state always decays.
+left-to-right recurrence by one kernel, with the tape on or off. The kernel
+computes the token-sized maps (B, C, dt) once per scan and the state-sized
+ZOH terms one time block at a time, with the block length chosen so that one
+[B, blk, d_inner, n_state] buffer stays within a fixed byte budget; so no
+output depends on the block length. The tape records a scan as a single op
+that keeps only the state entering each 256-step segment. Its backward walks
+the segments in reverse, recomputes the states entering the segment's
+blocks, then walks those blocks in reverse, recomputing each block's
+coefficients, so training stores no per-step coefficient or state arrays.
+The work-efficient associative scan is kept as a single-threaded reference
+for the equivalence check and ``bench-scan``; at the model's token counts it
+is slower than the sequential kernel on a CPU. A is diagonal per inner
+channel, stored as ``a_log`` with A = -exp(a_log) so the state always decays.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import tensor as T
-from .errors import InvalidConfig, NonPositiveDt, ShapeMismatch
+from .errors import InvalidConfig, ShapeMismatch
 from .params import Parameter, uniform_init
 from .tensor import Tensor
 
@@ -161,100 +166,73 @@ def init_encoder(
 
 
 # ---------------------------------------------------------------------------
-# Single-step discretization and selective parameter maps
-# ---------------------------------------------------------------------------
-
-
-def discretize_zoh(a: Tensor, b_t: Tensor, dt_t: Tensor) -> tuple[Tensor, Tensor]:
-    """One-step ZOH: A_bar = exp(dt*A), B_bar = (dt*A)^-1 (exp(dt*A)-1) dt*B.
-
-    ``a`` is the diagonal coefficient table [d_inner, n_state]; ``b_t`` the
-    per-step input map [n_state]; ``dt_t`` the per-channel step [d_inner].
-    """
-    if a.ndim != 2:
-        raise ShapeMismatch(f"discretize_zoh: A must be [d_inner, n_state], got {a.shape}")
-    d_inner, n_state = a.shape
-    if b_t.shape != (n_state,):
-        raise ShapeMismatch(f"discretize_zoh: B shape {b_t.shape} != ({n_state},)")
-    if dt_t.shape != (d_inner,):
-        raise ShapeMismatch(f"discretize_zoh: dt shape {dt_t.shape} != ({d_inner},)")
-    if np.any(dt_t.array <= 0):
-        raise NonPositiveDt("discretize_zoh requires dt > 0 elementwise")
-    full = (d_inner, n_state)
-    dt_full = T.broadcast_to(T.reshape(dt_t, (d_inner, 1)), full)
-    b_full = T.broadcast_to(T.reshape(b_t, (1, n_state)), full)
-    u = T.mul(dt_full, a)
-    a_bar = T.exp(u)
-    small = np.abs(u.array) < SMALL_DT_A
-    one = T.constant_like(u, 1.0)
-    phi = T.where(small, one, T.div(T.sub(a_bar, one), T.where(small, one, u)))
-    return a_bar, T.mul(phi, T.mul(dt_full, b_full))
-
-
-def selective_params(x_t: Tensor, ssm: SSMParams) -> tuple[Tensor, Tensor, Tensor]:
-    """Single-step maps: B_t, C_t in state space, dt_t per inner channel."""
-    d, n = ssm.d_inner, ssm.n_state
-    if x_t.shape != (d,):
-        raise ShapeMismatch(f"selective_params: x shape {x_t.shape} != ({d},)")
-    row = T.reshape(x_t, (1, d))
-    b_t = T.reshape(T.matmul(row, ssm.x_to_b.value), (n,))
-    c_t = T.reshape(T.matmul(row, ssm.x_to_c.value), (n,))
-    s = T.matmul(row, T.reshape(ssm.x_to_dt.value, (d, 1)))  # [1, 1]
-    dt_t = T.softplus(T.add(T.reshape(T.broadcast_to(s, (1, d)), (d,)), ssm.dt_bias.value))
-    return b_t, c_t, dt_t
-
-
-# ---------------------------------------------------------------------------
 # The selective-scan kernel
 # ---------------------------------------------------------------------------
 
-_SEQ_BLOCK = 256  # time steps per coefficient block
+_SEGMENT = 256  # time steps per state a taped scan keeps for its backward
+# bytes of one state-sized [B, blk, d_inner, n_state] buffer: of 128 KiB to
+# 4 MiB, 512 KiB tied for the fastest train and evaluate scans on a host
+# with 2 MiB of L2 per core
+_BLOCK_BYTES = 1 << 19
+
+
+def _blocks(start: int, stop: int, blk: int) -> list[tuple[int, int]]:
+    """The ``[t0, t1)`` blocks of at most ``blk`` steps that tile ``[start, stop)``."""
+    return [(t, min(t + blk, stop)) for t in range(start, stop, blk)]
 
 
 class _BlockCoeffs:
-    """Scan coefficients for one time block at a time, in reused buffers.
+    """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
+    for the whole sequence, the state-sized ZOH terms one time block at a time.
 
-    ``fill(xb)`` computes, for a block xb [B, m, d_inner] of m <= ``blk``
-    steps, the selective maps b, c and dt = softplus(pre), dtx = dt * x, and
-    the ZOH terms a_bar = exp(u) with u = dt*A, phi = (a_bar - 1)/u (1 where
-    |u| is tiny, flagged in ``small``; ``u`` then holds 1 there, the safe
-    divisor) and bx = phi * dtx * b, as views of the first m steps. Buffers
-    allocated once keep the working set cache-resident and allocation-free
-    however long the sequence is, so wall time stays proportional to L.
+    The maps b = x W_b, c = x W_c, pre = x W_dt + dt_bias, dt = softplus(pre)
+    and dtx = dt * x are computed once over the whole sequence, so their bits
+    do not depend on the block length. The products stay one [L, d_inner]
+    GEMM per batch row: a single [B*L, d_inner] GEMM is no faster here and
+    rounds differently at d_inner >= 512 in float32 with OpenBLAS, which
+    would change the model's outputs.
+
+    ``fill(t0, t1)`` computes, for steps [t0, t1), u = dt*A, a_bar = exp(u),
+    phi = (a_bar - 1)/u (1 where |u| is tiny, flagged in ``small``; ``u``
+    then holds 1 there, the safe divisor) and bx = phi * dtx * b, as views
+    into [B, blk, d_inner, n_state] buffers allocated once. These are the
+    only arrays that grow with the state; the caller picks ``blk`` so that
+    each stays within ``_BLOCK_BYTES`` and the state passes run from cache.
     Outer products go through einsum, about twice as fast as a broadcast
     multiply over the short state axis.
     """
 
-    def __init__(self, weights: tuple[np.ndarray, ...], batch: int, blk: int, dtype):
-        self.w_b, self.w_c, self.w_dt, self.dt_bias, self.a, _ = weights
-        d, n = self.a.shape
-        tails = {"b": (n,), "c": (n,), "s": (1,), "pre": (d,), "dt": (d,), "dtx": (d,)}
-        tails.update(dict.fromkeys(("u", "a_bar", "phi", "bx"), (d, n)))
-        self._buffers = {name: np.empty((batch, blk) + tail, dtype=dtype) for name, tail in tails.items()}
-
-    def fill(self, xb: np.ndarray) -> None:
-        for name, buf in self._buffers.items():
-            setattr(self, name, buf[:, : xb.shape[1]])
-        np.matmul(xb, self.w_b, out=self.b)
-        np.matmul(xb, self.w_c, out=self.c)
-        np.matmul(xb, self.w_dt, out=self.s)
-        np.add(self.s, self.dt_bias, out=self.pre)
+    def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int):
+        w_b, w_c, w_dt, dt_bias, self.a, _ = weights
+        b_, _, d = x.shape
+        n = self.a.shape[1]
+        self.b = np.matmul(x, w_b)
+        self.c = np.matmul(x, w_c)
+        self.pre = np.matmul(x, w_dt) + dt_bias
         # softplus(pre) = max(pre, 0) + log1p(exp(-|pre|)) in place: several
         # times faster than np.logaddexp(0, pre) on float32
-        np.abs(self.pre, out=self.dt)
+        self.dt = np.abs(self.pre)
         np.negative(self.dt, out=self.dt)
         np.exp(self.dt, out=self.dt)
         np.log1p(self.dt, out=self.dt)
         self.dt += np.maximum(self.pre, 0.0)
-        np.einsum("btd,dn->btdn", self.dt, self.a, out=self.u)
+        self.dtx = self.dt * x
+        self.ah = np.empty((b_, d, n), dtype=x.dtype)  # scratch state for the recurrence
+        shape = (b_, blk, d, n)
+        self._buffers = {name: np.empty(shape, dtype=x.dtype) for name in ("u", "a_bar", "phi", "bx")}
+        self._buffers["small"] = np.empty(shape, dtype=bool)
+
+    def fill(self, t0: int, t1: int) -> None:
+        for name, buf in self._buffers.items():
+            setattr(self, name, buf[:, : t1 - t0])
+        np.einsum("btd,dn->btdn", self.dt[:, t0:t1], self.a, out=self.u)
         np.exp(self.u, out=self.a_bar)
-        self.small = self.u > -SMALL_DT_A  # u <= 0: dt >= 0 and A < 0
+        np.greater(self.u, -SMALL_DT_A, out=self.small)  # u <= 0: dt >= 0 and A < 0
         np.copyto(self.u, 1.0, where=self.small)
         np.subtract(self.a_bar, 1.0, out=self.phi)
         np.divide(self.phi, self.u, out=self.phi)
         np.copyto(self.phi, 1.0, where=self.small)
-        np.multiply(self.dt, xb, out=self.dtx)
-        np.einsum("btd,btn->btdn", self.dtx, self.b, out=self.bx)
+        np.einsum("btd,btn->btdn", self.dtx[:, t0:t1], self.b[:, t0:t1], out=self.bx)
         np.multiply(self.phi, self.bx, out=self.bx)
 
 
@@ -275,121 +253,136 @@ def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
 
 
 def _block_states(co: _BlockCoeffs, h: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """h_t = a_bar_t h_{t-1} + bx_t over the block in ``co`` from the state
-    ``h`` entering it, written to ``hs`` (which may be ``co.bx`` itself)."""
-    ah = np.empty_like(h)
+    """h_t = a_bar_t h_{t-1} + bx_t over the block filled in ``co`` from the
+    state ``h`` entering it, written to ``hs`` (which may be ``co.bx``
+    itself). Returns the last state, a view into ``hs``."""
     for t in range(hs.shape[1]):
-        np.multiply(co.a_bar[:, t], h, out=ah)
-        h = np.add(ah, co.bx[:, t], out=hs[:, t])
+        np.multiply(co.a_bar[:, t], h, out=co.ah)
+        h = np.add(co.ah, co.bx[:, t], out=hs[:, t])
     return h
 
 
-def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int) -> tuple[np.ndarray, list]:
+def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int, saved: list | None = None) -> np.ndarray:
     """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], strictly left to
-    right in time blocks of ``blk`` steps. Returns y and the state entering
-    each block, which is all the backward pass keeps.
+    right in time blocks of ``blk`` steps that never straddle a segment of
+    ``_SEGMENT`` steps. A list passed as ``saved`` receives the state entering
+    each segment, which is all the backward pass keeps.
     """
     b_, l_, d = x.shape
-    co = _BlockCoeffs(weights, b_, blk, x.dtype)
+    co = _BlockCoeffs(x, weights, blk)
     ys = np.empty((b_, l_, d), dtype=x.dtype)
-    h = np.zeros((b_, d, weights[4].shape[1]), dtype=x.dtype)
-    h_in = []
-    for start in range(0, l_, blk):
-        h_in.append(h)
-        co.fill(np.ascontiguousarray(x[:, start : start + blk]))
-        h = _block_states(co, h, co.bx).copy()  # co.bx now holds the block's states
-        ys[:, start : start + blk] = np.matmul(co.bx, co.c[..., None])[..., 0]
+    h = np.zeros((b_, d, co.a.shape[1]), dtype=x.dtype)
+    for seg in range(0, l_, _SEGMENT):
+        if saved is not None:
+            saved.append(h.copy())
+        for t0, t1 in _blocks(seg, min(seg + _SEGMENT, l_), blk):
+            co.fill(t0, t1)
+            np.copyto(h, _block_states(co, h, co.bx))  # co.bx now holds the block's states
+            ys[:, t0:t1] = np.matmul(co.bx, co.c[:, t0:t1, :, None])[..., 0]
     ys += weights[5] * x
-    return ys, h_in
+    return ys
 
 
-def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int, h_in: list):
+def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int, saved: list):
     """Gradients of <g, y> for y from :func:`_sequential_scan_np`, as
     (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip).
 
-    Walks the time blocks in reverse and recomputes each block's coefficients
-    and states from the state that entered it, with the forward's operations,
-    so they are bit-identical to the forward's; spent coefficient buffers
-    are reused as scratch.
+    Walks the segments in reverse. For each, it recomputes the states
+    entering the segment's blocks from the segment's saved state, then walks
+    those blocks in reverse, recomputing each block's ZOH terms and states
+    with the forward's operations, so they are bit-identical to the
+    forward's; spent buffers are reused as scratch. The per-step adjoints of
+    the token-sized maps are gathered over the whole sequence and turned
+    into gradients once, after the walk.
     """
     b_, l_, d = x.shape
     w_b, w_c, w_dt, _, a, d_skip = weights
     n = a.shape[1]
-    co = _BlockCoeffs(weights, b_, blk, x.dtype)
+    co = _BlockCoeffs(x, weights, blk)
+    entry = np.empty((-(-min(l_, _SEGMENT) // blk), b_, d, n), dtype=x.dtype)  # states entering a segment's blocks
     hs = np.empty((b_, blk, d, n), dtype=x.dtype)
     lam = np.empty_like(hs)  # state adjoint dL/dh_t
-    gx = g * d_skip
-    g_wb, g_wc, g_a = np.zeros_like(w_b), np.zeros_like(w_c), np.zeros_like(a)
-    g_wdt, g_bias = np.zeros_like(w_dt), np.zeros((d,), dtype=x.dtype)
+    g_b, g_c = np.empty_like(co.b), np.empty_like(co.c)
+    rb = np.empty_like(co.dtx)  # dL/d(dtx)
+    g_ua = np.empty_like(co.dtx)  # dL/du contracted with A over the state axis
+    g_a = np.zeros_like(a)
     carry = np.zeros((b_, d, n), dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
-    for k in range(len(h_in) - 1, -1, -1):
-        start = k * blk
-        xb = np.ascontiguousarray(x[:, start : start + blk])
-        gb = g[:, start : start + blk]
-        m = xb.shape[1]
-        co.fill(xb)
-        hv, lv = hs[:, :m], lam[:, :m]
-        _block_states(co, h_in[k], hv)
-        # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
-        # adjoint lam_t = g_t c_t + a_bar_{t+1} lam_{t+1}
-        np.einsum("btd,btn->btdn", gb, co.c, out=lv)
-        for t in range(m - 1, -1, -1):
-            np.add(lv[:, t], carry, out=lv[:, t])
-            np.multiply(co.a_bar[:, t], lv[:, t], out=carry)
-        g_c = np.matmul(gb[:, :, None, :], hv)[:, :, 0, :]
-        # dL/da_bar_t = lam_t h_{t-1} replaces h_t; going backwards keeps h_{t-1}
-        for t in range(m - 1, 0, -1):
-            np.multiply(lv[:, t], hv[:, t - 1], out=hv[:, t])
-        np.multiply(lv[:, 0], h_in[k], out=hv[:, 0])
-        g_ab = hv
-        # bx = phi * dt * x * b
-        r = np.multiply(lv, co.phi, out=co.bx)
-        rb = np.matmul(r, co.b[:, :, :, None])[..., 0]
-        g_b = np.matmul(co.dtx[:, :, None, :], r)[:, :, 0, :]
-        # phi = (a_bar - 1) / u, so dphi/du = (a_bar - phi) / u; 0 on the small branch
-        dphi = np.subtract(co.a_bar, co.phi, out=co.phi)
-        np.divide(dphi, co.u, out=dphi)
-        np.copyto(dphi, 0.0, where=co.small)
-        # dL/du = dL/dphi * dphi/du + dL/da_bar * a_bar, dL/dphi = lam * dt * x * b
-        g_u = np.einsum("btd,btn->btdn", co.dtx, co.b, out=co.bx)
-        g_u *= lv
-        g_u *= dphi
-        g_ab *= co.a_bar
-        g_u += g_ab
-        # u = dt * A; dt = softplus(pre); pre = x W_dt + dt_bias. einsum
-        # reduces the short state axis several times faster than sum().
-        g_a += np.einsum("btdn,btd->dn", g_u, co.dt)
-        g_pre = (xb * rb + np.einsum("btdn,dn->btd", g_u, a)) * expit(co.pre)
-        g_s = g_pre.sum(axis=-1, keepdims=True)
-        gx[:, start : start + m] += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T
-        xf = xb.reshape(-1, d).T
-        g_wb += xf @ g_b.reshape(-1, n)
-        g_wc += xf @ g_c.reshape(-1, n)
-        g_wdt += xf @ g_s.reshape(-1, 1)
-        g_bias += g_pre.sum(axis=(0, 1))
+    for k in range(len(saved) - 1, -1, -1):
+        seg = k * _SEGMENT
+        blocks = _blocks(seg, min(seg + _SEGMENT, l_), blk)
+        entry[0] = saved[k]
+        for j, (t0, t1) in enumerate(blocks[:-1]):
+            co.fill(t0, t1)
+            np.copyto(entry[j + 1], _block_states(co, entry[j], co.bx))
+        for j in range(len(blocks) - 1, -1, -1):
+            t0, t1 = blocks[j]
+            co.fill(t0, t1)
+            hv, lv = hs[:, : t1 - t0], lam[:, : t1 - t0]
+            _block_states(co, entry[j], hv)
+            gb = g[:, t0:t1]
+            # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
+            # adjoint lam_t = g_t c_t + a_bar_{t+1} lam_{t+1}
+            np.einsum("btd,btn->btdn", gb, co.c[:, t0:t1], out=lv)
+            for t in range(t1 - t0 - 1, -1, -1):
+                np.add(lv[:, t], carry, out=lv[:, t])
+                np.multiply(co.a_bar[:, t], lv[:, t], out=carry)
+            g_c[:, t0:t1] = np.matmul(gb[:, :, None, :], hv)[:, :, 0, :]
+            # dL/da_bar_t = lam_t h_{t-1} replaces h_t; going backwards keeps h_{t-1}
+            for t in range(t1 - t0 - 1, 0, -1):
+                np.multiply(lv[:, t], hv[:, t - 1], out=hv[:, t])
+            np.multiply(lv[:, 0], entry[j], out=hv[:, 0])
+            g_ab = hv
+            # bx = phi * dtx * b
+            r = np.multiply(lv, co.phi, out=co.bx)
+            rb[:, t0:t1] = np.matmul(r, co.b[:, t0:t1, :, None])[..., 0]
+            g_b[:, t0:t1] = np.matmul(co.dtx[:, t0:t1, None, :], r)[:, :, 0, :]
+            # phi = (a_bar - 1) / u, so dphi/du = (a_bar - phi) / u; 0 on the small branch
+            dphi = np.subtract(co.a_bar, co.phi, out=co.phi)
+            np.divide(dphi, co.u, out=dphi)
+            np.copyto(dphi, 0.0, where=co.small)
+            # dL/du = dL/dphi * dphi/du + dL/da_bar * a_bar, dL/dphi = lam * dtx * b
+            g_u = np.einsum("btd,btn->btdn", co.dtx[:, t0:t1], co.b[:, t0:t1], out=co.bx)
+            g_u *= lv
+            g_u *= dphi
+            g_ab *= co.a_bar
+            g_u += g_ab
+            # u = dt * A. einsum reduces the short state axis several times
+            # faster than sum().
+            g_a += np.einsum("btdn,btd->dn", g_u, co.dt[:, t0:t1])
+            np.einsum("btdn,dn->btd", g_u, a, out=g_ua[:, t0:t1])
+    # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
+    g_pre = (x * rb + g_ua) * expit(co.pre)
+    g_s = g_pre.sum(axis=-1, keepdims=True)
+    gx = g * d_skip
+    gx += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T
+    xf = x.reshape(-1, d).T
+    g_wdt = (xf @ g_s.reshape(-1, 1)).reshape(-1)
     # A = -exp(a_log), so dA/da_log = A
-    return gx, g_wb, g_wc, g_wdt.reshape(-1), g_bias, g_a * a, (g * x).sum(axis=(0, 1))
+    return gx, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_pre.sum(axis=(0, 1)), g_a * a, (g * x).sum(axis=(0, 1))
 
 
 def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
     """Selective scan over x [B, L, d_inner] -> [B, L, d_inner], skip included.
 
     Recorded on the tape as one op whose backward recomputes the
-    coefficients block by block instead of storing them, so a taped scan
-    keeps only its input, the weights and one state per time block.
+    coefficients instead of storing them, so a taped scan keeps only its
+    input, the weights and one state per ``_SEGMENT`` steps.
     """
     if x.ndim != 3 or x.shape[2] != ssm.d_inner:
         raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
     xv = x.array
     weights = _scan_weights(ssm, xv.dtype)
-    blk = min(_SEQ_BLOCK, xv.shape[1])
-    ys, h_in = _sequential_scan_np(xv, weights, blk)
+    b_, l_, d = xv.shape
+    # as many steps as keep one state-sized buffer within _BLOCK_BYTES, at least one
+    blk = max(1, min(l_, _BLOCK_BYTES // (b_ * d * ssm.n_state * xv.itemsize)))
+    saved = [] if T.grad_enabled() else None  # a no-tape scan keeps no states
+    ys = _sequential_scan_np(xv, weights, blk, saved)
 
     held: list = [None, None]  # (gradient, its adjoint): one adjoint per gradient
 
     def adjoint(g: np.ndarray) -> tuple[np.ndarray, ...]:
         if held[0] is not g:
-            held[:] = g, _sequential_scan_vjp(g, xv, weights, blk, h_in)
+            held[:] = g, _sequential_scan_vjp(g, xv, weights, blk, saved)
         return held[1]
 
     parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
@@ -474,8 +467,8 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
     """
     _check_scan_input(x, ssm)
     xv = np.ascontiguousarray(x.array.T[None])  # [1, L, d_inner]
-    co = _BlockCoeffs(_scan_weights(ssm, xv.dtype), 1, xv.shape[1], xv.dtype)
-    co.fill(xv)
+    co = _BlockCoeffs(xv, _scan_weights(ssm, xv.dtype), xv.shape[1])
+    co.fill(0, xv.shape[1])
     h = linear_recurrence_parallel(co.a_bar, co.bx, time_axis=1)
     y = np.matmul(h, co.c[..., None])[..., 0] + ssm.d_skip.value.array * xv
     return Tensor(np.ascontiguousarray(y[0].T))
@@ -495,10 +488,7 @@ def mamba_block_batched(u: Tensor, p: MambaBlockParams) -> Tensor:
     z = T.matmul(u, p.in_proj.value)  # [B, L, 2*d_inner]
     z_main = T.slice_axis(z, 2, 0, d_inner)
     z_gate = T.slice_axis(z, 2, d_inner, 2 * d_inner)
-    conv = T.depthwise_conv1d(
-        T.transpose(z_main, (0, 2, 1)), p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0
-    )
-    x_inner = T.silu(T.transpose(conv, (0, 2, 1)))
+    x_inner = T.silu(T.depthwise_conv1d(z_main, p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0))
     y = _selective_scan_batched(x_inner, p.ssm)
     gated = T.mul(y, T.silu(z_gate))
     return T.matmul(gated, p.out_proj.value)

@@ -166,20 +166,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return apply_op(av * bv, [(a, lambda g: g * bv), (b, lambda g: g * av)])
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b, "div")
-    av, bv = a.array, b.array
-    out = av / bv
-    return apply_op(out, [(a, lambda g: g / bv), (b, lambda g: -g * out / bv)])
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(a.array * c, [(a, lambda g: g * c)])
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.array)
-    return apply_op(out, [(a, lambda g: g * out)])
 
 
 def absolute(a: Tensor) -> Tensor:
@@ -298,12 +286,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def softplus(a: Tensor) -> Tensor:
-    av = a.array
-    sig = expit(av)
-    return apply_op(np.logaddexp(0.0, av), [(a, lambda g: g * sig)])
-
-
 def silu(a: Tensor) -> Tensor:
     av = a.array
     sig = expit(av)
@@ -359,50 +341,64 @@ def depthwise_conv1d(
     pad_left: int,
     pad_right: int,
 ) -> Tensor:
-    """Per-channel FIR filter along the last axis.
+    """Per-channel FIR filter along the token axis of token-major input.
 
-    ``x`` is ``[B, C, L]`` and ``weight`` is ``[C, K]``; output length is
+    ``x`` is ``[B, L, ..., C]``, filtered along axis 1 with one filter per
+    channel on the last axis, and ``weight`` is ``[C, K]``; output length is
     ``L + pad_left + pad_right - K + 1``. Causal use passes ``(K-1, 0)``;
-    same-length symmetric use passes ``(K//2, K//2)``.
+    same-length symmetric use passes ``(K//2, K//2)``. Each tap accumulates
+    the in-range part of a shifted input slice through one reused product
+    buffer, so the zero padding is never built.
     """
     xv = x.array
-    if xv.ndim != 3:
-        raise ShapeMismatch(f"depthwise_conv1d input must be [B, C, L], got {xv.shape}")
+    if xv.ndim < 3:
+        raise ShapeMismatch(f"depthwise_conv1d input must be [B, L, ..., C], got {xv.shape}")
     wv = weight.array
-    b_, c, length = xv.shape
+    c, length = xv.shape[-1], xv.shape[1]
     if wv.ndim != 2 or wv.shape[0] != c:
         raise ShapeMismatch(f"depthwise_conv1d: weight {wv.shape} vs channels {c}")
     k = wv.shape[1]
-    xp = np.pad(xv, ((0, 0), (0, 0), (pad_left, pad_right)))
     l_out = length + pad_left + pad_right - k + 1
     if l_out < 1:
         raise InvalidConfig("depthwise_conv1d: kernel exceeds padded length")
-    out = np.zeros((b_, c, l_out), dtype=xv.dtype)
+    if bias is not None and bias.array.shape != (c,):
+        raise ShapeMismatch(f"depthwise_conv1d: bias {bias.array.shape} != ({c},)")
+    # tap kk reads input step t + kk - pad_left for output step t: output
+    # steps [t0, t1) read input steps from s0 = t0 + kk - pad_left
+    taps = []
     for kk in range(k):
-        out += wv[None, :, kk : kk + 1] * xp[:, :, kk : kk + l_out]
+        t0, t1 = max(0, pad_left - kk), min(l_out, length + pad_left - kk)
+        if t0 < t1:
+            taps.append((kk, t0, t1, t0 + kk - pad_left))
+    out_shape = (xv.shape[0], l_out) + xv.shape[2:]
+    out = np.zeros(out_shape, dtype=xv.dtype)
+    prod = np.empty(out_shape, dtype=xv.dtype)
+    for kk, t0, t1, s0 in taps:
+        m = t1 - t0
+        out[:, t0:t1] += np.multiply(xv[:, s0 : s0 + m], wv[:, kk], out=prod[:, :m])
     if bias is not None:
-        if bias.array.shape != (c,):
-            raise ShapeMismatch(f"depthwise_conv1d: bias {bias.array.shape} != ({c},)")
-        out = out + bias.array[None, :, None]
+        out += bias.array
+    lead = tuple(range(xv.ndim - 1))
 
     def vjp_x(g):
-        gxp = np.zeros_like(xp)
-        for kk in range(k):
-            gxp[:, :, kk : kk + l_out] += wv[None, :, kk : kk + 1] * g
-        return gxp[:, :, pad_left : pad_left + length]
+        gx = np.zeros_like(xv)
+        buf = np.empty_like(g)
+        for kk, t0, t1, s0 in taps:
+            m = t1 - t0
+            gx[:, s0 : s0 + m] += np.multiply(g[:, t0:t1], wv[:, kk], out=buf[:, :m])
+        return gx
 
     def vjp_w(g):
-        gw = np.empty_like(wv)
-        for kk in range(k):
-            gw[:, kk] = (g * xp[:, :, kk : kk + l_out]).sum(axis=(0, 2))
+        gw = np.zeros_like(wv)
+        buf = np.empty_like(g)
+        for kk, t0, t1, s0 in taps:
+            m = t1 - t0
+            gw[:, kk] = np.multiply(g[:, t0:t1], xv[:, s0 : s0 + m], out=buf[:, :m]).sum(axis=lead)
         return gw
 
     pairs = [(x, vjp_x), (weight, vjp_w)]
     if bias is not None:
-        def vjp_b(g):
-            return g.sum(axis=(0, 2))
-
-        pairs.append((bias, vjp_b))
+        pairs.append((bias, lambda g: g.sum(axis=lead)))
     return apply_op(out, pairs)
 
 

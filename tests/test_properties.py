@@ -1,22 +1,27 @@
 """Property-based tests of the config format, the CSV reader's numeric
-boundaries, the window splits and the checkpoint reader."""
+boundaries, the window splits, the checkpoint reader and the scan kernel's
+block and segment sizes."""
 
 import functools
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsmamba import checkpoint as C
 from tsmamba import data as D
 from tsmamba import model as M
+from tsmamba import ssm
+from tsmamba import tensor as T
 from tsmamba.errors import CorruptCheckpoint, DataError, InvalidConfig
+from tsmamba.tensor import Tensor
 
 # values the architecture hardwires for the keys of earlier configs
 RETIRED = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
@@ -104,6 +109,37 @@ def test_load_csv_is_finite_or_raises_data_error(grid, ffill):
         assert np.isfinite(ds.values).all()
         keep = ~np.isnan(parsed)
         np.testing.assert_array_equal(ds.values[keep], parsed[keep])
+
+
+digits = st.text("0123456789", min_size=1, max_size=20)
+signs = st.sampled_from(["", "+", "-"])
+numeric_text = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(
+        "{4}{0}{1}{2}{3}{4}".format,
+        signs,
+        digits,
+        st.one_of(st.just(""), digits.map(".{}".format), st.just(".")),
+        st.one_of(st.just(""), st.builds("{}{}{}".format, st.sampled_from("eE"), signs, st.text("0123456789", min_size=1, max_size=3))),
+        st.sampled_from(["", " "]),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.lists(st.lists(numeric_text, min_size=w, max_size=w), min_size=1, max_size=8)))
+def test_load_csv_values_are_bitwise_float_of_each_cell(grid):
+    # the vectorised parse must give exactly float(cell), down to the sign of zero
+    expected = np.array([[float(c) for c in row] for row in grid])
+    assume(np.isfinite(expected).all())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(f"c{j}" for j in range(expected.shape[1])) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in grid)
+        values = D.load_csv(path, has_date_column=False).values
+    assert values.dtype == np.float64
+    assert values.tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -209,3 +245,51 @@ def test_restructured_manifest_loads_or_is_corrupt(data, value):
             node[last] = value
     raw = json.dumps(manifest).encode("utf-8")
     _load_or_corrupt(saved[:8] + len(raw).to_bytes(8, "little") + raw + saved[manifest_end:])
+
+
+@st.composite
+def scan_cases(draw):
+    length = draw(st.integers(1, 24))
+    dims = (draw(st.integers(1, 3)), length, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return dims, dtype, draw(st.integers(1, length)), draw(st.integers(1, length)), draw(st.integers(0, 2**32 - 1))
+
+
+# a_log's gradient sums its per-block contributions block by block, so only
+# its rounding may depend on the block length (seen up to 8e-7 of max|grad| in
+# float32, 2e-14 in float64)
+A_LOG_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+@settings(deadline=None, max_examples=150)
+@given(scan_cases())
+def test_scan_block_and_segment_lengths_change_no_bits(case):
+    (batch, length, d_inner, n_state), dtype, blk, segment, seed = case
+    rng = np.random.default_rng(seed)
+    p = ssm.init_ssm_params(rng, d_inner, n_state, dtype, "s")
+    for q in p.parameters():
+        q.assign((q.value.array + 0.3 * rng.standard_normal(q.value.shape)).astype(dtype))
+    x = rng.standard_normal((batch, length, d_inner)).astype(dtype)
+    proj = Tensor(rng.standard_normal((batch, length, d_inner)).astype(dtype))
+
+    def scan(blk, segment):
+        """(no-tape output, taped output, gradients of <proj, y>) with ``blk``-step blocks in ``segment``-step segments."""
+        step_bytes = batch * d_inner * n_state * np.dtype(dtype).itemsize
+        with mock.patch.object(ssm, "_BLOCK_BYTES", blk * step_bytes), mock.patch.object(ssm, "_SEGMENT", segment):
+            with T.no_grad():
+                off = ssm._selective_scan_batched(Tensor(x), p).array
+            xt = Tensor(x, requires=True)
+            on = ssm._selective_scan_batched(xt, p)
+            grads = T.grad_map(T.sum_all(T.mul(on, proj)))
+        return off, on.array, [grads[id(xt)]] + [grads[id(q.value)] for q in p.parameters()]
+
+    want_y, _, want_g = scan(length, ssm._SEGMENT)
+    off, on, got_g = scan(blk, segment)
+    assert off.tobytes() == want_y.tobytes()
+    assert on.tobytes() == want_y.tobytes()
+    for q, got, want in zip(["x", *(q.name for q in p.parameters())], got_g, want_g):
+        if q == "s.a_log":
+            tol = A_LOG_RTOL[dtype]
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+        else:
+            assert got.tobytes() == want.tobytes(), q

@@ -8,7 +8,7 @@ import pytest
 from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import tensor as T
-from tsmamba.errors import NonPositiveDt, ShapeMismatch
+from tsmamba.errors import ShapeMismatch
 from tsmamba.params import Parameter
 from tsmamba.tensor import Tensor
 
@@ -26,31 +26,81 @@ def rel_err(a, b, floor=1e-5):
     return float(np.max(np.abs(a - b) / denom))
 
 
+def make_scan_case(seed, batch=2, length=8, d_inner=3, n_state=2):
+    """SSM with perturbed, well-spread parameters plus an input and a projection."""
+    rng = np.random.default_rng(seed)
+    p = make_ssm(rng, d_inner, n_state)
+    for q in p.parameters():
+        q.assign(q.value.array + 0.3 * rng.standard_normal(q.value.shape))
+    x = rng.standard_normal((batch, length, d_inner))
+    proj = rng.standard_normal((batch, length, d_inner))
+    return p, x, proj
+
+
+def scan_loss(x, p, proj):
+    return T.sum_all(T.mul(ssm._selective_scan_batched(x, p), T.tensor(proj)))
+
+
+def force_blocks(monkeypatch, blk, segment, batch, d_inner, n_state, itemsize=8):
+    """Make the kernel run ``blk``-step blocks and ``segment``-step segments at this shape."""
+    monkeypatch.setattr(ssm, "_BLOCK_BYTES", blk * batch * d_inner * n_state * itemsize)
+    monkeypatch.setattr(ssm, "_SEGMENT", segment)
+
+
 # ---------------------------------------------------------------------------
-# ZOH discretization
+# ZOH discretization and selective maps: the kernel's coefficients against a
+# written-out numpy oracle
 # ---------------------------------------------------------------------------
+
+
+def block_coeffs(x, p):
+    """``_BlockCoeffs`` of x [B, L, d_inner] filled over the whole sequence."""
+    co = ssm._BlockCoeffs(x, ssm._scan_weights(p, x.dtype), x.shape[1])
+    co.fill(0, x.shape[1])
+    return co
+
+
+def one_step_zoh(a, b, dt_bias):
+    """The kernel's one-step ZOH terms for A [d, n], B [n] and dt = softplus(dt_bias):
+    x = 1 on every channel, W_b = B on its first row, W_dt = 0. Returns the
+    coefficients and the dt they used."""
+    d, n = a.shape
+    p = make_ssm(np.random.default_rng(0), d, n)
+    p.a_log.assign(np.log(-a))
+    w_b = np.zeros((d, n))
+    w_b[0] = b
+    p.x_to_b.assign(w_b)
+    p.x_to_dt.assign(np.zeros(d))
+    p.dt_bias.assign(np.asarray(dt_bias, dtype=np.float64))
+    co = block_coeffs(np.ones((1, 1, d)), p)
+    return co.a_bar[0, 0], co.bx[0, 0], co.dt[0, 0]
+
+
+def zoh_oracle(a, b, dt):
+    """A_bar = exp(dt*A), B_bar = (dt*A)^-1 (exp(dt*A) - 1) dt*B, with expm1 (no cancellation)."""
+    u = dt[:, None] * a
+    return np.exp(u), np.expm1(u) / u * dt[:, None] * b[None, :]
 
 
 def test_discretize_scalar_closed_form():
-    a_bar, b_bar = ssm.discretize_zoh(T.tensor([[-1.0]]), T.tensor([1.0]), T.tensor([0.5]))
+    a_bar, b_bar, _ = one_step_zoh(np.array([[-1.0]]), np.array([1.0]), [np.log(np.expm1(0.5))])
     # closed form: exp(-0.5), (exp(-0.5)-1)/(-0.5) * 0.5 = 1 - exp(-0.5)
-    assert abs(a_bar.array[0, 0] - math.exp(-0.5)) < 1e-15
-    assert abs(b_bar.array[0, 0] - (1.0 - math.exp(-0.5))) < 1e-15
+    assert abs(a_bar[0, 0] - math.exp(-0.5)) < 1e-15
+    assert abs(b_bar[0, 0] - (1.0 - math.exp(-0.5))) < 1e-15
 
 
 def test_discretize_small_dt_limit():
-    a_bar, b_bar = ssm.discretize_zoh(T.tensor([[-2.0]]), T.tensor([3.0]), T.tensor([1e-9]))
-    assert abs(a_bar.array[0, 0] - 1.0) < 1e-8
-    assert abs(b_bar.array[0, 0]) < 1e-8
+    a_bar, b_bar, _ = one_step_zoh(np.array([[-2.0]]), np.array([3.0]), [np.log(np.expm1(1e-9))])
+    assert abs(a_bar[0, 0] - 1.0) < 1e-8
+    assert abs(b_bar[0, 0]) < 1e-8
 
 
 def test_discretize_small_branch_matches_expm1_oracle():
     # |dt*A| = 1e-8 takes the first-order branch; compare against the exact
     # input factor evaluated with expm1 (no cancellation).
-    a, dt, b = -1.0, 1e-8, 1.0
-    _, b_bar = ssm.discretize_zoh(T.tensor([[a]]), T.tensor([b]), T.tensor([dt]))
-    exact = np.expm1(dt * a) / (dt * a) * dt * b
-    assert abs(b_bar.array[0, 0] - exact) < 1e-10
+    a = np.array([[-1.0]])
+    _, b_bar, dt = one_step_zoh(a, np.array([1.0]), [np.log(np.expm1(1e-8))])
+    assert abs(b_bar[0, 0] - zoh_oracle(a, np.array([1.0]), dt)[1][0, 0]) < 1e-10
 
 
 def test_discretize_matches_oracle_across_magnitudes():
@@ -58,57 +108,48 @@ def test_discretize_matches_oracle_across_magnitudes():
     a = -np.exp(rng.uniform(-2, 2, size=(3, 4)))
     b = rng.standard_normal(4)
     dt = np.exp(rng.uniform(np.log(1e-4), np.log(1.0), size=3))
-    a_bar, b_bar = ssm.discretize_zoh(T.tensor(a), T.tensor(b), T.tensor(dt))
-    u = dt[:, None] * a
-    np.testing.assert_allclose(a_bar.array, np.exp(u), rtol=1e-14)
-    np.testing.assert_allclose(b_bar.array, np.expm1(u) / u * dt[:, None] * b[None, :], rtol=1e-10)
+    a_bar, b_bar, dt_used = one_step_zoh(a, b, np.log(np.expm1(dt)))
+    np.testing.assert_allclose(dt_used, dt, rtol=1e-12)
+    want_a, want_b = zoh_oracle(a, b, dt_used)
+    np.testing.assert_allclose(a_bar, want_a, rtol=1e-14)
+    np.testing.assert_allclose(b_bar, want_b, rtol=1e-10)
 
 
-def test_discretize_rejects_nonpositive_dt():
-    with pytest.raises(NonPositiveDt):
-        ssm.discretize_zoh(T.tensor([[-1.0]]), T.tensor([1.0]), T.tensor([0.0]))
+def test_discretize_zero_dt_is_identity_step():
+    # softplus underflows to dt = 0 for a very negative pre-activation; the
+    # step must then be the identity, without a 0/0 in the input factor
+    a_bar, b_bar, dt = one_step_zoh(np.array([[-1.0, -3.0]]), np.array([1.0, 2.0]), [-800.0])
+    assert dt[0] == 0.0
+    np.testing.assert_array_equal(a_bar, np.ones((1, 2)))
+    np.testing.assert_array_equal(b_bar, np.zeros((1, 2)))
 
 
 def test_discretize_gradients():
-    rng = np.random.default_rng(1)
-    a = -np.exp(rng.uniform(-1, 1, size=(2, 3)))
-    b = rng.standard_normal(3)
-    dt = np.exp(rng.uniform(-3, -1, size=2))
-    proj_a = rng.standard_normal((2, 3))
-    proj_b = rng.standard_normal((2, 3))
+    # the scan's adjoint of the ZOH terms (through phi and a_bar) against
+    # central differences, with dt spread over four decades
+    p, x, proj = make_scan_case(1, batch=1, length=2, d_inner=3, n_state=2)
+    p.dt_bias.assign(np.log(np.expm1(np.array([1e-4, 1e-2, 1.0]))))
+    for q in (p.a_log, p.dt_bias):
+        analytic = T.grad_map(scan_loss(T.tensor(x), p, proj))[id(q.value)]
+        base = q.value.array.copy()
 
-    def loss_of_a(at):
-        ab, bb = ssm.discretize_zoh(at, T.tensor(b), T.tensor(dt))
-        return T.sum_all(T.add(T.mul(ab, T.tensor(proj_a)), T.mul(bb, T.tensor(proj_b))))
+        def f(t, q=q):
+            q.assign(t.array)
+            return scan_loss(T.tensor(x), p, proj)
 
-    def loss_of_dt(dtt):
-        ab, bb = ssm.discretize_zoh(T.tensor(a), T.tensor(b), dtt)
-        return T.sum_all(T.add(T.mul(ab, T.tensor(proj_a)), T.mul(bb, T.tensor(proj_b))))
-
-    at = Tensor(a.copy(), requires=True)
-    grads = T.grad_map(loss_of_a(at))
-    fd = T.finite_diff_grad(loss_of_a, T.tensor(a), 1e-6)
-    assert rel_err(grads[id(at)], fd.array) < 1e-4
-
-    dtt = Tensor(dt.copy(), requires=True)
-    grads = T.grad_map(loss_of_dt(dtt))
-    fd = T.finite_diff_grad(loss_of_dt, T.tensor(dt), 1e-7)
-    assert rel_err(grads[id(dtt)], fd.array) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# Selective parameter maps
-# ---------------------------------------------------------------------------
+        fd = T.finite_diff_grad(f, T.tensor(base), 1e-7)
+        q.assign(base)
+        assert rel_err(analytic, fd.array) < 1e-4, q.name
 
 
 def test_selective_params_zero_input():
     rng = np.random.default_rng(2)
     p = make_ssm(rng, 4, 3)
-    b_t, c_t, dt_t = ssm.selective_params(T.zeros(4), p)
-    np.testing.assert_array_equal(b_t.array, np.zeros(3))
-    np.testing.assert_array_equal(c_t.array, np.zeros(3))
+    co = block_coeffs(np.zeros((1, 1, 4)), p)
+    np.testing.assert_array_equal(co.b, np.zeros((1, 1, 3)))
+    np.testing.assert_array_equal(co.c, np.zeros((1, 1, 3)))
     expected_dt = np.log1p(np.exp(p.dt_bias.value.array))
-    np.testing.assert_allclose(dt_t.array, expected_dt, rtol=1e-12)
+    np.testing.assert_allclose(co.dt[0, 0], expected_dt, rtol=1e-12)
 
 
 def test_selective_params_softplus_zero_is_ln2():
@@ -116,21 +157,23 @@ def test_selective_params_softplus_zero_is_ln2():
     p = make_ssm(rng, 4, 3)
     p.x_to_dt.assign(np.zeros(4))
     p.dt_bias.assign(np.zeros(4))
-    _, _, dt_t = ssm.selective_params(T.tensor(np.random.default_rng(0).standard_normal(4)), p)
-    np.testing.assert_allclose(dt_t.array, np.full(4, math.log(2.0)), rtol=1e-12)
+    co = block_coeffs(np.random.default_rng(0).standard_normal((1, 1, 4)), p)
+    np.testing.assert_allclose(co.dt[0, 0], np.full(4, math.log(2.0)), rtol=1e-12)
 
 
 def test_selective_params_matches_matvec_oracle():
     rng = np.random.default_rng(4)
     p = make_ssm(rng, 5, 3)
-    x = rng.standard_normal(5)
-    b_t, c_t, dt_t = ssm.selective_params(T.tensor(x), p)
-    np.testing.assert_allclose(b_t.array, x @ p.x_to_b.value.array, rtol=1e-12)
-    np.testing.assert_allclose(c_t.array, x @ p.x_to_c.value.array, rtol=1e-12)
-    s = float(x @ p.x_to_dt.value.array)
-    np.testing.assert_allclose(
-        dt_t.array, np.log1p(np.exp(p.dt_bias.value.array + s)), rtol=1e-12
-    )
+    x = rng.standard_normal((2, 3, 5))
+    co = block_coeffs(x, p)
+    for i in range(2):
+        for t in range(3):
+            xt = x[i, t]
+            np.testing.assert_allclose(co.b[i, t], xt @ p.x_to_b.value.array, rtol=1e-12)
+            np.testing.assert_allclose(co.c[i, t], xt @ p.x_to_c.value.array, rtol=1e-12)
+            dt = np.log1p(np.exp(p.dt_bias.value.array + float(xt @ p.x_to_dt.value.array)))
+            np.testing.assert_allclose(co.dt[i, t], dt, rtol=1e-12)
+            np.testing.assert_allclose(co.dtx[i, t], dt * xt, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -166,25 +209,12 @@ def test_parallel_recurrence_matches_sequential(length):
     assert np.max(np.abs(h_par - h_seq)) < 1e-12
 
 
-def make_scan_case(seed, batch=2, length=8, d_inner=3, n_state=2):
-    """SSM with perturbed, well-spread parameters plus an input and a projection."""
-    rng = np.random.default_rng(seed)
-    p = make_ssm(rng, d_inner, n_state)
-    for q in p.parameters():
-        q.assign(q.value.array + 0.3 * rng.standard_normal(q.value.shape))
-    x = rng.standard_normal((batch, length, d_inner))
-    proj = rng.standard_normal((batch, length, d_inner))
-    return p, x, proj
-
-
-def scan_loss(x, p, proj):
-    return T.sum_all(T.mul(ssm._selective_scan_batched(x, p), T.tensor(proj)))
-
-
 def test_scan_recurrence_gradients(monkeypatch):
-    # 3-step blocks: the 8-step sequence spans three blocks, so the backward
-    # carries the state adjoint across block boundaries.
-    monkeypatch.setattr(ssm, "_SEQ_BLOCK", 3)
+    # 3-step blocks in 5-step segments: the 8-step sequence runs as blocks
+    # [0, 3), [3, 5), [5, 8), so the backward recomputes block-entry states
+    # from a saved segment state and carries the state adjoint across block
+    # and segment boundaries.
+    force_blocks(monkeypatch, 3, 5, batch=2, d_inner=3, n_state=2)
     p, x, proj = make_scan_case(6)
     xt = Tensor(x.copy(), requires=True)
     grads = T.grad_map(scan_loss(xt, p, proj))
@@ -205,7 +235,7 @@ def test_scan_recurrence_gradients(monkeypatch):
 
 
 def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
-    monkeypatch.setattr(ssm, "_SEQ_BLOCK", 3)
+    force_blocks(monkeypatch, 3, 5, batch=2, d_inner=3, n_state=2)
     p, x, proj = make_scan_case(23)
     xt = Tensor(x.copy(), requires=True)
     trained = T.grad_map(scan_loss(xt, p, proj))[id(xt)]
@@ -231,6 +261,35 @@ def test_scan_adjoint_follows_each_gradient():
         xf = Tensor(x.copy(), requires=True)
         want = T.grad_map(scan_loss(xf, p, weights))[id(xf)]
         assert got.tobytes() == want.tobytes()
+
+
+def held_arrays(fns):
+    """Every distinct array reachable from vjp closures, through nested closures and containers."""
+    seen, stack, out = set(), list(fns), []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif callable(obj):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return out
+
+
+@pytest.mark.parametrize("length", [1, 256, 257, 600])
+def test_taped_scan_keeps_one_state_per_segment(monkeypatch, length):
+    # 7-step blocks: a state kept per block would show up as extra arrays
+    force_blocks(monkeypatch, 7, ssm._SEGMENT, batch=2, d_inner=3, n_state=2)
+    p, x, _ = make_scan_case(26, batch=2, length=length, d_inner=3, n_state=2)
+    y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
+    states = [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 3, 2)]
+    assert len(states) == math.ceil(length / ssm._SEGMENT)
+    with T.no_grad():
+        assert not ssm._selective_scan_batched(Tensor(x), p).pairs
 
 
 def test_scan_rejects_input_dtype_mismatch():
@@ -282,8 +341,7 @@ def test_state_bound_constant_coefficients():
 def test_a_bar_strictly_inside_unit_interval():
     rng = np.random.default_rng(9)
     p = make_ssm(rng, 6, 4)
-    co = ssm._BlockCoeffs(ssm._scan_weights(p, np.float64), 2, 10, np.float64)
-    co.fill(rng.standard_normal((2, 10, 6)))
+    co = block_coeffs(rng.standard_normal((2, 10, 6)), p)
     assert np.all(co.a_bar > 0.0)
     assert np.all(co.a_bar < 1.0)
 
@@ -305,11 +363,11 @@ def test_selective_scan_single_step_unrolls():
     p = make_ssm(rng, 3, 2)
     x = rng.standard_normal((3, 1))
     y = ssm.selective_scan_sequential(T.tensor(x), p)
-    b_t, c_t, dt_t = ssm.selective_params(T.tensor(x[:, 0]), p)
-    a = -np.exp(p.a_log.value.array)
-    a_bar, b_bar = ssm.discretize_zoh(T.tensor(a), b_t, dt_t)
-    h1 = b_bar.array * x[:, 0][:, None]
-    expected = h1 @ c_t.array + p.d_skip.value.array * x[:, 0]
+    xt = x[:, 0]
+    dt = np.log1p(np.exp(p.dt_bias.value.array + float(xt @ p.x_to_dt.value.array)))
+    _, b_bar = zoh_oracle(-np.exp(p.a_log.value.array), xt @ p.x_to_b.value.array, dt)
+    h1 = b_bar * xt[:, None]
+    expected = h1 @ (xt @ p.x_to_c.value.array) + p.d_skip.value.array * xt
     np.testing.assert_allclose(y.array[:, 0], expected, rtol=1e-12)
 
 
@@ -348,10 +406,10 @@ def test_selective_scan_shape_check():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_tape_on_and_off_agree_exactly(dtype):
-    # one kernel runs either way; the scan spans a block boundary
+    # one kernel runs either way; the scan spans a segment boundary
     rng = np.random.default_rng(16)
     p = make_ssm(rng, 4, 3, dtype=dtype)
-    x = Tensor(rng.standard_normal((4, ssm._SEQ_BLOCK + 33)).astype(dtype), requires=True)
+    x = Tensor(rng.standard_normal((4, ssm._SEGMENT + 33)).astype(dtype), requires=True)
     with T.no_grad():
         off = ssm.selective_scan_sequential(x, p)
     on = ssm.selective_scan_sequential(x, p)
