@@ -16,22 +16,22 @@ from tsmamba.tensor import Tensor
 rng = np.random.default_rng(0)
 
 print("== zero-order hold discretization ==")
-# The kernel computes its coefficients in _BlockCoeffs: the selective maps for
-# the whole sequence, the ZOH terms one time block at a time. Scalar system
+# The kernel computes its coefficients in _StepCoeffs: the selective maps for
+# the whole sequence, the ZOH terms one step at a time. Scalar system
 # A=-1, B=1, x=1, dt=softplus(dt_bias)=0.5: A_bar = exp(-0.5), B_bar = 1-exp(-0.5).
 scalar = ssm.init_ssm_params(rng, d_inner=1, n_state=1, dtype=np.float64, prefix="scalar")
 scalar.a_log.assign(np.zeros((1, 1)))
 scalar.x_to_b.assign(np.ones((1, 1)))
 scalar.x_to_dt.assign(np.zeros(1))
 scalar.dt_bias.assign(np.log(np.expm1([0.5])))
-co = ssm._BlockCoeffs(np.ones((1, 1, 1)), ssm._scan_weights(scalar, np.float64), 1)
-co.fill(0, 1)
-print(f"A_bar = {co.a_bar[0, 0, 0, 0]:.6f}   (exp(-0.5) = {np.exp(-0.5):.6f})")
-print(f"B_bar = {co.bx[0, 0, 0, 0]:.6f}   (1-exp(-0.5) = {1-np.exp(-0.5):.6f})")
+co = ssm._StepCoeffs(np.ones((1, 1, 1)), ssm._scan_weights(scalar, np.float64))
+co.fill(0)
+print(f"A_bar = {co.a_bar[0, 0, 0]:.6f}   (exp(-0.5) = {np.exp(-0.5):.6f})")
+print(f"B_bar = {co.bx[0, 0, 0]:.6f}   (1-exp(-0.5) = {1-np.exp(-0.5):.6f})")
 
 print("\n== input-dependent parameters ==")
 params = ssm.init_ssm_params(rng, d_inner=6, n_state=4, dtype=np.float64, prefix="demo")
-co = ssm._BlockCoeffs(rng.standard_normal((1, 200, 6)), ssm._scan_weights(params, np.float64), 200)
+co = ssm._StepCoeffs(rng.standard_normal((1, 200, 6)), ssm._scan_weights(params, np.float64))
 print(f"B_t shape {co.b.shape[2:]}, C_t shape {co.c.shape[2:]} per step, dt range [{co.dt.min():.4f}, {co.dt.max():.4f}]")
 
 print("\n== sequential vs parallel evaluation ==")

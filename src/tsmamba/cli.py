@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -51,15 +52,48 @@ def _err(msg: str) -> None:
 # Run configuration (strict JSON)
 # ---------------------------------------------------------------------------
 
+# each section's keys, with their JSON kinds and defaults
+_STAGE1_KEYS = {
+    "epochs": (int, 2),
+    "batch_size": (int, 64),
+    "lr": (float, 1e-3),
+    "weight_decay": (float, 0.0),
+    "grad_clip_norm": (float, 1.0),
+}
+_STAGE2_KEYS = {
+    "epochs": (int, 2),
+    "batch_size": (int, 64),
+    "lr_new": (float, 1e-3),
+    "lr_backbone": (float, 1e-5),
+    "weight_decay": (float, 0.0),
+    "grad_clip_norm": (float, 1.0),
+}
+_FINETUNE_KEYS = {
+    "epochs": (int, 1),
+    "batch_size": (int, 32),
+    "lr": (float, 5e-4),
+    "weight_decay": (float, 0.0),
+    "grad_clip_norm": (float, 1.0),
+    "min_samples_for_xchannel": (int, 10_000),
+}
+_SPLIT_KEYS = {f.name: (float, f.default) for f in dataclasses.fields(D.SplitSpec)}
 _TOP_KEYS = {"seed", "precision", "window_stride", "model", "split", "stage1", "stage2", "finetune"}
-_STAGE1_KEYS = {"epochs", "batch_size", "lr", "weight_decay", "grad_clip_norm"}
-_STAGE2_KEYS = {"epochs", "batch_size", "lr_new", "lr_backbone", "weight_decay", "grad_clip_norm"}
-_FINETUNE_KEYS = {"epochs", "batch_size", "lr", "weight_decay", "grad_clip_norm", "min_samples_for_xchannel"}
-_SPLIT_KEYS = {"train_frac", "val_frac", "test_frac"}
+
+
+def _check_section(section, keys: dict, name: str) -> dict:
+    """The values of a config section, each of its key's JSON kind, with
+    defaults filled in; rejects unknown keys."""
+    if not isinstance(section, dict):
+        raise InvalidConfig(f"config section {name!r} must be an object")
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise InvalidConfig(f"unknown {name} keys: {sorted(unknown)}")
+    return {k: M.json_typed(name, k, section.get(k, default), kind) for k, (kind, default) in keys.items()}
 
 
 class RunConfig:
-    """Parsed training configuration; rejects unknown keys everywhere."""
+    """Parsed training configuration; rejects unknown keys and values of the
+    wrong JSON type everywhere."""
 
     def __init__(self, raw: dict):
         if not isinstance(raw, dict):
@@ -67,38 +101,24 @@ class RunConfig:
         unknown = set(raw) - _TOP_KEYS
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-        self.seed = int(raw.get("seed", 0))
+        self.seed = M.json_typed("config", "seed", raw.get("seed", 0), int)
         precision = raw.get("precision", "float32")
         if precision not in ("float32", "float64"):
             raise InvalidConfig(f"precision must be float32 or float64, got {precision!r}")
         self.dtype = np.float32 if precision == "float32" else np.float64
-        self.window_stride = int(raw.get("window_stride", 1))
+        self.window_stride = M.json_typed("config", "window_stride", raw.get("window_stride", 1), int)
         if self.window_stride < 1:
             raise InvalidConfig("window_stride must be >= 1")
 
         model_section = raw.get("model")
         if not isinstance(model_section, dict):
             raise InvalidConfig("config requires a 'model' object")
-        self.model_section = dict(model_section)
+        self.model_section = M.ModelConfig.typed_dict(model_section)
 
-        split_section = dict(raw.get("split", {}))
-        unknown = set(split_section) - _SPLIT_KEYS
-        if unknown:
-            raise InvalidConfig(f"unknown split keys: {sorted(unknown)}")
-        self.split = D.SplitSpec(**split_section)
-
-        self._stage1 = self._check_section(raw.get("stage1", {}), _STAGE1_KEYS, "stage1")
-        self._stage2 = self._check_section(raw.get("stage2", {}), _STAGE2_KEYS, "stage2")
-        self._finetune = self._check_section(raw.get("finetune", {}), _FINETUNE_KEYS, "finetune")
-
-    @staticmethod
-    def _check_section(section, allowed, name) -> dict:
-        if not isinstance(section, dict):
-            raise InvalidConfig(f"config section {name!r} must be an object")
-        unknown = set(section) - allowed
-        if unknown:
-            raise InvalidConfig(f"unknown {name} keys: {sorted(unknown)}")
-        return dict(section)
+        self.split = D.SplitSpec(**_check_section(raw.get("split", {}), _SPLIT_KEYS, "split"))
+        self._stage1 = _check_section(raw.get("stage1", {}), _STAGE1_KEYS, "stage1")
+        self._stage2 = _check_section(raw.get("stage2", {}), _STAGE2_KEYS, "stage2")
+        self._finetune = _check_section(raw.get("finetune", {}), _FINETUNE_KEYS, "finetune")
 
     def model_config(self, n_channels: int) -> M.ModelConfig:
         section = dict(self.model_section)
@@ -106,37 +126,13 @@ class RunConfig:
         return M.ModelConfig.from_dict(section)
 
     def stage1_config(self) -> TR.StageConfig:
-        s = self._stage1
-        return TR.stage1_config(
-            epochs=int(s.get("epochs", 2)),
-            batch_size=int(s.get("batch_size", 64)),
-            lr=float(s.get("lr", 1e-3)),
-            weight_decay=float(s.get("weight_decay", 0.0)),
-            grad_clip_norm=float(s.get("grad_clip_norm", 1.0)),
-        )
+        return TR.stage1_config(**self._stage1)
 
     def stage2_config(self) -> TR.StageConfig:
-        s = self._stage2
-        return TR.stage2_config(
-            epochs=int(s.get("epochs", 2)),
-            batch_size=int(s.get("batch_size", 64)),
-            lr_new=float(s.get("lr_new", 1e-3)),
-            lr_backbone=float(s.get("lr_backbone", 1e-5)),
-            weight_decay=float(s.get("weight_decay", 0.0)),
-            grad_clip_norm=float(s.get("grad_clip_norm", 1.0)),
-        )
+        return TR.stage2_config(**self._stage2)
 
     def finetune_config(self, enable_xchannel: bool) -> TR.StageConfig:
-        s = self._finetune
-        return TR.finetune_config(
-            epochs=int(s.get("epochs", 1)),
-            batch_size=int(s.get("batch_size", 32)),
-            lr=float(s.get("lr", 5e-4)),
-            weight_decay=float(s.get("weight_decay", 0.0)),
-            grad_clip_norm=float(s.get("grad_clip_norm", 1.0)),
-            enable_xchannel=enable_xchannel,
-            min_samples_for_xchannel=int(s.get("min_samples_for_xchannel", 10_000)),
-        )
+        return TR.finetune_config(**self._finetune, enable_xchannel=enable_xchannel)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -254,18 +250,10 @@ def _run_finetune(args) -> int:
     y = D.stack_targets(train).astype(rc.dtype)
     n, d = x.shape[0], x.shape[1]
 
-    probe = rc.finetune_config(enable_xchannel=False)
-    gate_ok, reason = TR.xchannel_gate(probe, n, d)
-    if args.xchannel == "on":
-        if d < 2:
-            raise InvalidConfig("--xchannel on requires at least 2 channels")
-        enable = True
-        reason = "forced on"
-    elif args.xchannel == "off":
-        enable = False
-        reason = "forced off"
+    if args.xchannel == "auto":
+        enable, reason = TR.xchannel_gate(rc.finetune_config(enable_xchannel=False), n, d)
     else:
-        enable = gate_ok
+        enable, reason = args.xchannel == "on", f"forced {args.xchannel}"
     _err(f"cross-channel attention {'enabled' if enable else 'disabled'}: {reason}")
 
     cfg = rc.finetune_config(enable_xchannel=enable)

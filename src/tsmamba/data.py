@@ -89,11 +89,14 @@ def load_csv(
     first cell of every data row is non-numeric. Non-numeric body cells raise
     ParseError and infinite ones (``inf``, or overflowing like ``1e999``)
     DataError, each naming the 1-based row/column; uneven row widths raise
-    RaggedRows. NaNs are rejected unless ``ffill`` forward-fills them (leading
-    NaNs still reject).
+    RaggedRows, and text that is not UTF-8 or not CSV ParseError. NaNs are
+    rejected unless ``ffill`` forward-fills them (leading NaNs still reject).
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, an oversized field
+        raise ParseError(f"{path}: not a readable CSV: {exc}") from None
     if not rows:
         raise DataError(f"{path}: empty file")
     width = len(rows[0])

@@ -9,7 +9,8 @@ attention module, which deliberately mixes channels during fine-tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -26,6 +27,19 @@ EXPAND_FACTOR = 2  # Mamba block inner width = EXPAND_FACTOR * d_model
 # Keys of configs written before these choices were fixed; each is accepted
 # only at the value the architecture now hardwires.
 _RETIRED_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
+
+_JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
+
+
+def json_typed(section: str, key: str, value, kind: type):
+    """``value`` of config key ``section``.``key`` as ``kind`` (int, float or
+    bool), if its JSON type fits: an integer is not a bool, a float may be
+    an integer but must be finite, a bool must be true or false."""
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        value = float(value)
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise InvalidConfig(f"{section} key {key!r} must be {_JSON_KINDS[kind]}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -89,15 +103,26 @@ class ModelConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
+    def typed_dict(cls, d: dict) -> dict:
+        """The keys of ``d`` without the retired ones, each value checked
+        against its field's JSON kind; rejects unknown keys."""
         d = dict(d)
         for key, fixed in _RETIRED_KEYS.items():
             value = d.pop(key, fixed)
             if type(value) is not type(fixed) or value != fixed:
                 raise InvalidConfig(f"{key} {value!r} is not supported; the architecture fixes it at {fixed!r}")
-        unknown = set(d) - {f.name for f in fields(cls)}
+        kinds = {f.name: {"int": int, "float": float, "bool": bool}[f.type] for f in fields(cls)}
+        unknown = set(d) - set(kinds)
         if unknown:
             raise InvalidConfig(f"unknown ModelConfig keys: {sorted(unknown)}")
+        return {k: json_typed("model", k, v, kinds[k]) for k, v in d.items()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelConfig":
+        d = cls.typed_dict(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
+        if missing:
+            raise InvalidConfig(f"model config lacks keys: {sorted(missing)}")
         return cls(**d)
 
 

@@ -4,13 +4,11 @@ The continuous system h' = A h + B x, y = C h is discretized per step with a
 zero-order hold and input-dependent (B, C, dt), then evaluated as a strict
 left-to-right recurrence by one kernel, with the tape on or off. The kernel
 computes the token-sized maps (B, C, dt) once per scan and the state-sized
-ZOH terms one time block at a time, with the block length chosen so that one
-[B, blk, d_inner, n_state] buffer stays within a fixed byte budget; so no
-output depends on the block length. The tape records a scan as a single op
-that keeps only the state entering each 256-step segment. Its backward walks
-the segments in reverse, recomputes the states entering the segment's
-blocks, then walks those blocks in reverse, recomputing each block's
-coefficients, so training stores no per-step coefficient or state arrays.
+ZOH terms one step at a time. The tape records a scan as a single op that
+keeps only the state entering each 256-step segment. Its backward walks the
+segments in reverse, recomputes the segment's states once, then walks its
+steps in reverse, recomputing each step's coefficients, so training stores
+no per-step coefficient arrays and at most one segment of states.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -170,42 +168,29 @@ def init_encoder(
 # ---------------------------------------------------------------------------
 
 _SEGMENT = 256  # time steps per state a taped scan keeps for its backward
-# bytes of one state-sized [B, blk, d_inner, n_state] buffer: of 128 KiB to
-# 4 MiB, 512 KiB tied for the fastest train and evaluate scans on a host
-# with 2 MiB of L2 per core
-_BLOCK_BYTES = 1 << 19
 
 
-def _blocks(start: int, stop: int, blk: int) -> list[tuple[int, int]]:
-    """The ``[t0, t1)`` blocks of at most ``blk`` steps that tile ``[start, stop)``."""
-    return [(t, min(t + blk, stop)) for t in range(start, stop, blk)]
-
-
-class _BlockCoeffs:
+class _StepCoeffs:
     """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
-    for the whole sequence, the state-sized ZOH terms one time block at a time.
+    for the whole sequence, the state-sized ZOH terms one step at a time.
 
     The maps b = x W_b, c = x W_c, pre = x W_dt + dt_bias, dt = softplus(pre)
-    and dtx = dt * x are computed once over the whole sequence, so their bits
-    do not depend on the block length. The products stay one [L, d_inner]
-    GEMM per batch row: a single [B*L, d_inner] GEMM is no faster here and
-    rounds differently at d_inner >= 512 in float32 with OpenBLAS, which
-    would change the model's outputs.
+    and dtx = dt * x are computed once over the whole sequence. The products
+    stay one [L, d_inner] GEMM per batch row: a single [B*L, d_inner] GEMM is
+    no faster here and rounds differently at d_inner >= 512 in float32 with
+    OpenBLAS, which would change the model's outputs.
 
-    ``fill(t0, t1)`` computes, for steps [t0, t1), u = dt*A, a_bar = exp(u),
-    phi = (a_bar - 1)/u (1 where |u| is tiny, flagged in ``small``; ``u``
-    then holds 1 there, the safe divisor) and bx = phi * dtx * b, as views
-    into [B, blk, d_inner, n_state] buffers allocated once. These are the
-    only arrays that grow with the state; the caller picks ``blk`` so that
-    each stays within ``_BLOCK_BYTES`` and the state passes run from cache.
-    Outer products go through einsum, about twice as fast as a broadcast
-    multiply over the short state axis.
+    ``fill(t)`` computes, for step t, u = dt*A, a_bar = exp(u), phi =
+    (a_bar - 1)/u (1 where |u| is tiny, flagged in ``small``; ``u`` then holds
+    1 there, the safe divisor) and bx = phi * dtx * b into [B, d_inner,
+    n_state] buffers allocated once, the only arrays that grow with the
+    state. Outer products go through einsum, about twice as fast as a
+    broadcast multiply over the short state axis.
     """
 
-    def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int):
+    def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...]):
         w_b, w_c, w_dt, dt_bias, self.a, _ = weights
         b_, _, d = x.shape
-        n = self.a.shape[1]
         self.b = np.matmul(x, w_b)
         self.c = np.matmul(x, w_c)
         self.pre = np.matmul(x, w_dt) + dt_bias
@@ -217,22 +202,19 @@ class _BlockCoeffs:
         np.log1p(self.dt, out=self.dt)
         self.dt += np.maximum(self.pre, 0.0)
         self.dtx = self.dt * x
-        self.ah = np.empty((b_, d, n), dtype=x.dtype)  # scratch state for the recurrence
-        shape = (b_, blk, d, n)
-        self._buffers = {name: np.empty(shape, dtype=x.dtype) for name in ("u", "a_bar", "phi", "bx")}
-        self._buffers["small"] = np.empty(shape, dtype=bool)
+        shape = (b_, d, self.a.shape[1])
+        self.u, self.a_bar, self.phi, self.bx = (np.empty(shape, dtype=x.dtype) for _ in range(4))
+        self.small = np.empty(shape, dtype=bool)
 
-    def fill(self, t0: int, t1: int) -> None:
-        for name, buf in self._buffers.items():
-            setattr(self, name, buf[:, : t1 - t0])
-        np.einsum("btd,dn->btdn", self.dt[:, t0:t1], self.a, out=self.u)
+    def fill(self, t: int) -> None:
+        np.einsum("bd,dn->bdn", self.dt[:, t], self.a, out=self.u)
         np.exp(self.u, out=self.a_bar)
         np.greater(self.u, -SMALL_DT_A, out=self.small)  # u <= 0: dt >= 0 and A < 0
         np.copyto(self.u, 1.0, where=self.small)
         np.subtract(self.a_bar, 1.0, out=self.phi)
         np.divide(self.phi, self.u, out=self.phi)
         np.copyto(self.phi, 1.0, where=self.small)
-        np.einsum("btd,btn->btdn", self.dtx[:, t0:t1], self.b[:, t0:t1], out=self.bx)
+        np.einsum("bd,bn->bdn", self.dtx[:, t], self.b[:, t], out=self.bx)
         np.multiply(self.phi, self.bx, out=self.bx)
 
 
@@ -252,45 +234,35 @@ def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
     )
 
 
-def _block_states(co: _BlockCoeffs, h: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """h_t = a_bar_t h_{t-1} + bx_t over the block filled in ``co`` from the
-    state ``h`` entering it, written to ``hs`` (which may be ``co.bx``
-    itself). Returns the last state, a view into ``hs``."""
-    for t in range(hs.shape[1]):
-        np.multiply(co.a_bar[:, t], h, out=co.ah)
-        h = np.add(co.ah, co.bx[:, t], out=hs[:, t])
-    return h
-
-
-def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int, saved: list | None = None) -> np.ndarray:
-    """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], strictly left to
-    right in time blocks of ``blk`` steps that never straddle a segment of
-    ``_SEGMENT`` steps. A list passed as ``saved`` receives the state entering
-    each segment, which is all the backward pass keeps.
+def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], saved: list | None = None) -> np.ndarray:
+    """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], one step at a
+    time, strictly left to right. A list passed as ``saved`` receives the
+    state entering each segment of ``_SEGMENT`` steps, which is all the
+    backward pass keeps.
     """
     b_, l_, d = x.shape
-    co = _BlockCoeffs(x, weights, blk)
+    co = _StepCoeffs(x, weights)
     ys = np.empty((b_, l_, d), dtype=x.dtype)
     h = np.zeros((b_, d, co.a.shape[1]), dtype=x.dtype)
-    for seg in range(0, l_, _SEGMENT):
-        if saved is not None:
+    for t in range(l_):
+        if saved is not None and t % _SEGMENT == 0:
             saved.append(h.copy())
-        for t0, t1 in _blocks(seg, min(seg + _SEGMENT, l_), blk):
-            co.fill(t0, t1)
-            np.copyto(h, _block_states(co, h, co.bx))  # co.bx now holds the block's states
-            ys[:, t0:t1] = np.matmul(co.bx, co.c[:, t0:t1, :, None])[..., 0]
+        co.fill(t)
+        h *= co.a_bar
+        h += co.bx
+        ys[:, t] = np.matmul(h, co.c[:, t, :, None])[..., 0]
     ys += weights[5] * x
     return ys
 
 
-def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], blk: int, saved: list):
+def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], saved: list):
     """Gradients of <g, y> for y from :func:`_sequential_scan_np`, as
     (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip).
 
-    Walks the segments in reverse. For each, it recomputes the states
-    entering the segment's blocks from the segment's saved state, then walks
-    those blocks in reverse, recomputing each block's ZOH terms and states
-    with the forward's operations, so they are bit-identical to the
+    Walks the segments in reverse. For each, it recomputes the segment's
+    states once from its saved state, then walks the segment's steps in
+    reverse, filling each step's ZOH terms again, since they are not stored.
+    Both use the forward's operations, so they are bit-identical to the
     forward's; spent buffers are reused as scratch. The per-step adjoints of
     the token-sized maps are gathered over the whole sequence and turned
     into gradients once, after the walk.
@@ -298,10 +270,9 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     b_, l_, d = x.shape
     w_b, w_c, w_dt, _, a, d_skip = weights
     n = a.shape[1]
-    co = _BlockCoeffs(x, weights, blk)
-    entry = np.empty((-(-min(l_, _SEGMENT) // blk), b_, d, n), dtype=x.dtype)  # states entering a segment's blocks
-    hs = np.empty((b_, blk, d, n), dtype=x.dtype)
-    lam = np.empty_like(hs)  # state adjoint dL/dh_t
+    co = _StepCoeffs(x, weights)
+    hs = np.empty((min(l_, _SEGMENT) + 1, b_, d, n), dtype=x.dtype)  # hs[i] = h_{seg+i-1}
+    lam = np.empty((b_, d, n), dtype=x.dtype)  # state adjoint dL/dh_t
     g_b, g_c = np.empty_like(co.b), np.empty_like(co.c)
     rb = np.empty_like(co.dtx)  # dL/d(dtx)
     g_ua = np.empty_like(co.dtx)  # dL/du contracted with A over the state axis
@@ -309,47 +280,41 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     carry = np.zeros((b_, d, n), dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
     for k in range(len(saved) - 1, -1, -1):
         seg = k * _SEGMENT
-        blocks = _blocks(seg, min(seg + _SEGMENT, l_), blk)
-        entry[0] = saved[k]
-        for j, (t0, t1) in enumerate(blocks[:-1]):
-            co.fill(t0, t1)
-            np.copyto(entry[j + 1], _block_states(co, entry[j], co.bx))
-        for j in range(len(blocks) - 1, -1, -1):
-            t0, t1 = blocks[j]
-            co.fill(t0, t1)
-            hv, lv = hs[:, : t1 - t0], lam[:, : t1 - t0]
-            _block_states(co, entry[j], hv)
-            gb = g[:, t0:t1]
+        steps = min(_SEGMENT, l_ - seg)
+        hs[0] = saved[k]
+        for i in range(steps):
+            co.fill(seg + i)
+            np.multiply(co.a_bar, hs[i], out=hs[i + 1])
+            hs[i + 1] += co.bx
+        for i in range(steps - 1, -1, -1):
+            t = seg + i
+            co.fill(t)
             # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
             # adjoint lam_t = g_t c_t + a_bar_{t+1} lam_{t+1}
-            np.einsum("btd,btn->btdn", gb, co.c[:, t0:t1], out=lv)
-            for t in range(t1 - t0 - 1, -1, -1):
-                np.add(lv[:, t], carry, out=lv[:, t])
-                np.multiply(co.a_bar[:, t], lv[:, t], out=carry)
-            g_c[:, t0:t1] = np.matmul(gb[:, :, None, :], hv)[:, :, 0, :]
-            # dL/da_bar_t = lam_t h_{t-1} replaces h_t; going backwards keeps h_{t-1}
-            for t in range(t1 - t0 - 1, 0, -1):
-                np.multiply(lv[:, t], hv[:, t - 1], out=hv[:, t])
-            np.multiply(lv[:, 0], entry[j], out=hv[:, 0])
-            g_ab = hv
+            np.einsum("bd,bn->bdn", g[:, t], co.c[:, t], out=lam)
+            lam += carry
+            np.multiply(co.a_bar, lam, out=carry)
+            g_c[:, t] = np.matmul(g[:, t, None, :], hs[i + 1])[:, 0, :]
+            # dL/da_bar_t = lam_t h_{t-1} replaces h_t, which no later step reads
+            g_ab = np.multiply(lam, hs[i], out=hs[i + 1])
             # bx = phi * dtx * b
-            r = np.multiply(lv, co.phi, out=co.bx)
-            rb[:, t0:t1] = np.matmul(r, co.b[:, t0:t1, :, None])[..., 0]
-            g_b[:, t0:t1] = np.matmul(co.dtx[:, t0:t1, None, :], r)[:, :, 0, :]
+            r = np.multiply(lam, co.phi, out=co.bx)
+            rb[:, t] = np.matmul(r, co.b[:, t, :, None])[..., 0]
+            g_b[:, t] = np.matmul(co.dtx[:, t, None, :], r)[:, 0, :]
             # phi = (a_bar - 1) / u, so dphi/du = (a_bar - phi) / u; 0 on the small branch
             dphi = np.subtract(co.a_bar, co.phi, out=co.phi)
             np.divide(dphi, co.u, out=dphi)
             np.copyto(dphi, 0.0, where=co.small)
             # dL/du = dL/dphi * dphi/du + dL/da_bar * a_bar, dL/dphi = lam * dtx * b
-            g_u = np.einsum("btd,btn->btdn", co.dtx[:, t0:t1], co.b[:, t0:t1], out=co.bx)
-            g_u *= lv
+            g_u = np.einsum("bd,bn->bdn", co.dtx[:, t], co.b[:, t], out=co.bx)
+            g_u *= lam
             g_u *= dphi
             g_ab *= co.a_bar
             g_u += g_ab
             # u = dt * A. einsum reduces the short state axis several times
             # faster than sum().
-            g_a += np.einsum("btdn,btd->dn", g_u, co.dt[:, t0:t1])
-            np.einsum("btdn,dn->btd", g_u, a, out=g_ua[:, t0:t1])
+            g_a += np.einsum("bdn,bd->dn", g_u, co.dt[:, t])
+            np.einsum("bdn,dn->bd", g_u, a, out=g_ua[:, t])
     # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
     g_pre = (x * rb + g_ua) * expit(co.pre)
     g_s = g_pre.sum(axis=-1, keepdims=True)
@@ -372,17 +337,14 @@ def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
         raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
     xv = x.array
     weights = _scan_weights(ssm, xv.dtype)
-    b_, l_, d = xv.shape
-    # as many steps as keep one state-sized buffer within _BLOCK_BYTES, at least one
-    blk = max(1, min(l_, _BLOCK_BYTES // (b_ * d * ssm.n_state * xv.itemsize)))
     saved = [] if T.grad_enabled() else None  # a no-tape scan keeps no states
-    ys = _sequential_scan_np(xv, weights, blk, saved)
+    ys = _sequential_scan_np(xv, weights, saved)
 
     held: list = [None, None]  # (gradient, its adjoint): one adjoint per gradient
 
     def adjoint(g: np.ndarray) -> tuple[np.ndarray, ...]:
         if held[0] is not g:
-            held[:] = g, _sequential_scan_vjp(g, xv, weights, blk, saved)
+            held[:] = g, _sequential_scan_vjp(g, xv, weights, saved)
         return held[1]
 
     parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
@@ -467,11 +429,14 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
     """
     _check_scan_input(x, ssm)
     xv = np.ascontiguousarray(x.array.T[None])  # [1, L, d_inner]
-    co = _BlockCoeffs(xv, _scan_weights(ssm, xv.dtype), xv.shape[1])
-    co.fill(0, xv.shape[1])
-    h = linear_recurrence_parallel(co.a_bar, co.bx, time_axis=1)
-    y = np.matmul(h, co.c[..., None])[..., 0] + ssm.d_skip.value.array * xv
-    return Tensor(np.ascontiguousarray(y[0].T))
+    co = _StepCoeffs(xv, _scan_weights(ssm, xv.dtype))
+    a_bar, bx = np.empty((2, xv.shape[1], *co.bx.shape[1:]), dtype=xv.dtype)  # [L, d_inner, n_state]
+    for t in range(xv.shape[1]):
+        co.fill(t)
+        a_bar[t], bx[t] = co.a_bar[0], co.bx[0]
+    h = linear_recurrence_parallel(a_bar, bx, time_axis=0)
+    y = np.matmul(h, co.c[0, :, :, None])[..., 0] + ssm.d_skip.value.array * xv[0]
+    return Tensor(np.ascontiguousarray(y.T))
 
 
 # ---------------------------------------------------------------------------

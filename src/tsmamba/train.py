@@ -331,7 +331,8 @@ def run_stage2(
 
 
 def xchannel_gate(cfg: StageConfig, n_windows: int, n_channels: int) -> tuple[bool, str]:
-    """Decide whether the cross-channel module may activate."""
+    """Whether the cross-channel module should activate when the caller
+    leaves it to the data (``finetune --xchannel auto``)."""
     if n_channels < 2:
         return False, "single channel"
     samples = n_windows * n_channels
@@ -360,10 +361,7 @@ def run_finetune(
         raise DataError("fine-tuning needs a non-empty [n, D, L] window array")
     n, d, _ = windows.shape
     model_cfg_dict = dict(foundation_ckpt.model_config)
-    if cfg.enable_xchannel:
-        ok, reason = xchannel_gate(cfg, n, d)
-        if not ok:
-            raise InvalidConfig(f"cross-channel attention unavailable: {reason}")
+    if cfg.enable_xchannel:  # ModelConfig rejects a single channel
         model_cfg_dict["xchannel_enabled"] = True
         model_cfg_dict["n_channels"] = d
     model_cfg = ModelConfig.from_dict(model_cfg_dict)

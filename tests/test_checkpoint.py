@@ -236,3 +236,14 @@ def test_legacy_manifest_with_other_setting_rejected(tmp_path, key, value):
     _write_parts(path, manifest, payload)
     with pytest.raises(InvalidConfig, match=key):
         C.model_from_checkpoint(C.load_checkpoint(str(path)))
+
+
+@pytest.mark.parametrize("key,value", [("horizon", "4"), ("d_model", 8.0), ("xchannel_enabled", 0)])
+def test_manifest_model_value_of_wrong_type_rejected(tmp_path, key, value):
+    path = tmp_path / "typed.ckpt"
+    C.save_checkpoint(C.checkpoint_from_model(tiny_model(seed=16), "stage2"), str(path))
+    manifest, payload = _read_parts(path)
+    manifest["model_config"][key] = value
+    _write_parts(path, manifest, payload)
+    with pytest.raises(InvalidConfig, match=repr(key)):
+        C.model_from_checkpoint(C.load_checkpoint(str(path)))

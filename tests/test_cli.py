@@ -81,6 +81,34 @@ def test_pretrain_unknown_config_key(workdir, tmp_path):
     assert main(["pretrain", "--stage", "1", "--config", str(bad), "--data", data_path, "--out", str(tmp_path / "x.ckpt")]) == 2
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "seed", "abc"),
+        (None, "seed", True),
+        (None, "window_stride", 1.5),
+        ("stage1", "epochs", "two"),
+        ("stage1", "lr", [1]),
+        ("stage2", "lr_new", None),
+        ("finetune", "min_samples_for_xchannel", 1e3),
+        ("split", "train_frac", "0.7"),
+        ("model", "d_model", 8.5),
+        ("model", "xchannel_enabled", "yes"),
+        ("model", "horizon", "4"),
+        ("model", "huber_delta", float("nan")),
+    ],
+)
+def test_pretrain_mistyped_config_value_exit2(workdir, tmp_path, capsys, section, key, value):
+    _, data_path, config_path = workdir
+    raw = json.loads(open(config_path).read())
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    code = main(["pretrain", "--stage", "1", "--config", str(bad), "--data", data_path, "--out", str(tmp_path / "x.ckpt")])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
 def test_pretrain_missing_data_exit3(workdir, tmp_path):
     _, _, config_path = workdir
     code = main(["pretrain", "--stage", "1", "--config", config_path, "--data", str(tmp_path / "absent.csv"), "--out", str(tmp_path / "x.ckpt")])
@@ -429,6 +457,22 @@ def test_finetune_xchannel_on_single_channel_exit2(workdir, tmp_path):
         ["finetune", "--config", config_path, "--data", str(mono_path), "--init", s2, "--xchannel", "on", "--out", str(tmp_path / "f.ckpt")]
     )
     assert code == 2
+
+
+def test_finetune_xchannel_on_ignores_sample_gate(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    raw = json.loads(open(config_path).read())
+    del raw["finetune"]["min_samples_for_xchannel"]  # the default gate is far above this data's samples
+    cfg = tmp_path / "ft.json"
+    cfg.write_text(json.dumps(raw))
+    out = tmp_path / "ft.ckpt"
+    code = main(["finetune", "--config", str(cfg), "--data", data_path, "--init", s2, "--xchannel", "on", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert "enabled: forced on" in capsys.readouterr().err
+    tuned = load_checkpoint(str(out))
+    assert tuned.config().xchannel_enabled
+    assert any(name.startswith("xchannel.") for name in tuned.tensors)
 
 
 def test_finetune_auto_gate_logs_reason(workdir, tmp_path, capsys):

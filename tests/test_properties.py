@@ -1,8 +1,11 @@
-"""Property-based tests of the config format, the CSV reader's numeric
-boundaries, the window splits, the checkpoint reader and the scan kernel's
-block and segment sizes."""
+"""Property-based tests of the config format and values, the CSV reader's
+numeric boundaries and malformed text, the window splits, the checkpoint
+reader, the scan kernel's segment length and RevIN's affine equivariance."""
 
+import contextlib
+import dataclasses
 import functools
+import io
 import json
 import os
 import tempfile
@@ -16,6 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsmamba import checkpoint as C
+from tsmamba import cli as CLI
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import ssm
@@ -67,6 +71,9 @@ any_json_value = st.one_of(
 )
 
 
+json_values = st.recursive(any_json_value, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
+
+
 @settings(deadline=None)
 @given(model_configs(), st.sampled_from(sorted(RETIRED)), any_json_value)
 def test_retired_key_rejected_at_any_other_value(cfg, key, value):
@@ -75,6 +82,51 @@ def test_retired_key_rejected_at_any_other_value(cfg, key, value):
         return
     with pytest.raises(InvalidConfig, match=key):
         M.ModelConfig.from_dict({**cfg.to_dict(), key: value})
+
+
+# a run config for `pretrain --stage 1` that trains in well under a second
+RUN_CONFIG = {
+    "seed": 1,
+    "precision": "float64",
+    "window_stride": 4,
+    "model": {"horizon": 2, "lookback": 8, "patch_len": 4, "d_model": 5, "n_layers": 1, "d_state": 2},
+    "stage1": {"epochs": 1, "batch_size": 32},
+}
+# (section, key, JSON kind) of every run-config and model key; section None is the top level
+CONFIG_KEYS = (
+    [(None, "seed", int), (None, "precision", str), (None, "window_stride", int)]
+    + [(None, section, dict) for section in ("model", "split", "stage1", "stage2", "finetune")]
+    + [("model", f.name, {"int": int, "float": float, "bool": bool}[f.type]) for f in dataclasses.fields(M.ModelConfig)]
+    + [(name, key, kind) for name, keys in (("split", CLI._SPLIT_KEYS), ("stage1", CLI._STAGE1_KEYS),
+                                             ("stage2", CLI._STAGE2_KEYS), ("finetune", CLI._FINETUNE_KEYS))
+       for key, (kind, _) in keys.items()]
+)
+
+
+def _fits(value, kind) -> bool:
+    if kind is float:
+        return type(value) in (int, float) and np.isfinite(value)
+    return type(value) is kind
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CONFIG_KEYS), st.one_of(json_values, st.sampled_from([float("nan"), float("inf"), 1.5, True, "4"])))
+def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
+    section, key, kind = entry
+    raw = json.loads(json.dumps(RUN_CONFIG))
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config, data = os.path.join(tmp, "config.json"), os.path.join(tmp, "series.csv")
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        D.write_csv(D.synth_generate(0, 2, 120, [D.Sinusoid(freq=1 / 8), D.Noise(sigma=0.1)]), data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = CLI.main(["pretrain", "--stage", "1", "--config", config, "--data", data, "--out", os.path.join(tmp, "m.ckpt")])
+    assert code in (0, 2), err.getvalue()
+    if not _fits(value, kind):
+        assert code == 2
+        assert key in err.getvalue()
 
 
 cells = st.one_of(
@@ -140,6 +192,28 @@ def test_load_csv_values_are_bitwise_float_of_each_cell(grid):
         values = D.load_csv(path, has_date_column=False).values
     assert values.dtype == np.float64
     assert values.tobytes() == expected.tobytes()
+
+
+csv_pieces = st.one_of(
+    st.sampled_from([",", "\n", "\r\n", "\n\n", '"', '""', " ", "1", "-2.5", "3e2", "1e999", "nan", "inf", "x", "date", "\t", ";"]).map(str.encode),
+    st.sampled_from([b"\x00", b"\xff", b"\xc3", b"\xe2\x82", b"\xef\xbb\xbf"]),
+    st.binary(max_size=3),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(csv_pieces, max_size=40).map(b"".join), st.sampled_from([None, True, False]), st.booleans())
+def test_malformed_csv_raises_only_data_errors(blob, has_date_column, ffill):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.csv")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            ds = D.load_csv(path, has_date_column=has_date_column, ffill=ffill)
+        except DataError:
+            return
+    assert ds.values.ndim == 2 and ds.values.size > 0
+    assert np.isfinite(ds.values).all()
 
 
 @st.composite
@@ -222,7 +296,6 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
-json_values = st.recursive(any_json_value, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6)
 DROP = object()
 
 
@@ -252,19 +325,13 @@ def scan_cases(draw):
     length = draw(st.integers(1, 24))
     dims = (draw(st.integers(1, 3)), length, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    return dims, dtype, draw(st.integers(1, length)), draw(st.integers(1, length)), draw(st.integers(0, 2**32 - 1))
-
-
-# a_log's gradient sums its per-block contributions block by block, so only
-# its rounding may depend on the block length (seen up to 8e-7 of max|grad| in
-# float32, 2e-14 in float64)
-A_LOG_RTOL = {np.float32: 1e-5, np.float64: 1e-12}
+    return dims, dtype, draw(st.integers(1, length)), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(deadline=None, max_examples=150)
 @given(scan_cases())
-def test_scan_block_and_segment_lengths_change_no_bits(case):
-    (batch, length, d_inner, n_state), dtype, blk, segment, seed = case
+def test_scan_segment_lengths_change_no_bits(case):
+    (batch, length, d_inner, n_state), dtype, segment, seed = case
     rng = np.random.default_rng(seed)
     p = ssm.init_ssm_params(rng, d_inner, n_state, dtype, "s")
     for q in p.parameters():
@@ -272,10 +339,9 @@ def test_scan_block_and_segment_lengths_change_no_bits(case):
     x = rng.standard_normal((batch, length, d_inner)).astype(dtype)
     proj = Tensor(rng.standard_normal((batch, length, d_inner)).astype(dtype))
 
-    def scan(blk, segment):
-        """(no-tape output, taped output, gradients of <proj, y>) with ``blk``-step blocks in ``segment``-step segments."""
-        step_bytes = batch * d_inner * n_state * np.dtype(dtype).itemsize
-        with mock.patch.object(ssm, "_BLOCK_BYTES", blk * step_bytes), mock.patch.object(ssm, "_SEGMENT", segment):
+    def scan(segment):
+        """(no-tape output, taped output, gradients of <proj, y>) with ``segment``-step segments."""
+        with mock.patch.object(ssm, "_SEGMENT", segment):
             with T.no_grad():
                 off = ssm._selective_scan_batched(Tensor(x), p).array
             xt = Tensor(x, requires=True)
@@ -283,13 +349,59 @@ def test_scan_block_and_segment_lengths_change_no_bits(case):
             grads = T.grad_map(T.sum_all(T.mul(on, proj)))
         return off, on.array, [grads[id(xt)]] + [grads[id(q.value)] for q in p.parameters()]
 
-    want_y, _, want_g = scan(length, ssm._SEGMENT)
-    off, on, got_g = scan(blk, segment)
+    want_y, _, want_g = scan(ssm._SEGMENT)
+    off, on, got_g = scan(segment)
     assert off.tobytes() == want_y.tobytes()
     assert on.tobytes() == want_y.tobytes()
     for q, got, want in zip(["x", *(q.name for q in p.parameters())], got_g, want_g):
-        if q == "s.a_log":
-            tol = A_LOG_RTOL[dtype]
-            np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
-        else:
-            assert got.tobytes() == want.tobytes(), q
+        assert got.tobytes() == want.tobytes(), q
+
+
+# affine gap allowed per unit of output magnitude: about 1e4 machine epsilons,
+# for the cancellation in x - mean at |mean| / std up to a few hundred
+REVIN_TOL = {np.float32: 1e-3, np.float64: 1e-11}
+
+
+@st.composite
+def revin_cases(draw):
+    patch_len = draw(st.integers(1, 8))
+    cfg = M.ModelConfig(
+        horizon=draw(st.integers(1, 8)),
+        n_channels=draw(st.integers(1, 4)),
+        lookback=patch_len * draw(st.integers(max(1, 3 - patch_len), 6)),
+        patch_len=patch_len,
+        d_model=draw(st.integers(5, 12)),
+        n_layers=draw(st.integers(0, 2)),
+        d_state=draw(st.integers(1, 4)),
+        revin_eps=0.0,
+    )
+    return cfg, draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(revin_cases())
+def test_revin_affine_equivariance(case):
+    cfg, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    model = M.build_model(cfg, seed=0, dtype=dtype)
+    for p in model.parameters():
+        p.assign((rng.standard_normal(p.value.shape) * 0.2).astype(dtype))
+    # rows of exact mean m and std s, so no window is near-constant
+    z = rng.standard_normal((cfg.n_channels, cfg.lookback))
+    z = (z - z.mean(axis=-1, keepdims=True)) / z.std(axis=-1, keepdims=True)
+    x = rng.uniform(-5, 5, (cfg.n_channels, 1)) + rng.uniform(0.5, 3, (cfg.n_channels, 1)) * z
+    scale = rng.uniform(0.25, 4, (cfg.n_channels, 1))
+    shift = rng.uniform(-10, 10, (cfg.n_channels, 1))
+    moved_x = scale * x + shift
+    tol = REVIN_TOL[dtype]
+
+    x_hat, _ = M.revin_normalize(Tensor(x.astype(dtype)), eps=cfg.revin_eps)
+    moved_hat, _ = M.revin_normalize(Tensor(moved_x.astype(dtype)), eps=cfg.revin_eps)
+    assert moved_hat.array.dtype == dtype
+    np.testing.assert_allclose(moved_hat.array, x_hat.array, rtol=0, atol=tol * 10)
+    with T.no_grad():
+        base = M.forecast(Tensor(x.astype(dtype)), model).array
+        moved = M.forecast(Tensor(moved_x.astype(dtype)), model).array
+    assert moved.dtype == dtype
+    want = scale * base.astype(np.float64) + shift
+    np.testing.assert_allclose(moved, want, rtol=0, atol=tol * (1 + np.abs(want).max()))

@@ -41,23 +41,21 @@ def scan_loss(x, p, proj):
     return T.sum_all(T.mul(ssm._selective_scan_batched(x, p), T.tensor(proj)))
 
 
-def force_blocks(monkeypatch, blk, segment, batch, d_inner, n_state, itemsize=8):
-    """Make the kernel run ``blk``-step blocks and ``segment``-step segments at this shape."""
-    monkeypatch.setattr(ssm, "_BLOCK_BYTES", blk * batch * d_inner * n_state * itemsize)
-    monkeypatch.setattr(ssm, "_SEGMENT", segment)
-
-
 # ---------------------------------------------------------------------------
 # ZOH discretization and selective maps: the kernel's coefficients against a
 # written-out numpy oracle
 # ---------------------------------------------------------------------------
 
 
-def block_coeffs(x, p):
-    """``_BlockCoeffs`` of x [B, L, d_inner] filled over the whole sequence."""
-    co = ssm._BlockCoeffs(x, ssm._scan_weights(p, x.dtype), x.shape[1])
-    co.fill(0, x.shape[1])
-    return co
+def step_coeffs(x, p):
+    """``_StepCoeffs`` of x [B, L, d_inner], with the ZOH terms (a_bar, bx) that
+    ``fill`` gives at every step, stacked to [B, L, d_inner, n_state]."""
+    co = ssm._StepCoeffs(x, ssm._scan_weights(p, x.dtype))
+    a_bar, bx = np.empty((2, x.shape[0], x.shape[1], *co.bx.shape[1:]), dtype=x.dtype)
+    for t in range(x.shape[1]):
+        co.fill(t)
+        a_bar[:, t], bx[:, t] = co.a_bar, co.bx
+    return co, a_bar, bx
 
 
 def one_step_zoh(a, b, dt_bias):
@@ -72,8 +70,8 @@ def one_step_zoh(a, b, dt_bias):
     p.x_to_b.assign(w_b)
     p.x_to_dt.assign(np.zeros(d))
     p.dt_bias.assign(np.asarray(dt_bias, dtype=np.float64))
-    co = block_coeffs(np.ones((1, 1, d)), p)
-    return co.a_bar[0, 0], co.bx[0, 0], co.dt[0, 0]
+    co, a_bar, bx = step_coeffs(np.ones((1, 1, d)), p)
+    return a_bar[0, 0], bx[0, 0], co.dt[0, 0]
 
 
 def zoh_oracle(a, b, dt):
@@ -145,7 +143,7 @@ def test_discretize_gradients():
 def test_selective_params_zero_input():
     rng = np.random.default_rng(2)
     p = make_ssm(rng, 4, 3)
-    co = block_coeffs(np.zeros((1, 1, 4)), p)
+    co, _, _ = step_coeffs(np.zeros((1, 1, 4)), p)
     np.testing.assert_array_equal(co.b, np.zeros((1, 1, 3)))
     np.testing.assert_array_equal(co.c, np.zeros((1, 1, 3)))
     expected_dt = np.log1p(np.exp(p.dt_bias.value.array))
@@ -157,7 +155,7 @@ def test_selective_params_softplus_zero_is_ln2():
     p = make_ssm(rng, 4, 3)
     p.x_to_dt.assign(np.zeros(4))
     p.dt_bias.assign(np.zeros(4))
-    co = block_coeffs(np.random.default_rng(0).standard_normal((1, 1, 4)), p)
+    co, _, _ = step_coeffs(np.random.default_rng(0).standard_normal((1, 1, 4)), p)
     np.testing.assert_allclose(co.dt[0, 0], np.full(4, math.log(2.0)), rtol=1e-12)
 
 
@@ -165,7 +163,7 @@ def test_selective_params_matches_matvec_oracle():
     rng = np.random.default_rng(4)
     p = make_ssm(rng, 5, 3)
     x = rng.standard_normal((2, 3, 5))
-    co = block_coeffs(x, p)
+    co, _, _ = step_coeffs(x, p)
     for i in range(2):
         for t in range(3):
             xt = x[i, t]
@@ -210,11 +208,10 @@ def test_parallel_recurrence_matches_sequential(length):
 
 
 def test_scan_recurrence_gradients(monkeypatch):
-    # 3-step blocks in 5-step segments: the 8-step sequence runs as blocks
-    # [0, 3), [3, 5), [5, 8), so the backward recomputes block-entry states
-    # from a saved segment state and carries the state adjoint across block
-    # and segment boundaries.
-    force_blocks(monkeypatch, 3, 5, batch=2, d_inner=3, n_state=2)
+    # 5-step segments: the 8-step sequence runs as segments [0, 5) and
+    # [5, 8), so the backward recomputes each segment's states from its saved
+    # state and carries the state adjoint across the segment boundary.
+    monkeypatch.setattr(ssm, "_SEGMENT", 5)
     p, x, proj = make_scan_case(6)
     xt = Tensor(x.copy(), requires=True)
     grads = T.grad_map(scan_loss(xt, p, proj))
@@ -235,7 +232,7 @@ def test_scan_recurrence_gradients(monkeypatch):
 
 
 def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
-    force_blocks(monkeypatch, 3, 5, batch=2, d_inner=3, n_state=2)
+    monkeypatch.setattr(ssm, "_SEGMENT", 5)
     p, x, proj = make_scan_case(23)
     xt = Tensor(x.copy(), requires=True)
     trained = T.grad_map(scan_loss(xt, p, proj))[id(xt)]
@@ -281,9 +278,8 @@ def held_arrays(fns):
 
 
 @pytest.mark.parametrize("length", [1, 256, 257, 600])
-def test_taped_scan_keeps_one_state_per_segment(monkeypatch, length):
-    # 7-step blocks: a state kept per block would show up as extra arrays
-    force_blocks(monkeypatch, 7, ssm._SEGMENT, batch=2, d_inner=3, n_state=2)
+def test_taped_scan_keeps_one_state_per_segment(length):
+    # a state kept per step would show up as extra arrays
     p, x, _ = make_scan_case(26, batch=2, length=length, d_inner=3, n_state=2)
     y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
     states = [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 3, 2)]
@@ -341,9 +337,9 @@ def test_state_bound_constant_coefficients():
 def test_a_bar_strictly_inside_unit_interval():
     rng = np.random.default_rng(9)
     p = make_ssm(rng, 6, 4)
-    co = block_coeffs(rng.standard_normal((2, 10, 6)), p)
-    assert np.all(co.a_bar > 0.0)
-    assert np.all(co.a_bar < 1.0)
+    _, a_bar, _ = step_coeffs(rng.standard_normal((2, 10, 6)), p)
+    assert np.all(a_bar > 0.0)
+    assert np.all(a_bar < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +427,7 @@ def test_tape_on_and_off_agree_exactly(dtype):
 # ---------------------------------------------------------------------------
 
 
-def make_block(rng, d_model=4, d_inner=8, n_state=2, k=4, dtype=np.float64, prefix="blk"):
+def make_block(rng, d_model=4, d_inner=8, n_state=2, k=4, dtype=np.float64, prefix="block"):
     return ssm.init_mamba_block(rng, d_model, d_inner, n_state, k, dtype, prefix)
 
 

@@ -104,7 +104,7 @@ def kernel_softplus(pre, dtype=np.float64):
     pre = np.asarray(pre, dtype=dtype)
     d = pre.shape[0]
     weights = (np.zeros((d, 1), dtype), np.zeros((d, 1), dtype), np.zeros((d, 1), dtype), pre, -np.ones((d, 1), dtype), np.ones(d, dtype))
-    return ssm._BlockCoeffs(np.zeros((1, 1, d), dtype=dtype), weights, 1).dt[0, 0]
+    return ssm._StepCoeffs(np.zeros((1, 1, d), dtype=dtype), weights).dt[0, 0]
 
 
 def test_softplus_values():

@@ -401,8 +401,11 @@ def test_run_finetune_xchannel_gate():
     s1 = TR.run_stage1(flat_x, TR.stage1_config(epochs=0, batch_size=4), model, seed=0)
     s2 = TR.run_stage2(flat_x, flat_y, TR.stage2_config(epochs=0, batch_size=4), s1.checkpoint, seed=0)
 
-    with pytest.raises(InvalidConfig):  # threshold not met
-        TR.run_finetune(x, y, TR.finetune_config(epochs=1, batch_size=4, enable_xchannel=True), s2.checkpoint)
+    # an explicit request trains the module below the sample threshold, which
+    # only the CLI's auto mode consults
+    below = TR.run_finetune(x, y, TR.finetune_config(epochs=1, batch_size=4, enable_xchannel=True), s2.checkpoint)
+    assert below.model.config.xchannel_enabled
+    assert any(name.startswith("xchannel.") for name in below.checkpoint.tensors)
 
     single = x[:, :1, :]
     single_y = y[:, :1, :]
