@@ -25,6 +25,7 @@ from .data import (
     standardize,
     synth_generate,
 )
+from .errors import NonFiniteLoss
 from .model import (
     BackboneOutput,
     Model,

@@ -63,12 +63,18 @@ def _dtype_name(arr: np.ndarray) -> str:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
-    """Write atomically: temp file in the target directory, then rename."""
+    """Write atomically: temp file in the target directory, then rename.
+
+    A tensor holding NaN or inf is a CorruptCheckpoint, raised before any
+    file is created.
+    """
     index = {}
     chunks = []
     offset = 0
     for name, arr in ckpt.tensors.items():
         dtype_name = _dtype_name(arr)
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpoint(f"{path}: tensor {name!r} holds non-finite values")
         raw = np.ascontiguousarray(arr, dtype=_DTYPES[dtype_name]).tobytes()
         index[name] = {
             "dtype": dtype_name,

@@ -21,6 +21,10 @@ class MissingGrad(TSMambaError):
     """Optimizer step on a trainable parameter whose grad slot is empty."""
 
 
+class NonFiniteLoss(TSMambaError):
+    """A training step's loss is NaN or infinite; raised before the update."""
+
+
 class DegenerateWindow(TSMambaError):
     pass
 

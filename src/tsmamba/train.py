@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import STAGE1_PREFIXES, Checkpoint, checkpoint_from_model, load_into_model
-from .errors import DataError, InsufficientPatches, InvalidConfig, MissingGrad, ShapeMismatch
+from .errors import DataError, InsufficientPatches, InvalidConfig, MissingGrad, NonFiniteLoss, ShapeMismatch
 from .model import (
     Model,
     ModelConfig,
@@ -251,11 +251,14 @@ def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Paramete
             idx = order[start : start + cfg.batch_size]
             t0 = time.perf_counter()
             loss = loss_fn(idx)
+            value = loss.item()
+            step += 1
+            # checked before backward, so no update reaches the weights
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: loss is {value}")
             T.backward(loss, params)
             optimizer_step(opt, rated, cfg)
             wall_ms = (time.perf_counter() - t0) * 1e3
-            value = loss.item()
-            step += 1
             step_losses.append(value)
             epoch_sum += value
             epoch_n += 1

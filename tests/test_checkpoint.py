@@ -192,6 +192,18 @@ def test_save_leaves_no_temp_files(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_non_finite_tensor(tmp_path, dtype, bad):
+    ckpt = C.checkpoint_from_model(tiny_model(seed=14, dtype=dtype), "stage2")
+    ckpt.tensors["head.out_w"][1, 0] = bad
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(CorruptCheckpoint, match="head.out_w") as exc:
+        C.save_checkpoint(ckpt, str(path))
+    assert str(path) in str(exc.value)
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a .ckpt-* temp file
+
+
 def test_float32_roundtrip(tmp_path):
     model = tiny_model(seed=13, dtype=np.float32)
     path = tmp_path / "m32.ckpt"

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from tsmamba import cli
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba.checkpoint import load_checkpoint, model_from_checkpoint
@@ -165,6 +166,21 @@ def test_pretrain_writes_training_log(workdir, tmp_path):
     assert header == "stage,epoch,step,loss,lr_new,lr_backbone,wall_ms"
 
 
+def test_pretrain_diverging_lr_exits5_without_checkpoint(workdir, tmp_path, capsys):
+    _, data_path, config_path = workdir
+    raw = json.loads(open(config_path).read())
+    raw["stage1"]["lr"] = 1e300
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(raw))
+    out, log = tmp_path / "s1.ckpt", tmp_path / "log.csv"
+    with np.errstate(all="ignore"):
+        code = main(["pretrain", "--stage", "1", "--config", str(cfg), "--data", data_path, "--out", str(out), "--log", str(log)])
+    assert code == 5
+    assert "stage1_autoregressive epoch 0 step" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+    assert not list(tmp_path.glob(".ckpt-*"))
+
+
 def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     # external named-tensor file holding Mamba-block weights, layer-indexed names
     _, data_path, config_path = workdir
@@ -216,20 +232,24 @@ def test_evaluate_explicit_boundaries(workdir, tmp_path):
         assert code == 2, (train_end, val_end)
 
 
-def test_evaluate_bad_batch_and_horizons_exit2(workdir, tmp_path, capsys):
+def test_evaluate_bad_horizons_exit2(workdir, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
-    base = ["evaluate", "--model", s2, "--data", data_path, "--horizons", "4"]
-    for batch in ("-1", "0"):
-        assert main(base + ["--batch", batch]) == 2
-        assert "--batch" in capsys.readouterr().err
     assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4,x"]) == 2
     assert "--horizons" in capsys.readouterr().err
-    # chunking does not change the report
+    assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", ","]) == 2
+    assert "--horizons" in capsys.readouterr().err
+
+
+def test_evaluate_report_does_not_depend_on_group_size(workdir, tmp_path, monkeypatch):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    base = ["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--raw-metrics"]
     reports = []
-    for batch in ("1", "64"):
-        out = tmp_path / f"batch{batch}.csv"
-        assert main(base + ["--batch", batch, "--out", str(out)]) == 0
+    for budget in (1, 1 << 30):  # one window per group, then every window in one group
+        monkeypatch.setattr(cli, "BUDGET", budget)
+        out = tmp_path / f"budget{budget}.csv"
+        assert main(base + ["--out", str(out)]) == 0
         reports.append(out.read_text())
     assert reports[0] == reports[1]
 
@@ -311,6 +331,36 @@ def test_forecast_malformed_manifest_exit4(workdir, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("xchannel", [False, True])
+def test_batched_forecast_groups_match_single_windows(monkeypatch, dtype, xchannel):
+    cfg = M.ModelConfig(horizon=4, n_channels=3, lookback=16, patch_len=4, d_model=8, n_layers=1, d_state=2,
+                        head_compress_dim=4, xchannel_enabled=xchannel)
+    model = M.build_model(cfg, seed=5, dtype=dtype)
+    rng = np.random.default_rng(6)
+    for p in model.parameters():  # the zero-initialized xchannel expansion would hide it
+        p.assign((rng.standard_normal(p.value.shape) * 0.3).astype(dtype))
+    inputs = rng.standard_normal((8, 3, 16))
+    # 3-window groups: 3 + 3 + 2
+    monkeypatch.setattr(cli, "BUDGET", 3 * 3 * cfg.d_inner * cfg.d_state * np.dtype(dtype).itemsize)
+    assert cli._group_windows(cfg, 3, np.dtype(dtype).itemsize) == 3
+    preds = cli._batched_forecast(model, inputs)
+    with no_grad():
+        singles = [M.forecast(Tensor(w.astype(dtype)), model).array for w in inputs]
+    assert preds.dtype == np.float64
+    assert preds.tobytes() == np.stack(singles).astype(np.float64).tobytes()
+
+
+def test_group_windows_from_config():
+    def group(d_model, itemsize=4):
+        cfg = M.ModelConfig(horizon=96, n_channels=7, lookback=512, patch_len=16, d_model=d_model, d_state=16)
+        return cli._group_windows(cfg, 7, itemsize)
+
+    assert group(768) == 1  # paper scale: one window's state already exceeds the budget
+    assert group(768, itemsize=8) == 1
+    assert group(32) > 1  # the benchmark's evaluate model
 
 
 def test_evaluate_stdout_matches_out_file(workdir, tmp_path, capsysbinary):

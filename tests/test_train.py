@@ -10,7 +10,7 @@ from tsmamba import model as M
 from tsmamba import tensor as T
 from tsmamba import train as TR
 from tsmamba.checkpoint import checkpoint_from_model
-from tsmamba.errors import DataError, InsufficientPatches, InvalidConfig, MissingGrad, ShapeMismatch
+from tsmamba.errors import DataError, InsufficientPatches, InvalidConfig, MissingGrad, NonFiniteLoss, ShapeMismatch
 from tsmamba.params import Parameter
 from tsmamba.tensor import Tensor
 
@@ -292,6 +292,19 @@ def test_run_stage1_empty_dataset_errors():
     model = M.build_model(cfg, seed=16, dtype=np.float64)
     with pytest.raises(DataError):
         TR.run_stage1(np.zeros((0, 32)), TR.stage1_config(epochs=1, batch_size=4), model)
+
+
+def test_non_finite_loss_stops_before_any_update(tmp_path):
+    cfg = tiny_config()
+    model = M.build_model(cfg, seed=16, dtype=np.float64)
+    model.embedding.weight.value.array[0, 0] = np.nan
+    before = {p.name: p.value.array.tobytes() for p in model.parameters()}
+    x, _ = sine_windows(8, 32, 4)
+    log = tmp_path / "train.csv"
+    with pytest.raises(NonFiniteLoss, match="stage1_autoregressive epoch 0 step 1: loss is nan"):
+        TR.run_stage1(x, TR.stage1_config(epochs=1, batch_size=4), model, seed=0, log_path=str(log))
+    assert {p.name: p.value.array.tobytes() for p in model.parameters()} == before
+    assert not log.exists()
 
 
 def test_run_stage1_deterministic_checkpoints():
