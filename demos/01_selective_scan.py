@@ -1,7 +1,7 @@
 """Selective state-space scans: discretization, two evaluation orders, scaling.
 
 Walks through the core recurrence h_t = A_bar_t h_{t-1} + B_bar_t x_t with
-input-dependent (B, C, dt): the zero-order-hold coefficients, the strictly
+input-dependent (B, C, dt): Mamba's discretization, the strictly
 sequential kernel, the work-efficient associative scan, and their agreement.
 """
 
@@ -15,10 +15,10 @@ from tsmamba.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-print("== zero-order hold discretization ==")
+print("== discretization: A_bar = exp(dt A), B_bar = dt B ==")
 # The kernel computes its coefficients in _StepCoeffs: the selective maps for
-# the whole sequence, the ZOH terms one step at a time. Scalar system
-# A=-1, B=1, x=1, dt=softplus(dt_bias)=0.5: A_bar = exp(-0.5), B_bar = 1-exp(-0.5).
+# the whole sequence, the step terms one step at a time. Scalar system
+# A=-1, B=1, x=1, dt=softplus(dt_bias)=0.5: A_bar = exp(-0.5), B_bar = dt*B = 0.5.
 scalar = ssm.init_ssm_params(rng, d_inner=1, n_state=1, dtype=np.float64, prefix="scalar")
 scalar.a_log.assign(np.zeros((1, 1)))
 scalar.x_to_b.assign(np.ones((1, 1)))
@@ -27,7 +27,7 @@ scalar.dt_bias.assign(np.log(np.expm1([0.5])))
 co = ssm._StepCoeffs(np.ones((1, 1, 1)), ssm._scan_weights(scalar, np.float64))
 co.fill(0)
 print(f"A_bar = {co.a_bar[0, 0, 0]:.6f}   (exp(-0.5) = {np.exp(-0.5):.6f})")
-print(f"B_bar = {co.bx[0, 0, 0]:.6f}   (1-exp(-0.5) = {1-np.exp(-0.5):.6f})")
+print(f"B_bar = {co.bx[0, 0, 0]:.6f}   (dt*B = {0.5:.6f})")
 
 print("\n== input-dependent parameters ==")
 params = ssm.init_ssm_params(rng, d_inner=6, n_state=4, dtype=np.float64, prefix="demo")

@@ -22,7 +22,7 @@ from .errors import CheckpointMismatch, CorruptCheckpoint, VersionMismatch
 from .model import Model, ModelConfig, build_model
 
 MAGIC = b"TSMBCKPT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 2: the scan discretizes its input as B_bar = dt*B; 1 used exact ZOH
 
 _DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 

@@ -1,14 +1,15 @@
 """Selective state-space core: the scan kernel, Mamba blocks, encoders.
 
-The continuous system h' = A h + B x, y = C h is discretized per step with a
-zero-order hold and input-dependent (B, C, dt), then evaluated as a strict
-left-to-right recurrence by one kernel, with the tape on or off. The kernel
-computes the token-sized maps (B, C, dt) once per scan and the state-sized
-ZOH terms one step at a time. The tape records a scan as a single op that
-keeps only the state entering each 256-step segment. Its backward walks the
-segments in reverse, recomputes the segment's states once, then walks its
-steps in reverse, recomputing each step's coefficients, so training stores
-no per-step coefficient arrays and at most one segment of states.
+The continuous system h' = A h + B x, y = C h, with input-dependent (B, C,
+dt), is discretized per step as Mamba's reference scan does: A_bar =
+exp(dt A) and B_bar = dt B. It is evaluated as a strict left-to-right
+recurrence by one kernel, with the tape on or off. The kernel computes the
+token-sized maps (B, C, dt) once per scan and the state-sized terms one
+step at a time. The tape records a scan as a single op that keeps only the
+state entering each 256-step segment. Its backward walks the segments in
+reverse, recomputes the segment's states once, then walks its steps in
+reverse, recomputing each step's coefficients, so training stores no
+per-step coefficient arrays and at most one segment of states.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -28,7 +29,6 @@ from .params import Parameter, uniform_init
 from .tensor import Tensor
 
 NORM_EPS = 1e-5
-SMALL_DT_A = 1e-6  # below this |dt*A| the ZOH input factor collapses to dt*B
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +172,7 @@ _SEGMENT = 256  # time steps per state a taped scan keeps for its backward
 
 class _StepCoeffs:
     """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
-    for the whole sequence, the state-sized ZOH terms one step at a time.
+    for the whole sequence, the state-sized step terms one step at a time.
 
     The maps b = x W_b, c = x W_c, pre = x W_dt + dt_bias, dt = softplus(pre)
     and dtx = dt * x are computed once over the whole sequence. The products
@@ -180,12 +180,11 @@ class _StepCoeffs:
     no faster here and rounds differently at d_inner >= 512 in float32 with
     OpenBLAS, which would change the model's outputs.
 
-    ``fill(t)`` computes, for step t, u = dt*A, a_bar = exp(u), phi =
-    (a_bar - 1)/u (1 where |u| is tiny, flagged in ``small``; ``u`` then holds
-    1 there, the safe divisor) and bx = phi * dtx * b into [B, d_inner,
-    n_state] buffers allocated once, the only arrays that grow with the
-    state. Outer products go through einsum, about twice as fast as a
-    broadcast multiply over the short state axis.
+    ``fill(t)`` computes, for step t, a_bar = exp(dt*A) and bx = dtx * b (so
+    B_bar = dt*B, as in Mamba) into two [B, d_inner, n_state] buffers
+    allocated once, the only arrays that grow with the state. Outer products
+    go through einsum, about twice as fast as a broadcast multiply over the
+    short state axis.
     """
 
     def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...]):
@@ -203,19 +202,12 @@ class _StepCoeffs:
         self.dt += np.maximum(self.pre, 0.0)
         self.dtx = self.dt * x
         shape = (b_, d, self.a.shape[1])
-        self.u, self.a_bar, self.phi, self.bx = (np.empty(shape, dtype=x.dtype) for _ in range(4))
-        self.small = np.empty(shape, dtype=bool)
+        self.a_bar, self.bx = (np.empty(shape, dtype=x.dtype) for _ in range(2))
 
     def fill(self, t: int) -> None:
-        np.einsum("bd,dn->bdn", self.dt[:, t], self.a, out=self.u)
-        np.exp(self.u, out=self.a_bar)
-        np.greater(self.u, -SMALL_DT_A, out=self.small)  # u <= 0: dt >= 0 and A < 0
-        np.copyto(self.u, 1.0, where=self.small)
-        np.subtract(self.a_bar, 1.0, out=self.phi)
-        np.divide(self.phi, self.u, out=self.phi)
-        np.copyto(self.phi, 1.0, where=self.small)
+        np.einsum("bd,dn->bdn", self.dt[:, t], self.a, out=self.a_bar)
+        np.exp(self.a_bar, out=self.a_bar)
         np.einsum("bd,bn->bdn", self.dtx[:, t], self.b[:, t], out=self.bx)
-        np.multiply(self.phi, self.bx, out=self.bx)
 
 
 def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
@@ -261,7 +253,7 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
 
     Walks the segments in reverse. For each, it recomputes the segment's
     states once from its saved state, then walks the segment's steps in
-    reverse, filling each step's ZOH terms again, since they are not stored.
+    reverse, filling each step's terms again, since they are not stored.
     Both use the forward's operations, so they are bit-identical to the
     forward's; spent buffers are reused as scratch. The per-step adjoints of
     the token-sized maps are gathered over the whole sequence and turned
@@ -295,22 +287,13 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
             lam += carry
             np.multiply(co.a_bar, lam, out=carry)
             g_c[:, t] = np.matmul(g[:, t, None, :], hs[i + 1])[:, 0, :]
-            # dL/da_bar_t = lam_t h_{t-1} replaces h_t, which no later step reads
-            g_ab = np.multiply(lam, hs[i], out=hs[i + 1])
-            # bx = phi * dtx * b
-            r = np.multiply(lam, co.phi, out=co.bx)
-            rb[:, t] = np.matmul(r, co.b[:, t, :, None])[..., 0]
-            g_b[:, t] = np.matmul(co.dtx[:, t, None, :], r)[:, 0, :]
-            # phi = (a_bar - 1) / u, so dphi/du = (a_bar - phi) / u; 0 on the small branch
-            dphi = np.subtract(co.a_bar, co.phi, out=co.phi)
-            np.divide(dphi, co.u, out=dphi)
-            np.copyto(dphi, 0.0, where=co.small)
-            # dL/du = dL/dphi * dphi/du + dL/da_bar * a_bar, dL/dphi = lam * dtx * b
-            g_u = np.einsum("bd,bn->bdn", co.dtx[:, t], co.b[:, t], out=co.bx)
-            g_u *= lam
-            g_u *= dphi
-            g_ab *= co.a_bar
-            g_u += g_ab
+            # bx = dtx * b
+            rb[:, t] = np.matmul(lam, co.b[:, t, :, None])[..., 0]
+            g_b[:, t] = np.matmul(co.dtx[:, t, None, :], lam)[:, 0, :]
+            # a_bar = exp(u), so dL/du_t = dL/da_bar_t * a_bar_t with
+            # dL/da_bar_t = lam_t h_{t-1}; it replaces h_t, which no later step reads
+            g_u = np.multiply(lam, hs[i], out=hs[i + 1])
+            g_u *= co.a_bar
             # u = dt * A. einsum reduces the short state axis several times
             # faster than sum().
             g_a += np.einsum("bdn,bd->dn", g_u, co.dt[:, t])

@@ -177,17 +177,20 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
 
-    def step(self, params: list[tuple[Parameter, float]], weight_decay: float = 0.0, grad_clip_norm: float = 0.0) -> None:
-        """One update of each trainable parameter at the learning rate paired with it."""
+    def step(self, params: list[tuple[Parameter, float]], weight_decay: float = 0.0, grad_clip_norm: float = 0.0) -> tuple[float, float]:
+        """One update of each trainable parameter at the learning rate paired
+        with it; returns (global gradient norm, clip scale). A NaN or infinite
+        norm raises NonFiniteLoss before any parameter or moment changes."""
         live = [(p, lr) for p, lr in params if p.trainable]
         for p, _ in live:
             if p.grad is None:
                 raise MissingGrad(f"{p.name} is trainable but has no gradient")
+        total = np.sqrt(sum(float((p.grad.array.astype(np.float64) ** 2).sum()) for p, _ in live))
+        if not np.isfinite(total):
+            raise NonFiniteLoss(f"gradient norm is {total}")
         clip_scale = 1.0
-        if grad_clip_norm > 0:
-            total = np.sqrt(sum(float((p.grad.array.astype(np.float64) ** 2).sum()) for p, _ in live))
-            if total > grad_clip_norm:
-                clip_scale = grad_clip_norm / (total + 1e-12)
+        if 0 < grad_clip_norm < total:
+            clip_scale = grad_clip_norm / (total + 1e-12)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
@@ -206,10 +209,11 @@ class AdamW:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps) + weight_decay * p.value.array
             p.assign((p.value.array - lr * update).astype(p.value.dtype, copy=False))
             p.grad = None
+        return total, clip_scale
 
 
-def optimizer_step(opt: AdamW, params: list[tuple[Parameter, float]], cfg: StageConfig) -> None:
-    opt.step(params, cfg.weight_decay, cfg.grad_clip_norm)
+def optimizer_step(opt: AdamW, params: list[tuple[Parameter, float]], cfg: StageConfig) -> tuple[float, float]:
+    return opt.step(params, cfg.weight_decay, cfg.grad_clip_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,7 @@ def _write_log(path: str | None, rows: list[tuple]) -> None:
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["stage", "epoch", "step", "loss", "lr_new", "lr_backbone", "wall_ms"])
+        writer.writerow(["stage", "epoch", "step", "loss", "lr_new", "lr_backbone", "wall_ms", "grad_norm", "clip_scale", "windows_per_s"])
         writer.writerows(rows)
 
 
@@ -257,12 +261,18 @@ def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Paramete
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: loss is {value}")
             T.backward(loss, params)
-            optimizer_step(opt, rated, cfg)
-            wall_ms = (time.perf_counter() - t0) * 1e3
+            try:
+                grad_norm, clip_scale = optimizer_step(opt, rated, cfg)
+            except NonFiniteLoss as exc:
+                raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: {exc}") from None
+            wall_s = time.perf_counter() - t0
             step_losses.append(value)
             epoch_sum += value
             epoch_n += 1
-            rows.append((cfg.stage, epoch, step, f"{value:.8g}", cfg.lr_new, cfg.lr_backbone, f"{wall_ms:.3f}"))
+            rows.append(
+                (cfg.stage, epoch, step, f"{value:.8g}", cfg.lr_new, cfg.lr_backbone, f"{wall_s * 1e3:.3f}")
+                + (f"{grad_norm:.8g}", f"{clip_scale:.8g}", f"{len(idx) / wall_s:.1f}")
+            )
         epoch_losses.append(epoch_sum / max(1, epoch_n))
     _write_log(log_path, rows)
     return step_losses, epoch_losses

@@ -77,10 +77,12 @@ def test_version_mismatch(tmp_path):
     path = tmp_path / "m.ckpt"
     C.save_checkpoint(C.checkpoint_from_model(model, "stage2"), str(path))
     manifest, payload = _read_parts(path)
-    manifest["format_version"] = 99
-    _write_parts(path, manifest, payload)
-    with pytest.raises(VersionMismatch):
-        C.load_checkpoint(str(path))
+    # version 1 weights were trained under the exact-ZOH input factor
+    for version in (1, 99):
+        manifest["format_version"] = version
+        _write_parts(path, manifest, payload)
+        with pytest.raises(VersionMismatch):
+            C.load_checkpoint(str(path))
 
 
 def test_wrong_byte_len_names_tensor(tmp_path):

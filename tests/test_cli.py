@@ -163,7 +163,7 @@ def test_pretrain_writes_training_log(workdir, tmp_path):
     out = tmp_path / "s1.ckpt"
     assert main(["pretrain", "--stage", "1", "--config", config_path, "--data", data_path, "--out", str(out), "--log", str(log)]) == 0
     header = log.read_text().splitlines()[0]
-    assert header == "stage,epoch,step,loss,lr_new,lr_backbone,wall_ms"
+    assert header == "stage,epoch,step,loss,lr_new,lr_backbone,wall_ms,grad_norm,clip_scale,windows_per_s"
 
 
 def test_pretrain_diverging_lr_exits5_without_checkpoint(workdir, tmp_path, capsys):
@@ -184,12 +184,12 @@ def test_pretrain_diverging_lr_exits5_without_checkpoint(workdir, tmp_path, caps
 def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     # external named-tensor file holding Mamba-block weights, layer-indexed names
     _, data_path, config_path = workdir
-    from tsmamba.checkpoint import Checkpoint, save_checkpoint
+    from tsmamba.checkpoint import FORMAT_VERSION, Checkpoint, save_checkpoint
 
     donor = M.build_model(M.ModelConfig(horizon=4, n_channels=2, lookback=16, patch_len=4, d_model=8, n_layers=1, d_state=2, head_compress_dim=4), seed=99, dtype=np.float64)
     block_tensors = {p.name: p.value.array.copy() for p in donor.frozen_block_parameters()}
     init_path = tmp_path / "blocks.ckpt"
-    save_checkpoint(Checkpoint(1, donor.config.to_dict(), "import", block_tensors), str(init_path))
+    save_checkpoint(Checkpoint(FORMAT_VERSION, donor.config.to_dict(), "import", block_tensors), str(init_path))
 
     raw = json.loads(open(config_path).read())
     raw["stage1"]["epochs"] = 0
@@ -205,7 +205,7 @@ def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     # shape conflict in the import file is a checkpoint error
     bad = {"fwd_encoder.layer0.mamba.in_proj": np.zeros((3, 3))}
     bad_path = tmp_path / "bad.ckpt"
-    save_checkpoint(Checkpoint(1, donor.config.to_dict(), "import", bad), str(bad_path))
+    save_checkpoint(Checkpoint(FORMAT_VERSION, donor.config.to_dict(), "import", bad), str(bad_path))
     assert main(["pretrain", "--stage", "1", "--config", str(cfg0), "--data", data_path, "--init", str(bad_path), "--out", str(out)]) == 4
 
 
@@ -490,6 +490,26 @@ def test_evaluate_directory_skips_rejected_config(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "h8.ckpt" in err and "combine_mode" in err
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8"]) == 4
+
+
+def test_version1_checkpoint_refused(workdir, tmp_path, capsys):
+    # version 1 weights were trained under the exact-ZOH input factor, so no
+    # command runs them under today's scan
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "h4.ckpt").write_bytes(open(s2, "rb").read())
+    old = ckpt_dir / "h4-v1.ckpt"
+    _rewrite_manifest(s2, old, lambda m: m.update(format_version=1))
+    out = tmp_path / "o.csv"
+    assert main(["forecast", "--model", str(old), "--input", data_path, "--horizon", "4", "--out", str(out)]) == 4
+    assert not out.exists()
+    assert main(["evaluate", "--model", str(old), "--data", data_path, "--horizons", "4"]) == 4
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "skipping checkpoint h4-v1.ckpt" in err and "format_version 1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -42,13 +42,13 @@ def scan_loss(x, p, proj):
 
 
 # ---------------------------------------------------------------------------
-# ZOH discretization and selective maps: the kernel's coefficients against a
+# Discretization and selective maps: the kernel's coefficients against a
 # written-out numpy oracle
 # ---------------------------------------------------------------------------
 
 
 def step_coeffs(x, p):
-    """``_StepCoeffs`` of x [B, L, d_inner], with the ZOH terms (a_bar, bx) that
+    """``_StepCoeffs`` of x [B, L, d_inner], with the step terms (a_bar, bx) that
     ``fill`` gives at every step, stacked to [B, L, d_inner, n_state]."""
     co = ssm._StepCoeffs(x, ssm._scan_weights(p, x.dtype))
     a_bar, bx = np.empty((2, x.shape[0], x.shape[1], *co.bx.shape[1:]), dtype=x.dtype)
@@ -58,8 +58,8 @@ def step_coeffs(x, p):
     return co, a_bar, bx
 
 
-def one_step_zoh(a, b, dt_bias):
-    """The kernel's one-step ZOH terms for A [d, n], B [n] and dt = softplus(dt_bias):
+def one_step_terms(a, b, dt_bias):
+    """The kernel's one-step terms for A [d, n], B [n] and dt = softplus(dt_bias):
     x = 1 on every channel, W_b = B on its first row, W_dt = 0. Returns the
     coefficients and the dt they used."""
     d, n = a.shape
@@ -74,31 +74,23 @@ def one_step_zoh(a, b, dt_bias):
     return a_bar[0, 0], bx[0, 0], co.dt[0, 0]
 
 
-def zoh_oracle(a, b, dt):
-    """A_bar = exp(dt*A), B_bar = (dt*A)^-1 (exp(dt*A) - 1) dt*B, with expm1 (no cancellation)."""
-    u = dt[:, None] * a
-    return np.exp(u), np.expm1(u) / u * dt[:, None] * b[None, :]
+def mamba_oracle(a, b, dt):
+    """Mamba's discretization: A_bar = exp(dt*A), B_bar = dt*B."""
+    return np.exp(dt[:, None] * a), dt[:, None] * b[None, :]
 
 
 def test_discretize_scalar_closed_form():
-    a_bar, b_bar, _ = one_step_zoh(np.array([[-1.0]]), np.array([1.0]), [np.log(np.expm1(0.5))])
-    # closed form: exp(-0.5), (exp(-0.5)-1)/(-0.5) * 0.5 = 1 - exp(-0.5)
+    a_bar, b_bar, dt = one_step_terms(np.array([[-1.0]]), np.array([1.0]), [np.log(np.expm1(0.5))])
+    # closed form: exp(-0.5) and 0.5 * 1 = 0.5, once softplus gives back dt = 0.5
+    assert dt[0] == 0.5
     assert abs(a_bar[0, 0] - math.exp(-0.5)) < 1e-15
-    assert abs(b_bar[0, 0] - (1.0 - math.exp(-0.5))) < 1e-15
+    assert b_bar[0, 0] == 0.5
 
 
 def test_discretize_small_dt_limit():
-    a_bar, b_bar, _ = one_step_zoh(np.array([[-2.0]]), np.array([3.0]), [np.log(np.expm1(1e-9))])
+    a_bar, b_bar, _ = one_step_terms(np.array([[-2.0]]), np.array([3.0]), [np.log(np.expm1(1e-9))])
     assert abs(a_bar[0, 0] - 1.0) < 1e-8
     assert abs(b_bar[0, 0]) < 1e-8
-
-
-def test_discretize_small_branch_matches_expm1_oracle():
-    # |dt*A| = 1e-8 takes the first-order branch; compare against the exact
-    # input factor evaluated with expm1 (no cancellation).
-    a = np.array([[-1.0]])
-    _, b_bar, dt = one_step_zoh(a, np.array([1.0]), [np.log(np.expm1(1e-8))])
-    assert abs(b_bar[0, 0] - zoh_oracle(a, np.array([1.0]), dt)[1][0, 0]) < 1e-10
 
 
 def test_discretize_matches_oracle_across_magnitudes():
@@ -106,25 +98,26 @@ def test_discretize_matches_oracle_across_magnitudes():
     a = -np.exp(rng.uniform(-2, 2, size=(3, 4)))
     b = rng.standard_normal(4)
     dt = np.exp(rng.uniform(np.log(1e-4), np.log(1.0), size=3))
-    a_bar, b_bar, dt_used = one_step_zoh(a, b, np.log(np.expm1(dt)))
+    a_bar, b_bar, dt_used = one_step_terms(a, b, np.log(np.expm1(dt)))
     np.testing.assert_allclose(dt_used, dt, rtol=1e-12)
-    want_a, want_b = zoh_oracle(a, b, dt_used)
+    want_a, want_b = mamba_oracle(a, b, dt_used)
     np.testing.assert_allclose(a_bar, want_a, rtol=1e-14)
-    np.testing.assert_allclose(b_bar, want_b, rtol=1e-10)
+    np.testing.assert_allclose(b_bar, want_b, rtol=1e-14)
 
 
 def test_discretize_zero_dt_is_identity_step():
     # softplus underflows to dt = 0 for a very negative pre-activation; the
-    # step must then be the identity, without a 0/0 in the input factor
-    a_bar, b_bar, dt = one_step_zoh(np.array([[-1.0, -3.0]]), np.array([1.0, 2.0]), [-800.0])
+    # step must then be the identity
+    a_bar, b_bar, dt = one_step_terms(np.array([[-1.0, -3.0]]), np.array([1.0, 2.0]), [-800.0])
     assert dt[0] == 0.0
     np.testing.assert_array_equal(a_bar, np.ones((1, 2)))
     np.testing.assert_array_equal(b_bar, np.zeros((1, 2)))
 
 
 def test_discretize_gradients():
-    # the scan's adjoint of the ZOH terms (through phi and a_bar) against
-    # central differences, with dt spread over four decades
+    # the scan's adjoint of the step terms (dt reaches A only through
+    # a_bar = exp(dt*A)) against central differences, with dt spread over
+    # four decades
     p, x, proj = make_scan_case(1, batch=1, length=2, d_inner=3, n_state=2)
     p.dt_bias.assign(np.log(np.expm1(np.array([1e-4, 1e-2, 1.0]))))
     for q in (p.a_log, p.dt_bias):
@@ -361,10 +354,41 @@ def test_selective_scan_single_step_unrolls():
     y = ssm.selective_scan_sequential(T.tensor(x), p)
     xt = x[:, 0]
     dt = np.log1p(np.exp(p.dt_bias.value.array + float(xt @ p.x_to_dt.value.array)))
-    _, b_bar = zoh_oracle(-np.exp(p.a_log.value.array), xt @ p.x_to_b.value.array, dt)
+    _, b_bar = mamba_oracle(-np.exp(p.a_log.value.array), xt @ p.x_to_b.value.array, dt)
     h1 = b_bar * xt[:, None]
     expected = h1 @ (xt @ p.x_to_c.value.array) + p.d_skip.value.array * xt
     np.testing.assert_allclose(y.array[:, 0], expected, rtol=1e-12)
+
+
+def mamba_reference_scan(x, p):
+    """Mamba's reference selective scan written out in float64 over x [B, L,
+    d_inner]: deltaA = exp(dt*A), deltaB_u = dt*B*x, h = deltaA*h + deltaB_u,
+    y = C.h + D*x."""
+    a = -np.exp(p.a_log.value.array)
+    b, c = x @ p.x_to_b.value.array, x @ p.x_to_c.value.array
+    dt = np.log1p(np.exp((x @ p.x_to_dt.value.array)[..., None] + p.dt_bias.value.array))
+    delta_a = np.exp(np.einsum("bld,dn->bldn", dt, a))
+    delta_b_u = np.einsum("bld,bln,bld->bldn", dt, b, x)
+    h = np.zeros((x.shape[0], x.shape[2], a.shape[1]))
+    y = np.empty_like(x)
+    for t in range(x.shape[1]):
+        h = delta_a[:, t] * h + delta_b_u[:, t]
+        y[:, t] = np.einsum("bdn,bn->bd", h, c[:, t])
+    return y + p.d_skip.value.array * x
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_scan_matches_mamba_reference_recurrence(monkeypatch, taped):
+    # 4-step segments: the 11-step scan spans three of them
+    monkeypatch.setattr(ssm, "_SEGMENT", 4)
+    p, x, _ = make_scan_case(27, batch=2, length=11, d_inner=3, n_state=2)
+    if taped:
+        y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
+    else:
+        with T.no_grad():
+            y = ssm._selective_scan_batched(Tensor(x), p)
+    assert bool(y.pairs) == taped
+    np.testing.assert_allclose(y.array, mamba_reference_scan(x, p), rtol=1e-12)
 
 
 def test_selective_scan_parallel_equals_sequential():
@@ -486,10 +510,8 @@ def reference_mamba_block(u, p):
         b_t = x[t] @ w_b
         c_t = x[t] @ w_c
         dt = np.log1p(np.exp(b_dt + float(x[t] @ w_dt)))
-        uu = dt[:, None] * a
-        a_bar = np.exp(uu)
-        phi = np.where(np.abs(uu) < 1e-6, 1.0, np.expm1(uu) / np.where(np.abs(uu) < 1e-6, 1.0, uu))
-        b_bar = phi * dt[:, None] * b_t[None, :]
+        a_bar = np.exp(dt[:, None] * a)
+        b_bar = dt[:, None] * b_t[None, :]
         h = a_bar * h + b_bar * x[t][:, None]
         y[t] = h @ c_t + d_sk * x[t]
 

@@ -242,7 +242,8 @@ def test_adamw_grad_clip_scales_global_norm():
     q = Parameter("q", T.tensor([0.0]))
     q.grad = T.tensor([40.0])  # joint norm 50, clip to 1 => grads scaled by 1/50
     opt = TR.AdamW()
-    opt.step([(p, 1.0), (q, 1.0)], grad_clip_norm=1.0)
+    norm, scale = opt.step([(p, 1.0), (q, 1.0)], grad_clip_norm=1.0)
+    assert norm == 50.0 and scale == pytest.approx(1.0 / 50.0, rel=1e-12)
     # Adam normalizes magnitudes, but the m/v ratio reflects the clipped grads;
     # direction must be preserved and the two moments consistent
     assert p.value.array[0] < 0 and q.value.array[0] < 0
@@ -305,6 +306,33 @@ def test_non_finite_loss_stops_before_any_update(tmp_path):
         TR.run_stage1(x, TR.stage1_config(epochs=1, batch_size=4), model, seed=0, log_path=str(log))
     assert {p.name: p.value.array.tobytes() for p in model.parameters()} == before
     assert not log.exists()
+
+
+def test_non_finite_grad_norm_stops_before_any_update(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    model = M.build_model(cfg, seed=16, dtype=np.float64)
+    before = {p.name: p.value.array.tobytes() for p in model.parameters()}
+    backward = T.backward
+
+    def nan_backward(loss, params):
+        backward(loss, params)
+        params[0].grad.array.flat[0] = np.nan
+
+    monkeypatch.setattr(T, "backward", nan_backward)
+    x, _ = sine_windows(8, 32, 4)
+    log = tmp_path / "train.csv"
+    with pytest.raises(NonFiniteLoss, match="stage1_autoregressive epoch 0 step 1: gradient norm is nan"):
+        TR.run_stage1(x, TR.stage1_config(epochs=1, batch_size=4), model, seed=0, log_path=str(log))
+    assert {p.name: p.value.array.tobytes() for p in model.parameters()} == before
+    assert not log.exists()
+
+    p = Parameter("p", T.tensor([1.0, 2.0]))
+    p.grad = T.tensor([np.inf, 0.0])
+    opt = TR.AdamW()
+    with pytest.raises(NonFiniteLoss):
+        opt.step([(p, 0.1)])
+    assert opt.step_count == 0 and not opt._m and not opt._v
+    assert p.value.array.tolist() == [1.0, 2.0]
 
 
 def test_run_stage1_deterministic_checkpoints():
@@ -438,6 +466,8 @@ def test_training_log_csv(tmp_path):
     log = tmp_path / "train.csv"
     TR.run_stage1(x, TR.stage1_config(epochs=1, batch_size=4), model, seed=0, log_path=str(log))
     lines = log.read_text().strip().splitlines()
-    assert lines[0] == "stage,epoch,step,loss,lr_new,lr_backbone,wall_ms"
+    assert lines[0] == "stage,epoch,step,loss,lr_new,lr_backbone,wall_ms,grad_norm,clip_scale,windows_per_s"
     assert len(lines) == 3  # 8 samples / batch 4 = 2 steps
     assert lines[1].startswith("stage1_autoregressive,0,1,")
+    grad_norm, clip_scale, windows_per_s = map(float, lines[1].split(",")[-3:])
+    assert grad_norm > 0 and 0 < clip_scale <= 1 and windows_per_s > 0
