@@ -431,7 +431,8 @@ def _run_evaluate(args) -> int:
 
 
 def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: int, seed: int = 0):
-    """Median wall time per kernel and length; both kernels share inputs.
+    """Median wall and process CPU time per kernel and length; both kernels
+    share inputs. CPU time leaves out other processes' share of a busy host.
 
     Lengths are interleaved across repetition rounds so machine drift spreads
     evenly instead of biasing whichever length ran first.
@@ -445,6 +446,7 @@ def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: 
     modes = ("seq", "par") if mode == "both" else (mode,)
     inputs = {length: Tensor(rng.standard_normal((d_inner, length)).astype(np.float32)) for length in lengths}
     times: dict[tuple[str, int], list[float]] = {(m, length): [] for m in modes for length in lengths}
+    cpu_times: dict[tuple[str, int], list[float]] = {key: [] for key in times}
     outputs: dict[tuple[str, int], np.ndarray] = {}
     with T.no_grad():
         for m in modes:  # warmup pass over every length
@@ -453,14 +455,16 @@ def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: 
         for _ in range(reps):
             for length in lengths:
                 for m in modes:
-                    t0 = time.perf_counter()
+                    t0, c0 = time.perf_counter(), time.process_time()
                     outputs[(m, length)] = kernels[m](inputs[length], params).array
+                    cpu_times[(m, length)].append(time.process_time() - c0)
                     times[(m, length)].append(time.perf_counter() - t0)
     rows = []
     for m in modes:
         for length in lengths:
             wall = float(np.median(times[(m, length)]))
-            row = {"mode": m, "len": length, "wall_ms": wall * 1e3, "throughput": length * d_inner / wall}
+            cpu = float(np.median(cpu_times[(m, length)]))
+            row = {"mode": m, "len": length, "wall_ms": wall * 1e3, "cpu_ms": cpu * 1e3, "throughput": length * d_inner / wall}
             if mode == "both":
                 row["max_abs_diff"] = float(np.max(np.abs(outputs[("seq", length)] - outputs[("par", length)])))
             rows.append(row)
@@ -474,7 +478,7 @@ def _run_bench_scan(args) -> int:
     if args.reps < 5:
         raise InvalidConfig("--reps must be >= 5 for a stable median")
     rows = bench_scan(lengths, args.d_inner, args.n_state, args.mode, args.reps, args.seed)
-    header = ["mode", "len", "wall_ms", "throughput"]
+    header = ["mode", "len", "wall_ms", "cpu_ms", "throughput"]
     if args.mode == "both":
         header.append("max_abs_diff")
     sink = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
@@ -482,7 +486,7 @@ def _run_bench_scan(args) -> int:
         writer = csv.writer(sink)
         writer.writerow(header)
         for r in rows:
-            line = [r["mode"], r["len"], f"{r['wall_ms']:.3f}", f"{r['throughput']:.1f}"]
+            line = [r["mode"], r["len"], f"{r['wall_ms']:.3f}", f"{r['cpu_ms']:.3f}", f"{r['throughput']:.1f}"]
             if args.mode == "both":
                 line.append(f"{r['max_abs_diff']:.3e}")
             writer.writerow(line)

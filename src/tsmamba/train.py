@@ -185,7 +185,8 @@ class AdamW:
         for p, _ in live:
             if p.grad is None:
                 raise MissingGrad(f"{p.name} is trainable but has no gradient")
-        total = np.sqrt(sum(float((p.grad.array.astype(np.float64) ** 2).sum()) for p, _ in live))
+        # a Python float, so a clipped float32 gradient and its moments stay float32
+        total = float(np.sqrt(sum(float((p.grad.array.astype(np.float64) ** 2).sum()) for p, _ in live)))
         if not np.isfinite(total):
             raise NonFiniteLoss(f"gradient norm is {total}")
         clip_scale = 1.0

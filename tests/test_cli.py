@@ -590,6 +590,7 @@ def test_bench_scan_both_modes_and_degenerate_length(tmp_path):
     for r in rows:
         assert float(r["max_abs_diff"]) < 1e-5
         assert float(r["wall_ms"]) >= 0
+        assert float(r["cpu_ms"]) >= 0
         assert float(r["throughput"]) > 0
 
 

@@ -49,12 +49,13 @@ def scan_loss(x, p, proj):
 
 def step_coeffs(x, p):
     """``_StepCoeffs`` of x [B, L, d_inner], with the step terms (a_bar, bx) that
-    ``fill`` gives at every step, stacked to [B, L, d_inner, n_state]."""
+    ``fill`` gives at every step in its [B, n_state, d_inner] buffers, stacked
+    to [B, L, d_inner, n_state]."""
     co = ssm._StepCoeffs(x, ssm._scan_weights(p, x.dtype))
-    a_bar, bx = np.empty((2, x.shape[0], x.shape[1], *co.bx.shape[1:]), dtype=x.dtype)
+    a_bar, bx = np.empty((2, x.shape[0], x.shape[1], p.d_inner, p.n_state), dtype=x.dtype)
     for t in range(x.shape[1]):
         co.fill(t)
-        a_bar[:, t], bx[:, t] = co.a_bar, co.bx
+        a_bar[:, t], bx[:, t] = co.a_bar.transpose(0, 2, 1), co.bx.transpose(0, 2, 1)
     return co, a_bar, bx
 
 
@@ -275,7 +276,8 @@ def test_taped_scan_keeps_one_state_per_segment(length):
     # a state kept per step would show up as extra arrays
     p, x, _ = make_scan_case(26, batch=2, length=length, d_inner=3, n_state=2)
     y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
-    states = [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 3, 2)]
+    # states are [B, n_state, d_inner]
+    states = [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 2, 3)]
     assert len(states) == math.ceil(length / ssm._SEGMENT)
     with T.no_grad():
         assert not ssm._selective_scan_batched(Tensor(x), p).pairs
@@ -389,6 +391,24 @@ def test_scan_matches_mamba_reference_recurrence(monkeypatch, taped):
             y = ssm._selective_scan_batched(Tensor(x), p)
     assert bool(y.pairs) == taped
     np.testing.assert_allclose(y.array, mamba_reference_scan(x, p), rtol=1e-12)
+
+
+def test_float32_scan_tracks_float64(monkeypatch):
+    # 16-step segments: the 40-step scan spans three of them, at the model's
+    # state width
+    monkeypatch.setattr(ssm, "_SEGMENT", 16)
+    p, x, proj = make_scan_case(28, batch=4, length=40, d_inner=24, n_state=16)
+    results = []
+    for dtype in (np.float64, np.float32):
+        for q in p.parameters():
+            q.assign(q.value.array.astype(dtype))
+        xt = Tensor(x.astype(dtype), requires=True)
+        y = ssm._selective_scan_batched(xt, p)
+        grads = T.grad_map(T.sum_all(T.mul(y, Tensor(proj.astype(dtype)))))
+        results.append([y.array, grads[id(xt)], *(grads[id(q.value)] for q in p.parameters())])
+    for want, got in zip(*results):
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
 
 
 def test_selective_scan_parallel_equals_sequential():

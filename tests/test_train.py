@@ -251,6 +251,18 @@ def test_adamw_grad_clip_scales_global_norm():
     assert abs(opt._m["q"][0] - 0.1 * 40.0 / 50.0) < 1e-12
 
 
+def test_adamw_float32_moments_stay_float32_after_clipping():
+    p = Parameter("p", Tensor(np.zeros(2, dtype=np.float32)))
+    opt = TR.AdamW()
+    for grad in ([3.6, 4.8], [0.36, 0.48]):  # norm 6, clipped to 1; then norm 0.6, unclipped
+        p.grad = Tensor(np.array(grad, dtype=np.float32))
+        norm, scale = opt.step([(p, 0.1)], grad_clip_norm=1.0)
+        assert type(norm) is float and type(scale) is float
+        assert opt._m["p"].dtype == np.float32 and opt._v["p"].dtype == np.float32
+        assert p.value.dtype == np.float32
+    assert scale == 1.0
+
+
 # ---------------------------------------------------------------------------
 # Stage configs
 # ---------------------------------------------------------------------------
