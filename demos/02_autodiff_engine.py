@@ -1,8 +1,8 @@
 """The tape-based differentiation substrate underneath the model.
 
-Shows the recorded-graph workflow (forward, backward, gradient slots) and the
-finite-difference oracle that every analytic gradient in the test suite is
-checked against.
+Shows the recorded-graph workflow (forward, backward, gradient slots), that
+backward consumes the tape it walks, and the finite-difference oracle that
+every analytic gradient in the test suite is checked against.
 """
 
 import numpy as np
@@ -27,9 +27,11 @@ def loss_fn(w1v, w2v):
 
 
 loss = loss_fn(w1.value, w2.value)
+recorded = len(loss.pairs)
 T.backward(loss, [w1, w2])
 print(f"loss = {loss.item():.5f}")
 print(f"grad norms: w1 {np.linalg.norm(w1.grad.array):.5f}, w2 {np.linalg.norm(w2.grad.array):.5f}")
+print(f"recorded parents on the loss: {recorded} before backward, {len(loss.pairs)} after (the tape is consumed)")
 
 print("\n== finite-difference verification ==")
 fd1 = T.finite_diff_grad(lambda t: loss_fn(t, w2.value), T.tensor(w1.value.array), 1e-5)

@@ -258,9 +258,12 @@ def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], saved: l
     return ys
 
 
-def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], saved: list):
+def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], saved: list, weight_grads: bool):
     """Gradients of <g, y> for y from :func:`_sequential_scan_np`, as
-    (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip).
+    (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip). Without
+    ``weight_grads`` (every SSM parameter frozen) the six weight gradients
+    are None and their per-step and final products are skipped; x's
+    gradient is the same to the byte.
 
     Walks the segments in reverse. For each, it recomputes the segment's
     states once from its saved state, then walks the segment's steps in
@@ -305,13 +308,16 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
             # it replaces h_t, which no later step reads
             g_u = np.multiply(carry, hs[i], out=hs[i + 1])
             # u = dt * A
-            g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
+            if weight_grads:
+                g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
             np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[:, t])
     # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
     g_pre = (x * rb + g_ua) * expit(co.pre)
     g_s = g_pre.sum(axis=-1, keepdims=True)
     gx = g * d_skip
     gx += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T
+    if not weight_grads:
+        return (gx,) + (None,) * 6
     xf = x.reshape(-1, d).T
     g_wdt = (xf @ g_s.reshape(-1, 1)).reshape(-1)
     # A = -exp(a_log), so dA/da_log = A
@@ -332,14 +338,15 @@ def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
     saved = [] if T.grad_enabled() else None  # a no-tape scan keeps no states
     ys = _sequential_scan_np(xv, weights, saved)
 
+    parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
+    weight_grads = any(p.requires for p in parents[1:])
     held: list = [None, None]  # (gradient, its adjoint): one adjoint per gradient
 
     def adjoint(g: np.ndarray) -> tuple[np.ndarray, ...]:
         if held[0] is not g:
-            held[:] = g, _sequential_scan_vjp(g, xv, weights, saved)
+            held[:] = g, _sequential_scan_vjp(g, xv, weights, saved, weight_grads)
         return held[1]
 
-    parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
     return T.apply_op(ys, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
 
 

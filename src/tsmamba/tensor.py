@@ -2,8 +2,9 @@
 
 Values are numpy arrays wrapped in :class:`Tensor`. Operations that see at
 least one grad-requiring input record (parent, vjp) pairs on their output;
-:func:`backward` walks that graph in reverse topological order and deposits
-gradients into :class:`~tsmamba.params.Parameter` slots.
+:func:`backward` walks that graph in reverse topological order, deposits
+gradients into :class:`~tsmamba.params.Parameter` slots and consumes the
+graph as it goes, so each activation is freed once its VJPs have run.
 
 Broadcasting is never implicit: elementwise ops demand identical shapes and
 callers widen operands with :func:`broadcast_to`. Dtypes must agree as well,
@@ -45,10 +46,13 @@ class no_grad:
 
 
 class Tensor:
-    """Immutable n-dimensional float value, optionally part of a tape.
+    """n-dimensional float value, optionally part of a tape.
 
-    ``pairs`` holds ``(parent, vjp)`` tuples where ``vjp(grad_out)`` returns
-    the gradient contribution for that parent; leaves have an empty tuple.
+    ``array`` is never written in place. ``pairs`` holds ``(parent, vjp)``
+    tuples where ``vjp(grad_out)`` returns the gradient contribution for that
+    parent; leaves have an empty tuple. :func:`backward` empties the
+    ``pairs`` of every node it passes, after which the graph cannot be
+    differentiated again.
     """
 
     __slots__ = ("array", "pairs", "requires")
@@ -272,6 +276,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if av.dtype != bv.dtype:
         raise ShapeMismatch(f"matmul: dtypes {av.dtype} and {bv.dtype} differ")
 
+    if bv.ndim == 2:
+        # a weight: a's leading axes fold into the GEMM's rows, so the
+        # forward and both VJPs are one GEMM each, and vjp_b sums over the
+        # rows inside the GEMM instead of through a [B, K, N] temporary
+        k, n = bv.shape
+        a2 = av.reshape(-1, k)
+        return apply_op(
+            (a2 @ bv).reshape(av.shape[:-1] + (n,)),
+            [(a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)), (b, lambda g: a2.T @ g.reshape(-1, n))],
+        )
+
     def vjp_a(g):
         return _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
 
@@ -407,6 +422,14 @@ def depthwise_conv1d(
 # ---------------------------------------------------------------------------
 
 
+class _Consumed(tuple):
+    """The empty ``pairs`` that :func:`backward` leaves on a node it has
+    passed; unlike a leaf's ``()``, it marks the graph as spent."""
+
+
+_CONSUMED = _Consumed()
+
+
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []
     seen: set[int] = set()
@@ -418,6 +441,8 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         if id(node) in seen:
             continue
+        if node.pairs is _CONSUMED:
+            raise GraphError("graph was already consumed by backward; run the forward again")
         seen.add(id(node))
         stack.append((node, True))
         for parent, _ in node.pairs:
@@ -426,16 +451,25 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def grad_map(loss: Tensor) -> dict[int, np.ndarray]:
-    """Gradients of a scalar loss keyed by ``id`` of each reached tensor."""
+def _walk(loss: Tensor, consume: bool) -> dict[int, np.ndarray]:
+    """Leaf gradients of a scalar loss, keyed by ``id``.
+
+    Each node leaves the order as the walk reaches it, and its gradient is
+    dropped once its VJPs have run. With ``consume`` the node also drops its
+    ``pairs``, which frees the VJP closures and the activations they hold."""
     if loss.array.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
+    order = _topo_order(loss)
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.array)}
-    for node in reversed(_topo_order(loss)):
-        g = grads.get(id(node))
-        if g is None:
+    while order:
+        node = order.pop()
+        pairs = node.pairs
+        if not pairs:
             continue
-        for parent, vjp in node.pairs:
+        g = grads.pop(id(node))
+        if consume:
+            node.pairs = _CONSUMED
+        for parent, vjp in pairs:
             contrib = vjp(g)
             pid = id(parent)
             if pid in grads:
@@ -445,13 +479,25 @@ def grad_map(loss: Tensor) -> dict[int, np.ndarray]:
     return grads
 
 
+def grad_map(loss: Tensor) -> dict[int, np.ndarray]:
+    """Gradients of a scalar loss keyed by ``id`` of each reached leaf tensor.
+
+    Gradients of intermediate nodes are dropped as the walk passes them.
+    The graph is left intact, so it can be differentiated again, for
+    example from another loss built on the same nodes."""
+    return _walk(loss, consume=False)
+
+
 def backward(loss: Tensor, params) -> None:
     """Fill grad slots of trainable params with d(loss)/d(param.value).
 
     Params not reached by the recorded graph receive zero gradients;
-    non-trainable params are left untouched.
+    non-trainable params are left untouched. The walk consumes the graph:
+    each node lets go of its VJPs, and the activations they hold, once they
+    have run, and a second ``backward`` or :func:`grad_map` through any of
+    its nodes raises :class:`GraphError`.
     """
-    grads = grad_map(loss)
+    grads = _walk(loss, consume=True)
     for p in params:
         if not p.trainable:
             continue

@@ -405,3 +405,33 @@ def test_revin_affine_equivariance(case):
     assert moved.dtype == dtype
     want = scale * base.astype(np.float64) + shift
     np.testing.assert_allclose(moved, want, rtol=0, atol=tol * (1 + np.abs(want).max()))
+
+
+MATMUL_TOL = {np.float32: 1e-6, np.float64: 1e-13}
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    st.integers(1, 24),
+    st.integers(1, 24),
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_weight_matmul_matches_batched_reference(lead, k, n, dtype, seed):
+    # a 2-D right operand takes the flattened path: one GEMM per product
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((*lead, k)).astype(dtype)
+    b = rng.standard_normal((k, n)).astype(dtype)
+    g = rng.standard_normal((*lead, n)).astype(dtype)
+    out = T.matmul(Tensor(a, requires=True), Tensor(b, requires=True))
+    want = np.matmul(a, b)
+    assert out.array.shape == want.shape and out.array.dtype == dtype
+    np.testing.assert_allclose(out.array, want, rtol=0, atol=MATMUL_TOL[dtype] * np.abs(want).max())
+    (_, vjp_a), (_, vjp_b) = out.pairs
+    ga, gb = vjp_a(g), vjp_b(g)
+    ref_a = np.matmul(g, b.T)
+    ref_b = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, k, n).sum(axis=0)
+    for got, ref in ((ga, ref_a), (gb, ref_b)):
+        assert got.shape == ref.shape and got.dtype == dtype
+        np.testing.assert_allclose(got, ref, rtol=0, atol=MATMUL_TOL[dtype] * np.abs(ref).max())

@@ -235,7 +235,17 @@ def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
     xt = Tensor(x.copy(), requires=True)
     y = ssm._selective_scan_batched(xt, p)
     assert [parent is xt for parent, _ in y.pairs] == [True]
+    # the adjoint computes no weight gradient when no weight wants one
+    adjoints = []
+    vjp = ssm._sequential_scan_vjp
+
+    def spy(*args):
+        adjoints.append(vjp(*args))
+        return adjoints[-1]
+
+    monkeypatch.setattr(ssm, "_sequential_scan_vjp", spy)
     grads = T.grad_map(T.sum_all(T.mul(y, T.tensor(proj))))
+    assert len(adjoints) == 1 and adjoints[0][1:] == (None,) * 6
     assert all(id(q.value) not in grads for q in p.parameters())
     assert grads[id(xt)].tobytes() == trained.tobytes()
     fd = T.finite_diff_grad(lambda t: scan_loss(t, p, proj), T.tensor(x), 1e-6)

@@ -1,13 +1,17 @@
 """Unit tests for the tensor/autodiff substrate."""
 
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from test_ssm import held_arrays
+from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import tensor as T
+from tsmamba import train as TR
 from tsmamba.errors import GraphError, ShapeMismatch
 from tsmamba.params import Parameter
 
@@ -234,6 +238,55 @@ def test_matmul_shapes_and_gradients():
     fd_check(lambda t: T.sum_all(T.mul(T.matmul(T.tensor(q), t), T.tensor(proj_q))), k)
 
 
+# Weight products of the model at the benchmark configs (d_model 128 training
+# batches of 32 and 28 rows, the 4-window xchannel block, d_model 32
+# inference groups of 63 and 7 rows). In float32 the flattened forward GEMM
+# gives numpy's bytes at each; in float64 the head's [B, 32, 128] @ [128, 10]
+# differs in the last bit, so only float32 is pinned.
+MODEL_WEIGHT_PRODUCTS = [
+    ((32, 32, 128), (128, 512)),
+    ((32, 32, 256), (256, 128)),
+    ((32, 32, 128), (128, 10)),
+    ((32, 31, 128), (128, 16)),
+    ((28, 32, 128), (128, 512)),
+    ((28, 32, 256), (256, 128)),
+    ((28, 32, 128), (128, 10)),
+    ((4, 32, 128, 7), (7, 3)),
+    ((4, 32, 128, 3), (3, 7)),
+    ((63, 32, 32), (32, 128)),
+    ((63, 32, 64), (64, 32)),
+    ((63, 32, 32), (32, 4)),
+    ((7, 32, 32), (32, 128)),
+    ((7, 32, 64), (64, 32)),
+    ((7, 32, 32), (32, 4)),
+]
+
+
+@pytest.mark.parametrize("a_shape,b_shape", MODEL_WEIGHT_PRODUCTS)
+def test_weight_matmul_forward_is_numpy_bytes_at_model_shapes(a_shape, b_shape):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal(a_shape).astype(np.float32)
+    b = rng.standard_normal(b_shape).astype(np.float32)
+    assert T.matmul(T.tensor(a, np.float32), T.tensor(b, np.float32)).array.tobytes() == np.matmul(a, b).tobytes()
+
+
+def test_weight_matmul_vjp_b_builds_no_batched_temporary():
+    rng = np.random.default_rng(42)
+    a = rng.standard_normal((64, 32, 96))
+    b = rng.standard_normal((96, 192))
+    g = rng.standard_normal((64, 32, 192))
+    vjp_b = T.matmul(T.Tensor(a, requires=True), T.Tensor(b, requires=True)).pairs[1][1]
+    tracemalloc.start()
+    try:
+        gb = vjp_b(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(gb, np.einsum("blk,bln->kn", a, g), rtol=1e-12, atol=1e-10)
+    # a batched product would hold a [64, 96, 192] temporary: 9.4 MB here
+    assert peak < 4 * gb.nbytes, f"vjp_b peaked at {peak} bytes for a {gb.nbytes}-byte gradient"
+
+
 def test_structural_gradients():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 4, 5))
@@ -328,6 +381,74 @@ def test_backward_tiny_model_matches_finite_differences():
     fd2 = T.finite_diff_grad(lambda t: forward(w1.value, t), T.tensor(w2.value.array), 1e-5)
     assert rel_err(w1.grad.array, fd1.array) < 1e-4
     assert rel_err(w2.grad.array, fd2.array) < 1e-4
+
+
+def test_backward_twice_on_one_loss_raises():
+    p = Parameter("p", T.tensor([3.0]))
+    loss = T.sum_all(T.mul(p.value, p.value))
+    T.backward(loss, [p])
+    with pytest.raises(GraphError, match="consumed"):
+        T.backward(loss, [p])
+    with pytest.raises(GraphError, match="consumed"):
+        T.grad_map(T.scale(loss, 2.0))
+    np.testing.assert_allclose(p.grad.array, [6.0])
+
+
+def tiny_xchannel_model():
+    """A float64 stage-2 model with xchannel on, every weight perturbed so
+    every gradient is non-zero, and a loss builder over a fixed batch."""
+    cfg = M.ModelConfig(
+        horizon=4, n_channels=3, lookback=16, patch_len=4, d_model=8, n_layers=1, d_state=4, head_compress_dim=4, xchannel_enabled=True
+    )
+    model = M.build_model(cfg, seed=43, dtype=np.float64)
+    rng = np.random.default_rng(44)
+    for p in model.parameters():
+        p.assign(p.value.array + 0.2 * rng.standard_normal(p.value.shape))
+    x, y = rng.standard_normal((2, 3, 16)), rng.standard_normal((2, 3, 4))
+    return model, lambda: TR.stage2_loss(T.Tensor(x), T.Tensor(y), model)
+
+
+def graph_nodes(loss):
+    seen, stack, out = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            out.append(node)
+            stack.extend(parent for parent, _ in node.pairs)
+    return out
+
+
+def test_backward_releases_every_vjp():
+    model, make_loss = tiny_xchannel_model()
+    loss = make_loss()
+    nodes = graph_nodes(loss)
+    assert held_arrays(fn for node in nodes for _, fn in node.pairs)
+    T.backward(loss, model.parameters())
+    assert graph_nodes(loss) == [loss]
+    assert held_arrays(fn for node in nodes for _, fn in node.pairs) == []
+
+
+def test_backward_gradients_are_grad_map_bytes():
+    model, make_loss = tiny_xchannel_model()
+    want = T.grad_map(make_loss())
+    params = model.parameters()
+    T.backward(make_loss(), params)
+    for p in params:
+        assert p.grad.array.tobytes() == want[id(p.value)].tobytes(), p.name
+
+
+def test_grad_map_keeps_only_leaf_gradients_and_the_graph():
+    model, make_loss = tiny_xchannel_model()
+    loss = make_loss()
+    nodes = graph_nodes(loss)
+    inner = {id(node) for node in nodes if node.pairs}
+    grads = T.grad_map(loss)
+    assert not inner & set(grads)
+    assert {id(p.value) for p in model.parameters()} <= set(grads)
+    assert {id(node) for node in nodes if node.pairs} == inner
+    again = T.grad_map(loss)
+    assert all(again[k].tobytes() == grads[k].tobytes() for k in grads)
 
 
 def test_finite_diff_grad_examples():
