@@ -119,8 +119,8 @@ def _tensor_entry(path: str, name: str, entry) -> tuple[np.dtype, tuple[int, ...
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read and validate a checkpoint; any malformed file is a CorruptCheckpoint
-    naming ``path``."""
+    """Read and validate a checkpoint; any malformed file, including one whose
+    tensors mix float32 and float64, is a CorruptCheckpoint naming ``path``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
@@ -157,6 +157,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     for (s0, e0, n0), (s1, _, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise CorruptCheckpoint(f"{path}: tensors {n0!r} and {n1!r} overlap")
+    # a model holds one dtype, so a file that mixes two was not written from one
+    first_of = {}
+    for name, arr in tensors.items():
+        first_of.setdefault(arr.dtype.name, name)
+    if len(first_of) > 1:
+        (d0, n0), (d1, n1) = first_of.items()
+        raise CorruptCheckpoint(f"{path}: tensors mix dtypes {d0} ({n0!r}) and {d1} ({n1!r})")
     return Checkpoint(
         format_version=version,
         model_config=model_config,

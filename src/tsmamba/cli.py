@@ -280,7 +280,7 @@ def _run_forecast(args) -> int:
     ds = _load_dataset(args.input, args.ffill)
     if ds.n_total < cfg.lookback:
         raise DataError(f"input has {ds.n_total} rows, model needs at least {cfg.lookback}")
-    window = ds.values[-cfg.lookback :].T.astype(next(iter(ckpt.tensors.values())).dtype)
+    window = ds.values[-cfg.lookback :].T.astype(model.embedding.weight.value.dtype)
     with T.no_grad():
         pred = M.forecast(Tensor(window), model).array
     out_path = args.out
@@ -336,7 +336,7 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
 
 
 # Bytes of per-step scan state one group of windows may hold. The scan keeps
-# several [rows, d_inner, d_state] buffers live per step; groups whose state
+# several [rows, d_state, d_inner] buffers live per step; groups whose state
 # stays this small keep them in a core's L2 cache and keep every op's
 # temporaries small enough to reuse freed memory instead of faulting in new
 # pages. Chosen by a sweep of 64 KiB to 1 MiB at d_model 32 and 128.
@@ -345,7 +345,7 @@ BUDGET = 256 * 1024
 
 def _group_windows(cfg: M.ModelConfig, channels: int, itemsize: int) -> int:
     """Windows per forecast call: as many as keep one step's scan state
-    [windows x channels, d_inner, d_state] within ``BUDGET``, and at least one."""
+    [windows x channels, d_state, d_inner] within ``BUDGET``, and at least one."""
     return max(1, BUDGET // (channels * cfg.d_inner * cfg.d_state * itemsize))
 
 
@@ -379,6 +379,7 @@ def _run_evaluate(args) -> int:
 
     rows = []
     raw_rows = []
+    window_rows = []
     for horizon in horizons:
         model = model_from_checkpoint(ckpts[horizon])
         cfg = model.config
@@ -410,12 +411,13 @@ def _run_evaluate(args) -> int:
                 }
             )
         if args.window_errors:
-            records = [
-                (w.origin_index, D.metric_mse(preds[i], targets[i]), D.metric_mae(preds[i], targets[i]))
+            window_rows += [
+                (horizon, w.origin_index, D.metric_mse(preds[i], targets[i]), D.metric_mae(preds[i], targets[i]))
                 for i, w in enumerate(windows)
             ]
-            D.write_window_errors_csv(args.window_errors, ds.name, horizon, records)
 
+    if args.window_errors:
+        D.write_window_errors_csv(args.window_errors, ds.name, window_rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             D.write_report_csv(fh, rows + raw_rows)

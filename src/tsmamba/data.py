@@ -322,12 +322,13 @@ def write_report_csv(fh: TextIO, rows: list[dict]) -> None:
         )
 
 
-def write_window_errors_csv(path: str, dataset: str, horizon: int, records: list[tuple[int, float, float]]) -> None:
-    """Plot-ready per-window errors: (origin_index, mse, mae) rows."""
+def write_window_errors_csv(path: str, dataset: str, records: list[tuple[int, int, float, float]]) -> None:
+    """Plot-ready per-window errors: (horizon, origin_index, mse, mae) rows of
+    every evaluated horizon under one header."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dataset", "horizon", "origin_index", "mse", "mae"])
-        for origin, mse, mae in records:
+        for horizon, origin, mse, mae in records:
             writer.writerow([dataset, horizon, origin, f"{mse:.6f}", f"{mae:.6f}"])
 
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from . import tensor as T
 from .errors import InvalidConfig, ShapeMismatch
@@ -312,7 +311,7 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
                 g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
             np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[:, t])
     # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
-    g_pre = (x * rb + g_ua) * expit(co.pre)
+    g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)
     g_s = g_pre.sum(axis=-1, keepdims=True)
     gx = g * d_skip
     gx += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T

@@ -18,7 +18,7 @@ import threading
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf, expit
+from scipy.special import erf as _erf
 
 from .errors import GraphError, InvalidConfig, ShapeMismatch
 
@@ -301,9 +301,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, one fresh buffer written in place.
+
+    Where exp(-x) overflows the result is 0, as in ``scipy.special.expit``,
+    which evaluates the same formula one element at a time."""
+    s = np.negative(x)
+    with np.errstate(over="ignore"):
+        np.exp(s, out=s)
+    s += 1.0
+    return np.reciprocal(s, out=s)
+
+
 def silu(a: Tensor) -> Tensor:
     av = a.array
-    sig = expit(av)
+    sig = _sigmoid(av)
     return apply_op(av * sig, [(a, lambda g: g * (sig * (1.0 + av * (1.0 - sig))))])
 
 
@@ -363,7 +375,11 @@ def depthwise_conv1d(
     ``L + pad_left + pad_right - K + 1``. Causal use passes ``(K-1, 0)``;
     same-length symmetric use passes ``(K//2, K//2)``. Each tap accumulates
     the in-range part of a shifted input slice through one reused product
-    buffer, so the zero padding is never built.
+    buffer, so the zero padding is never built. The taps are laid out once
+    per call as ``[K, l_out, ..., C]``, each filter column repeated along the
+    token axis, so a tap's product broadcasts over the batch axis only and
+    numpy's inner loop runs over a whole contiguous ``[m, ..., C]`` slab
+    rather than one row of C.
     """
     xv = x.array
     if xv.ndim < 3:
@@ -386,11 +402,12 @@ def depthwise_conv1d(
         if t0 < t1:
             taps.append((kk, t0, t1, t0 + kk - pad_left))
     out_shape = (xv.shape[0], l_out) + xv.shape[2:]
+    wk = np.ascontiguousarray(np.broadcast_to(wv.T.reshape((k,) + (1,) * (xv.ndim - 2) + (c,)), (k,) + out_shape[1:]))
     out = np.zeros(out_shape, dtype=xv.dtype)
     prod = np.empty(out_shape, dtype=xv.dtype)
     for kk, t0, t1, s0 in taps:
         m = t1 - t0
-        out[:, t0:t1] += np.multiply(xv[:, s0 : s0 + m], wv[:, kk], out=prod[:, :m])
+        out[:, t0:t1] += np.multiply(xv[:, s0 : s0 + m], wk[kk, :m], out=prod[:, :m])
     if bias is not None:
         out += bias.array
     lead = tuple(range(xv.ndim - 1))
@@ -400,7 +417,7 @@ def depthwise_conv1d(
         buf = np.empty_like(g)
         for kk, t0, t1, s0 in taps:
             m = t1 - t0
-            gx[:, s0 : s0 + m] += np.multiply(g[:, t0:t1], wv[:, kk], out=buf[:, :m])
+            gx[:, s0 : s0 + m] += np.multiply(g[:, t0:t1], wk[kk, :m], out=buf[:, :m])
         return gx
 
     def vjp_w(g):

@@ -216,6 +216,20 @@ def test_float32_roundtrip(tmp_path):
     assert rebuilt.embedding.weight.value.dtype == np.float32
 
 
+def test_mixed_dtype_checkpoint_is_corrupt(tmp_path):
+    # one float64 tensor among float32 ones: no model holds two dtypes, so the
+    # file must not load with the rest cast to whichever dtype came first
+    ckpt = C.checkpoint_from_model(tiny_model(seed=15, dtype=np.float32), "stage2")
+    name = sorted(ckpt.tensors)[-1]
+    ckpt.tensors[name] = ckpt.tensors[name].astype(np.float64)
+    path = tmp_path / "mixed.ckpt"
+    C.save_checkpoint(ckpt, str(path))
+    with pytest.raises(CorruptCheckpoint) as exc:
+        C.load_checkpoint(str(path))
+    msg = str(exc.value)
+    assert str(path) in msg and "float32" in msg and "float64" in msg and repr(name) in msg
+
+
 # the three ModelConfig keys of earlier manifests, at the values they were
 # always saved with; the architecture now hardwires them
 LEGACY_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}

@@ -9,7 +9,7 @@ import pytest
 from tsmamba import cli
 from tsmamba import data as D
 from tsmamba import model as M
-from tsmamba.checkpoint import load_checkpoint, model_from_checkpoint
+from tsmamba.checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from tsmamba.cli import main
 from tsmamba.tensor import Tensor, no_grad
 
@@ -304,6 +304,22 @@ def test_forecast_corrupt_checkpoint_exit4(workdir, tmp_path):
     assert main(["forecast", "--model", str(bad), "--input", data_path, "--horizon", "4", "--out", str(tmp_path / "o.csv")]) == 4
 
 
+def test_forecast_mixed_dtype_checkpoint_exit4(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)  # float64
+    ckpt = load_checkpoint(s2)
+    name = next(iter(ckpt.tensors))
+    ckpt.tensors[name] = ckpt.tensors[name].astype(np.float32)
+    mixed = tmp_path / "mixed.ckpt"
+    save_checkpoint(ckpt, str(mixed))
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert main(["forecast", "--model", str(mixed), "--input", data_path, "--horizon", "4", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "mixed.ckpt" in err and "float32" in err and "float64" in err
+    assert not out.exists()
+
+
 def _rewrite_manifest(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its manifest."""
     blob = open(src, "rb").read()
@@ -425,6 +441,26 @@ def test_evaluate_model_beats_nothing_but_runs_and_writes_window_errors(workdir,
     # MAE <= sqrt(MSE) on every evaluation row (Jensen)
     for r in rows:
         assert float(r["mae"]) <= np.sqrt(float(r["mse"])) + 1e-9
+
+
+def test_evaluate_window_errors_keep_every_horizon(workdir, tmp_path):
+    _, data_path, _ = workdir
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    for horizon in (8, 16):
+        cfg = M.ModelConfig(horizon=horizon, n_channels=2, lookback=16, patch_len=4, d_model=8, n_layers=1, d_state=2, head_compress_dim=4)
+        model = M.build_model(cfg, seed=horizon, dtype=np.float64)
+        save_checkpoint(checkpoint_from_model(model, "stage2"), str(ckpt_dir / f"h{horizon}.ckpt"))
+    report = tmp_path / "report.csv"
+    per_window = tmp_path / "per_window.csv"
+    args = ["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8,16"]
+    assert main(args + ["--out", str(report), "--window-errors", str(per_window)]) == 0
+    n_windows = {r["horizon"]: int(r["n_windows"]) for r in csv.DictReader(open(report)) if r["horizon"] != "avg"}
+    assert set(n_windows) == {"8", "16"}
+    lines = open(per_window).read().splitlines()
+    assert lines.count("dataset,horizon,origin_index,mse,mae") == 1
+    win_rows = list(csv.DictReader(lines))
+    assert [r["horizon"] for r in win_rows] == ["8"] * n_windows["8"] + ["16"] * n_windows["16"]
 
 
 def test_evaluate_empty_split_exit3(workdir, tmp_path):

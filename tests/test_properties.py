@@ -9,14 +9,17 @@ import io
 import json
 import os
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import expit
 
 from tsmamba import checkpoint as C
 from tsmamba import cli as CLI
@@ -435,3 +438,30 @@ def test_weight_matmul_matches_batched_reference(lead, k, n, dtype, seed):
     for got, ref in ((ga, ref_a), (gb, ref_b)):
         assert got.shape == ref.shape and got.dtype == dtype
         np.testing.assert_allclose(got, ref, rtol=0, atol=MATMUL_TOL[dtype] * np.abs(ref).max())
+
+
+# float64 values as float32 or float64 arrays, with |x| up to 1e4, where
+# exp(-x) overflows either width, and with zeros of both signs and subnormals
+def sigmoid_inputs(dtype):
+    width = np.finfo(dtype).bits
+    elements = st.floats(-1e4, 1e4, width=width, allow_subnormal=True)
+    edges = st.sampled_from([0.0, -0.0, float(np.finfo(dtype).smallest_subnormal), -float(np.finfo(dtype).smallest_subnormal)])
+    return hnp.arrays(dtype, st.integers(1, 64), elements=st.one_of(elements, edges))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(sigmoid_inputs))
+@example(np.array([-1e4, -745.2, -103.9, -88.8, -0.0, 0.0, 1e-45, 88.8, 1e4], dtype=np.float32))
+@example(np.array([-1e4, -745.2, -709.8, -0.0, 0.0, 5e-324, 36.8, 1e4], dtype=np.float64))
+def test_sigmoid_within_4_ulp_of_expit(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = T._sigmoid(x)
+    want = expit(x)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    assert ((got >= 0) & (got <= 1)).all()
+    # both lie in [0, 1], where the distance between the integer views of
+    # two non-negative floats is their distance in ulps
+    ints = np.int32 if x.dtype == np.float32 else np.int64
+    ulps = np.abs(got.view(ints).astype(np.int64) - want.view(ints).astype(np.int64))
+    assert ulps.max() <= 4, (x[ulps.argmax()], got[ulps.argmax()], want[ulps.argmax()])

@@ -91,6 +91,52 @@ def test_depthwise_conv1d_gradients():
     fd_check(lambda t: T.sum_all(T.mul(T.depthwise_conv1d(T.tensor(x4), t, None, 2, 2), T.tensor(proj4))), w4)
 
 
+def conv_by_column_taps(x, w, b, pad_left, pad_right, g):
+    """Output, dL/dx and dL/dw of the conv for output gradient ``g``, written
+    out tap by tap as one column ``w[:, kk]`` broadcast over every row: the
+    same products, summed in the same order, as the optimised kernel."""
+    length, k = x.shape[1], w.shape[1]
+    l_out = length + pad_left + pad_right - k + 1
+    lead = tuple(range(x.ndim - 1))
+    out = np.zeros((x.shape[0], l_out) + x.shape[2:], dtype=x.dtype)
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for kk in range(k):
+        t0, t1 = max(0, pad_left - kk), min(l_out, length + pad_left - kk)
+        if t0 >= t1:
+            continue
+        s0, m = t0 + kk - pad_left, t1 - t0
+        out[:, t0:t1] += x[:, s0 : s0 + m] * w[:, kk]
+        gx[:, s0 : s0 + m] += g[:, t0:t1] * w[:, kk]
+        gw[:, kk] = (g[:, t0:t1] * x[:, s0 : s0 + m]).sum(axis=lead)
+    if b is not None:
+        out += b
+    return out, gx, gw
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape, k, pads, bias",
+    [
+        ((5, 32, 64), 4, (3, 0), True),  # the Mamba block's causal conv [B, L, d_inner]
+        ((5, 32, 16), M.ALIGN_KERNEL, (M.ALIGN_KERNEL // 2, M.ALIGN_KERNEL // 2), True),  # align conv [B, n_tokens, d_model]
+        ((2, 32, 16, 3), M.XSHIFT_KERNEL, (M.XSHIFT_KERNEL // 2, M.XSHIFT_KERNEL // 2), False),  # xchannel shift [B, n_tokens, d_model, D]
+        ((2, 2, 6), 5, (2, 2), True),  # taps that fall wholly in the padding
+    ],
+)
+def test_depthwise_conv1d_is_column_tap_bytes(shape, k, pads, bias, dtype):
+    rng = np.random.default_rng(21)
+    x = T.Tensor(rng.standard_normal(shape).astype(dtype), requires=True)
+    w = T.Tensor(rng.standard_normal((shape[-1], k)).astype(dtype), requires=True)
+    b = T.Tensor(rng.standard_normal(shape[-1]).astype(dtype)) if bias else None
+    out = T.depthwise_conv1d(x, w, b, *pads)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    vjps = {id(parent): vjp for parent, vjp in out.pairs}
+    want = conv_by_column_taps(x.array, w.array, None if b is None else b.array, *pads, g)
+    for got, ref in zip((out.array, vjps[id(x)](g), vjps[id(w)](g)), want):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_depthwise_conv1d_requires_batched_input():
     w = T.tensor(np.ones((3, 2)))
     for shape in ((8, 3), (1, 8, 4)):
