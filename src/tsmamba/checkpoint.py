@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CheckpointMismatch, CorruptCheckpoint, VersionMismatch
-from .model import Model, ModelConfig, build_model
+from .model import Model, ModelConfig, _unfilled_model
 
 MAGIC = b"TSMBCKPT"
 FORMAT_VERSION = 2  # 2: the scan discretizes its input as B_bar = dt*B; 1 used exact ZOH
@@ -62,11 +62,24 @@ def _dtype_name(arr: np.ndarray) -> str:
     raise CheckpointMismatch(f"unsupported tensor dtype {arr.dtype}")
 
 
+def _single_dtype(where: str, tensors: dict[str, np.ndarray]) -> np.dtype | None:
+    """The one dtype of ``tensors`` (None when empty); tensors of two dtypes
+    are a CorruptCheckpoint naming ``where`` and one tensor of each."""
+    # a model holds one dtype, so tensors that mix two were not taken from one
+    first_of = {}
+    for name, arr in tensors.items():
+        first_of.setdefault(arr.dtype, name)
+    if len(first_of) > 1:
+        (d0, n0), (d1, n1) = list(first_of.items())[:2]
+        raise CorruptCheckpoint(f"{where}: tensors mix dtypes {d0} ({n0!r}) and {d1} ({n1!r})")
+    return next(iter(first_of), None)
+
+
 def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
     """Write atomically: temp file in the target directory, then rename.
 
-    A tensor holding NaN or inf is a CorruptCheckpoint, raised before any
-    file is created.
+    A tensor holding NaN or inf, or tensors of two dtypes, are a
+    CorruptCheckpoint, raised before any file is created.
     """
     index = {}
     chunks = []
@@ -84,6 +97,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         }
         chunks.append(raw)
         offset += len(raw)
+    _single_dtype(path, ckpt.tensors)
     manifest = {
         "format_version": ckpt.format_version,
         "model_config": ckpt.model_config,
@@ -157,13 +171,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     for (s0, e0, n0), (s1, _, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise CorruptCheckpoint(f"{path}: tensors {n0!r} and {n1!r} overlap")
-    # a model holds one dtype, so a file that mixes two was not written from one
-    first_of = {}
-    for name, arr in tensors.items():
-        first_of.setdefault(arr.dtype.name, name)
-    if len(first_of) > 1:
-        (d0, n0), (d1, n1) = first_of.items()
-        raise CorruptCheckpoint(f"{path}: tensors mix dtypes {d0} ({n0!r}) and {d1} ({n1!r})")
+    _single_dtype(path, tensors)
     return Checkpoint(
         format_version=version,
         model_config=model_config,
@@ -198,10 +206,14 @@ def load_into_model(model: Model, ckpt: Checkpoint, required_prefixes: tuple[str
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> Model:
-    """Rebuild the architecture recorded in the manifest and fill every tensor."""
+    """Rebuild the architecture recorded in the manifest and fill every tensor.
+
+    The model is built without random draws, since every tensor is loaded
+    over; tensors of two dtypes are a CorruptCheckpoint.
+    """
     cfg = ckpt.config()
-    dtype = next(iter(ckpt.tensors.values())).dtype if ckpt.tensors else np.float32
-    model = build_model(cfg, seed=0, dtype=dtype)
+    dtype = _single_dtype("checkpoint", ckpt.tensors)
+    model = _unfilled_model(cfg, np.float32 if dtype is None else dtype)
     expected = set(model.named_parameters())
     missing = expected - set(ckpt.tensors)
     if missing:

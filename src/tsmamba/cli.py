@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -283,12 +284,14 @@ def _run_forecast(args) -> int:
     window = ds.values[-cfg.lookback :].T.astype(model.embedding.weight.value.dtype)
     with T.no_grad():
         pred = M.forecast(Tensor(window), model).array
+    # csv.writer's bytes, in one write: it quotes the header as it needs, and
+    # no number formatted with .9g needs quoting
+    header = io.StringIO()
+    csv.writer(header).writerow(ds.channel_labels())
+    body = "".join(",".join(f"{v:.9g}" for v in row) + "\r\n" for row in pred.T.tolist())
     out_path = args.out
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.channel_labels())
-        for t in range(cfg.horizon):
-            writer.writerow([f"{v:.9g}" for v in pred[:, t]])
+        fh.write(header.getvalue() + body)
     print(f"forecast ({pred.shape[0]}x{cfg.horizon}) written to {out_path}")
     return EXIT_OK
 
@@ -515,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="training log CSV path")
     p.add_argument("--ffill", action="store_true", help="forward-fill NaNs instead of rejecting")
-    p.set_defaults(handler=_run_pretrain)
 
     p = sub.add_parser("finetune", help="adapt a foundation checkpoint to one dataset")
     p.add_argument("--config", required=True)
@@ -525,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None)
     p.add_argument("--ffill", action="store_true")
-    p.set_defaults(handler=_run_finetune)
 
     p = sub.add_parser("forecast", help="zero-shot forecast from a checkpoint")
     p.add_argument("--model", required=True)
@@ -533,7 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--ffill", action="store_true")
-    p.set_defaults(handler=_run_forecast)
 
     p = sub.add_parser("evaluate", help="MSE/MAE report over a chronological split")
     p.add_argument("--model", required=True, help="checkpoint file or directory of per-horizon checkpoints")
@@ -551,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--raw-metrics", action="store_true")
     p.add_argument("--ffill", action="store_true")
-    p.set_defaults(handler=_run_evaluate)
 
     p = sub.add_parser("bench-scan", help="wall-time scaling of the scan kernels")
     p.add_argument("--len-list", default="1024,2048,4096")
@@ -561,20 +560,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_run_bench_scan)
 
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first ``main`` call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command; may be called any number of times in one process.
+
+    The parser is built once and reused. It holds no handler: each command's
+    ``_run_*`` function is looked up by name at call time.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags, which matches the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    handler = globals()["_run_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except _CONFIG_ERRORS as exc:
         _err(str(exc))
         return EXIT_CONFIG

@@ -316,8 +316,28 @@ def init_xchannel(rng, cfg: ModelConfig, dtype) -> XChannelParams:
 
 
 def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
+    return _assemble(cfg, np.random.default_rng(seed), dtype)
+
+
+class _NoDraws:
+    """Stands in for the Generator of ``_assemble`` when every value it would
+    draw is overwritten next: zeros of the asked size, no random stream."""
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+
+def _unfilled_model(cfg: ModelConfig, dtype) -> Model:
+    """The parameter tree of ``build_model`` without its random draws; the
+    drawn tensors hold placeholders, so every one must be loaded next."""
+    return _assemble(cfg, _NoDraws(), dtype)
+
+
+def _assemble(cfg: ModelConfig, rng, dtype) -> Model:
     cfg.validate()
-    rng = np.random.default_rng(seed)
     model = Model(
         config=cfg,
         embedding=init_embedding(rng, cfg, dtype),

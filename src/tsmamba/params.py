@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ def check_unique_names(params: list[Parameter]) -> None:
 
 
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
-    bound = 1.0 / np.sqrt(max(1, fan_in))
+    bound = 1.0 / math.sqrt(max(1, fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))
 
 

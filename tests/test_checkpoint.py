@@ -216,18 +216,50 @@ def test_float32_roundtrip(tmp_path):
     assert rebuilt.embedding.weight.value.dtype == np.float32
 
 
-def test_mixed_dtype_checkpoint_is_corrupt(tmp_path):
-    # one float64 tensor among float32 ones: no model holds two dtypes, so the
-    # file must not load with the rest cast to whichever dtype came first
-    ckpt = C.checkpoint_from_model(tiny_model(seed=15, dtype=np.float32), "stage2")
+def _mixed(ckpt):
+    """``ckpt`` with its last-named tensor cast to float64 among float32 ones;
+    (checkpoint, that tensor's name, the name of a float32 one)."""
     name = sorted(ckpt.tensors)[-1]
     ckpt.tensors[name] = ckpt.tensors[name].astype(np.float64)
+    return ckpt, name, next(n for n in ckpt.tensors if n != name)
+
+
+def test_mixed_dtype_checkpoint_is_corrupt(tmp_path):
+    # one float64 tensor among float32 ones: no model holds two dtypes, so the
+    # file must not load with the rest cast to whichever dtype came first.
+    # save_checkpoint refuses such a checkpoint, so the file is written by hand
+    ckpt = C.checkpoint_from_model(tiny_model(seed=15, dtype=np.float32), "stage2")
     path = tmp_path / "mixed.ckpt"
     C.save_checkpoint(ckpt, str(path))
+    manifest, payload = _read_parts(path)
+    name = sorted(ckpt.tensors)[-1]
+    raw = ckpt.tensors[name].astype(np.float64).tobytes()
+    manifest["tensors"][name].update(dtype="float64", byte_offset=len(payload), byte_len=len(raw))
+    _write_parts(path, manifest, payload + raw)
     with pytest.raises(CorruptCheckpoint) as exc:
         C.load_checkpoint(str(path))
     msg = str(exc.value)
     assert str(path) in msg and "float32" in msg and "float64" in msg and repr(name) in msg
+
+
+def test_save_refuses_mixed_dtypes(tmp_path):
+    ckpt, f64, f32 = _mixed(C.checkpoint_from_model(tiny_model(seed=15, dtype=np.float32), "stage2"))
+    path = tmp_path / "mixed.ckpt"
+    with pytest.raises(CorruptCheckpoint) as exc:
+        C.save_checkpoint(ckpt, str(path))
+    msg = str(exc.value)
+    assert str(path) in msg and "float32" in msg and "float64" in msg
+    assert repr(f32) in msg and repr(f64) in msg
+    assert list(tmp_path.iterdir()) == []  # neither the target nor a .ckpt-* temp file
+
+
+def test_model_from_checkpoint_refuses_mixed_dtypes():
+    # an in-memory checkpoint, never written: it must not be cast to one dtype
+    ckpt, f64, f32 = _mixed(C.checkpoint_from_model(tiny_model(seed=15, dtype=np.float32), "stage2"))
+    with pytest.raises(CorruptCheckpoint) as exc:
+        C.model_from_checkpoint(ckpt)
+    msg = str(exc.value)
+    assert "float32" in msg and "float64" in msg and repr(f32) in msg and repr(f64) in msg
 
 
 # the three ModelConfig keys of earlier manifests, at the values they were
@@ -275,3 +307,99 @@ def test_manifest_model_value_of_wrong_type_rejected(tmp_path, key, value):
     _write_parts(path, manifest, payload)
     with pytest.raises(InvalidConfig, match=repr(key)):
         C.model_from_checkpoint(C.load_checkpoint(str(path)))
+
+
+# ---------------------------------------------------------------------------
+# model_from_checkpoint builds without random draws
+# ---------------------------------------------------------------------------
+
+
+def _trained_like(dtype, xchannel, seed=21):
+    """A model whose every tensor holds seeded noise, so no tensor of a
+    rebuilt model can match it by keeping its initial value."""
+    model = tiny_model(seed=seed, dtype=dtype, n_channels=3, xchannel_enabled=xchannel)
+    rng = np.random.default_rng(seed + 1)
+    for p in model.parameters():
+        p.assign((rng.standard_normal(p.value.shape) * 0.3).astype(dtype))
+    return model
+
+
+@pytest.mark.parametrize("xchannel", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_model_from_checkpoint_matches_build_and_load(dtype, xchannel):
+    ckpt = C.checkpoint_from_model(_trained_like(dtype, xchannel), "finetune")
+    reference = M.build_model(ckpt.config(), seed=5, dtype=dtype)
+    C.load_into_model(reference, ckpt)
+    rebuilt = C.model_from_checkpoint(ckpt)
+    assert list(rebuilt.named_parameters()) == list(reference.named_parameters())
+    for name, p in reference.named_parameters().items():
+        q = rebuilt.named_parameters()[name]
+        assert q.value.dtype == p.value.dtype and q.value.array.tobytes() == p.value.array.tobytes(), name
+    x = T.tensor(np.random.default_rng(3).standard_normal((2, 3, 16)) * 4 + 1, dtype=dtype)
+    with T.no_grad():
+        assert M.forecast(x, rebuilt).array.tobytes() == M.forecast(x, reference).array.tobytes()
+
+
+def test_model_from_checkpoint_draws_no_random_numbers(monkeypatch):
+    ckpt = C.checkpoint_from_model(_trained_like(np.float32, True), "finetune")
+    seeded, drawn = [], []
+    real_default_rng = np.random.default_rng
+
+    class SpyGenerator:
+        """Passes every call on to a real Generator and records its name."""
+
+        def __init__(self, gen):
+            self._gen = gen
+
+        def __getattr__(self, name):
+            drawn.append(name)
+            return getattr(self._gen, name)
+
+    def default_rng(*args, **kwargs):
+        seeded.append(args)
+        return SpyGenerator(real_default_rng(*args, **kwargs))
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    # numpy's legacy global draws, in case a build reached for them instead
+    for name in ("uniform", "standard_normal", "normal", "rand", "randn", "random"):
+        monkeypatch.setattr(np.random, name, lambda *a, _name=name, **k: drawn.append(_name))
+
+    C.model_from_checkpoint(ckpt)
+    assert seeded == [] and drawn == []
+
+    # the spies do see the draws of an ordinary build
+    M.build_model(ckpt.config(), seed=0, dtype=np.float32)
+    assert seeded == [(0,)] and {"uniform", "standard_normal"} <= set(drawn)
+
+
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (lambda t: t.pop("fwd_encoder.layer0.mamba.ssm.x_to_b"), "missing"),
+        (lambda t: t.update({"mystery.weight": np.zeros(3)}), "mystery"),
+        (lambda t: t.update({"head.out_w": np.zeros((5, 4))}), "head.out_w"),
+    ],
+    ids=["missing", "extra", "shape"],
+)
+def test_model_from_checkpoint_refusals(edit, match):
+    ckpt = C.checkpoint_from_model(tiny_model(seed=22), "stage2")
+    edit(ckpt.tensors)
+    with pytest.raises(CheckpointMismatch, match=match):
+        C.model_from_checkpoint(ckpt)
+
+
+def test_training_a_loaded_model_leaves_the_checkpoint_alone():
+    from tsmamba import train as TR
+
+    ckpt = C.checkpoint_from_model(_trained_like(np.float64, False), "stage2")
+    before = {name: arr.tobytes() for name, arr in ckpt.tensors.items()}
+    model = C.model_from_checkpoint(ckpt)
+    rng = np.random.default_rng(4)
+    x = T.tensor(rng.standard_normal((6, 16)), dtype=np.float64)
+    y = T.tensor(rng.standard_normal((6, 4)), dtype=np.float64)
+    params = model.parameters()
+    T.backward(TR.stage2_loss(x, y, model), params)
+    TR.AdamW().step([(p, 1e-2) for p in params])
+    assert {name: arr.tobytes() for name, arr in ckpt.tensors.items()} == before
+    moved = [p.name for p in params if p.value.array.tobytes() != before[p.name]]
+    assert "head.out_w" in moved and "embedding.weight" in moved

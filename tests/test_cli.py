@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import csv
+import io
 import json
 
 import numpy as np
@@ -307,11 +308,15 @@ def test_forecast_corrupt_checkpoint_exit4(workdir, tmp_path):
 def test_forecast_mixed_dtype_checkpoint_exit4(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)  # float64
-    ckpt = load_checkpoint(s2)
-    name = next(iter(ckpt.tensors))
-    ckpt.tensors[name] = ckpt.tensors[name].astype(np.float32)
+    # save_checkpoint refuses mixed dtypes, so one entry is rewritten to read
+    # the first half of its float64 bytes as float32
     mixed = tmp_path / "mixed.ckpt"
-    save_checkpoint(ckpt, str(mixed))
+
+    def to_float32(manifest):
+        entry = next(iter(manifest["tensors"].values()))
+        entry.update(dtype="float32", byte_len=entry["byte_len"] // 2)
+
+    _rewrite_manifest(s2, mixed, to_float32)
     out = tmp_path / "o.csv"
     capsys.readouterr()
     assert main(["forecast", "--model", str(mixed), "--input", data_path, "--horizon", "4", "--out", str(out)]) == 4
@@ -342,6 +347,119 @@ def test_forecast_malformed_manifest_exit4(workdir, tmp_path, capsys):
         capsys.readouterr()
         assert main(["forecast", "--model", str(bad), "--input", data_path, "--horizon", "4", "--out", str(tmp_path / "o.csv")]) == 4
         assert name in capsys.readouterr().err
+
+
+def _csv_writer_bytes(labels, pred):
+    """What a csv.writer, one row per horizon step, writes for ``pred`` [D, T]."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(labels)
+    for t in range(pred.shape[1]):
+        writer.writerow([f"{v:.9g}" for v in pred[:, t]])
+    return buf.getvalue().encode("utf-8")
+
+
+def _quoted_labels_csv(tmp_path, data_path):
+    ds = D.load_csv(data_path, has_date_column=False)
+    labels = ["a,b", 'say "hi"']
+    path = tmp_path / "quoted.csv"
+    D.write_csv(D.TimeSeriesDataset(name="q", values=ds.values, channel_names=labels), str(path))
+    return str(path), labels
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_forecast_csv_bytes_match_csv_writer(workdir, tmp_path, precision):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    ckpt = load_checkpoint(s2)
+    dtype = np.dtype(precision)
+    ckpt.tensors = {name: arr.astype(dtype) for name, arr in ckpt.tensors.items()}
+    model_path = tmp_path / f"{precision}.ckpt"
+    save_checkpoint(ckpt, str(model_path))
+    input_path, labels = _quoted_labels_csv(tmp_path, data_path)
+    out = tmp_path / "fc.csv"
+    assert main(["forecast", "--model", str(model_path), "--input", input_path, "--horizon", "4", "--out", str(out)]) == 0
+
+    ds = D.load_csv(input_path)
+    assert ds.channel_labels() == labels
+    with no_grad():
+        pred = M.forecast(Tensor(ds.values[-16:].T.astype(dtype)), model_from_checkpoint(ckpt)).array
+    assert out.read_bytes() == _csv_writer_bytes(labels, pred)
+    assert out.read_bytes().startswith(b'"a,b","say ""hi"""\r\n')
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([[-0.0, 1 / 3, 16777217, 3.4028235e38], [1.17549435e-38, 1e-45, -9.87654321e8, 0.1]], dtype=np.float32),
+        np.array([[-0.0, 0.1 + 0.2, 1 / 3, 123456789.123], [1e-300, 5e-324, -2.0 / 3, 1e22]], dtype=np.float64),
+    ],
+    ids=["float32", "float64"],
+)
+def test_forecast_csv_formats_like_csv_writer(workdir, tmp_path, monkeypatch, values):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    input_path, labels = _quoted_labels_csv(tmp_path, data_path)
+    # the written numbers are exactly these, whatever the model would say
+    monkeypatch.setattr(M, "forecast", lambda x, model: Tensor(values))
+    out = tmp_path / "fc.csv"
+    assert main(["forecast", "--model", s2, "--input", input_path, "--horizon", "4", "--out", str(out)]) == 0
+    text = out.read_bytes()
+    assert text == _csv_writer_bytes(labels, values)
+    assert b"\r\n-0," in text  # -0.0 keeps its sign
+
+
+# ---------------------------------------------------------------------------
+# one process, many calls: the parser is built once and keeps no state
+# ---------------------------------------------------------------------------
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+
+    def spy():
+        built.append(1)
+        return real_build_parser()
+
+    real_build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert main(["--help"]) == 0
+    assert main(["--help"]) == 0
+    assert built == [1]
+    assert "forecast" in capsys.readouterr().out
+
+
+def test_repeated_calls_share_no_state(workdir, tmp_path, capsys):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    lines = open(data_path).read().splitlines()
+    lines[10] = lines[10].split(",", 1)[0] + ",nan"
+    gappy = tmp_path / "gappy.csv"
+    gappy.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o.csv"
+    argv = ["forecast", "--model", s2, "--input", str(gappy), "--horizon", "4", "--out", str(out)]
+
+    assert main(argv + ["--ffill"]) == 0
+    assert main(argv) == 3  # --ffill does not carry over
+    assert "NaN" in capsys.readouterr().err
+
+    assert main(argv + ["--bogus"]) == 2
+    assert main(argv[:3] + ["--input", data_path] + argv[5:]) == 0
+
+    assert main(["--help"]) == 0
+    assert main(["--help"]) == 0
+
+
+def test_patched_handler_runs(workdir, tmp_path, monkeypatch):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    argv = ["forecast", "--model", s2, "--input", data_path, "--horizon", "4", "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 0  # the parser is built, and cached, before the patch
+    seen = []
+    monkeypatch.setattr(cli, "_run_forecast", lambda args: seen.append(args.model) or 17)
+    assert main(argv) == 17
+    assert seen == [s2]
 
 
 # ---------------------------------------------------------------------------
