@@ -17,6 +17,7 @@ from .data import (
     TimeSeriesDataset,
     Trend,
     WindowSample,
+    Windows,
     load_csv,
     make_windows,
     metric_mae,

@@ -182,19 +182,21 @@ def _standardized_splits(
     return D.split_windows(D.standardize(ds, stats), rc_split, lookback, horizon, stride, boundaries), stats
 
 
-def _pool_channel_windows(datasets, rc: RunConfig, lookback: int, horizon: int):
-    xs, ys = [], []
-    for ds in datasets:
-        (train, _, _), _ = _standardized_splits(ds, rc.split, lookback, horizon, rc.window_stride)
-        if train:
-            x, y = D.flatten_channel_windows(train)
-            xs.append(x)
-            ys.append(y)
-    if not xs:
+def _pool_channel_windows(datasets, rc: RunConfig, lookback: int, horizon: int) -> tuple[D.ChannelRows, D.ChannelRows]:
+    """Input and target channel rows of every dataset's train split, pooled
+    in dataset order and gathered per batch."""
+    splits = [_standardized_splits(ds, rc.split, lookback, horizon, rc.window_stride)[0][0] for ds in datasets]
+    if not any(splits):
         raise DataError("no training windows across the supplied datasets")
-    x = np.concatenate(xs).astype(rc.dtype)
-    y = np.concatenate(ys).astype(rc.dtype)
-    return x, y
+    return D.ChannelRows(splits, "inputs"), D.ChannelRows(splits, "targets")
+
+
+def _check_precision(ckpt: Checkpoint, path: str, rc: RunConfig) -> None:
+    """Stage 2 and fine-tuning train in the dtype of the checkpoint they
+    start from; a config asking for another precision is refused."""
+    dtype = next(iter(ckpt.tensors.values())).dtype
+    if dtype != rc.dtype:
+        raise CheckpointMismatch(f"{path} holds {dtype} tensors, but the config's precision is {np.dtype(rc.dtype)}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +224,7 @@ def _run_pretrain(args) -> int:
         result = TR.run_stage1(windows, rc.stage1_config(), model, seed=rc.seed, log_path=args.log)
     else:
         file_ckpt = load_checkpoint(args.init)
+        _check_precision(file_ckpt, args.init, rc)
         stage1_ckpt = Checkpoint(
             format_version=file_ckpt.format_version,
             model_config=model_cfg.to_dict(),
@@ -250,8 +253,8 @@ def _run_finetune(args) -> int:
     (train, _, _), _ = _standardized_splits(ds, rc.split, model_cfg.lookback, model_cfg.horizon, rc.window_stride)
     if not train:
         raise DataError("no fine-tuning windows in the train split")
-    x = D.stack_inputs(train).astype(rc.dtype)
-    y = D.stack_targets(train).astype(rc.dtype)
+    _check_precision(foundation, args.init, rc)
+    x, y = train.inputs, train.targets
     n, d = x.shape[0], x.shape[1]
 
     if args.xchannel == "auto":
@@ -415,8 +418,8 @@ def _run_evaluate(args) -> int:
             )
         if args.window_errors:
             window_rows += [
-                (horizon, w.origin_index, D.metric_mse(preds[i], targets[i]), D.metric_mae(preds[i], targets[i]))
-                for i, w in enumerate(windows)
+                (horizon, origin, D.metric_mse(preds[i], targets[i]), D.metric_mae(preds[i], targets[i]))
+                for i, origin in enumerate(windows.origins)
             ]
 
     if args.window_errors:

@@ -1,4 +1,10 @@
-"""Dataset ingestion, windowing, chronological splits, metrics, synthetic data."""
+"""Dataset ingestion, windowing, chronological splits, metrics, synthetic data.
+
+A split is a ``Windows``: a range of origins over one read-only
+sliding-window view of a standardized series. Nothing is stacked until a
+caller asks: ``stack_inputs``/``stack_targets`` gather a split once, and
+``ChannelRows`` gathers training batches of channel rows by index.
+"""
 
 from __future__ import annotations
 
@@ -42,6 +48,68 @@ class WindowSample:
     input: np.ndarray  # [D, L] = values[t-L : t).T
     target: np.ndarray  # [D, T] = values[t : t+T).T
     origin_index: int
+
+
+@dataclass(eq=False)
+class Windows:
+    """Windows at the origins ``origins`` (a range whose step is the stride)
+    over one read-only sliding-window view of a series; nothing is copied.
+
+    ``spans[i]`` is ``values[t-L : t+T).T``, [D, L+T], for t = ``origins[i]``.
+    An integer index gives a WindowSample of views, a slice the Windows at
+    the selected origins; iteration yields every WindowSample in order.
+    """
+
+    spans: np.ndarray  # [n, D, L+T]
+    lookback: int
+    origins: range
+
+    @classmethod
+    def over(cls, values: np.ndarray, lookback: int, horizon: int, stride: int = 1) -> Windows:
+        """Every window of ``values`` [N, D], at origins lookback,
+        lookback + stride, ...; empty when N < lookback + horizon."""
+        if stride < 1:
+            raise InvalidConfig("stride must be >= 1")
+        width = lookback + horizon
+        if values.shape[0] < width:
+            spans = np.empty((0, values.shape[1], width), dtype=values.dtype)
+            spans.flags.writeable = False
+        else:
+            spans = np.lib.stride_tricks.sliding_window_view(values, width, axis=0)[::stride]
+        return cls(spans, lookback, range(lookback, lookback + len(spans) * stride, stride))
+
+    @property
+    def horizon(self) -> int:
+        return self.spans.shape[2] - self.lookback
+
+    @property
+    def n_channels(self) -> int:
+        return self.spans.shape[1]
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """[n, D, L] read-only view."""
+        return self.spans[:, :, : self.lookback]
+
+    @property
+    def targets(self) -> np.ndarray:
+        """[n, D, T] read-only view."""
+        return self.spans[:, :, self.lookback :]
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def _sample(self, span: np.ndarray, origin: int) -> WindowSample:
+        return WindowSample(input=span[:, : self.lookback], target=span[:, self.lookback :], origin_index=origin)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Windows(self.spans[i], self.lookback, self.origins[i])
+        return self._sample(self.spans[i], self.origins[i])
+
+    def __iter__(self):
+        for span, origin in zip(self.spans, self.origins):
+            yield self._sample(span, origin)
 
 
 @dataclass
@@ -223,18 +291,10 @@ def standardize(ds: TimeSeriesDataset, stats: ChannelStats) -> TimeSeriesDataset
     )
 
 
-def make_windows(ds: TimeSeriesDataset, lookback: int, horizon: int, stride: int = 1) -> list[WindowSample]:
-    """All (input, target) windows ordered by origin, as read-only views of
-    ``ds.values``; empty if the series is short."""
-    if stride < 1:
-        raise InvalidConfig("stride must be >= 1")
-    if ds.n_total < lookback + horizon:
-        return []
-    spans = np.lib.stride_tricks.sliding_window_view(ds.values, lookback + horizon, axis=0)[::stride]
-    return [
-        WindowSample(input=span[:, :lookback], target=span[:, lookback:], origin_index=lookback + i * stride)
-        for i, span in enumerate(spans)
-    ]
+def make_windows(ds: TimeSeriesDataset, lookback: int, horizon: int, stride: int = 1) -> Windows:
+    """All (input, target) windows ordered by origin, over a read-only view
+    of ``ds.values``; empty if the series is short."""
+    return Windows.over(ds.values, lookback, horizon, stride)
 
 
 def split_windows(
@@ -244,45 +304,96 @@ def split_windows(
     horizon: int,
     stride: int = 1,
     boundaries: tuple[int, int] | None = None,
-) -> tuple[list[WindowSample], list[WindowSample], list[WindowSample]]:
+) -> tuple[Windows, Windows, Windows]:
     """Chronological train/val/test windows; val and test windows may reach
     back into the previous segment for input context, never for targets.
+
+    A window with origin t is train when t + horizon <= train_end, else val
+    when t >= train_end and t + horizon <= val_end, else test when
+    t >= val_end. Each rule holds on a run of consecutive origins, so each
+    split is a slice of ``make_windows``' origins, found by arithmetic.
 
     ``boundaries`` overrides the fractional spec with explicit
     (train_end, val_end) row indices, matching benchmark conventions that fix
     split points instead of fractions.
     """
     n1, n2 = split_boundaries(ds.n_total, spec, boundaries)
-    train, val, test = [], [], []
-    for w in make_windows(ds, lookback, horizon, stride):
-        t = w.origin_index
-        if t + horizon <= n1:
-            train.append(w)
-        elif t >= n1 and t + horizon <= n2:
-            val.append(w)
-        elif t >= n2:
-            test.append(w)
-    return train, val, test
+    windows = Windows.over(ds.values, lookback, horizon, stride)
+
+    def upto(t: int) -> int:
+        """How many origins are <= t."""
+        return min(len(windows), max(0, (t - lookback) // stride + 1))
+
+    train_end = upto(n1 - horizon)
+    val_start = max(train_end, upto(n1 - 1))
+    val_end = max(val_start, upto(n2 - horizon))
+    test_start = max(val_end, upto(n2 - 1))
+    return windows[:train_end], windows[val_start:val_end], windows[test_start:]
 
 
 # np.array, unlike np.stack, lays the copy out in C order whatever the
 # strides of the window views, so downstream reductions round the same way.
-def stack_inputs(windows: list[WindowSample]) -> np.ndarray:
+def stack_inputs(windows: Windows | list[WindowSample]) -> np.ndarray:
+    """[n, D, L] C-ordered copy of the windows' inputs."""
+    if isinstance(windows, Windows):
+        return np.array(windows.inputs, order="C")
     return np.array([w.input for w in windows], order="C")
 
 
-def stack_targets(windows: list[WindowSample]) -> np.ndarray:
+def stack_targets(windows: Windows | list[WindowSample]) -> np.ndarray:
+    """[n, D, T] C-ordered copy of the windows' targets."""
+    if isinstance(windows, Windows):
+        return np.array(windows.targets, order="C")
     return np.array([w.target for w in windows], order="C")
 
 
-def flatten_channel_windows(windows: list[WindowSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-independent view: [n*D, L] inputs and [n*D, T] targets."""
-    if not windows:
+def flatten_channel_windows(windows: Windows) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-independent rows: [n*D, L] inputs and [n*D, T] targets, row
+    i*D + c holding channel c of window i.
+
+    At stride 1 the rows are read-only views of the series; at a larger
+    stride numpy gathers them into one fresh C-ordered copy each.
+    """
+    if not len(windows):
         raise DataError("no windows to flatten")
-    x = stack_inputs(windows)
-    y = stack_targets(windows)
-    n, d = x.shape[0], x.shape[1]
-    return x.reshape(n * d, x.shape[2]), y.reshape(n * d, y.shape[2])
+    rows = len(windows) * windows.n_channels
+    return windows.inputs.reshape(rows, windows.lookback), windows.targets.reshape(rows, windows.horizon)
+
+
+class ChannelRows:
+    """The channel rows of several splits' windows, pooled in the order that
+    concatenating their ``flatten_channel_windows`` rows would give, and
+    gathered by row index on demand: row i*D + c of a split is channel c of
+    its window i.
+
+    ``part`` is ``"inputs"`` for [n_rows, L] rows or ``"targets"`` for
+    [n_rows, T]. Indexing with an integer array returns a fresh C-ordered
+    [len(idx), width] array in the series' dtype.
+    """
+
+    ndim = 2
+
+    def __init__(self, splits: list[Windows], part: str):
+        self._parts = [getattr(w, part) for w in splits if len(w)]
+        if not self._parts:
+            raise DataError("no windows to pool")
+        self._starts = np.cumsum([0] + [views.shape[0] * views.shape[1] for views in self._parts])
+        self.shape = (int(self._starts[-1]), self._parts[0].shape[2])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, idx) -> np.ndarray:
+        idx = np.asarray(idx)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(self)):
+            raise IndexError(f"row index out of range 0..{len(self) - 1}")
+        split = np.searchsorted(self._starts, idx, side="right") - 1
+        out = np.empty(idx.shape + (self.shape[1],), dtype=self._parts[0].dtype)
+        for k, views in enumerate(self._parts):
+            sel = split == k
+            window, channel = np.divmod(idx[sel] - self._starts[k], views.shape[1])
+            out[sel] = views[window, channel]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,15 @@ def _write_log(path: str | None, rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
+def _batch(rows, idx: np.ndarray, dtype) -> Tensor:
+    """Rows ``idx`` of an array or row source as a C-ordered ``dtype`` tensor.
+
+    A gather from a window view keeps the view's strides; C order makes every
+    reduction round as it does on a stacked copy.
+    """
+    return Tensor(np.ascontiguousarray(rows[idx], dtype=dtype))
+
+
 def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Parameter], rng, log_path):
     opt = AdamW()
     # stage 2 trains the new head and alignment conv at lr_new and the loaded
@@ -288,7 +297,11 @@ def run_stage1(
     log_path: str | None = None,
 ) -> TrainResult:
     """Refine backbone + embedding via patch-wise autoregression; returns the
-    stage-1 checkpoint holding embedding and both encoders."""
+    stage-1 checkpoint holding embedding and both encoders.
+
+    ``windows`` is an [n, L] array, or anything that gathers [b, L] rows by
+    an index array (``data.ChannelRows``); each batch is cast to the model's
+    dtype."""
     if cfg.stage != "stage1_autoregressive":
         raise InvalidConfig(f"run_stage1 got stage {cfg.stage!r}")
     if windows.ndim != 2 or windows.shape[0] == 0:
@@ -307,7 +320,7 @@ def run_stage1(
     )
 
     def loss_fn(idx):
-        return stage1_loss(Tensor(windows[idx]), model, heads)
+        return stage1_loss(_batch(windows, idx, dtype), model, heads)
 
     step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, params, rng, log_path)
     ckpt = checkpoint_from_model(model, "stage1", prefixes=STAGE1_PREFIXES)
@@ -323,7 +336,10 @@ def run_stage2(
     log_path: str | None = None,
 ) -> TrainResult:
     """Train the prediction head at a larger learning rate while the loaded
-    backbone and embedding update slowly; returns the foundation checkpoint."""
+    backbone and embedding update slowly; returns the foundation checkpoint.
+
+    ``windows`` [n, L] and ``targets`` [n, T] gather batches as in
+    ``run_stage1``, cast to the checkpoint's dtype."""
     if cfg.stage != "stage2_head":
         raise InvalidConfig(f"run_stage2 got stage {cfg.stage!r}")
     if windows.ndim != 2 or windows.shape[0] == 0:
@@ -338,7 +354,7 @@ def run_stage2(
     rng = np.random.default_rng(seed)
 
     def loss_fn(idx):
-        return stage2_loss(Tensor(windows[idx]), Tensor(targets[idx]), model)
+        return stage2_loss(_batch(windows, idx, dtype), _batch(targets, idx, dtype), model)
 
     step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, params, rng, log_path)
     return TrainResult(checkpoint_from_model(model, "stage2"), model, step_losses, epoch_losses)
@@ -366,8 +382,9 @@ def run_finetune(
     """Freeze the Mamba blocks and adapt embedding, norms, alignment, head and
     (optionally) the cross-channel module to one dataset.
 
-    ``windows`` is [n, D, L] with [n, D, T] targets; the cross-channel module
-    starts inert (zero expansion), so step-0 forecasts equal zero-shot ones.
+    ``windows`` is [n, D, L] with [n, D, T] targets, each batch cast to the
+    foundation's dtype; the cross-channel module starts inert (zero
+    expansion), so step-0 forecasts equal zero-shot ones.
     """
     if cfg.stage != "finetune":
         raise InvalidConfig(f"run_finetune got stage {cfg.stage!r}")
@@ -391,7 +408,7 @@ def run_finetune(
     # multivariate batches regardless of the xchannel switch, so paired runs
     # differing only in that module see identical batch schedules
     def loss_fn(idx):
-        return stage2_loss(Tensor(windows[idx]), Tensor(targets[idx]), model)
+        return stage2_loss(_batch(windows, idx, dtype), _batch(targets, idx, dtype), model)
 
     step_losses, epoch_losses = _train_loop(loss_fn, n, cfg, params, rng, log_path)
     return TrainResult(checkpoint_from_model(model, "finetune"), model, step_losses, epoch_losses)

@@ -10,6 +10,7 @@ import pytest
 from tsmamba import cli
 from tsmamba import data as D
 from tsmamba import model as M
+from tsmamba import train as TR
 from tsmamba.checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from tsmamba.cli import main
 from tsmamba.tensor import Tensor, no_grad
@@ -156,6 +157,60 @@ def test_pretrain_deterministic_checkpoints(workdir, tmp_path):
     for out in (a, b):
         assert main(["pretrain", "--stage", "1", "--config", config_path, "--data", data_path, "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_pretrain_pooled_batches_match_stacked_windows(tmp_path, stride):
+    # pretrain over two CSVs of different lengths gathers its batches from
+    # the series; the checkpoint must equal run_stage1 on the pooled array
+    # of written-out train windows
+    lookback, horizon = 16, 4
+    paths, pooled = [], []
+    for i, n in enumerate((150, 97)):
+        ds = D.synth_generate(i, 2, n, [D.Sinusoid(freq=1 / 12, phase=0.5 * i), D.Noise(sigma=0.1)])
+        path = tmp_path / f"series{i}.csv"
+        D.write_csv(ds, str(path))
+        paths.append(str(path))
+        values = D.load_csv(str(path)).values
+        n1 = int(n * 0.7)
+        std = (values - values[:n1].mean(axis=0)) / values[:n1].std(axis=0)
+        pooled += [std[t - lookback : t, c] for t in range(lookback, n1 - horizon + 1, stride) for c in range(2)]
+    config = {
+        "seed": 5,
+        "window_stride": stride,
+        "model": {"horizon": horizon, "lookback": lookback, "patch_len": 4, "d_model": 8, "n_layers": 1, "d_state": 2, "head_compress_dim": 4},
+        "stage1": {"epochs": 2, "batch_size": 16},
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    out = tmp_path / "s1.ckpt"
+    assert main(["pretrain", "--stage", "1", "--config", str(config_path), "--data", *paths, "--out", str(out)]) == 0
+
+    rc = cli.RunConfig(config)
+    model = M.build_model(rc.model_config(2), seed=5, dtype=np.float32)
+    result = TR.run_stage1(np.array(pooled).astype(np.float32), rc.stage1_config(), model, seed=5)
+    want = tmp_path / "want.ckpt"
+    save_checkpoint(result.checkpoint, str(want))
+    assert out.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("trained,asked", [("float32", "float64"), ("float64", "float32")])
+def test_stage2_and_finetune_refuse_another_precision(workdir, tmp_path, capsys, trained, asked):
+    # both train in the dtype of the checkpoint they start from
+    _, data_path, config_path = workdir
+    raw = json.loads(open(config_path).read())
+    configs = {}
+    for precision in (trained, asked):
+        configs[precision] = tmp_path / f"{precision}.json"
+        configs[precision].write_text(json.dumps({**raw, "precision": precision}))
+    s1, s2 = _pretrain_both(tmp_path, data_path, str(configs[trained]))
+    out = str(tmp_path / "x.ckpt")
+    for argv in (
+        ["pretrain", "--stage", "2", "--config", str(configs[asked]), "--data", data_path, "--init", s1, "--out", out],
+        ["finetune", "--config", str(configs[asked]), "--data", data_path, "--init", s2, "--out", out],
+    ):
+        assert main(argv) == 4
+        assert "precision" in capsys.readouterr().err
 
 
 def test_pretrain_writes_training_log(workdir, tmp_path):

@@ -125,7 +125,7 @@ def test_make_windows_count(n_extra, expected):
 
 def test_make_windows_short_series_is_empty():
     ds = D.TimeSeriesDataset(name="w", values=np.arange(10.0)[:, None])
-    assert D.make_windows(ds, 8, 4) == []
+    assert len(D.make_windows(ds, 8, 4)) == 0
 
 
 def test_window_contiguity():
@@ -149,20 +149,22 @@ def test_windows_are_read_only_views_of_the_series():
 def test_stacks_are_c_contiguous_copies():
     rng = np.random.default_rng(4)
     ds = D.TimeSeriesDataset(name="w", values=rng.standard_normal((40, 3)))
-    windows = D.make_windows(ds, 8, 4, stride=3)
-    want_x = np.stack([np.ascontiguousarray(w.input) for w in windows])
-    want_y = np.stack([np.ascontiguousarray(w.target) for w in windows])
-    flat_x, flat_y = D.flatten_channel_windows(windows)
-    for got, want in (
-        (D.stack_inputs(windows), want_x),
-        (D.stack_targets(windows), want_y),
-        (flat_x, want_x.reshape(-1, 8)),
-        (flat_y, want_y.reshape(-1, 4)),
-    ):
-        assert got.flags.c_contiguous and got.flags.writeable
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-        assert not np.shares_memory(got, ds.values)
+    for stride in (1, 3):
+        windows = D.make_windows(ds, 8, 4, stride=stride)
+        want_x = np.stack([np.ascontiguousarray(w.input) for w in windows])
+        want_y = np.stack([np.ascontiguousarray(w.target) for w in windows])
+        for got, want in ((D.stack_inputs(windows), want_x), (D.stack_targets(windows), want_y)):
+            assert got.flags.c_contiguous and got.flags.writeable
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert not np.shares_memory(got, ds.values)
+        flat_x, flat_y = D.flatten_channel_windows(windows)
+        for got, want in ((flat_x, want_x.reshape(-1, 8)), (flat_y, want_y.reshape(-1, 4))):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            if stride == 1:  # rows of the series itself, not a copy
+                assert not got.flags.writeable
+                assert np.shares_memory(got, ds.values)
 
 
 def test_split_windows_no_leakage():

@@ -243,11 +243,84 @@ def test_split_windows_match_written_out_slices(case):
     assert [w.origin_index for w in train] == [t for t in grid if t + horizon <= n1]
     assert [w.origin_index for w in val] == [t for t in grid if t >= n1 and t + horizon <= n2]
     assert [w.origin_index for w in test] == [t for t in grid if t >= n2]
-    for w in train + val + test:
+    for w in list(train) + list(val) + list(test):
         t = w.origin_index
         assert (t - lookback) % stride == 0
         np.testing.assert_array_equal(w.input, values[t - lookback : t].T, strict=True)
         np.testing.assert_array_equal(w.target, values[t : t + horizon].T, strict=True)
+
+
+@st.composite
+def pool_cases(draw):
+    """One to three series of their own lengths, channel counts and split
+    boundaries, windowed at one lookback, horizon and stride."""
+    lookback, horizon, stride = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    series = []
+    for _ in range(draw(st.integers(1, 3))):
+        n, d = draw(st.integers(1, 80)), draw(st.integers(1, 4))
+        boundaries = None
+        if draw(st.booleans()):
+            n1 = draw(st.integers(1, n))
+            boundaries = (n1, draw(st.integers(n1, n)))
+        series.append((n, d, boundaries))
+    return lookback, horizon, stride, series, draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**16))
+
+
+def _stacked_slices(values: np.ndarray, origins: list[int], lo: int, hi: int) -> np.ndarray:
+    """[n, D, hi - lo] of the written-out slices values[t + lo : t + hi).T."""
+    return np.array([values[t + lo : t + hi].T for t in origins]).reshape(len(origins), values.shape[1], hi - lo)
+
+
+@settings(deadline=None, max_examples=200)
+@given(pool_cases())
+def test_window_views_and_pool_gather_match_written_out_slices(case):
+    lookback, horizon, stride, series, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    spec = D.SplitSpec()
+    trains, old_x, old_y = [], [], []
+    for n, d, boundaries in series:
+        values = rng.standard_normal((n, d))
+        splits = D.split_windows(D.TimeSeriesDataset("w", values), spec, lookback, horizon, stride, boundaries)
+        n1, n2 = D.split_boundaries(n, spec, boundaries)
+        grid = range(lookback, n - horizon + 1, stride)
+        rules = (lambda t: t + horizon <= n1, lambda t: t >= n1 and t + horizon <= n2, lambda t: t >= n2)
+        claimed: set[int] = set()
+        for windows, rule in zip(splits, rules):
+            origins = [t for t in grid if t not in claimed and rule(t)]
+            claimed.update(origins)
+            want_x = _stacked_slices(values, origins, -lookback, 0)
+            want_y = _stacked_slices(values, origins, 0, horizon)
+            assert list(windows.origins) == origins and len(windows) == len(origins)
+            assert windows.inputs.tobytes() == want_x.tobytes() and windows.inputs.shape == want_x.shape
+            assert windows.targets.tobytes() == want_y.tobytes() and windows.targets.shape == want_y.shape
+            assert D.stack_inputs(windows).tobytes() == want_x.tobytes()
+            if origins:
+                flat_x, flat_y = D.flatten_channel_windows(windows)
+                assert flat_x.tobytes() == want_x.reshape(-1, lookback).tobytes()
+                assert flat_y.tobytes() == want_y.reshape(-1, horizon).tobytes()
+            else:
+                with pytest.raises(DataError):
+                    D.flatten_channel_windows(windows)
+        trains.append(splits[0])
+        if len(splits[0]):
+            old_x.append(_stacked_slices(values, list(splits[0].origins), -lookback, 0).reshape(-1, lookback))
+            old_y.append(_stacked_slices(values, list(splits[0].origins), 0, horizon).reshape(-1, horizon))
+
+    if not old_x:
+        with pytest.raises(DataError):
+            D.ChannelRows(trains, "inputs")
+        return
+    x, y = D.ChannelRows(trains, "inputs"), D.ChannelRows(trains, "targets")
+    old_x, old_y = np.concatenate(old_x).astype(dtype), np.concatenate(old_y).astype(dtype)
+    assert x.shape == old_x.shape and y.shape == old_y.shape
+    for size in (1, 7, len(old_x)):
+        idx = rng.integers(0, len(old_x), size=size)
+        for pool, old in ((x, old_x), (y, old_y)):
+            batch = pool[idx].astype(dtype)
+            assert batch.flags.c_contiguous
+            assert batch.tobytes() == old[idx].tobytes()
+    with pytest.raises(IndexError):
+        x[np.array([len(old_x)])]
 
 
 @functools.cache
