@@ -9,6 +9,8 @@ caller asks: ``stack_inputs``/``stack_targets`` gather a split once, and
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -145,6 +147,12 @@ def _looks_numeric(cell: str) -> bool:
         return False
 
 
+# Characters that make csv.reader cut text otherwise than str.splitlines and
+# str.split(","): a quote, NUL (a csv.Error on Python 3.10), and the line
+# breaks that str.splitlines knows besides \n, \r and \r\n.
+_CSV_READER_ONLY = '"\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+
+
 def load_csv(
     path: str,
     has_date_column: bool | None = None,
@@ -157,54 +165,23 @@ def load_csv(
     first cell of every data row is non-numeric. Non-numeric body cells raise
     ParseError and infinite ones (``inf``, or overflowing like ``1e999``)
     DataError, each naming the 1-based row/column; uneven row widths raise
-    RaggedRows, and text that is not UTF-8 or not CSV ParseError. NaNs are
-    rejected unless ``ffill`` forward-fills them (leading NaNs still reject).
+    RaggedRows, and text that is not UTF-8 or not CSV ParseError. A leading
+    byte-order mark is dropped. NaNs are rejected unless ``ffill``
+    forward-fills them (leading NaNs still reject).
+
+    numpy's C reader parses the body of plain text; text that needs
+    csv.reader, and any body the C reader rejects, goes through csv.reader
+    and one float() per cell, which names the bad cell.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
-    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, an oversized field
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not a readable CSV: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise RaggedRows(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
-    if has_date_column is None:
-        data_rows = rows[1:] if len(rows) > 1 and not all(_looks_numeric(c) for c in rows[0]) else rows
-        has_date_column = not any(_looks_numeric(row[0]) for row in data_rows)
-    start_col = 1 if has_date_column else 0
-    if width - start_col < 1:
-        raise DataError(f"{path}: no value columns after dropping the date column")
-
-    first_numeric = all(_looks_numeric(c) for c in rows[0][start_col:])
-    header = None if first_numeric else rows[0]
-    body = rows if first_numeric else rows[1:]
-    if not body:
-        raise DataError(f"{path}: header only, no data rows")
-
-    header_offset = 1 if header is not None else 0
-    cells = [row[start_col:] for row in body] if start_col else body
-    try:
-        # numpy converts each str cell with float() itself, so the bits match
-        values = np.array(cells, dtype=np.float64)
-    except ValueError:
-        # the cell loop names the first cell float() rejects
-        values = np.empty((len(cells), width - start_col), dtype=np.float64)
-        for i, row in enumerate(cells):
-            for j, cell in enumerate(row):
-                try:
-                    values[i, j] = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: non-numeric cell at row {i + 1 + header_offset}, column {j + 1 + start_col}: {cell!r}"
-                    ) from None
-    if np.isinf(values).any():
-        i, j = np.argwhere(np.isinf(values))[0]
-        raise DataError(
-            f"{path}: infinite cell at row {i + 1 + header_offset}, column {j + 1 + start_col}: {body[i][j + start_col]!r}"
-        )
+    table = _parse_plain(path, text, has_date_column)
+    if table is None:
+        table = _parse_rows(path, _csv_rows(path, text), has_date_column)
+    values, start_col, timestamps, channel_names = table
 
     if np.isnan(values).any():
         if not ffill:
@@ -219,14 +196,108 @@ def load_csv(
             np.maximum.accumulate(idx, out=idx)
             values[:, j] = col[idx]
 
-    timestamps = [row[0] for row in body] if has_date_column else None
-    channel_names = list(header[start_col:]) if header is not None else None
     return TimeSeriesDataset(
         name=name or path,
         values=values,
         timestamps=timestamps,
         channel_names=channel_names,
     )
+
+
+def _layout(path: str, first: list[str], n_rows: int, later_heads, has_date_column: bool | None) -> tuple[int, int]:
+    """(start_col, header_rows) of a table whose first row is ``first`` and
+    whose other rows start with the cells of the iterable ``later_heads``."""
+    if has_date_column is None:
+        if n_rows == 1 or all(map(_looks_numeric, first)):
+            later_heads = itertools.chain([first[0]], later_heads)
+        has_date_column = not any(map(_looks_numeric, later_heads))
+    start_col = 1 if has_date_column else 0
+    if len(first) - start_col < 1:
+        raise DataError(f"{path}: no value columns after dropping the date column")
+    header_rows = 0 if all(map(_looks_numeric, first[start_col:])) else 1
+    if n_rows == header_rows:
+        raise DataError(f"{path}: header only, no data rows")
+    return start_col, header_rows
+
+
+def _parse_plain(path: str, text: str, has_date_column: bool | None):
+    """(values, start_col, timestamps, channel_names) of ``text`` with the
+    body parsed by np.loadtxt, or None when csv.reader and the cell loop must
+    judge it: text that needs csv.reader, a line longer than csv's field
+    limit, rows of uneven width, a cell the C reader rejects (such as
+    ``1_0``, which float() accepts) or an infinite cell, which the cell path
+    names."""
+    if any(c in text for c in _CSV_READER_ONLY):
+        return None
+    lines = [line for line in text.splitlines() if line]
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    first = lines[0].split(",")
+    width = len(first)
+    # equal comma totals with uneven rows leave a row short of the last
+    # column, which np.loadtxt rejects
+    if text.count(",") != len(lines) * (width - 1):
+        return None
+    heads = (line.partition(",")[0] for line in lines[1:])
+    start_col, header_rows = _layout(path, first, len(lines), heads, has_date_column)
+    body = lines[header_rows:]
+    try:
+        values = np.loadtxt(
+            body,
+            delimiter=",",
+            comments=None,
+            dtype=np.float64,
+            ndmin=2,
+            usecols=range(start_col, width) if start_col else None,
+        )
+    except ValueError:
+        return None
+    if values.shape != (len(body), width - start_col) or np.isinf(values).any():
+        return None
+    timestamps = [line.partition(",")[0] for line in body] if start_col else None
+    return values, start_col, timestamps, first[start_col:] if header_rows else None
+
+
+def _csv_rows(path: str, text: str) -> list[list[str]]:
+    """The non-empty rows csv.reader reads from ``text``."""
+    try:
+        return [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as exc:  # an oversized field
+        raise ParseError(f"{path}: not a readable CSV: {exc}") from None
+
+
+def _parse_rows(path: str, rows: list[list[str]], has_date_column: bool | None):
+    """``_parse_plain``'s table from csv.reader rows, one float() per cell."""
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRows(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+    start_col, header_rows = _layout(path, rows[0], len(rows), (row[0] for row in rows[1:]), has_date_column)
+    body = rows[header_rows:]
+    cells = [row[start_col:] for row in body] if start_col else body
+    try:
+        # numpy converts each str cell with float() itself, so the bits match
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:
+        # the cell loop names the first cell float() rejects
+        values = np.empty((len(cells), width - start_col), dtype=np.float64)
+        for i, row in enumerate(cells):
+            for j, cell in enumerate(row):
+                try:
+                    values[i, j] = float(cell)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: non-numeric cell at row {i + 1 + header_rows}, column {j + 1 + start_col}: {cell!r}"
+                    ) from None
+    if np.isinf(values).any():
+        i, j = np.argwhere(np.isinf(values))[0]
+        raise DataError(
+            f"{path}: infinite cell at row {i + 1 + header_rows}, column {j + 1 + start_col}: {body[i][j + start_col]!r}"
+        )
+    timestamps = [row[0] for row in body] if start_col else None
+    return values, start_col, timestamps, rows[0][start_col:] if header_rows else None
 
 
 def write_csv(ds: TimeSeriesDataset, path: str) -> None:

@@ -337,6 +337,22 @@ def test_forecast_boundary_and_parity(workdir, tmp_path):
     assert np.max(np.abs(pred_cli - pred_lib)) < 1e-6
 
 
+def test_forecast_of_bom_input_writes_clean_channel_names(workdir, tmp_path):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    plain = tmp_path / "plain.csv"
+    D.write_csv(D.TimeSeriesDataset(name="p", values=D.load_csv(data_path).values[:16], channel_names=["a", "b"]), str(plain))
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, bom):
+        out = tmp_path / f"fc-{path.stem}.csv"
+        assert main(["forecast", "--model", s2, "--input", str(path), "--horizon", "4", "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[1].startswith(b"a,b\r\n")
+    assert outputs[1] == outputs[0]
+
+
 def test_forecast_short_input_exit3(workdir, tmp_path):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)

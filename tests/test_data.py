@@ -68,6 +68,34 @@ def test_load_csv_rejects_infinite_cells(tmp_path, cell):
         assert "column 2" in str(err.value)
 
 
+def test_load_csv_drops_bom_of_headerless_file(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+    ds = D.load_csv(str(p))
+    assert ds.channel_names is None
+    np.testing.assert_array_equal(ds.values, [[1, 2], [3, 4], [5, 6]])
+
+
+def test_load_csv_drops_bom_before_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n3,4\n")
+    ds = D.load_csv(str(p))
+    assert ds.channel_names == ["a", "b"]
+    np.testing.assert_array_equal(ds.values, [[1, 2], [3, 4]])
+
+
+def test_load_csv_reads_a_plain_body_with_the_c_reader(tmp_path, monkeypatch):
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k.get("usecols")) or loadtxt(*a, **k))
+    p = tmp_path / "dated.csv"
+    p.write_text("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n")
+    ds = D.load_csv(str(p))
+    assert calls == [range(1, 3)]
+    assert ds.timestamps == ["2020-01-01", "2020-01-02"]
+    np.testing.assert_array_equal(ds.values, [[1, 2], [3, 4]])
+
+
 def test_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     ds = D.TimeSeriesDataset(name="r", values=rng.standard_normal((20, 3)))

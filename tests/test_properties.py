@@ -3,6 +3,7 @@ numeric boundaries and malformed text, the window splits, the checkpoint
 reader, the scan kernel's segment length and RevIN's affine equivariance."""
 
 import contextlib
+import csv
 import dataclasses
 import functools
 import io
@@ -27,7 +28,7 @@ from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import tensor as T
-from tsmamba.errors import CorruptCheckpoint, DataError, InvalidConfig
+from tsmamba.errors import CorruptCheckpoint, DataError, InvalidConfig, ParseError, RaggedRows
 from tsmamba.tensor import Tensor
 
 # values the architecture hardwires for the keys of earlier configs
@@ -217,6 +218,133 @@ def test_malformed_csv_raises_only_data_errors(blob, has_date_column, ffill):
             return
     assert ds.values.ndim == 2 and ds.values.size > 0
     assert np.isfinite(ds.values).all()
+
+
+def reference_load_csv(path, has_date_column=None, ffill=False):
+    """``load_csv`` written out as csv.reader and one float() per cell, with
+    a leading byte-order mark dropped: (values, timestamps, channel_names)."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: not a readable CSV: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRows(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+
+    def numeric(cell):
+        try:
+            float(cell)
+            return True
+        except ValueError:
+            return False
+
+    if has_date_column is None:
+        data_rows = rows[1:] if len(rows) > 1 and not all(numeric(c) for c in rows[0]) else rows
+        has_date_column = not any(numeric(row[0]) for row in data_rows)
+    start_col = 1 if has_date_column else 0
+    if width - start_col < 1:
+        raise DataError(f"{path}: no value columns after dropping the date column")
+    header = None if all(numeric(c) for c in rows[0][start_col:]) else rows[0]
+    body = rows if header is None else rows[1:]
+    if not body:
+        raise DataError(f"{path}: header only, no data rows")
+    offset = 0 if header is None else 1
+
+    values = np.empty((len(body), width - start_col))
+    for i, row in enumerate(body):
+        for j, cell in enumerate(row[start_col:]):
+            try:
+                values[i, j] = float(cell)
+            except ValueError:
+                raise ParseError(f"{path}: non-numeric cell at row {i + 1 + offset}, column {j + 1 + start_col}: {cell!r}") from None
+    for i, row in enumerate(body):
+        for j, cell in enumerate(row[start_col:]):
+            if np.isinf(values[i, j]):
+                raise DataError(f"{path}: infinite cell at row {i + 1 + offset}, column {j + 1 + start_col}: {cell!r}")
+    for i in range(len(body)):
+        if np.isnan(values[i]).any() and not ffill:
+            raise DataError(f"{path}: NaN values present (first at data row {i + 1}); pass ffill to forward-fill")
+    for j in range(values.shape[1]):
+        for i in range(len(body)):
+            if np.isnan(values[i, j]):
+                if i == 0:
+                    raise DataError(f"{path}: column {j + 1 + start_col} starts with NaN; cannot forward-fill")
+                values[i, j] = values[i - 1, j]
+    timestamps = [row[0] for row in body] if has_date_column else None
+    return values, timestamps, None if header is None else header[start_col:]
+
+
+odd_cells = st.sampled_from(
+    ["1_0", "+1.5", "nan", "-NaN", "Infinity", "-inf", "1e999", "#", "#1", "", " ", " 2 ", "\t3", "x", "1 2", "١", "\xa04", "0x10", "1e", "-0"]
+    + ['"1"', '"a,b"', '""', '1"', '"2', "2020-01-01", "2020-01-01 00:00", "a", "b c", "1.0", "2"]
+)
+line_breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV-like text: a grid of numbers, an optional header (possibly
+    numeric-looking) and date column, and, unless the draw is clean, odd
+    cells, uneven rows, trailing commas, blank and whitespace lines, and line
+    breaks other than \\n; optionally after a byte-order mark."""
+    clean = draw(st.booleans())
+    cell = numeric_text if clean else st.one_of(numeric_text, odd_cells)
+    width = draw(st.integers(1, 4))
+    rows = [draw(st.lists(cell, min_size=width, max_size=width)) for _ in range(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        rows = [[draw(st.sampled_from(["2020-01-01", "2020-01-02 00:00", "t", "1", '"t"', '"1"']))] + row for row in rows]
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.lists(st.sampled_from(["a", "b c", "1", "2.5", "date", "#", "nan", '"a"', '"b,c"', '"1"']), min_size=len(rows[0]) if rows else 1, max_size=len(rows[0]) if rows else 1)))
+    lines = [",".join(row) for row in rows]
+    breaks = st.sampled_from(["\n", "\r\n"])
+    if not clean:
+        breaks = line_breaks
+        for _ in range(draw(st.integers(0, 3))):
+            at = draw(st.integers(0, len(lines)))
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", ",", "1,", "1,2,3,4,5,6"])))
+        if lines and draw(st.booleans()):
+            lines[-1] += ","
+    text = "".join(line + draw(breaks) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -1 if text.endswith(("\n", "\r", "\x0c")) else None]
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+@settings(deadline=None, max_examples=600)
+@given(csv_texts(), st.sampled_from([None, True, False]), st.booleans())
+@example("\ufeff1.0,2.0\n3.0,4.0\n5.0,6.0\n", None, False)
+@example("\ufeffa,b\n1,2\n3,4\n", None, False)
+@example("a,b\n1_0,2\n3,4\n", None, False)
+@example('"a",b\n1,2\n', None, False)
+@example("a,b\r10,2\r\n\n3,4\r", None, False)
+@example("d,a\nx,1,\ny,2,\n", None, False)
+@example("d,a\nx,1,2\ny\n", None, False)
+@example("a\x0cb\n1\x0c2\n", None, False)
+@example("t,1\nu,1e999\n", None, True)
+@example("a,b\nnan,1\n2,3\n", None, True)
+@example("a,b\n1,2\nnan,3\n", False, True)
+def test_load_csv_matches_the_cell_by_cell_reader(text, has_date_column, ffill):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "diff.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            expected = reference_load_csv(path, has_date_column, ffill)
+        except DataError as exc:
+            with pytest.raises(type(exc)) as err:
+                D.load_csv(path, has_date_column=has_date_column, ffill=ffill)
+            assert type(err.value) is type(exc) and str(err.value) == str(exc)
+            return
+        ds = D.load_csv(path, has_date_column=has_date_column, ffill=ffill)
+    values, timestamps, channel_names = expected
+    assert ds.values.dtype == np.float64 and ds.values.shape == values.shape
+    assert ds.values.tobytes() == values.tobytes()
+    assert ds.timestamps == timestamps
+    assert ds.channel_names == channel_names
 
 
 @st.composite
