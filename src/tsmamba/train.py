@@ -264,20 +264,16 @@ def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Paramete
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             t0 = time.perf_counter()
+            loss = loss_fn(idx)
+            value = loss.item()
             step += 1
-            # an overflow, invalid operation or division by zero anywhere in
-            # the step means the run has diverged: it stops the run as a
-            # non-finite loss does, rather than carrying inf into the weights
+            # checked before backward, so no update reaches the weights
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: loss is {value}")
+            T.backward(loss, params)
             try:
-                with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    loss = loss_fn(idx)
-                    value = loss.item()
-                    # checked before backward, so no update reaches the weights
-                    if not np.isfinite(value):
-                        raise NonFiniteLoss(f"loss is {value}")
-                    T.backward(loss, params)
-                    grad_norm, clip_scale = optimizer_step(opt, rated, cfg)
-            except (NonFiniteLoss, FloatingPointError) as exc:
+                grad_norm, clip_scale = optimizer_step(opt, rated, cfg)
+            except NonFiniteLoss as exc:
                 raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: {exc}") from None
             wall_s = time.perf_counter() - t0
             step_losses.append(value)

@@ -107,11 +107,6 @@ CONFIG_KEYS = (
 )
 
 
-# a stage-1 learning rate or weight decay far enough from the defaults makes
-# the run diverge, which ends it with the non-finite-loss exit code
-DIVERGING_KEYS = {("stage1", "lr"), ("stage1", "weight_decay")}
-
-
 def _fits(value, kind) -> bool:
     if kind is float:
         return type(value) in (int, float) and np.isfinite(value)
@@ -132,11 +127,7 @@ def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = CLI.main(["pretrain", "--stage", "1", "--config", config, "--data", data, "--out", os.path.join(tmp, "m.ckpt")])
-    if code == CLI.EXIT_NON_FINITE:
-        assert (section, key) in DIVERGING_KEYS and _fits(value, kind), err.getvalue()
-        assert "stage1_autoregressive epoch 0 step" in err.getvalue()
-    else:
-        assert code in (0, 2), err.getvalue()
+    assert code in (0, 2), err.getvalue()
     if not _fits(value, kind):
         assert code == 2
         assert key in err.getvalue()
