@@ -13,7 +13,7 @@ import io
 import itertools
 import warnings
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -177,10 +177,15 @@ def load_csv(
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
+        # csv.reader streaming the file as UTF-8 raises the error load_csv has
+        # always raised: it gives the bad byte's position within the chunk
+        # being decoded, counting a byte-order mark
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            _csv_rows(path, fh)
         raise ParseError(f"{path}: not a readable CSV: {exc}") from None
     table = _parse_plain(path, text, has_date_column)
     if table is None:
-        table = _parse_rows(path, _csv_rows(path, text), has_date_column)
+        table = _parse_rows(path, _csv_rows(path, io.StringIO(text, newline="")), has_date_column)
     values, start_col, timestamps, channel_names = table
 
     if np.isnan(values).any():
@@ -258,11 +263,11 @@ def _parse_plain(path: str, text: str, has_date_column: bool | None):
     return values, start_col, timestamps, first[start_col:] if header_rows else None
 
 
-def _csv_rows(path: str, text: str) -> list[list[str]]:
-    """The non-empty rows csv.reader reads from ``text``."""
+def _csv_rows(path: str, lines: Iterable[str]) -> list[list[str]]:
+    """The non-empty rows csv.reader reads from ``lines``."""
     try:
-        return [row for row in csv.reader(io.StringIO(text, newline="")) if row]
-    except csv.Error as exc:  # an oversized field
+        return [row for row in csv.reader(lines) if row]
+    except (UnicodeDecodeError, csv.Error) as exc:  # bytes that are not UTF-8, an oversized field
         raise ParseError(f"{path}: not a readable CSV: {exc}") from None
 
 

@@ -347,6 +347,25 @@ def test_load_csv_matches_the_cell_by_cell_reader(text, has_date_column, ffill):
     assert ds.channel_names == channel_names
 
 
+@pytest.mark.parametrize("bad_at", [5, 12_000])
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_load_csv_names_a_bad_byte_as_the_streaming_reader_does(bad_at, bom):
+    # the message is csv.reader's over a UTF-8 text stream, whose position is
+    # within the chunk being decoded, not the bad byte's offset in the file
+    body = b"".join(b"%d.25,%d.5\n" % (i, -i) for i in range(2000))
+    blob = bom + b"a,b\n" + body[:bad_at] + b"\xff" + body[bad_at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "latin.csv")
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(UnicodeDecodeError) as stream:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                list(csv.reader(fh))
+        with pytest.raises(ParseError) as err:
+            D.load_csv(path)
+    assert str(err.value) == f"{path}: not a readable CSV: {stream.value}"
+
+
 @st.composite
 def split_cases(draw):
     n, d = draw(st.integers(1, 80)), draw(st.integers(1, 4))
