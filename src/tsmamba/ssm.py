@@ -443,16 +443,22 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
 
 
 def mamba_block_batched(u: Tensor, p: MambaBlockParams) -> Tensor:
-    """Gated-MLP Mamba block over token-major input [B, L, d_model]."""
+    """Gated-MLP Mamba block over token-major input [B, L, d_model].
+
+    The main and gate branches are two GEMMs of u against the column halves
+    of ``in_proj``, so no [B, L, 2*d_inner] product, nor a copy of its
+    halves, is made or taped. The gate branch is computed after the scan, so
+    a no-tape call does not hold it while the scan runs.
+    """
     if u.ndim != 3 or u.shape[2] != p.d_model:
         raise ShapeMismatch(f"mamba block input {u.shape} vs d_model {p.d_model}")
     d_inner = p.d_inner
     k = p.conv_weight.value.shape[1]
-    z = T.matmul(u, p.in_proj.value)  # [B, L, 2*d_inner]
-    z_main = T.slice_axis(z, 2, 0, d_inner)
-    z_gate = T.slice_axis(z, 2, d_inner, 2 * d_inner)
+    w_in = p.in_proj.value  # [d_model, 2*d_inner]: main branch | gate branch
+    z_main = T.matmul(u, T.slice_axis(w_in, 1, 0, d_inner))
     x_inner = T.silu(T.depthwise_conv1d(z_main, p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0))
     y = _selective_scan_batched(x_inner, p.ssm)
+    z_gate = T.matmul(u, T.slice_axis(w_in, 1, d_inner, 2 * d_inner))
     gated = T.mul(y, T.silu(z_gate))
     return T.matmul(gated, p.out_proj.value)
 

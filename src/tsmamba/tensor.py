@@ -9,6 +9,14 @@ graph as it goes, so each activation is freed once its VJPs have run.
 Broadcasting is never implicit: elementwise ops demand identical shapes and
 callers widen operands with :func:`broadcast_to`. Dtypes must agree as well,
 so a float32 run cannot silently promote to float64 halfway through a graph.
+
+The tape holds only what each backward reads: a VJP keeps its op's inputs
+(or a layout of them the op built, as depthwise_conv1d's taps) and per-row
+scalars (rmsnorm's ``inv``), and recomputes any term that costs one pass
+over them (silu's sigmoid, gelu's cdf and pdf, rmsnorm's normalized input)
+instead of keeping it. The recomputation repeats the forward's operations,
+so it gives the forward's bytes. softmax keeps its output, which is all its
+backward reads.
 """
 
 from __future__ import annotations
@@ -314,20 +322,36 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def silu(a: Tensor) -> Tensor:
+    """x * sigmoid(x). The VJP keeps only x and recomputes the sigmoid."""
     av = a.array
-    sig = _sigmoid(av)
-    return apply_op(av * sig, [(a, lambda g: g * (sig * (1.0 + av * (1.0 - sig))))])
+
+    def vjp(g):
+        sig = _sigmoid(av)
+        return g * (sig * (1.0 + av * (1.0 - sig)))
+
+    return apply_op(av * _sigmoid(av), [(a, vjp)])
+
+
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + _erf(x * _INV_SQRT2))
 
 
 def gelu(a: Tensor) -> Tensor:
+    """x * Phi(x), exact. The VJP keeps only x and recomputes Phi and its pdf."""
     av = a.array
-    cdf = 0.5 * (1.0 + _erf(av * _INV_SQRT2))
-    pdf = np.exp(-0.5 * av * av) * _INV_SQRT2PI
-    return apply_op((av * cdf).astype(av.dtype, copy=False), [(a, lambda g: g * (cdf + av * pdf))])
+
+    def vjp(g):
+        pdf = np.exp(-0.5 * av * av) * _INV_SQRT2PI
+        return g * (_gelu_cdf(av) + av * pdf)
+
+    return apply_op((av * _gelu_cdf(av)).astype(av.dtype, copy=False), [(a, vjp)])
 
 
 def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
-    """x / sqrt(mean(x^2, last axis) + eps) * gain, gain broadcast over leading axes."""
+    """x / sqrt(mean(x^2, last axis) + eps) * gain, gain broadcast over leading axes.
+
+    The VJPs keep x and the per-row ``inv`` = 1 / sqrt(mean(x^2) + eps), and
+    the gain's VJP recomputes the normalized x * inv."""
     xv, gv = x.array, gain.array
     if gv.ndim != 1 or xv.shape[-1] != gv.shape[0]:
         raise ShapeMismatch(f"rmsnorm: gain {gv.shape} vs last dim of {xv.shape}")
@@ -335,7 +359,6 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
         raise InvalidConfig("rmsnorm eps must be >= 0")
     d = xv.shape[-1]
     inv = 1.0 / np.sqrt((xv * xv).mean(axis=-1, keepdims=True) + eps)
-    normed = xv * inv
 
     def vjp_x(g):
         gg = g * gv
@@ -343,9 +366,9 @@ def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
         return inv * gg - xv * (inv**3 / d) * (gg * xv).sum(axis=-1, keepdims=True)
 
     def vjp_gain(g):
-        return (g * normed).reshape(-1, d).sum(axis=0)
+        return (g * (xv * inv)).reshape(-1, d).sum(axis=0)
 
-    return apply_op((normed * gv).astype(xv.dtype, copy=False), [(x, vjp_x), (gain, vjp_gain)])
+    return apply_op((xv * inv * gv).astype(xv.dtype, copy=False), [(x, vjp_x), (gain, vjp_gain)])
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from _tape import graph_nodes, held_arrays, tape_arrays
 from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import tensor as T
@@ -262,23 +263,6 @@ def test_scan_adjoint_follows_each_gradient():
         xf = Tensor(x.copy(), requires=True)
         want = T.grad_map(scan_loss(xf, p, weights))[id(xf)]
         assert got.tobytes() == want.tobytes()
-
-
-def held_arrays(fns):
-    """Every distinct array reachable from vjp closures, through nested closures and containers."""
-    seen, stack, out = set(), list(fns), []
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            out.append(obj)
-        elif isinstance(obj, (list, tuple)):
-            stack.extend(obj)
-        elif callable(obj):
-            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
-    return out
 
 
 @pytest.mark.parametrize("length", [1, 256, 257, 600])
@@ -577,6 +561,58 @@ def test_mamba_block_parameter_gradients():
         fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)
         param.assign(base)
         assert rel_err(param.grad.array, fd.array) < 1e-4, param.name
+
+
+def one_gemm_block(u, p):
+    """The block with in_proj as one [B, L, 2*d_inner] GEMM whose halves are
+    then sliced off: the reference for the block's GEMM per branch."""
+    d_inner, k = p.d_inner, p.conv_weight.value.shape[1]
+    z = T.matmul(u, p.in_proj.value)
+    z_main = T.slice_axis(z, 2, 0, d_inner)
+    z_gate = T.slice_axis(z, 2, d_inner, 2 * d_inner)
+    x_inner = T.silu(T.depthwise_conv1d(z_main, p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0))
+    gated = T.mul(ssm._selective_scan_batched(x_inner, p.ssm), T.silu(z_gate))
+    return T.matmul(gated, p.out_proj.value)
+
+
+@pytest.mark.parametrize("dtype,grad_tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
+@pytest.mark.parametrize("batch,d_model", [(63, 32), (32, 128)])
+def test_mamba_block_two_gemms_match_one_gemm_reference(batch, d_model, dtype, grad_tol):
+    # the model's shapes: evaluate's 63-row groups at d_model 32, train's
+    # 32-row batches at d_model 128, 32 tokens each
+    rng = np.random.default_rng(28)
+    p = make_block(rng, d_model=d_model, d_inner=2 * d_model, n_state=16, dtype=dtype)
+    u = rng.standard_normal((batch, 32, d_model)).astype(dtype)
+    proj = T.tensor(rng.standard_normal((batch, 32, d_model)), dtype)
+    got_u, want_u = Tensor(u.copy(), requires=True), Tensor(u.copy(), requires=True)
+    got, want = ssm.mamba_block_batched(got_u, p), one_gemm_block(want_u, p)
+    assert got.array.tobytes() == want.array.tobytes()
+    # u's gradient now sums two GEMMs of depth d_inner where the reference
+    # runs one of depth 2*d_inner, so it may round differently
+    g_got = T.grad_map(T.sum_all(T.mul(got, proj)))[id(got_u)]
+    g_want = T.grad_map(T.sum_all(T.mul(want, proj)))[id(want_u)]
+    assert np.max(np.abs(g_got - g_want)) <= grad_tol * np.max(np.abs(g_want))
+
+
+def test_taped_encoder_keeps_only_what_each_backward_reads():
+    # one layer: rmsnorm -> block (in_proj, conv, silu, scan, gate) -> residual -> rmsnorm
+    rng = np.random.default_rng(29)
+    b_, length, d_model, d_inner = 2, 5, 4, 8
+    enc = make_encoder(rng, 1, d_model=d_model, d_inner=d_inner)
+    out = ssm.encoder_forward_batched(Tensor(rng.standard_normal((b_, length, d_model)), requires=True), enc)
+    # no in_proj product [B, L, 2*d_inner], nor a copy of it, is kept
+    assert (b_, length, 2 * d_inner) not in {arr.shape for arr in tape_arrays(out)}
+    seen = set()
+    for node in graph_nodes(out):
+        op = node.pairs[0][1].__qualname__.split(".")[0] if node.pairs else None
+        if op not in ("silu", "rmsnorm"):
+            continue
+        seen.add(op)
+        inputs = [parent.array for parent, _ in node.pairs]
+        for arr in held_arrays(fn for _, fn in node.pairs):
+            # rmsnorm may also keep its per-row scale, inv [B, L, 1]
+            assert any(arr is x for x in inputs) or (op == "rmsnorm" and arr.shape == (b_, length, 1)), (op, arr.shape)
+    assert seen == {"silu", "rmsnorm"}
 
 
 def make_encoder(rng, n_layers, d_model=4, d_inner=8, n_state=2, prefix="enc"):
