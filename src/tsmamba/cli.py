@@ -321,7 +321,7 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
             try:
                 ckpt = load_checkpoint(full)
                 candidates.append((name, ckpt, ckpt.config().horizon))
-            except (CorruptCheckpoint, *_CONFIG_ERRORS) as exc:
+            except (OSError, CorruptCheckpoint, *_CONFIG_ERRORS) as exc:
                 _err(f"skipping checkpoint {name}: {exc}")
         for horizon in horizons:
             match = [(name, c) for name, c, trained in candidates if trained == horizon]
@@ -599,7 +599,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonFiniteLoss as exc:
         _err(str(exc))
         return EXIT_NON_FINITE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a path that is missing, a directory, or unreadable; str names it
         _err(str(exc))
         return EXIT_DATA
     except TSMambaError as exc:

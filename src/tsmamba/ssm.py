@@ -8,11 +8,11 @@ token-sized maps (B, C, dt) once per scan and the state-sized terms one
 step at a time. The state is laid out state-major, [B, n_state, d_inner],
 so every per-step pass over it (outer products, exp, update, contractions)
 runs along the long channel axis rather than the short state axis.
-The tape records a scan as a single op that keeps only the
-state entering each 256-step segment. Its backward walks the segments in
-reverse, recomputes the segment's states once, then walks its steps in
-reverse, recomputing each step's a_bar, so training stores no
-per-step coefficient arrays and at most one segment of states.
+The tape records a scan as a single op that keeps only its input and
+the weights. Its backward replays the states once from h_0 = 0, then walks
+the steps in reverse, recomputing each step's a_bar, so training stores no
+per-step coefficient arrays and no state between the forward and the
+backward.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -86,10 +86,6 @@ class MambaBlockParams:
 class EncoderParams:
     layers: list[tuple[MambaBlockParams, Parameter]]  # (block, pre-norm gain)
     final_norm: Parameter
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
 
     def parameters(self) -> list[Parameter]:
         out: list[Parameter] = []
@@ -170,9 +166,6 @@ def init_encoder(
 # The selective-scan kernel
 # ---------------------------------------------------------------------------
 
-_SEGMENT = 256  # time steps per state a taped scan keeps for its backward
-
-
 class _StepCoeffs:
     """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
     for the whole sequence, the state-sized step terms one step at a time.
@@ -236,19 +229,17 @@ def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
     )
 
 
-def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], saved: list | None = None) -> np.ndarray:
+def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
     """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], one step at a
-    time, strictly left to right, with the state h [B, n_state, d_inner]. A
-    list passed as ``saved`` receives the state entering each segment of
-    ``_SEGMENT`` steps, which is all the backward pass keeps.
+    time, strictly left to right, with the state h [B, n_state, d_inner]
+    starting at h_0 = 0. Only the current state is held; the backward pass
+    replays the rest.
     """
     b_, l_, d = x.shape
     co = _StepCoeffs(x, weights)
     ys = np.empty((b_, l_, d), dtype=x.dtype)
     h = np.zeros(co.a_bar.shape, dtype=x.dtype)
     for t in range(l_):
-        if saved is not None and t % _SEGMENT == 0:
-            saved.append(h.copy())
         co.fill(t)
         h *= co.a_bar
         h += co.bx
@@ -257,59 +248,57 @@ def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], saved: l
     return ys
 
 
-def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], saved: list, weight_grads: bool):
+def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], weight_grads: bool):
     """Gradients of <g, y> for y from :func:`_sequential_scan_np`, as
     (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip). Without
     ``weight_grads`` (every SSM parameter frozen) the six weight gradients
     are None and their per-step and final products are skipped; x's
     gradient is the same to the byte.
 
-    Walks the segments in reverse. For each, it recomputes the segment's
-    states once from its saved state, then walks the segment's steps in
-    reverse, filling each step's a_bar again, since it is not stored.
-    Both use the forward's operations, so they are bit-identical to the
-    forward's; spent buffers are reused as scratch. The per-step adjoints of
-    the token-sized maps are gathered over the whole sequence and turned
-    into gradients once, after the walk.
+    Replays every state once from h_0 = 0 into ``hs`` [L+1, B, n_state,
+    d_inner], then walks the steps in reverse, filling each step's a_bar
+    again, since it is not stored. Both use the forward's operations, so
+    they are bit-identical to the forward's; spent buffers are reused as
+    scratch. ``hs`` grows with L, as the tape's activations do: 33 states
+    at lookback 512 and patch 16, 208 MB at the paper's B 64, d_inner 1536
+    in float32. The per-step adjoints of the token-sized
+    maps are gathered over the whole sequence and turned into gradients
+    once, after the walk.
     """
     b_, l_, d = x.shape
     w_b, w_c, w_dt, _, a, d_skip = weights
     n = a.shape[1]
     co = _StepCoeffs(x, weights)
-    hs = np.empty((min(l_, _SEGMENT) + 1, b_, n, d), dtype=x.dtype)  # hs[i] = h_{seg+i-1}
+    hs = np.empty((l_ + 1, b_, n, d), dtype=x.dtype)  # hs[t] = h_{t-1}
+    hs[0] = 0.0
+    for t in range(l_):
+        co.fill(t)
+        np.multiply(co.a_bar, hs[t], out=hs[t + 1])
+        hs[t + 1] += co.bx
     lam = np.empty((b_, n, d), dtype=x.dtype)  # state adjoint dL/dh_t
     g_b, g_c = np.empty_like(co.b), np.empty_like(co.c)
     rb = np.empty_like(co.dtx)  # dL/d(dtx)
     g_ua = np.empty_like(co.dtx)  # dL/du contracted with A over the state axis
     g_a = np.zeros_like(co.a)  # dL/dA, transposed as [n, d]
     carry = np.zeros((b_, n, d), dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
-    for k in range(len(saved) - 1, -1, -1):
-        seg = k * _SEGMENT
-        steps = min(_SEGMENT, l_ - seg)
-        hs[0] = saved[k]
-        for i in range(steps):
-            co.fill(seg + i)
-            np.multiply(co.a_bar, hs[i], out=hs[i + 1])
-            hs[i + 1] += co.bx
-        for i in range(steps - 1, -1, -1):
-            t = seg + i
-            co.fill_a_bar(t)
-            # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
-            # adjoint lam_t = c_t g_t + a_bar_{t+1} lam_{t+1}
-            np.einsum("bn,bd->bnd", co.c[:, t], g[:, t], out=lam)
-            lam += carry
-            np.multiply(co.a_bar, lam, out=carry)
-            g_c[:, t] = np.matmul(hs[i + 1], g[:, t, :, None])[..., 0]
-            # bx = b * dtx
-            rb[:, t] = np.matmul(co.b[:, t, None, :], lam)[:, 0, :]
-            g_b[:, t] = np.matmul(lam, co.dtx[:, t, :, None])[..., 0]
-            # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
-            # it replaces h_t, which no later step reads
-            g_u = np.multiply(carry, hs[i], out=hs[i + 1])
-            # u = dt * A
-            if weight_grads:
-                g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
-            np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[:, t])
+    for t in range(l_ - 1, -1, -1):
+        co.fill_a_bar(t)
+        # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
+        # adjoint lam_t = c_t g_t + a_bar_{t+1} lam_{t+1}
+        np.einsum("bn,bd->bnd", co.c[:, t], g[:, t], out=lam)
+        lam += carry
+        np.multiply(co.a_bar, lam, out=carry)
+        g_c[:, t] = np.matmul(hs[t + 1], g[:, t, :, None])[..., 0]
+        # bx = b * dtx
+        rb[:, t] = np.matmul(co.b[:, t, None, :], lam)[:, 0, :]
+        g_b[:, t] = np.matmul(lam, co.dtx[:, t, :, None])[..., 0]
+        # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
+        # it replaces h_t, which no later step reads
+        g_u = np.multiply(carry, hs[t], out=hs[t + 1])
+        # u = dt * A
+        if weight_grads:
+            g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
+        np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[:, t])
     # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
     g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)
     g_s = g_pre.sum(axis=-1, keepdims=True)
@@ -327,15 +316,14 @@ def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
     """Selective scan over x [B, L, d_inner] -> [B, L, d_inner], skip included.
 
     Recorded on the tape as one op whose backward recomputes the
-    coefficients instead of storing them, so a taped scan keeps only its
-    input, the weights and one state per ``_SEGMENT`` steps.
+    coefficients and states instead of storing them, so a taped scan keeps
+    only its input and the weights.
     """
     if x.ndim != 3 or x.shape[2] != ssm.d_inner:
         raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
     xv = x.array
     weights = _scan_weights(ssm, xv.dtype)
-    saved = [] if T.grad_enabled() else None  # a no-tape scan keeps no states
-    ys = _sequential_scan_np(xv, weights, saved)
+    ys = _sequential_scan_np(xv, weights)
 
     parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
     weight_grads = any(p.requires for p in parents[1:])
@@ -343,7 +331,7 @@ def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
 
     def adjoint(g: np.ndarray) -> tuple[np.ndarray, ...]:
         if held[0] is not g:
-            held[:] = g, _sequential_scan_vjp(g, xv, weights, saved, weight_grads)
+            held[:] = g, _sequential_scan_vjp(g, xv, weights, weight_grads)
         return held[1]
 
     return T.apply_op(ys, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])

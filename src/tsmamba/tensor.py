@@ -86,29 +86,11 @@ class Tensor:
     def dtype(self):
         return self.array.dtype
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         return float(self.array.reshape(-1)[0])
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype})"
-
-    # Convenience operators; shapes must already agree (see add/sub/mul).
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def tensor(data, dtype=np.float64) -> Tensor:

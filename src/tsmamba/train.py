@@ -228,7 +228,6 @@ class TrainResult:
     model: Model
     step_losses: list[float] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
 
 
 def _write_log(path: str | None, rows: list[tuple]) -> None:
@@ -324,7 +323,7 @@ def run_stage1(
 
     step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, params, rng, log_path)
     ckpt = checkpoint_from_model(model, "stage1", prefixes=STAGE1_PREFIXES)
-    return TrainResult(ckpt, model, step_losses, epoch_losses, extras={"heads": heads})
+    return TrainResult(ckpt, model, step_losses, epoch_losses)
 
 
 def run_stage2(

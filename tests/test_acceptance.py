@@ -238,7 +238,8 @@ def test_criterion_3_linear_complexity(tmp_path):
     )
     assert code == 0
     # process CPU time: other processes on a busy host do not count
-    cpu = {int(r["len"]): float(r["cpu_ms"]) for r in csv.DictReader(open(out))}
+    with out.open(newline="") as fh:
+        cpu = {int(r["len"]): float(r["cpu_ms"]) for r in csv.DictReader(fh)}
     r1 = cpu[2048] / cpu[1024]
     r2 = cpu[4096] / cpu[2048]
     ok = 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6

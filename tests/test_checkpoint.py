@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ def tiny_model(seed=0, dtype=np.float64, **overrides):
 
 
 def _read_parts(path):
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     (mlen,) = struct.unpack("<Q", blob[8:16])
     manifest = json.loads(blob[16 : 16 + mlen])
     payload = blob[16 + mlen :]
@@ -59,8 +60,8 @@ def test_truncated_file_rejected(tmp_path):
     ckpt = C.checkpoint_from_model(model, "stage2")
     path = tmp_path / "m.ckpt"
     C.save_checkpoint(ckpt, str(path))
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[: len(blob) - 100])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[: len(blob) - 100])
     with pytest.raises(CorruptCheckpoint):
         C.load_checkpoint(str(path))
 

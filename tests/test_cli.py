@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ def workdir(tmp_path):
     return tmp_path, str(data_path), str(config_path)
 
 
+def _csv_rows(path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def _pretrain_both(tmp_path, data_path, config_path):
     s1 = tmp_path / "s1.ckpt"
     s2 = tmp_path / "s2.ckpt"
@@ -77,7 +83,7 @@ def test_pretrain_stage2_requires_init(workdir, capsys):
 
 def test_pretrain_unknown_config_key(workdir, tmp_path):
     _, data_path, config_path = workdir
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     raw["surprise"] = 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -103,7 +109,7 @@ def test_pretrain_unknown_config_key(workdir, tmp_path):
 )
 def test_pretrain_mistyped_config_value_exit2(workdir, tmp_path, capsys, section, key, value):
     _, data_path, config_path = workdir
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     (raw if section is None else raw.setdefault(section, {}))[key] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
@@ -118,9 +124,16 @@ def test_pretrain_missing_data_exit3(workdir, tmp_path):
     assert code == 3
 
 
+def test_pretrain_config_directory_exit3(workdir, tmp_path, capsys):
+    _, data_path, _ = workdir
+    code = main(["pretrain", "--stage", "1", "--config", str(tmp_path), "--data", data_path, "--out", str(tmp_path / "x.ckpt")])
+    err = capsys.readouterr().err
+    assert code == 3 and str(tmp_path) in err and "Traceback" not in err
+
+
 def test_pretrain_zero_epochs_checkpoint_equals_init(workdir, tmp_path):
     _, data_path, config_path = workdir
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     raw["stage1"]["epochs"] = 0
     cfg0 = tmp_path / "zero.json"
     cfg0.write_text(json.dumps(raw))
@@ -137,7 +150,7 @@ def test_pretrain_retired_model_keys(workdir, tmp_path, capsys):
     # run configs written before these choices were fixed still parse at the
     # fixed value; any other value is a configuration error naming the key
     _, data_path, config_path = workdir
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     raw["stage1"]["epochs"] = 0
     fixed = {"combine_mode": "add", "revin_affine": False, "expand_factor": 2}
     cfg = tmp_path / "retired.json"
@@ -198,7 +211,7 @@ def test_pretrain_pooled_batches_match_stacked_windows(tmp_path, stride):
 def test_stage2_and_finetune_refuse_another_precision(workdir, tmp_path, capsys, trained, asked):
     # both train in the dtype of the checkpoint they start from
     _, data_path, config_path = workdir
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     configs = {}
     for precision in (trained, asked):
         configs[precision] = tmp_path / f"{precision}.json"
@@ -224,7 +237,7 @@ def test_pretrain_writes_training_log(workdir, tmp_path):
 
 def test_pretrain_diverging_lr_exits5_without_checkpoint(workdir, tmp_path, capsys):
     _, data_path, config_path = workdir
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     raw["stage1"]["lr"] = 1e300
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps(raw))
@@ -247,7 +260,7 @@ def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     init_path = tmp_path / "blocks.ckpt"
     save_checkpoint(Checkpoint(FORMAT_VERSION, donor.config.to_dict(), "import", block_tensors), str(init_path))
 
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     raw["stage1"]["epochs"] = 0
     cfg0 = tmp_path / "zero.json"
     cfg0.write_text(json.dumps(raw))
@@ -276,7 +289,7 @@ def test_evaluate_explicit_boundaries(workdir, tmp_path):
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(report)))
+    rows = _csv_rows(report)
     # test rows start at origin >= 190: origins in [190, 236] at stride 1
     assert rows[0]["n_windows"] == str(240 - 4 - 190 + 1)
     assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--train-end", "150"]) == 2
@@ -353,6 +366,18 @@ def test_forecast_of_bom_input_writes_clean_channel_names(workdir, tmp_path):
     assert outputs[1] == outputs[0]
 
 
+@pytest.mark.parametrize("flag", ["--model", "--input", "--out"])
+def test_forecast_directory_path_exit3(workdir, tmp_path, capsys, flag):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    paths = {"--model": s2, "--input": data_path, "--out": str(tmp_path / "fc.csv")}
+    paths[flag] = str(tmp_path)
+    capsys.readouterr()
+    code = main(["forecast", "--horizon", "4", *(arg for item in paths.items() for arg in item)])
+    err = capsys.readouterr().err
+    assert code == 3 and str(tmp_path) in err and "Traceback" not in err
+
+
 def test_forecast_short_input_exit3(workdir, tmp_path):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
@@ -398,12 +423,12 @@ def test_forecast_mixed_dtype_checkpoint_exit4(workdir, tmp_path, capsys):
 
 def _rewrite_manifest(src, dst, edit):
     """Copy checkpoint ``src`` to ``dst`` with ``edit`` applied to its manifest."""
-    blob = open(src, "rb").read()
+    blob = Path(src).read_bytes()
     end = 16 + int.from_bytes(blob[8:16], "little")
     manifest = json.loads(blob[16:end])
     edit(manifest)
     raw = json.dumps(manifest).encode("utf-8")
-    open(dst, "wb").write(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
+    Path(dst).write_bytes(blob[:8] + len(raw).to_bytes(8, "little") + raw + blob[end:])
 
 
 def test_forecast_malformed_manifest_exit4(workdir, tmp_path, capsys):
@@ -504,7 +529,7 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 def test_repeated_calls_share_no_state(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
-    lines = open(data_path).read().splitlines()
+    lines = Path(data_path).read_text().splitlines()
     lines[10] = lines[10].split(",", 1)[0] + ",nan"
     gappy = tmp_path / "gappy.csv"
     gappy.write_text("\n".join(lines) + "\n")
@@ -589,7 +614,7 @@ def test_evaluate_oracle_baseline_zero_rows(workdir, tmp_path):
         ["evaluate", "--model", s2, "--data", data_path, "--split", "test", "--horizons", "4", "--baseline", "oracle", "--out", str(report)]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(report)))
+    rows = _csv_rows(report)
     assert rows[0]["mse"] == "0.000000"
     assert rows[0]["mae"] == "0.000000"
     assert rows[-1]["horizon"] == "avg"
@@ -605,9 +630,9 @@ def test_evaluate_repeat_last_baseline_reproducible(workdir, tmp_path):
             main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--baseline", "repeat_last", "--out", str(report)])
             == 0
         )
-        vals.append(open(report).read())
+        vals.append(Path(report).read_text())
     assert vals[0] == vals[1]
-    first = list(csv.DictReader(open(tmp_path / "r1.csv")))[0]
+    first = _csv_rows(tmp_path / "r1.csv")[0]
     assert float(first["mse"]) > 0
 
 
@@ -623,9 +648,9 @@ def test_evaluate_model_beats_nothing_but_runs_and_writes_window_errors(workdir,
         ]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(report)))
+    rows = _csv_rows(report)
     assert any(r["dataset"].endswith(":raw") for r in rows)
-    win_rows = list(csv.DictReader(open(per_window)))
+    win_rows = _csv_rows(per_window)
     assert {"dataset", "horizon", "origin_index", "mse", "mae"} == set(win_rows[0])
     # MAE <= sqrt(MSE) on every evaluation row (Jensen)
     for r in rows:
@@ -644,9 +669,9 @@ def test_evaluate_window_errors_keep_every_horizon(workdir, tmp_path):
     per_window = tmp_path / "per_window.csv"
     args = ["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8,16"]
     assert main(args + ["--out", str(report), "--window-errors", str(per_window)]) == 0
-    n_windows = {r["horizon"]: int(r["n_windows"]) for r in csv.DictReader(open(report)) if r["horizon"] != "avg"}
+    n_windows = {r["horizon"]: int(r["n_windows"]) for r in _csv_rows(report) if r["horizon"] != "avg"}
     assert set(n_windows) == {"8", "16"}
-    lines = open(per_window).read().splitlines()
+    lines = Path(per_window).read_text().splitlines()
     assert lines.count("dataset,horizon,origin_index,mse,mae") == 1
     win_rows = list(csv.DictReader(lines))
     assert [r["horizon"] for r in win_rows] == ["8"] * n_windows["8"] + ["16"] * n_windows["16"]
@@ -667,7 +692,7 @@ def test_evaluate_empty_split_exit3(workdir, tmp_path):
 def test_evaluate_infinite_cell_exit3(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
-    lines = open(data_path).read().splitlines()
+    lines = Path(data_path).read_text().splitlines()
     lines[5] = lines[5].split(",", 1)[0] + ",1e999"
     bad = tmp_path / "inf.csv"
     bad.write_text("\n".join(lines) + "\n")
@@ -687,7 +712,7 @@ def test_evaluate_checkpoint_directory(workdir, tmp_path, capsys):
     _, s2 = _pretrain_both(wd, data_path, config_path)
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
-    (ckpt_dir / "h4.ckpt").write_bytes(open(s2, "rb").read())
+    (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
     (ckpt_dir / "broken.ckpt").write_bytes(b"TSMBCKPT" + b"\xff" * 12)
     report = tmp_path / "dir_report.csv"
     capsys.readouterr()
@@ -696,7 +721,7 @@ def test_evaluate_checkpoint_directory(workdir, tmp_path, capsys):
     assert "broken.ckpt" in err and "h4.ckpt" not in err  # the unreadable file is named, not skipped silently
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8"]) == 4
 
-    (ckpt_dir / "h4-copy.ckpt").write_bytes(open(s2, "rb").read())
+    (ckpt_dir / "h4-copy.ckpt").write_bytes(Path(s2).read_bytes())
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 4
     err = capsys.readouterr().err
     assert "h4-copy.ckpt" in err and "h4.ckpt" in err and "horizon 4" in err
@@ -707,7 +732,7 @@ def test_evaluate_directory_skips_rejected_config(workdir, tmp_path, capsys):
     _, s2 = _pretrain_both(wd, data_path, config_path)
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
-    (ckpt_dir / "h4.ckpt").write_bytes(open(s2, "rb").read())
+    (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
     # a file for a horizon nobody asked for, with a config this version rejects
     _rewrite_manifest(s2, ckpt_dir / "h8.ckpt", lambda m: m["model_config"].update(horizon=8, combine_mode="concat"))
     capsys.readouterr()
@@ -717,6 +742,28 @@ def test_evaluate_directory_skips_rejected_config(workdir, tmp_path, capsys):
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8"]) == 4
 
 
+def test_evaluate_directory_skips_unreadable_file(workdir, tmp_path, capsys, monkeypatch):
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    for name in ("h4.ckpt", "locked.ckpt"):
+        (ckpt_dir / name).write_bytes(Path(s2).read_bytes())
+    load = cli.load_checkpoint
+
+    def denied(path):
+        # file modes do not stop root, so the denial is simulated
+        if path.endswith("locked.ckpt"):
+            raise PermissionError(13, "Permission denied", path)
+        return load(path)
+
+    monkeypatch.setattr(cli, "load_checkpoint", denied)
+    capsys.readouterr()
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "locked.ckpt" in err and "Permission denied" in err and "h4.ckpt" not in err
+
+
 def test_version1_checkpoint_refused(workdir, tmp_path, capsys):
     # version 1 weights were trained under the exact-ZOH input factor, so no
     # command runs them under today's scan
@@ -724,7 +771,7 @@ def test_version1_checkpoint_refused(workdir, tmp_path, capsys):
     _, s2 = _pretrain_both(wd, data_path, config_path)
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
-    (ckpt_dir / "h4.ckpt").write_bytes(open(s2, "rb").read())
+    (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
     old = ckpt_dir / "h4-v1.ckpt"
     _rewrite_manifest(s2, old, lambda m: m.update(format_version=1))
     out = tmp_path / "o.csv"
@@ -757,7 +804,7 @@ def test_finetune_xchannel_on_single_channel_exit2(workdir, tmp_path):
 def test_finetune_xchannel_on_ignores_sample_gate(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     del raw["finetune"]["min_samples_for_xchannel"]  # the default gate is far above this data's samples
     cfg = tmp_path / "ft.json"
     cfg.write_text(json.dumps(raw))
@@ -773,7 +820,7 @@ def test_finetune_xchannel_on_ignores_sample_gate(workdir, tmp_path, capsys):
 def test_finetune_auto_gate_logs_reason(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
-    raw = json.loads(open(config_path).read())
+    raw = json.loads(Path(config_path).read_text())
     raw["finetune"]["min_samples_for_xchannel"] = 10_000_000
     cfg = tmp_path / "ft.json"
     cfg.write_text(json.dumps(raw))
@@ -809,7 +856,7 @@ def test_bench_scan_both_modes_and_degenerate_length(tmp_path):
         ["bench-scan", "--len-list", "1,64", "--d-inner", "4", "--n-state", "2", "--mode", "both", "--reps", "5", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = _csv_rows(out)
     assert {r["mode"] for r in rows} == {"seq", "par"}
     assert {r["len"] for r in rows} == {"1", "64"}
     for r in rows:
@@ -817,6 +864,12 @@ def test_bench_scan_both_modes_and_degenerate_length(tmp_path):
         assert float(r["wall_ms"]) >= 0
         assert float(r["cpu_ms"]) >= 0
         assert float(r["throughput"]) > 0
+
+
+def test_bench_scan_out_directory_exit3(tmp_path, capsys):
+    code = main(["bench-scan", "--len-list", "4", "--d-inner", "2", "--n-state", "2", "--reps", "5", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3 and str(tmp_path) in err and "Traceback" not in err
 
 
 def test_bench_scan_rejects_low_reps():

@@ -1,6 +1,6 @@
 """Property-based tests of the config format and values, the CSV reader's
 numeric boundaries and malformed text, the window splits, the checkpoint
-reader, the scan kernel's segment length and RevIN's affine equivariance."""
+reader, the scan with the tape on and off, and RevIN's affine equivariance."""
 
 import contextlib
 import csv
@@ -11,7 +11,6 @@ import json
 import os
 import tempfile
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -545,39 +544,25 @@ def test_restructured_manifest_loads_or_is_corrupt(data, value):
 
 @st.composite
 def scan_cases(draw):
-    length = draw(st.integers(1, 24))
-    dims = (draw(st.integers(1, 3)), length, draw(st.integers(1, 5)), draw(st.integers(1, 4)))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    return dims, dtype, draw(st.integers(1, length)), draw(st.integers(0, 2**32 - 1))
+    dims = tuple(draw(st.integers(1, hi)) for hi in (3, 24, 5, 4))  # [B, L, d_inner, n_state]
+    return dims, draw(st.sampled_from([np.float32, np.float64])), draw(st.integers(0, 2**32 - 1))
 
 
 @settings(deadline=None, max_examples=150)
 @given(scan_cases())
 def test_scan_segment_lengths_change_no_bits(case):
-    (batch, length, d_inner, n_state), dtype, segment, seed = case
+    """The taped and the no-tape scan give the same bytes."""
+    (batch, length, d_inner, n_state), dtype, seed = case
     rng = np.random.default_rng(seed)
     p = ssm.init_ssm_params(rng, d_inner, n_state, dtype, "s")
     for q in p.parameters():
         q.assign((q.value.array + 0.3 * rng.standard_normal(q.value.shape)).astype(dtype))
     x = rng.standard_normal((batch, length, d_inner)).astype(dtype)
-    proj = Tensor(rng.standard_normal((batch, length, d_inner)).astype(dtype))
-
-    def scan(segment):
-        """(no-tape output, taped output, gradients of <proj, y>) with ``segment``-step segments."""
-        with mock.patch.object(ssm, "_SEGMENT", segment):
-            with T.no_grad():
-                off = ssm._selective_scan_batched(Tensor(x), p).array
-            xt = Tensor(x, requires=True)
-            on = ssm._selective_scan_batched(xt, p)
-            grads = T.grad_map(T.sum_all(T.mul(on, proj)))
-        return off, on.array, [grads[id(xt)]] + [grads[id(q.value)] for q in p.parameters()]
-
-    want_y, _, want_g = scan(ssm._SEGMENT)
-    off, on, got_g = scan(segment)
-    assert off.tobytes() == want_y.tobytes()
-    assert on.tobytes() == want_y.tobytes()
-    for q, got, want in zip(["x", *(q.name for q in p.parameters())], got_g, want_g):
-        assert got.tobytes() == want.tobytes(), q
+    with T.no_grad():
+        off = ssm._selective_scan_batched(Tensor(x), p)
+    on = ssm._selective_scan_batched(Tensor(x, requires=True), p)
+    assert on.pairs and not off.pairs
+    assert on.array.tobytes() == off.array.tobytes()
 
 
 # affine gap allowed per unit of output magnitude: about 1e4 machine epsilons,

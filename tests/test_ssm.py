@@ -202,11 +202,7 @@ def test_parallel_recurrence_matches_sequential(length):
     assert np.max(np.abs(h_par - h_seq)) < 1e-12
 
 
-def test_scan_recurrence_gradients(monkeypatch):
-    # 5-step segments: the 8-step sequence runs as segments [0, 5) and
-    # [5, 8), so the backward recomputes each segment's states from its saved
-    # state and carries the state adjoint across the segment boundary.
-    monkeypatch.setattr(ssm, "_SEGMENT", 5)
+def test_scan_recurrence_gradients():
     p, x, proj = make_scan_case(6)
     xt = Tensor(x.copy(), requires=True)
     grads = T.grad_map(scan_loss(xt, p, proj))
@@ -227,7 +223,6 @@ def test_scan_recurrence_gradients(monkeypatch):
 
 
 def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
-    monkeypatch.setattr(ssm, "_SEGMENT", 5)
     p, x, proj = make_scan_case(23)
     xt = Tensor(x.copy(), requires=True)
     trained = T.grad_map(scan_loss(xt, p, proj))[id(xt)]
@@ -253,6 +248,32 @@ def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
     assert rel_err(grads[id(xt)], fd.array) < 1e-4
 
 
+def test_long_scan_directional_derivatives():
+    # 600 steps: the state adjoint is carried back over the whole sequence
+    p, x, proj = make_scan_case(29, length=600)
+    rng = np.random.default_rng(30)
+    xt = Tensor(x.copy(), requires=True)
+    grads = T.grad_map(scan_loss(xt, p, proj))
+    eps = 1e-5
+    for name, base, grad, assign in [("x", x, grads[id(xt)], None)] + [
+        (q.name, q.value.array.copy(), grads[id(q.value)], q.assign) for q in p.parameters()
+    ]:
+        v = rng.standard_normal(base.shape)
+
+        def loss(t, base=base, v=v, assign=assign):
+            moved = base + t * v
+            if assign is None:
+                return scan_loss(T.tensor(moved), p, proj).item()
+            assign(moved)
+            return scan_loss(T.tensor(x), p, proj).item()
+
+        fd = (loss(eps) - loss(-eps)) / (2 * eps)
+        if assign is not None:
+            assign(base)
+        want = float(np.sum(grad * v))
+        assert abs(want - fd) <= 1e-6 * max(abs(want), abs(fd)), name
+
+
 def test_scan_adjoint_follows_each_gradient():
     # one recorded scan, back-propagated from two different losses
     p, x, proj = make_scan_case(25)
@@ -266,13 +287,12 @@ def test_scan_adjoint_follows_each_gradient():
 
 
 @pytest.mark.parametrize("length", [1, 256, 257, 600])
-def test_taped_scan_keeps_one_state_per_segment(length):
-    # a state kept per step would show up as extra arrays
+def test_taped_scan_keeps_no_state(length):
+    # the backward replays the states from h_0 = 0, so the tape holds none
     p, x, _ = make_scan_case(26, batch=2, length=length, d_inner=3, n_state=2)
     y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
     # states are [B, n_state, d_inner]
-    states = [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 2, 3)]
-    assert len(states) == math.ceil(length / ssm._SEGMENT)
+    assert not [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 2, 3)]
     with T.no_grad():
         assert not ssm._selective_scan_batched(Tensor(x), p).pairs
 
@@ -374,9 +394,7 @@ def mamba_reference_scan(x, p):
 
 
 @pytest.mark.parametrize("taped", [True, False])
-def test_scan_matches_mamba_reference_recurrence(monkeypatch, taped):
-    # 4-step segments: the 11-step scan spans three of them
-    monkeypatch.setattr(ssm, "_SEGMENT", 4)
+def test_scan_matches_mamba_reference_recurrence(taped):
     p, x, _ = make_scan_case(27, batch=2, length=11, d_inner=3, n_state=2)
     if taped:
         y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
@@ -387,10 +405,8 @@ def test_scan_matches_mamba_reference_recurrence(monkeypatch, taped):
     np.testing.assert_allclose(y.array, mamba_reference_scan(x, p), rtol=1e-12)
 
 
-def test_float32_scan_tracks_float64(monkeypatch):
-    # 16-step segments: the 40-step scan spans three of them, at the model's
-    # state width
-    monkeypatch.setattr(ssm, "_SEGMENT", 16)
+def test_float32_scan_tracks_float64():
+    # at the model's state width
     p, x, proj = make_scan_case(28, batch=4, length=40, d_inner=24, n_state=16)
     results = []
     for dtype in (np.float64, np.float32):
@@ -440,10 +456,10 @@ def test_selective_scan_shape_check():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_tape_on_and_off_agree_exactly(dtype):
-    # one kernel runs either way; the scan spans a segment boundary
+    # one kernel runs either way
     rng = np.random.default_rng(16)
     p = make_ssm(rng, 4, 3, dtype=dtype)
-    x = Tensor(rng.standard_normal((4, ssm._SEGMENT + 33)).astype(dtype), requires=True)
+    x = Tensor(rng.standard_normal((4, 289)).astype(dtype), requires=True)
     with T.no_grad():
         off = ssm.selective_scan_sequential(x, p)
     on = ssm.selective_scan_sequential(x, p)
