@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -50,6 +51,21 @@ _CKPT_ERRORS = (CheckpointMismatch, CorruptCheckpoint, ShapeMismatch)
 
 def _err(msg: str) -> None:
     print(f"tsmamba: {msg}", file=sys.stderr)
+
+
+# the flags that name a file a command writes when its work is done
+_OUTPUT_FLAGS = ("out", "log", "window_errors")
+
+
+def _check_output_path(path: str | None) -> None:
+    """Refuse an output file that could not be created: a directory, or a path
+    whose parent directory does not exist. The OSError names the path."""
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +602,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     handler = globals()["_run_" + args.command.replace("-", "_")]
     try:
+        # before any work, so an unwritable output costs no training or timing
+        for flag in _OUTPUT_FLAGS:
+            _check_output_path(getattr(args, flag, None))
         return handler(args)
     except _CONFIG_ERRORS as exc:
         _err(str(exc))

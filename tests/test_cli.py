@@ -3,11 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tsmamba
 from tsmamba import cli
 from tsmamba import data as D
 from tsmamba import model as M
@@ -870,6 +874,71 @@ def test_bench_scan_out_directory_exit3(tmp_path, capsys):
     code = main(["bench-scan", "--len-list", "4", "--d-inner", "2", "--n-state", "2", "--reps", "5", "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 3 and str(tmp_path) in err and "Traceback" not in err
+
+
+def _tiny_checkpoint(tmp_path) -> str:
+    cfg = M.ModelConfig(horizon=4, n_channels=2, lookback=16, patch_len=4, d_model=8, n_layers=1, d_state=2, head_compress_dim=4)
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint(checkpoint_from_model(M.build_model(cfg, seed=0, dtype=np.float64), "stage2"), str(path))
+    return str(path)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["bench-scan", "forecast", "evaluate", "evaluate-window-errors", "pretrain-log"])
+@pytest.mark.parametrize("unwritable", ["directory", "missing-parent"])
+def test_unwritable_output_exits3_before_any_work(workdir, tmp_path, monkeypatch, capsys, command, unwritable):
+    _, data_path, config_path = workdir
+    model = _tiny_checkpoint(tmp_path)
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"kept\n")
+    bad = str(tmp_path) if unwritable == "directory" else str(tmp_path / "missing" / "out.csv")
+    ran = []
+    monkeypatch.setattr(cli, "bench_scan", lambda *args: ran.append("bench_scan"))
+    monkeypatch.setattr(M, "forecast", lambda x, model: ran.append("forecast"))
+    monkeypatch.setattr(TR, "run_stage1", lambda *args, **kwargs: ran.append("run_stage1"))
+    argv = {
+        "bench-scan": ["bench-scan", "--len-list", "4", "--reps", "5", "--out", bad],
+        "forecast": ["forecast", "--model", model, "--input", data_path, "--horizon", "4", "--out", bad],
+        "evaluate": ["evaluate", "--model", model, "--data", data_path, "--horizons", "4", "--out", bad],
+        "evaluate-window-errors": [
+            "evaluate", "--model", model, "--data", data_path, "--horizons", "4", "--out", str(report), "--window-errors", bad
+        ],
+        "pretrain-log": [
+            "pretrain", "--stage", "1", "--config", config_path, "--data", data_path, "--out", str(report), "--log", bad
+        ],
+    }[command]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 3 and bad in err and "Traceback" not in err
+    assert ran == []
+    assert _tree(tmp_path) == before  # nothing created, and report.csv not truncated
+    assert not (tmp_path / "missing").exists()
+
+
+def test_forecast_and_evaluate_import_no_scipy(workdir, tmp_path):
+    """The runtime needs numpy only: a fresh interpreter that forecasts and
+    evaluates has loaded no scipy module."""
+    _, data_path, _ = workdir
+    model = _tiny_checkpoint(tmp_path)
+    script = (
+        "import sys\n"
+        "from tsmamba import cli\n"
+        f"assert cli.main(['forecast', '--model', {model!r}, '--input', {data_path!r}, '--horizon', '4',"
+        f" '--out', {str(tmp_path / 'fc.csv')!r}]) == 0\n"
+        f"assert cli.main(['evaluate', '--model', {model!r}, '--data', {data_path!r}, '--horizons', '4',"
+        f" '--out', {str(tmp_path / 'report.csv')!r}]) == 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(tsmamba.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_bench_scan_rejects_low_reps():

@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import expit
+from scipy.special import erf, expit
 
 from tsmamba import checkpoint as C
 from tsmamba import cli as CLI
@@ -670,3 +670,56 @@ def test_sigmoid_within_4_ulp_of_expit(x):
     ints = np.int32 if x.dtype == np.float32 else np.int64
     ulps = np.abs(got.view(ints).astype(np.int64) - want.view(ints).astype(np.int64))
     assert ulps.max() <= 4, (x[ulps.argmax()], got[ulps.argmax()], want[ulps.argmax()])
+
+
+# float32 or float64 arrays over the whole float range and over the part
+# where erf is not yet +-1, with the branch edge |x| = 1, zeros of both signs,
+# subnormals, the largest finite values, infinities and nan
+def erf_inputs(dtype):
+    info = np.finfo(dtype)
+    width = info.bits
+    tiny, big = float(info.smallest_subnormal), float(info.max)
+    edges = st.sampled_from([0.0, -0.0, tiny, -tiny, 1.0, -1.0, big, -big, np.inf, -np.inf, np.nan])
+    elements = st.one_of(st.floats(-7.0, 7.0, width=width), st.floats(width=width), edges)
+    return hnp.arrays(dtype, st.integers(1, 64), elements=elements)
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+ERF_EDGES = [-np.inf, -F32_MAX, -8.0, -6.0, -1.0, -0.0, 0.0, 1e-45, 0.5, 1.0, 1.0000001, 5.9, F32_MAX, np.inf, np.nan]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([np.float32, np.float64]).flatmap(erf_inputs))
+@example(np.array(ERF_EDGES, dtype=np.float32))
+@example(np.array(ERF_EDGES + [5e-324, 1.7976931348623157e308, -1.7976931348623157e308], dtype=np.float64))
+def test_erf_matches_scipy(x):
+    """scipy's erf is the oracle: the same Cephes approximations in float64.
+    float32 results are byte-identical; float64 ones differ by at most 1 ulp,
+    where numpy's exp rounds differently from the C library's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = T._erf(x)
+    want = erf(x)
+    assert got.dtype == x.dtype and got.shape == x.shape
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    got, want = got[~nan], want[~nan]
+    if x.dtype == np.float32:
+        assert got.tobytes() == want.tobytes()
+    else:
+        # erf is odd and both agree in sign, so the distance between the
+        # integer views of the magnitudes is the distance in ulps
+        assert (np.signbit(got) == np.signbit(want)).all()
+        ulps = np.abs(np.abs(got).view(np.int64) - np.abs(want).view(np.int64))
+        assert ulps.max(initial=0) <= 1
+
+
+@settings(deadline=None, max_examples=200)
+@given(hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(-1e6, 1e6)))
+def test_gelu_float64_within_erf_ulp(x):
+    """x * (1 + erf) / 2 carries erf's 1-ulp difference scaled by |x| / 2.
+    In the left tail, where gelu is near 0, that is many of gelu's own ulps,
+    so the bound is absolute."""
+    got = T.gelu(Tensor(x)).array
+    want = x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
+    assert (np.abs(got - want) <= np.abs(x) * 2.0**-52 + np.spacing(np.abs(want))).all()
