@@ -155,7 +155,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     model_config, index = manifest.get("model_config"), manifest.get("tensors")
     if not isinstance(model_config, dict) or not isinstance(index, dict):
         raise CorruptCheckpoint(f"{path}: manifest needs 'model_config' and 'tensors' objects")
-    payload = blob[header_end:]
+    payload = memoryview(blob)[header_end:]  # a view: the file is held once, beside the tensors
     spans = []
     tensors: dict[str, np.ndarray] = {}
     for name, entry in index.items():

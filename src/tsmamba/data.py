@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
@@ -139,7 +140,20 @@ class ChannelStats:
 # ---------------------------------------------------------------------------
 
 
+# float() never accepts an ASCII character other than a digit, whitespace,
+# a sign, '.', '_' or a letter of 'e', 'inf', 'infinity' and 'nan', nor a
+# sign after anything but whitespace or an exponent's 'e'. Either settles
+# most date cells (``2016-07-01``) without float() raising.
+_NEVER_FLOAT = re.compile(
+    "[%s]|[^\\seE][+-]"
+    % re.escape("".join(c for c in map(chr, range(128)) if not (c.isdigit() or c.isspace() or c in "+-._eEiInNfFtTyYaA")))
+)
+
+
 def _looks_numeric(cell: str) -> bool:
+    # a time's ':' or a date's '/' rules a cell out several times faster than the regex
+    if ":" in cell or "/" in cell or _NEVER_FLOAT.search(cell):
+        return False
     try:
         float(cell)
         return True

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DegenerateWindow, InvalidConfig, PatchLengthMismatch, ShapeMismatch
-from .params import Parameter, check_unique_names, normal_init, uniform_init
+from .params import NoDraws, Parameter, check_unique_names, normal_init, uniform_init
 from .ssm import EncoderParams, encoder_forward_batched, init_encoder
 from .tensor import Tensor
 
@@ -319,21 +319,11 @@ def build_model(cfg: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     return _assemble(cfg, np.random.default_rng(seed), dtype)
 
 
-class _NoDraws:
-    """Stands in for the Generator of ``_assemble`` when every value it would
-    draw is overwritten next: zeros of the asked size, no random stream."""
-
-    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
-        return np.zeros(size)
-
-    def standard_normal(self, size=None) -> np.ndarray:
-        return np.zeros(size)
-
-
 def _unfilled_model(cfg: ModelConfig, dtype) -> Model:
-    """The parameter tree of ``build_model`` without its random draws; the
-    drawn tensors hold placeholders, so every one must be loaded next."""
-    return _assemble(cfg, _NoDraws(), dtype)
+    """The parameter tree of ``build_model`` without its random draws: the
+    tensors it draws, or derives from a draw or a grid (``a_log``,
+    ``dt_bias``), hold zero placeholders, so every one must be loaded next."""
+    return _assemble(cfg, NoDraws(), dtype)
 
 
 def _assemble(cfg: ModelConfig, rng, dtype) -> Model:

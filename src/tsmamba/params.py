@@ -44,6 +44,17 @@ def check_unique_names(params: list[Parameter]) -> None:
         raise InvalidConfig(f"duplicate parameter names: {dupes}")
 
 
+class NoDraws:
+    """Stands in for a Generator when every value it would draw is loaded
+    over next: zeros of the asked size, no random stream."""
+
+    def uniform(self, low=0.0, high=1.0, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+    def standard_normal(self, size=None) -> np.ndarray:
+        return np.zeros(size)
+
+
 def uniform_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> Tensor:
     bound = 1.0 / math.sqrt(max(1, fan_in))
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype))

@@ -12,7 +12,11 @@ The tape records a scan as a single op that keeps only its input and
 the weights. Its backward replays the states once from h_0 = 0, then walks
 the steps in reverse, recomputing each step's a_bar, so training stores no
 per-step coefficient arrays and no state between the forward and the
-backward.
+backward. A Mamba block is two such ops after its in_proj GEMMs: causal
+conv -> SiLU -> scan, which keeps the main branch z_main, and gate ->
+out_proj, which keeps the scan's output y and the gate branch z_gate. So
+the tape keeps three d_inner-wide arrays per block, and the backward
+recomputes the conv output and both SiLUs, as Mamba's fused kernel does.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import InvalidConfig, ShapeMismatch
-from .params import Parameter, uniform_init
+from .params import NoDraws, Parameter, uniform_init
 from .tensor import Tensor
 
 NORM_EPS = 1e-5
@@ -108,20 +112,25 @@ class EncoderParams:
 # ---------------------------------------------------------------------------
 
 
-def init_ssm_params(rng: np.random.Generator, d_inner: int, n_state: int, dtype, prefix: str) -> SSMParams:
+def init_ssm_params(rng: np.random.Generator | NoDraws, d_inner: int, n_state: int, dtype, prefix: str) -> SSMParams:
+    """Mamba's initial SSM maps; given ``NoDraws``, zero placeholders of
+    their shapes, to be loaded over."""
     if d_inner < 1 or n_state < 1:
         raise InvalidConfig("d_inner and n_state must be >= 1")
-    # -A spans 1..n_state per state index; softplus(dt_bias) log-uniform in [1e-3, 1e-1]
-    a = np.tile(np.arange(1, n_state + 1, dtype=np.float64), (d_inner, 1))
-    dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))
-    dt_bias = np.log(np.expm1(dt))
+    if isinstance(rng, NoDraws):
+        a_log, dt_bias, d_skip = (Tensor(np.zeros(shape, dtype=dtype)) for shape in ((d_inner, n_state), d_inner, d_inner))
+    else:
+        # -A spans 1..n_state per state index; softplus(dt_bias) log-uniform in [1e-3, 1e-1]
+        a = np.tile(np.arange(1, n_state + 1, dtype=np.float64), (d_inner, 1))
+        dt = np.exp(rng.uniform(np.log(1e-3), np.log(1e-1), size=d_inner))
+        a_log, dt_bias, d_skip = Tensor(np.log(a).astype(dtype)), Tensor(np.log(np.expm1(dt)).astype(dtype)), T.ones(d_inner, dtype=dtype)
     return SSMParams(
-        a_log=Parameter(f"{prefix}.a_log", Tensor(np.log(a).astype(dtype))),
+        a_log=Parameter(f"{prefix}.a_log", a_log),
         x_to_b=Parameter(f"{prefix}.x_to_b", uniform_init(rng, (d_inner, n_state), d_inner, dtype)),
         x_to_c=Parameter(f"{prefix}.x_to_c", uniform_init(rng, (d_inner, n_state), d_inner, dtype)),
         x_to_dt=Parameter(f"{prefix}.x_to_dt", uniform_init(rng, (d_inner,), d_inner, dtype)),
-        dt_bias=Parameter(f"{prefix}.dt_bias", Tensor(dt_bias.astype(dtype))),
-        d_skip=Parameter(f"{prefix}.d_skip", T.ones(d_inner, dtype=dtype)),
+        dt_bias=Parameter(f"{prefix}.dt_bias", dt_bias),
+        d_skip=Parameter(f"{prefix}.d_skip", d_skip),
     )
 
 
@@ -261,9 +270,9 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     they are bit-identical to the forward's; spent buffers are reused as
     scratch. ``hs`` grows with L, as the tape's activations do: 33 states
     at lookback 512 and patch 16, 208 MB at the paper's B 64, d_inner 1536
-    in float32. The per-step adjoints of the token-sized
-    maps are gathered over the whole sequence and turned into gradients
-    once, after the walk.
+    in float32. The per-step adjoints of the token-sized maps are gathered
+    over the whole sequence and turned into gradients once, after the walk
+    and after ``hs`` is let go.
     """
     b_, l_, d = x.shape
     w_b, w_c, w_dt, _, a, d_skip = weights
@@ -299,6 +308,9 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
         if weight_grads:
             g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
         np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[:, t])
+    # the replayed states go before the token-sized tail, which no longer
+    # reads them (g_u is a view into hs, unbound when L is 0)
+    hs = g_u = None
     # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
     g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)
     g_s = g_pre.sum(axis=-1, keepdims=True)
@@ -312,29 +324,91 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     return gx, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_pre.sum(axis=(0, 1)), g_a.T * a, (g * x).sum(axis=(0, 1))
 
 
-def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
+def _taped(out: np.ndarray, parents, adjoint_of) -> Tensor:
+    """Record ``out`` as one op of ``parents`` whose VJPs share one adjoint:
+    ``adjoint_of(g)`` returns every parent's gradient, in order, and runs
+    once per gradient."""
+    held: list = [None, None]  # (gradient, its adjoint)
+
+    def adjoint(g: np.ndarray) -> tuple:
+        if held[0] is not g:
+            held[:] = g, adjoint_of(g)
+        return held[1]
+
+    return T.apply_op(out, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
+
+
+def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray):
+    """(output, taps, wk) of the block's causal depthwise conv of xv [B, L, d_inner]."""
+    taps, wk = T._conv_layout(xv.shape, w, w.shape[1] - 1, 0)
+    return T._conv_apply(xv, taps, wk, b), taps, wk
+
+
+def _selective_scan_batched(x: Tensor, ssm: SSMParams, conv: tuple[Tensor, Tensor] | None = None) -> Tensor:
     """Selective scan over x [B, L, d_inner] -> [B, L, d_inner], skip included.
 
-    Recorded on the tape as one op whose backward recomputes the
-    coefficients and states instead of storing them, so a taped scan keeps
-    only its input and the weights.
+    With ``conv`` = (weight [d_inner, K], bias [d_inner]) the scan reads
+    SiLU(causal depthwise conv of x): the Mamba block's conv -> SiLU -> scan
+    as one op. Recorded on the tape as one op that keeps only x and the
+    weights: its backward recomputes the conv output, the SiLU and the
+    scan's coefficients and states instead of storing them, with the
+    forward's operations, so they are the forward's bytes. Conv and SSM
+    weight gradients are computed only when those weights want them.
     """
     if x.ndim != 3 or x.shape[2] != ssm.d_inner:
         raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
     xv = x.array
     weights = _scan_weights(ssm, xv.dtype)
-    ys = _sequential_scan_np(xv, weights)
-
     parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
     weight_grads = any(p.requires for p in parents[1:])
-    held: list = [None, None]  # (gradient, its adjoint): one adjoint per gradient
+    if conv is None:
+        return _taped(_sequential_scan_np(xv, weights), parents, lambda g: _sequential_scan_vjp(g, xv, weights, weight_grads))
+    w, b = conv
 
-    def adjoint(g: np.ndarray) -> tuple[np.ndarray, ...]:
-        if held[0] is not g:
-            held[:] = g, _sequential_scan_vjp(g, xv, weights, weight_grads)
-        return held[1]
+    def adjoint_of(g: np.ndarray) -> tuple:
+        c, taps, wk = _causal_conv(xv, w.array, b.array)
+        sig = T._sigmoid(c)
+        s = c * sig
+        ds = T._dsilu(c, sig)  # written over sig
+        del c  # the scan's VJP, where the backward peaks, holds only s and ds
+        g_s, *g_weights = _sequential_scan_vjp(g, s, weights, weight_grads)
+        del s
+        g_s *= ds  # the gradient into the conv output
+        del ds
+        gw = T._conv_vjp_w(g_s, xv, taps, w.array) if w.requires else None
+        gb = g_s.sum(axis=(0, 1)) if b.requires else None
+        return (T._conv_vjp_x(g_s, xv, taps, wk), *g_weights, gw, gb)
 
-    return T.apply_op(ys, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
+    return _taped(_sequential_scan_np(T._silu(_causal_conv(xv, w.array, b.array)[0]), weights), (*parents, w, b), adjoint_of)
+
+
+def _gate_out_proj(y: Tensor, z: Tensor, w: Tensor) -> Tensor:
+    """(y * SiLU(z)) @ w for y, z [B, L, d_inner] and w [d_inner, d_out], as
+    one taped op that keeps y, z and w: its backward recomputes SiLU(z) and
+    the gated product. The product is one GEMM over the folded leading
+    axes, as ``tensor.matmul`` runs it, and the weight gradient is computed
+    only when w wants one."""
+    T._check_binary(y, z, "gate")
+    yv, zv, wv = y.array, z.array, w.array
+    if wv.ndim != 2 or wv.shape[0] != yv.shape[-1] or wv.dtype != yv.dtype:
+        raise ShapeMismatch(f"gate: out_proj {wv.shape} {wv.dtype} vs input {yv.shape} {yv.dtype}")
+    d, n = wv.shape
+    gated = T._silu(zv)
+    gated *= yv
+
+    def adjoint_of(g: np.ndarray) -> tuple:
+        g2 = g.reshape(-1, n)
+        sig = T._sigmoid(zv)
+        s = zv * sig
+        gw = (s * yv).reshape(-1, d).T @ g2 if w.requires else None
+        g_gated = (g2 @ wv.T).reshape(yv.shape)
+        gy = g_gated * s
+        del s
+        g_gated *= yv
+        g_gated *= T._dsilu(zv, sig)
+        return gy, g_gated, gw
+
+    return _taped((gated.reshape(-1, d) @ wv).reshape(yv.shape[:-1] + (n,)), (y, z, w), adjoint_of)
 
 
 # ---------------------------------------------------------------------------
@@ -435,20 +509,22 @@ def mamba_block_batched(u: Tensor, p: MambaBlockParams) -> Tensor:
 
     The main and gate branches are two GEMMs of u against the column halves
     of ``in_proj``, so no [B, L, 2*d_inner] product, nor a copy of its
-    halves, is made or taped. The gate branch is computed after the scan, so
-    a no-tape call does not hold it while the scan runs.
+    halves, is made or taped. The main branch z_main runs through the fused
+    conv -> SiLU -> scan op, and the scan's output y and the gate branch
+    z_gate through the fused gate -> out_proj op. So the tape keeps three
+    d_inner-wide arrays per block, z_main, z_gate and y, beside the weights;
+    the backward recomputes the conv output and both SiLUs. The gate branch
+    is computed after the scan, so a no-tape call does not hold it while the
+    scan runs.
     """
     if u.ndim != 3 or u.shape[2] != p.d_model:
         raise ShapeMismatch(f"mamba block input {u.shape} vs d_model {p.d_model}")
     d_inner = p.d_inner
-    k = p.conv_weight.value.shape[1]
     w_in = p.in_proj.value  # [d_model, 2*d_inner]: main branch | gate branch
     z_main = T.matmul(u, T.slice_axis(w_in, 1, 0, d_inner))
-    x_inner = T.silu(T.depthwise_conv1d(z_main, p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0))
-    y = _selective_scan_batched(x_inner, p.ssm)
+    y = _selective_scan_batched(z_main, p.ssm, (p.conv_weight.value, p.conv_bias.value))
     z_gate = T.matmul(u, T.slice_axis(w_in, 1, d_inner, 2 * d_inner))
-    gated = T.mul(y, T.silu(z_gate))
-    return T.matmul(gated, p.out_proj.value)
+    return _gate_out_proj(y, z_gate, p.out_proj.value)
 
 
 def encoder_forward_batched(tokens: Tensor, enc: EncoderParams) -> Tensor:

@@ -302,15 +302,26 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.reciprocal(s, out=s)
 
 
+def _silu(x: np.ndarray) -> np.ndarray:
+    """x * sigmoid(x), written over the sigmoid's buffer."""
+    s = _sigmoid(x)
+    s *= x
+    return s
+
+
+def _dsilu(x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """silu's derivative sig * (1 + x * (1 - sig)) at x, with sig =
+    sigmoid(x); written over ``sig``."""
+    d = np.subtract(1.0, sig)
+    d *= x
+    d += 1.0
+    return np.multiply(sig, d, out=sig)
+
+
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x). The VJP keeps only x and recomputes the sigmoid."""
     av = a.array
-
-    def vjp(g):
-        sig = _sigmoid(av)
-        return g * (sig * (1.0 + av * (1.0 - sig)))
-
-    return apply_op(av * _sigmoid(av), [(a, vjp)])
+    return apply_op(_silu(av), [(a, lambda g: g * _dsilu(av, _sigmoid(av)))])
 
 
 # Cephes ndtr.c, highest power first; U and Q are monic and list their 1.0.
@@ -427,6 +438,61 @@ def softmax(a: Tensor, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+def _conv_layout(shape: tuple[int, ...], wv: np.ndarray, pad_left: int, pad_right: int):
+    """(taps, wk) of a depthwise conv of input ``shape`` [B, L, ..., C] with
+    weight ``wv`` [C, K]: each in-range tap as (kk, t0, t1, s0), and the
+    taps laid out as ``wk`` [K, l_out, ..., C]."""
+    if len(shape) < 3:
+        raise ShapeMismatch(f"depthwise_conv1d input must be [B, L, ..., C], got {shape}")
+    c, length = shape[-1], shape[1]
+    if wv.ndim != 2 or wv.shape[0] != c:
+        raise ShapeMismatch(f"depthwise_conv1d: weight {wv.shape} vs channels {c}")
+    k = wv.shape[1]
+    l_out = length + pad_left + pad_right - k + 1
+    if l_out < 1:
+        raise InvalidConfig("depthwise_conv1d: kernel exceeds padded length")
+    # tap kk reads input step t + kk - pad_left for output step t: output
+    # steps [t0, t1) read input steps from s0 = t0 + kk - pad_left
+    taps = []
+    for kk in range(k):
+        t0, t1 = max(0, pad_left - kk), min(l_out, length + pad_left - kk)
+        if t0 < t1:
+            taps.append((kk, t0, t1, t0 + kk - pad_left))
+    wk = np.ascontiguousarray(np.broadcast_to(wv.T.reshape((k,) + (1,) * (len(shape) - 2) + (c,)), (k, l_out) + shape[2:]))
+    return taps, wk
+
+
+def _conv_apply(xv: np.ndarray, taps, wk: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    out_shape = (xv.shape[0],) + wk.shape[1:]
+    out = np.zeros(out_shape, dtype=xv.dtype)
+    prod = np.empty(out_shape, dtype=xv.dtype)
+    for kk, t0, t1, s0 in taps:
+        m = t1 - t0
+        out[:, t0:t1] += np.multiply(xv[:, s0 : s0 + m], wk[kk, :m], out=prod[:, :m])
+    if bias is not None:
+        out += bias
+    return out
+
+
+def _conv_vjp_x(g: np.ndarray, xv: np.ndarray, taps, wk: np.ndarray) -> np.ndarray:
+    gx = np.zeros_like(xv)
+    buf = np.empty_like(g)
+    for kk, t0, t1, s0 in taps:
+        m = t1 - t0
+        gx[:, s0 : s0 + m] += np.multiply(g[:, t0:t1], wk[kk, :m], out=buf[:, :m])
+    return gx
+
+
+def _conv_vjp_w(g: np.ndarray, xv: np.ndarray, taps, wv: np.ndarray) -> np.ndarray:
+    gw = np.zeros_like(wv)
+    buf = np.empty_like(g)
+    lead = tuple(range(xv.ndim - 1))
+    for kk, t0, t1, s0 in taps:
+        m = t1 - t0
+        gw[:, kk] = np.multiply(g[:, t0:t1], xv[:, s0 : s0 + m], out=buf[:, :m]).sum(axis=lead)
+    return gw
+
+
 def depthwise_conv1d(
     x: Tensor,
     weight: Tensor,
@@ -447,55 +513,14 @@ def depthwise_conv1d(
     numpy's inner loop runs over a whole contiguous ``[m, ..., C]`` slab
     rather than one row of C.
     """
-    xv = x.array
-    if xv.ndim < 3:
-        raise ShapeMismatch(f"depthwise_conv1d input must be [B, L, ..., C], got {xv.shape}")
-    wv = weight.array
-    c, length = xv.shape[-1], xv.shape[1]
-    if wv.ndim != 2 or wv.shape[0] != c:
-        raise ShapeMismatch(f"depthwise_conv1d: weight {wv.shape} vs channels {c}")
-    k = wv.shape[1]
-    l_out = length + pad_left + pad_right - k + 1
-    if l_out < 1:
-        raise InvalidConfig("depthwise_conv1d: kernel exceeds padded length")
-    if bias is not None and bias.array.shape != (c,):
-        raise ShapeMismatch(f"depthwise_conv1d: bias {bias.array.shape} != ({c},)")
-    # tap kk reads input step t + kk - pad_left for output step t: output
-    # steps [t0, t1) read input steps from s0 = t0 + kk - pad_left
-    taps = []
-    for kk in range(k):
-        t0, t1 = max(0, pad_left - kk), min(l_out, length + pad_left - kk)
-        if t0 < t1:
-            taps.append((kk, t0, t1, t0 + kk - pad_left))
-    out_shape = (xv.shape[0], l_out) + xv.shape[2:]
-    wk = np.ascontiguousarray(np.broadcast_to(wv.T.reshape((k,) + (1,) * (xv.ndim - 2) + (c,)), (k,) + out_shape[1:]))
-    out = np.zeros(out_shape, dtype=xv.dtype)
-    prod = np.empty(out_shape, dtype=xv.dtype)
-    for kk, t0, t1, s0 in taps:
-        m = t1 - t0
-        out[:, t0:t1] += np.multiply(xv[:, s0 : s0 + m], wk[kk, :m], out=prod[:, :m])
+    xv, wv = x.array, weight.array
+    taps, wk = _conv_layout(xv.shape, wv, pad_left, pad_right)
+    if bias is not None and bias.array.shape != (xv.shape[-1],):
+        raise ShapeMismatch(f"depthwise_conv1d: bias {bias.array.shape} != ({xv.shape[-1]},)")
+    out = _conv_apply(xv, taps, wk, None if bias is None else bias.array)
+    pairs = [(x, lambda g: _conv_vjp_x(g, xv, taps, wk)), (weight, lambda g: _conv_vjp_w(g, xv, taps, wv))]
     if bias is not None:
-        out += bias.array
-    lead = tuple(range(xv.ndim - 1))
-
-    def vjp_x(g):
-        gx = np.zeros_like(xv)
-        buf = np.empty_like(g)
-        for kk, t0, t1, s0 in taps:
-            m = t1 - t0
-            gx[:, s0 : s0 + m] += np.multiply(g[:, t0:t1], wk[kk, :m], out=buf[:, :m])
-        return gx
-
-    def vjp_w(g):
-        gw = np.zeros_like(wv)
-        buf = np.empty_like(g)
-        for kk, t0, t1, s0 in taps:
-            m = t1 - t0
-            gw[:, kk] = np.multiply(g[:, t0:t1], xv[:, s0 : s0 + m], out=buf[:, :m]).sum(axis=lead)
-        return gw
-
-    pairs = [(x, vjp_x), (weight, vjp_w)]
-    if bias is not None:
+        lead = tuple(range(xv.ndim - 1))
         pairs.append((bias, lambda g: g.sum(axis=lead)))
     return apply_op(out, pairs)
 

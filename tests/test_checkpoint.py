@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +206,23 @@ def test_save_refuses_non_finite_tensor(tmp_path, dtype, bad):
         C.save_checkpoint(ckpt, str(path))
     assert str(path) in str(exc.value)
     assert list(tmp_path.iterdir()) == []  # neither the target nor a .ckpt-* temp file
+
+
+def test_load_holds_the_file_once_beside_its_tensors(tmp_path):
+    # the file's bytes and one copy of each tensor: the payload is read
+    # through a view, not copied out of the file's bytes
+    model = tiny_model(seed=17, dtype=np.float32, d_model=64, lookback=64, patch_len=8, n_layers=2, d_state=16)
+    path = tmp_path / "m.ckpt"
+    C.save_checkpoint(C.checkpoint_from_model(model, "stage2"), str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        ckpt = C.load_checkpoint(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(arr.nbytes for arr in ckpt.tensors.values()) > 0.95 * size
+    assert peak < 2.2 * size, (peak, size)
 
 
 def test_float32_roundtrip(tmp_path):

@@ -365,6 +365,34 @@ def test_load_csv_names_a_bad_byte_as_the_streaming_reader_does(bad_at, bom):
     assert str(err.value) == f"{path}: not a readable CSV: {stream.value}"
 
 
+def float_accepts(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+# first-column cells near float()'s grammar: its characters, Unicode digits
+# and whitespace, and the characters of dates and times
+head_cells = st.one_of(
+    st.text(st.sampled_from(list("0123456789+-._eEinfatyINFATY :/T") + ["\u0663", "\u00a0", "\u2003", "\x1c", "\t"]), max_size=12),
+    st.sampled_from(["1_0", "_1", "nan", "-inf", "+Infinity", " 1e-5 ", "1e+5", "e-5", "1-2", "\u0663.5", "\u2003-1", "2016-07-01", "2016-07-01 00:00:00", "07/01/2016"]),
+    st.floats().map(repr),
+    st.text(max_size=12),
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(head_cells, min_size=1, max_size=6))
+def test_date_column_detection_agrees_with_float_per_row(heads):
+    # a headed table: the first column is a date column when float() rejects
+    # the first cell of every later row
+    start_col, header_rows = D._layout("t.csv", ["date", "v"], len(heads) + 1, iter(heads), None)
+    assert start_col == (not any(map(float_accepts, heads))) and header_rows == 1
+    assert [D._looks_numeric(c) for c in heads] == [float_accepts(c) for c in heads]
+
+
 @st.composite
 def split_cases(draw):
     n, d = draw(st.integers(1, 80)), draw(st.integers(1, 4))

@@ -286,6 +286,17 @@ def test_scan_adjoint_follows_each_gradient():
         assert got.tobytes() == want.tobytes()
 
 
+def test_zero_step_scan_backward():
+    # an empty sequence back-propagates: a [d_inner, 0] input gradient and
+    # zero weight gradients
+    p, _, _ = make_scan_case(27)
+    xt = Tensor(np.zeros((3, 0)), requires=True)
+    grads = T.grad_map(T.sum_all(ssm.selective_scan_sequential(xt, p)))
+    assert grads[id(xt)].shape == (3, 0)
+    for q in p.parameters():
+        assert grads[id(q.value)].shape == q.value.shape and not grads[id(q.value)].any(), q.name
+
+
 @pytest.mark.parametrize("length", [1, 256, 257, 600])
 def test_taped_scan_keeps_no_state(length):
     # the backward replays the states from h_0 = 0, so the tape holds none
@@ -579,16 +590,21 @@ def test_mamba_block_parameter_gradients():
         assert rel_err(param.grad.array, fd.array) < 1e-4, param.name
 
 
-def one_gemm_block(u, p):
-    """The block with in_proj as one [B, L, 2*d_inner] GEMM whose halves are
-    then sliced off: the reference for the block's GEMM per branch."""
+def unfused_block(u, p, one_gemm=False):
+    """The block op by op: the reference for its fused conv -> SiLU -> scan
+    and gate -> out_proj ops. With ``one_gemm``, in_proj is one
+    [B, L, 2*d_inner] GEMM whose halves are then sliced off: the reference
+    for the block's GEMM per branch."""
     d_inner, k = p.d_inner, p.conv_weight.value.shape[1]
-    z = T.matmul(u, p.in_proj.value)
-    z_main = T.slice_axis(z, 2, 0, d_inner)
-    z_gate = T.slice_axis(z, 2, d_inner, 2 * d_inner)
+    w_in = p.in_proj.value
+    if one_gemm:
+        z = T.matmul(u, w_in)
+        z_main, z_gate = T.slice_axis(z, 2, 0, d_inner), T.slice_axis(z, 2, d_inner, 2 * d_inner)
+    else:
+        z_main, z_gate = T.matmul(u, T.slice_axis(w_in, 1, 0, d_inner)), T.matmul(u, T.slice_axis(w_in, 1, d_inner, 2 * d_inner))
     x_inner = T.silu(T.depthwise_conv1d(z_main, p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0))
-    gated = T.mul(ssm._selective_scan_batched(x_inner, p.ssm), T.silu(z_gate))
-    return T.matmul(gated, p.out_proj.value)
+    y = ssm._selective_scan_batched(x_inner, p.ssm)
+    return T.matmul(T.mul(y, T.silu(z_gate)), p.out_proj.value)
 
 
 @pytest.mark.parametrize("dtype,grad_tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
@@ -601,7 +617,7 @@ def test_mamba_block_two_gemms_match_one_gemm_reference(batch, d_model, dtype, g
     u = rng.standard_normal((batch, 32, d_model)).astype(dtype)
     proj = T.tensor(rng.standard_normal((batch, 32, d_model)), dtype)
     got_u, want_u = Tensor(u.copy(), requires=True), Tensor(u.copy(), requires=True)
-    got, want = ssm.mamba_block_batched(got_u, p), one_gemm_block(want_u, p)
+    got, want = ssm.mamba_block_batched(got_u, p), unfused_block(want_u, p, one_gemm=True)
     assert got.array.tobytes() == want.array.tobytes()
     # u's gradient now sums two GEMMs of depth d_inner where the reference
     # runs one of depth 2*d_inner, so it may round differently
@@ -610,25 +626,87 @@ def test_mamba_block_two_gemms_match_one_gemm_reference(batch, d_model, dtype, g
     assert np.max(np.abs(g_got - g_want)) <= grad_tol * np.max(np.abs(g_want))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch,d_model", [(63, 32), (32, 128)])
+def test_fused_block_matches_unfused_composition(batch, d_model, dtype):
+    # evaluate's 63-row groups at d_model 32, train's 32-row batches at d_model 128
+    rng = np.random.default_rng(31)
+    p = make_block(rng, d_model=d_model, d_inner=2 * d_model, n_state=16, dtype=dtype)
+    u = rng.standard_normal((batch, 32, d_model)).astype(dtype)
+    proj = T.tensor(rng.standard_normal((batch, 32, d_model)), dtype)
+    got_u, want_u = Tensor(u.copy(), requires=True), Tensor(u.copy(), requires=True)
+    got, want = ssm.mamba_block_batched(got_u, p), unfused_block(want_u, p)
+    assert got.array.tobytes() == want.array.tobytes()
+    g_got = T.grad_map(T.sum_all(T.mul(got, proj)))
+    g_want = T.grad_map(T.sum_all(T.mul(want, proj)))
+    assert g_got[id(got_u)].tobytes() == g_want[id(want_u)].tobytes()
+    for q in p.parameters():
+        assert g_got[id(q.value)].dtype == dtype and g_got[id(q.value)].tobytes() == g_want[id(q.value)].tobytes(), q.name
+
+
+def test_frozen_block_computes_no_conv_or_ssm_weight_gradient(monkeypatch):
+    # fine-tuning freezes every block tensor; the gradient still flows to u
+    rng = np.random.default_rng(32)
+    p = make_block(rng, d_model=4, d_inner=8, n_state=2)
+    u = rng.standard_normal((2, 6, 4))
+    proj = T.tensor(rng.standard_normal((2, 6, 4)))
+    trained_u = Tensor(u.copy(), requires=True)
+    trained = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(trained_u, p), proj)))[id(trained_u)]
+    for q in p.parameters():
+        q.set_trainable(False)
+    adjoints, conv_w_grads = [], []
+    vjp, conv_vjp_w = ssm._sequential_scan_vjp, T._conv_vjp_w
+
+    def spy(*args):
+        adjoints.append(vjp(*args))
+        return adjoints[-1]
+
+    monkeypatch.setattr(ssm, "_sequential_scan_vjp", spy)
+    monkeypatch.setattr(T, "_conv_vjp_w", lambda *args: conv_w_grads.append(conv_vjp_w(*args)))
+    frozen_u = Tensor(u.copy(), requires=True)
+    grads = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(frozen_u, p), proj)))
+    assert len(adjoints) == 1 and adjoints[0][1:] == (None,) * 6
+    assert conv_w_grads == []
+    assert all(id(q.value) not in grads for q in p.parameters())
+    assert grads[id(frozen_u)].tobytes() == trained.tobytes()
+
+
 def test_taped_encoder_keeps_only_what_each_backward_reads():
-    # one layer: rmsnorm -> block (in_proj, conv, silu, scan, gate) -> residual -> rmsnorm
+    # one layer: rmsnorm -> block (in_proj, conv -> SiLU -> scan, gate -> out_proj) -> residual -> rmsnorm
     rng = np.random.default_rng(29)
     b_, length, d_model, d_inner = 2, 5, 4, 8
     enc = make_encoder(rng, 1, d_model=d_model, d_inner=d_inner)
-    out = ssm.encoder_forward_batched(Tensor(rng.standard_normal((b_, length, d_model)), requires=True), enc)
-    # no in_proj product [B, L, 2*d_inner], nor a copy of it, is kept
-    assert (b_, length, 2 * d_inner) not in {arr.shape for arr in tape_arrays(out)}
-    seen = set()
-    for node in graph_nodes(out):
-        op = node.pairs[0][1].__qualname__.split(".")[0] if node.pairs else None
-        if op not in ("silu", "rmsnorm"):
-            continue
-        seen.add(op)
-        inputs = [parent.array for parent, _ in node.pairs]
-        for arr in held_arrays(fn for _, fn in node.pairs):
-            # rmsnorm may also keep its per-row scale, inv [B, L, 1]
-            assert any(arr is x for x in inputs) or (op == "rmsnorm" and arr.shape == (b_, length, 1)), (op, arr.shape)
-    assert seen == {"silu", "rmsnorm"}
+    block, gain = enc.layers[0]
+    u = Tensor(rng.standard_normal((b_, length, d_model)), requires=True)
+    out = ssm.encoder_forward_batched(u, enc)
+
+    # the per-token arrays the tape may keep, recomputed without it
+    def inv(x):  # rmsnorm's per-row scale
+        return 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + ssm.NORM_EPS)
+
+    with T.no_grad():
+        un = T.rmsnorm(u, gain.value, ssm.NORM_EPS)
+        z_main = T.matmul(un, T.slice_axis(block.in_proj.value, 1, 0, d_inner))
+        z_gate = T.matmul(un, T.slice_axis(block.in_proj.value, 1, d_inner, 2 * d_inner))
+        y = ssm._selective_scan_batched(z_main, block.ssm, (block.conv_weight.value, block.conv_bias.value))
+        block_out = ssm.mamba_block_batched(un, block)
+        resid = T.add(u, block_out)
+    want = [t.array for t in (u, un, z_main, z_gate, y, block_out, resid, out)] + [inv(u.array), inv(resid.array)]
+    # the buffers the tape keeps alive, each once, however many views of it it holds
+    kept = {}
+    for arr in tape_arrays(out):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        kept[id(arr)] = arr
+    # no weight has B*L = 10 rows
+    per_token = [a for a in kept.values() if a.size // a.shape[-1] == b_ * length]
+    # per block: u with rmsnorm's inv, the normalized un, z_main, z_gate and
+    # y; the conv output and both SiLUs are recomputed
+    assert sorted((a.shape[-1], a.tobytes()) for a in per_token) == sorted((a.shape[-1], a.tobytes()) for a in want)
+    assert [a.shape[-1] for a in per_token].count(d_inner) == 3
+    # the rest are weights: the parameters, in_proj's two column halves and A = -exp(a_log)
+    weight_shapes = {q.value.shape for q in enc.parameters()} | {(d_model, d_inner)}
+    assert {a.shape for a in kept.values() if a.size // a.shape[-1] != b_ * length} <= weight_shapes
 
 
 def make_encoder(rng, n_layers, d_model=4, d_inner=8, n_state=2, prefix="enc"):
