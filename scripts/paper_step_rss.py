@@ -6,7 +6,12 @@ lookback 512, patch 16, horizon 96, float32), runs ``train.stage2_loss`` and
 prints the loss, a SHA-256 of the gradients' bytes, the CPU time of the step and the
 process's peak RSS (``ru_maxrss``). BLAS runs on one thread.
 
-    PYTHONPATH=src python scripts/paper_step_rss.py --max-rss-mb 1050
+A built model's head maps to zero (``model.init_head``), which would zero
+every gradient upstream of it, so the script draws the head's ``out_w``
+from the seed first; it exits 1 if a parameter's gradient is still all
+zero, since the backward then did not reach it.
+
+    PYTHONPATH=src python scripts/paper_step_rss.py --max-rss-mb 800
 
 With ``--max-rss-mb`` the script exits 1 when the peak RSS exceeds the bound.
 Run it in a fresh process: ``ru_maxrss`` is the peak of the whole process.
@@ -27,6 +32,7 @@ import numpy as np  # noqa: E402
 
 from tsmamba import tensor as T  # noqa: E402
 from tsmamba.model import ModelConfig, build_model  # noqa: E402
+from tsmamba.params import uniform_init  # noqa: E402
 from tsmamba.train import stage2_loss  # noqa: E402
 
 BATCH, SEED = 64, 0
@@ -42,6 +48,8 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(SEED)
     series = np.cumsum(rng.standard_normal((BATCH, cfg.lookback + cfg.horizon)), axis=1).astype(np.float32)
     inputs, targets = T.tensor(series[:, : cfg.lookback], np.float32), T.tensor(series[:, cfg.lookback :], np.float32)
+    out_w = model.head.out_w
+    out_w.assign(uniform_init(rng, out_w.value.shape, out_w.value.shape[0], np.float32).array)
     params = model.parameters()
 
     start = time.process_time()
@@ -56,6 +64,10 @@ def main(argv=None) -> int:
         digest.update(p.grad.array.tobytes())
     print(f"params {sum(p.value.size for p in params)}  loss {loss.item():.6f}  gradients sha256 {digest.hexdigest()[:16]}")
     print(f"cpu {cpu_s:.2f} s (forward {forward_s:.2f} s)  peak rss {peak_mb:.0f} MB")
+    unreached = [p.name for p in params if not p.grad.array.any()]
+    if unreached:
+        print(f"{len(unreached)} of {len(params)} gradients are all zero: {', '.join(unreached)}", file=sys.stderr)
+        return 1
     if args.max_rss_mb is not None and peak_mb > args.max_rss_mb:
         print(f"peak rss {peak_mb:.0f} MB exceeds {args.max_rss_mb:.0f} MB", file=sys.stderr)
         return 1

@@ -357,18 +357,11 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
     return out
 
 
-# Bytes of per-step scan state one group of windows may hold. The scan keeps
-# several [rows, d_state, d_inner] buffers live per step; groups whose state
-# stays this small keep them in a core's L2 cache and keep every op's
-# temporaries small enough to reuse freed memory instead of faulting in new
-# pages. Chosen by a sweep of 64 KiB to 1 MiB at d_model 32 and 128.
-BUDGET = 256 * 1024
-
-
 def _group_windows(cfg: M.ModelConfig, channels: int, itemsize: int) -> int:
     """Windows per forecast call: as many as keep one step's scan state
-    [windows x channels, d_state, d_inner] within ``BUDGET``, and at least one."""
-    return max(1, BUDGET // (channels * cfg.d_inner * cfg.d_state * itemsize))
+    [windows x channels, d_state, d_inner] within ``ssm.SCAN_BUDGET``, and at
+    least one, so a call's scans step all their rows as one group."""
+    return max(1, ssm.SCAN_BUDGET // (channels * cfg.d_inner * cfg.d_state * itemsize))
 
 
 def _batched_forecast(model: M.Model, inputs: np.ndarray) -> np.ndarray:

@@ -5,18 +5,22 @@ dt), is discretized per step as Mamba's reference scan does: A_bar =
 exp(dt A) and B_bar = dt B. It is evaluated as a strict left-to-right
 recurrence by one kernel, with the tape on or off. The kernel computes the
 token-sized maps (B, C, dt) once per scan and the state-sized terms one
-step at a time. The state is laid out state-major, [B, n_state, d_inner],
-so every per-step pass over it (outer products, exp, update, contractions)
-runs along the long channel axis rather than the short state axis.
-The tape records a scan as a single op that keeps only its input and
-the weights. Its backward replays the states once from h_0 = 0, then walks
-the steps in reverse, recomputing each step's a_bar, so training stores no
-per-step coefficient arrays and no state between the forward and the
-backward. A Mamba block is two such ops after its in_proj GEMMs: causal
-conv -> SiLU -> scan, which keeps the main branch z_main, and gate ->
-out_proj, which keeps the scan's output y and the gate branch z_gate. So
-the tape keeps three d_inner-wide arrays per block, and the backward
-recomputes the conv output and both SiLUs, as Mamba's fused kernel does.
+step at a time. The state is laid out state-major, [rows, n_state,
+d_inner], so every per-step pass over it (outer products, exp, update,
+contractions) runs along the long channel axis rather than the short state
+axis. The rows of a batch are independent, and the kernel steps them in
+groups whose state fits ``SCAN_BUDGET`` bytes, one group after another, so
+the state stays in cache, as Mamba's kernel keeps each tile's state in fast
+memory. The tape records a scan as a single op that keeps only its input
+and the weights. Its backward replays one group's states from h_0 = 0,
+then walks the steps in reverse, recomputing each step's a_bar, so
+training stores no per-step coefficient arrays and no state between the
+forward and the backward, and the backward holds one group's states. A
+Mamba block is two such ops after its in_proj GEMMs: causal conv -> SiLU
+-> scan, which keeps the main branch z_main, and gate -> out_proj, which
+keeps the scan's output y and the gate branch z_gate. So the tape keeps
+three d_inner-wide arrays per block, and the backward recomputes the conv
+output and both SiLUs, as Mamba's fused kernel does.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -175,24 +179,40 @@ def init_encoder(
 # The selective-scan kernel
 # ---------------------------------------------------------------------------
 
+# Bytes of scan state [rows, n_state, d_inner] that one group of batch rows
+# may hold. The kernel steps a batch's rows in groups this small, one group
+# after another: its per-step state buffers (and the backward's replayed
+# states) then stay in a core's L2 cache, and its temporaries stay small
+# enough to reuse freed memory instead of faulting in new pages. `evaluate`
+# sizes its batches with the same budget, so they run as one group. Chosen
+# by a sweep of `evaluate`'s group sizes, 64 KiB to 1 MiB at d_model 32 and
+# 128.
+SCAN_BUDGET = 256 * 1024
+
+
 class _StepCoeffs:
     """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
-    for the whole sequence, the state-sized step terms one step at a time.
+    for the whole sequence, the state-sized step terms one step at a time,
+    for one group of batch rows at a time.
 
     The maps b = x W_b, c = x W_c, pre = x W_dt + dt_bias, dt = softplus(pre)
-    and dtx = dt * x are computed once over the whole sequence. The products
-    stay one [L, d_inner] GEMM per batch row: a single [B*L, d_inner] GEMM is
-    no faster here and rounds differently at d_inner >= 512 in float32 with
-    OpenBLAS, which would change the model's outputs.
+    and dtx = dt * x are computed once over the whole sequence and batch. The
+    products stay one [L, d_inner] GEMM per batch row: a single
+    [B*L, d_inner] GEMM is no faster here and rounds differently at
+    d_inner >= 512 in float32 with OpenBLAS, which would change the model's
+    outputs.
 
-    ``fill_a_bar(t)`` computes a_bar = exp(dt*A) for step t, and ``fill(t)``
-    also computes bx = b * dtx (so B_bar = dt*B, as in Mamba), into two
-    [B, n_state, d_inner] buffers allocated once, the only arrays that grow
-    with the state. A is kept transposed, as ``a`` [n_state, d_inner], so
-    the state-major outer products run along the long channel axis and cost
-    about what a plain multiply does: 0.3-0.4 ns per element at
-    [32, 256, 16] float32 (one thread), against 0.6-0.8 ns with the 16-wide
-    state axis innermost.
+    The rows are stepped in groups of as many rows as keep one
+    [rows, n_state, d_inner] state within ``SCAN_BUDGET`` bytes, and at least
+    one; ``groups()`` walks them. ``fill_a_bar(t)`` computes a_bar =
+    exp(dt*A) at step t for the current group, and ``fill(t)`` also computes
+    bx = b * dtx (so B_bar = dt*B, as in Mamba), into two
+    [rows, n_state, d_inner] buffers allocated once, the only arrays that
+    grow with the state. Every row's arithmetic is the same in any group. A
+    is kept transposed, as ``a`` [n_state, d_inner], so the state-major
+    outer products run along the long channel axis and cost about what a
+    plain multiply does: 0.3-0.4 ns per element at [32, 256, 16] float32
+    (one thread), against 0.6-0.8 ns with the 16-wide state axis innermost.
     """
 
     def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...]):
@@ -210,16 +230,30 @@ class _StepCoeffs:
         np.log1p(self.dt, out=self.dt)
         self.dt += np.maximum(self.pre, 0.0)
         self.dtx = self.dt * x
-        shape = (b_, self.a.shape[0], d)
-        self.a_bar, self.bx = (np.empty(shape, dtype=x.dtype) for _ in range(2))
+        n = self.a.shape[0]
+        rows = max(1, min(b_, SCAN_BUDGET // (n * d * x.itemsize)))
+        self.rows = slice(None)  # the current group's batch rows: all of them until groups() runs
+        self.a_bar, self.bx = (np.empty((rows, n, d), dtype=x.dtype) for _ in range(2))
+
+    def groups(self):
+        """Make each group of batch rows the current one in turn, and yield
+        its rows as a slice of the batch. A shorter last group gets step
+        buffers of its size, as views."""
+        b_, size = self.dt.shape[0], self.a_bar.shape[0]
+        for start in range(0, b_, size):
+            stop = min(start + size, b_)
+            if stop - start < size:
+                self.a_bar, self.bx = self.a_bar[: stop - start], self.bx[: stop - start]
+            self.rows = slice(start, stop)
+            yield self.rows
 
     def fill_a_bar(self, t: int) -> None:
-        np.einsum("bd,nd->bnd", self.dt[:, t], self.a, out=self.a_bar)
+        np.einsum("bd,nd->bnd", self.dt[self.rows, t], self.a, out=self.a_bar)
         np.exp(self.a_bar, out=self.a_bar)
 
     def fill(self, t: int) -> None:
         self.fill_a_bar(t)
-        np.einsum("bn,bd->bnd", self.b[:, t], self.dtx[:, t], out=self.bx)
+        np.einsum("bn,bd->bnd", self.b[self.rows, t], self.dtx[self.rows, t], out=self.bx)
 
 
 def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
@@ -240,19 +274,21 @@ def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
 
 def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
     """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], one step at a
-    time, strictly left to right, with the state h [B, n_state, d_inner]
-    starting at h_0 = 0. Only the current state is held; the backward pass
-    replays the rest.
+    time, strictly left to right, with each row's state [n_state, d_inner]
+    starting at h_0 = 0. The rows are stepped in groups (see
+    :class:`_StepCoeffs`), and only the current group's state is held; the
+    backward pass replays the rest.
     """
     b_, l_, d = x.shape
     co = _StepCoeffs(x, weights)
     ys = np.empty((b_, l_, d), dtype=x.dtype)
-    h = np.zeros(co.a_bar.shape, dtype=x.dtype)
-    for t in range(l_):
-        co.fill(t)
-        h *= co.a_bar
-        h += co.bx
-        ys[:, t] = np.matmul(co.c[:, t, None, :], h)[:, 0, :]
+    for rows in co.groups():
+        h = np.zeros(co.a_bar.shape, dtype=x.dtype)
+        for t in range(l_):
+            co.fill(t)
+            h *= co.a_bar
+            h += co.bx
+            ys[rows, t] = np.matmul(co.c[rows, t, None, :], h)[:, 0, :]
     ys += weights[5] * x
     return ys
 
@@ -264,52 +300,61 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     are None and their per-step and final products are skipped; x's
     gradient is the same to the byte.
 
-    Replays every state once from h_0 = 0 into ``hs`` [L+1, B, n_state,
-    d_inner], then walks the steps in reverse, filling each step's a_bar
-    again, since it is not stored. Both use the forward's operations, so
-    they are bit-identical to the forward's; spent buffers are reused as
-    scratch. ``hs`` grows with L, as the tape's activations do: 33 states
-    at lookback 512 and patch 16, 208 MB at the paper's B 64, d_inner 1536
-    in float32. The per-step adjoints of the token-sized maps are gathered
-    over the whole sequence and turned into gradients once, after the walk
-    and after ``hs`` is let go.
+    Takes the rows in the forward's groups. For each group it replays every
+    state once from h_0 = 0 into ``hs`` [L+1, rows, n_state, d_inner], then
+    walks the steps in reverse, filling each step's a_bar again, since it is
+    not stored. Both use the forward's operations, so they are bit-identical
+    to the forward's; spent buffers are reused as scratch. ``hs`` grows with
+    L, as the tape's activations do, but holds one group: 33 states at
+    lookback 512 and patch 16, 6.5 MB for the two rows of a group at the
+    paper's d_inner 1536 in float32, where the whole batch of 64 would take
+    208 MB. The per-step adjoints of the token-sized maps are written into
+    whole-batch arrays and turned into gradients once, after the last
+    group and after ``hs`` is let go, so x's and every weight gradient but
+    a_log's are the same bytes in any grouping; a_log's sums its per-step
+    terms over the rows group by group.
     """
     b_, l_, d = x.shape
     w_b, w_c, w_dt, _, a, d_skip = weights
     n = a.shape[1]
     co = _StepCoeffs(x, weights)
-    hs = np.empty((l_ + 1, b_, n, d), dtype=x.dtype)  # hs[t] = h_{t-1}
-    hs[0] = 0.0
-    for t in range(l_):
-        co.fill(t)
-        np.multiply(co.a_bar, hs[t], out=hs[t + 1])
-        hs[t + 1] += co.bx
-    lam = np.empty((b_, n, d), dtype=x.dtype)  # state adjoint dL/dh_t
+    hs = np.empty((l_ + 1, *co.a_bar.shape), dtype=x.dtype)  # hs[t] = h_{t-1}
+    lam = np.empty(co.a_bar.shape, dtype=x.dtype)  # state adjoint dL/dh_t
+    carry = np.empty(co.a_bar.shape, dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
     g_b, g_c = np.empty_like(co.b), np.empty_like(co.c)
     rb = np.empty_like(co.dtx)  # dL/d(dtx)
     g_ua = np.empty_like(co.dtx)  # dL/du contracted with A over the state axis
     g_a = np.zeros_like(co.a)  # dL/dA, transposed as [n, d]
-    carry = np.zeros((b_, n, d), dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
-    for t in range(l_ - 1, -1, -1):
-        co.fill_a_bar(t)
-        # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
-        # adjoint lam_t = c_t g_t + a_bar_{t+1} lam_{t+1}
-        np.einsum("bn,bd->bnd", co.c[:, t], g[:, t], out=lam)
-        lam += carry
-        np.multiply(co.a_bar, lam, out=carry)
-        g_c[:, t] = np.matmul(hs[t + 1], g[:, t, :, None])[..., 0]
-        # bx = b * dtx
-        rb[:, t] = np.matmul(co.b[:, t, None, :], lam)[:, 0, :]
-        g_b[:, t] = np.matmul(lam, co.dtx[:, t, :, None])[..., 0]
-        # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
-        # it replaces h_t, which no later step reads
-        g_u = np.multiply(carry, hs[t], out=hs[t + 1])
-        # u = dt * A
-        if weight_grads:
-            g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
-        np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[:, t])
+    for r in co.groups():
+        k = co.a_bar.shape[0]  # the group's rows
+        if k < lam.shape[0]:  # a shorter last group
+            hs, lam, carry = hs[:, :k], lam[:k], carry[:k]
+        hs[0] = 0.0
+        for t in range(l_):
+            co.fill(t)
+            np.multiply(co.a_bar, hs[t], out=hs[t + 1])
+            hs[t + 1] += co.bx
+        carry[...] = 0.0
+        for t in range(l_ - 1, -1, -1):
+            co.fill_a_bar(t)
+            # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
+            # adjoint lam_t = c_t g_t + a_bar_{t+1} lam_{t+1}
+            np.einsum("bn,bd->bnd", co.c[r, t], g[r, t], out=lam)
+            lam += carry
+            np.multiply(co.a_bar, lam, out=carry)
+            g_c[r, t] = np.matmul(hs[t + 1], g[r, t, :, None])[..., 0]
+            # bx = b * dtx
+            rb[r, t] = np.matmul(co.b[r, t, None, :], lam)[:, 0, :]
+            g_b[r, t] = np.matmul(lam, co.dtx[r, t, :, None])[..., 0]
+            # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
+            # it replaces h_t, which no later step reads
+            g_u = np.multiply(carry, hs[t], out=hs[t + 1])
+            # u = dt * A
+            if weight_grads:
+                g_a += np.einsum("bnd,bd->nd", g_u, co.dt[r, t])
+            np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[r, t])
     # the replayed states go before the token-sized tail, which no longer
-    # reads them (g_u is a view into hs, unbound when L is 0)
+    # reads them (g_u is a view into hs, unbound when L or B is 0)
     hs = g_u = None
     # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
     g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)

@@ -15,6 +15,7 @@ import tsmamba
 from tsmamba import cli
 from tsmamba import data as D
 from tsmamba import model as M
+from tsmamba import ssm
 from tsmamba import train as TR
 from tsmamba.checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from tsmamba.cli import main
@@ -320,7 +321,7 @@ def test_evaluate_report_does_not_depend_on_group_size(workdir, tmp_path, monkey
     base = ["evaluate", "--model", s2, "--data", data_path, "--horizons", "4", "--raw-metrics"]
     reports = []
     for budget in (1, 1 << 30):  # one window per group, then every window in one group
-        monkeypatch.setattr(cli, "BUDGET", budget)
+        monkeypatch.setattr(ssm, "SCAN_BUDGET", budget)
         out = tmp_path / f"budget{budget}.csv"
         assert main(base + ["--out", str(out)]) == 0
         reports.append(out.read_text())
@@ -578,7 +579,7 @@ def test_batched_forecast_groups_match_single_windows(monkeypatch, dtype, xchann
         p.assign((rng.standard_normal(p.value.shape) * 0.3).astype(dtype))
     inputs = rng.standard_normal((8, 3, 16))
     # 3-window groups: 3 + 3 + 2
-    monkeypatch.setattr(cli, "BUDGET", 3 * 3 * cfg.d_inner * cfg.d_state * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(ssm, "SCAN_BUDGET", 3 * 3 * cfg.d_inner * cfg.d_state * np.dtype(dtype).itemsize)
     assert cli._group_windows(cfg, 3, np.dtype(dtype).itemsize) == 3
     preds = cli._batched_forecast(model, inputs)
     with no_grad():

@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -591,6 +592,84 @@ def test_scan_segment_lengths_change_no_bits(case):
     on = ssm._selective_scan_batched(Tensor(x, requires=True), p)
     assert on.pairs and not off.pairs
     assert on.array.tobytes() == off.array.tobytes()
+
+
+def whole_batch_scan(g, x, weights):
+    """The scan's output, the gradients of <g, y> and, for a_log's gradient,
+    the sum of its terms' magnitudes, with every batch row stepped together,
+    as the kernel ran before it stepped rows in groups. It shares only the
+    token-sized maps of ``ssm._StepCoeffs``; the steps and the tail are
+    written out here with the kernel's operations."""
+    w_b, w_c, w_dt, _, a, d_skip = weights
+    co = ssm._StepCoeffs(x, weights)
+    b_, l_, d = x.shape
+    n = a.shape[1]
+
+    def a_bar(t):
+        return np.exp(np.einsum("bd,nd->bnd", co.dt[:, t], co.a))
+
+    hs = np.zeros((l_ + 1, b_, n, d), dtype=x.dtype)
+    y = np.empty_like(x)
+    for t in range(l_):
+        hs[t + 1] = a_bar(t) * hs[t] + np.einsum("bn,bd->bnd", co.b[:, t], co.dtx[:, t])
+        y[:, t] = np.matmul(co.c[:, t, None, :], hs[t + 1])[:, 0, :]
+    y += d_skip * x
+    carry = np.zeros((b_, n, d), dtype=x.dtype)
+    g_b, g_c, rb, g_ua = np.empty_like(co.b), np.empty_like(co.c), np.empty_like(x), np.empty_like(x)
+    g_a, g_a_abs = np.zeros_like(co.a), np.zeros_like(co.a)
+    for t in range(l_ - 1, -1, -1):
+        lam = np.einsum("bn,bd->bnd", co.c[:, t], g[:, t]) + carry
+        carry = a_bar(t) * lam
+        g_c[:, t] = np.matmul(hs[t + 1], g[:, t, :, None])[..., 0]
+        rb[:, t] = np.matmul(co.b[:, t, None, :], lam)[:, 0, :]
+        g_b[:, t] = np.matmul(lam, co.dtx[:, t, :, None])[..., 0]
+        g_u = carry * hs[t]
+        g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
+        g_a_abs += np.einsum("bnd,bd->nd", np.abs(g_u), co.dt[:, t])  # dt > 0
+        g_ua[:, t] = np.einsum("bnd,nd->bd", g_u, co.a)
+    g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)
+    g_s = g_pre.sum(axis=-1, keepdims=True)
+    gx = g * d_skip
+    gx += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T
+    xf = x.reshape(-1, d).T
+    g_wdt = (xf @ g_s.reshape(-1, 1)).reshape(-1)
+    grads = gx, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_pre.sum(axis=(0, 1)), g_a.T * a, (g * x).sum(axis=(0, 1))
+    return y, grads, g_a_abs.T * np.abs(a)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 20), st.integers(0, 9), st.integers(1, 8), st.integers(1, 4), st.data(),
+    st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1),
+)
+def test_row_groups_change_no_bits_but_a_logs(batch, length, d_inner, n_state, data, dtype, seed):
+    """Any row group size gives the whole-batch kernel's output and gradients
+    to the byte, except a_log's: its per-step sum over the rows runs group by
+    group, so it moves within a reordered sum's rounding."""
+    rows = data.draw(st.integers(1, batch), label="rows per group")
+    rng = np.random.default_rng(seed)
+    p = ssm.init_ssm_params(rng, d_inner, n_state, dtype, "s")
+    for q in p.parameters():
+        q.assign((q.value.array + 0.3 * rng.standard_normal(q.value.shape)).astype(dtype))
+    weights = ssm._scan_weights(p, dtype)
+    x, g = rng.standard_normal((2, batch, length, d_inner)).astype(dtype)
+    want_y, want, a_log_abs = whole_batch_scan(g, x, weights)
+    with mock.patch.object(ssm, "SCAN_BUDGET", rows * n_state * d_inner * np.dtype(dtype).itemsize):
+        assert ssm._StepCoeffs(x, weights).a_bar.shape[0] == rows
+        y = ssm._sequential_scan_np(x, weights)
+        got = ssm._sequential_scan_vjp(g, x, weights, True)
+        frozen = ssm._sequential_scan_vjp(g, x, weights, False)
+    assert y.tobytes() == want_y.tobytes()
+    for name, got_i, want_i in zip(("x", "x_to_b", "x_to_c", "x_to_dt", "dt_bias", "a_log", "d_skip"), got, want):
+        assert got_i.dtype == want_i.dtype and got_i.shape == want_i.shape, name
+        if name != "a_log":
+            assert got_i.tobytes() == want_i.tobytes(), name
+    assert frozen[0].tobytes() == want[0].tobytes() and frozen[1:] == (None,) * 6
+    # each a_log entry sums m = batch * length terms; a sum in any order is
+    # within (m - 1) * eps * sum(|term|) of the exact sum, so two orders are
+    # within twice that of each other
+    tol = 2 * batch * length * np.finfo(dtype).eps * a_log_abs
+    assert (np.abs(got[5] - want[5]) <= tol).all()
 
 
 # affine gap allowed per unit of output magnitude: about 1e4 machine epsilons,

@@ -1,6 +1,7 @@
 """Unit tests for the selective SSM core."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,29 @@ def test_taped_scan_keeps_no_state(length):
     assert not [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 2, 3)]
     with T.no_grad():
         assert not ssm._selective_scan_batched(Tensor(x), p).pairs
+
+
+def test_scan_backward_holds_one_group_of_states():
+    # the train workload's scan, [B 32, L 32, d_inner 256, n_state 16] in
+    # float32: its backward replays 16-row groups, so it peaks at one group's
+    # states (8.25 MiB) plus a few token-sized maps and gradients (1 MiB
+    # each); replaying all 32 rows together peaked at 24.8 MiB
+    b_, l_, d, n = 32, 32, 256, 16
+    rng = np.random.default_rng(31)
+    p = make_ssm(rng, d, n, np.float32)
+    x = Tensor(rng.standard_normal((b_, l_, d)).astype(np.float32), requires=True)
+    proj = Tensor(rng.standard_normal((b_, l_, d)).astype(np.float32))
+    loss = T.sum_all(T.mul(ssm._selective_scan_batched(x, p), proj))
+    rows = ssm.SCAN_BUDGET // (n * d * 4)
+    assert rows == 16
+    tracemalloc.start()
+    try:
+        T.grad_map(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    group_states, token_array = (l_ + 1) * rows * n * d * 4, b_ * l_ * d * 4
+    assert peak < group_states + 10 * token_array, peak
 
 
 def test_scan_rejects_input_dtype_mismatch():
