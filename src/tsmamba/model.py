@@ -358,8 +358,7 @@ def patch_embed_batched(x_hat: Tensor, emb: EmbeddingParams, patch_len: int) -> 
     d_model = emb.bias.value.shape[0]
     patches = T.reshape(x_hat, (b_ * (length // patch_len), patch_len))
     w = T.transpose(T.reshape(emb.weight.value, (d_model, patch_len)), (1, 0))
-    tokens = T.matmul(patches, w)
-    tokens = T.add(tokens, T.broadcast_to(T.reshape(emb.bias.value, (1, d_model)), tokens.shape))
+    tokens = T.linear(patches, w, emb.bias.value)
     return T.reshape(tokens, (b_, length // patch_len, d_model))
 
 
@@ -389,12 +388,9 @@ def backbone_forward(x_hat: Tensor, model: Model) -> BackboneOutput:
 def head_core(combined: Tensor, head: HeadParams) -> Tensor:
     """Compress-GELU-flatten-project: [B, n_tokens, d_model] -> normalized [B, T]."""
     b_, n_tokens, _ = combined.shape
-    h = T.matmul(combined, head.compress_w.value)
-    h = T.add(h, T.broadcast_to(T.reshape(head.compress_b.value, (1, 1, head.compress_b.value.shape[0])), h.shape))
-    h = T.gelu(h)
+    h = T.gelu(T.linear(combined, head.compress_w.value, head.compress_b.value))
     flat = T.reshape(h, (b_, n_tokens * h.shape[2]))
-    y = T.matmul(flat, head.out_w.value)
-    return T.add(y, T.broadcast_to(T.reshape(head.out_b.value, (1, head.out_b.value.shape[0])), y.shape))
+    return T.linear(flat, head.out_w.value, head.out_b.value)
 
 
 def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tensor]:
@@ -405,15 +401,13 @@ def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tens
         raise ShapeMismatch(f"xchannel built for {xp.n_channels} channels, got {d}")
     if d < 2:
         raise InvalidConfig("cross-channel attention requires D >= 2")
-    d_c = xp.compress_w.value.shape[1]
 
     # (1) time shift: one FIR filter per data channel, shared across features
     shift_in = T.transpose(combined, (0, 2, 3, 1))  # [B, n_tokens, d_model, D]
     shifted = T.depthwise_conv1d(shift_in, xp.tshift_w.value, None, pad_left=XSHIFT_KERNEL // 2, pad_right=XSHIFT_KERNEL // 2)
 
     # (2) kernel-size-1 conv across the channel axis: D -> d_c
-    comp = T.matmul(shifted, xp.compress_w.value)
-    comp = T.add(comp, T.broadcast_to(T.reshape(xp.compress_b.value, (1, 1, 1, d_c)), comp.shape))
+    comp = T.linear(shifted, xp.compress_w.value, xp.compress_b.value)
 
     # (3) attention over compressed channels, applied per token
     q = T.transpose(comp, (0, 1, 3, 2))  # [B, n_tokens, d_c, d_model]
@@ -429,12 +423,10 @@ def xchannel_attention_batched(combined: Tensor, xp: XChannelParams) -> Tensor:
     dot-product attention across compressed channels at each token, expansion
     back to D channels (zero-initialized), residual add.
     """
-    d = combined.shape[1]
     _, attended = _xchannel_attend(combined, xp)
 
     # (4) expand d_c -> D; weights start at zero so the module begins inert
-    expanded = T.matmul(T.transpose(attended, (0, 1, 3, 2)), xp.expand_w.value)  # [B, n_tokens, d_model, D]
-    expanded = T.add(expanded, T.broadcast_to(T.reshape(xp.expand_b.value, (1, 1, 1, d)), expanded.shape))
+    expanded = T.linear(T.transpose(attended, (0, 1, 3, 2)), xp.expand_w.value, xp.expand_b.value)  # [B, n_tokens, d_model, D]
     correction = T.transpose(expanded, (0, 3, 1, 2))
 
     # (5) residual

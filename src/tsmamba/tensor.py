@@ -6,9 +6,10 @@ least one grad-requiring input record (parent, vjp) pairs on their output;
 gradients into :class:`~tsmamba.params.Parameter` slots and consumes the
 graph as it goes, so each activation is freed once its VJPs have run.
 
-Broadcasting is never implicit: elementwise ops demand identical shapes and
-callers widen operands with :func:`broadcast_to`. Dtypes must agree as well,
-so a float32 run cannot silently promote to float64 halfway through a graph.
+Broadcasting is never implicit: elementwise ops demand identical shapes, and
+a bias enters only through :func:`linear`, so no tape holds a bias widened
+to an activation's shape. Dtypes must agree as well, so a float32 run cannot
+silently promote to float64 halfway through a graph.
 
 The tape holds only what each backward reads: a VJP keeps its op's inputs
 (or a layout of them the op built, as depthwise_conv1d's taps) and per-row
@@ -128,16 +129,6 @@ def _check_binary(a: Tensor, b: Tensor, op: str) -> None:
         raise ShapeMismatch(f"{op}: dtypes {a.array.dtype} and {b.array.dtype} differ")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, dim in enumerate(shape):
-        if dim == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
 # ---------------------------------------------------------------------------
 # Elementwise arithmetic
 # ---------------------------------------------------------------------------
@@ -177,13 +168,6 @@ def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         np.where(cond, a.array, b.array),
         [(a, lambda g: np.where(cond, g, 0.0)), (b, lambda g: np.where(cond, 0.0, g))],
     )
-
-
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    out = np.broadcast_to(a.array, shape)
-    src = a.array.shape
-    return apply_op(np.ascontiguousarray(out), [(a, lambda g: _unbroadcast(g, src))])
 
 
 # ---------------------------------------------------------------------------
@@ -257,32 +241,52 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b. A 2-D ``b`` is a weight, applied by :func:`linear` without a
+    bias; otherwise both operands must have the same batch axes."""
     av, bv = a.array, b.array
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeMismatch("matmul expects operands with ndim >= 2")
-    if av.shape[-1] != bv.shape[-2]:
-        raise ShapeMismatch(f"matmul: inner dims {av.shape} @ {bv.shape}")
+    if bv.ndim == 2:
+        return linear(a, b)
+    if av.shape[:-2] != bv.shape[:-2] or av.shape[-1] != bv.shape[-2]:
+        raise ShapeMismatch(f"matmul: {av.shape} @ {bv.shape} needs equal batch axes and inner dims")
     if av.dtype != bv.dtype:
         raise ShapeMismatch(f"matmul: dtypes {av.dtype} and {bv.dtype} differ")
+    return apply_op(
+        np.matmul(av, bv),
+        [(a, lambda g: np.matmul(g, np.swapaxes(bv, -1, -2))), (b, lambda g: np.matmul(np.swapaxes(av, -1, -2), g))],
+    )
 
-    if bv.ndim == 2:
-        # a weight: a's leading axes fold into the GEMM's rows, so the
-        # forward and both VJPs are one GEMM each, and vjp_b sums over the
-        # rows inside the GEMM instead of through a [B, K, N] temporary
-        k, n = bv.shape
-        a2 = av.reshape(-1, k)
-        return apply_op(
-            (a2 @ bv).reshape(av.shape[:-1] + (n,)),
-            [(a, lambda g: (g.reshape(-1, n) @ bv.T).reshape(av.shape)), (b, lambda g: a2.T @ g.reshape(-1, n))],
-        )
 
-    def vjp_a(g):
-        return _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
+def _sum_leading(g: np.ndarray) -> np.ndarray:
+    """g summed over every axis but the last, one axis at a time, first to
+    last. An axis of size 1 is dropped, not summed, so a -0.0 stays -0.0."""
+    while g.ndim > 1:
+        g = g[0] if g.shape[0] == 1 else g.sum(axis=0)
+    return g
 
-    def vjp_b(g):
-        return _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
 
-    return apply_op(np.matmul(av, bv), [(a, vjp_a), (b, vjp_b)])
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w + b for a weight w [K, N] and a bias b [N] (or no bias), over
+    every leading index of x.
+
+    x's leading axes fold into the GEMM's rows, so the forward and both
+    VJPs are one GEMM each, and w's VJP sums over the rows inside the GEMM
+    instead of through a [B, K, N] temporary. The bias is added in place,
+    and its VJP is :func:`_sum_leading`."""
+    xv, wv = x.array, w.array
+    if wv.ndim != 2 or xv.shape[-1:] != wv.shape[:1] or (b is not None and b.shape != wv.shape[1:]):
+        raise ShapeMismatch(f"linear: x {xv.shape}, weight {wv.shape} and bias {None if b is None else b.shape}")
+    if xv.dtype != wv.dtype or (b is not None and b.dtype != wv.dtype):
+        raise ShapeMismatch(f"linear: dtypes of x {xv.dtype}, weight {wv.dtype} and bias {None if b is None else b.dtype}")
+    k, n = wv.shape
+    x2 = xv.reshape(-1, k)
+    out = x2 @ wv
+    pairs = [(x, lambda g: (g.reshape(-1, n) @ wv.T).reshape(xv.shape)), (w, lambda g: x2.T @ g.reshape(-1, n))]
+    if b is not None:
+        out += b.array
+        pairs.append((b, _sum_leading))
+    return apply_op(out.reshape(xv.shape[:-1] + (n,)), pairs)
 
 
 # ---------------------------------------------------------------------------

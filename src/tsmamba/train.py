@@ -30,6 +30,8 @@ from .params import Parameter, uniform_init
 from .tensor import Tensor
 
 STAGES = ("stage1_autoregressive", "stage2_head", "finetune")
+# each stage's run-config section
+_SECTIONS = dict(zip(STAGES, ("stage1", "stage2", "finetune")))
 
 
 @dataclass
@@ -47,6 +49,11 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in STAGES:
             raise InvalidConfig(f"unknown stage {self.stage!r}")
+        # named as the run config spells them: one "lr" outside stage 2
+        rates = {"lr_new": self.lr_new, "lr_backbone": self.lr_backbone} if self.stage == "stage2_head" else {"lr": self.lr_new}
+        for key, value in {**rates, "weight_decay": self.weight_decay, "grad_clip_norm": self.grad_clip_norm}.items():
+            if value < 0:
+                raise InvalidConfig(f"{_SECTIONS[self.stage]} key {key!r} must be >= 0, got {value!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise InvalidConfig("epochs must be >= 0 and batch_size >= 1")
         if self.stage == "stage2_head" and self.lr_backbone > self.lr_new:
@@ -109,11 +116,6 @@ def init_stage1_heads(rng: np.random.Generator, cfg: ModelConfig, dtype) -> Stag
     )
 
 
-def _apply_patch_head(rep: Tensor, w: Parameter, b: Parameter) -> Tensor:
-    out = T.matmul(rep, w.value)
-    return T.add(out, T.broadcast_to(T.reshape(b.value, (1, 1, b.value.shape[0])), out.shape))
-
-
 def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     """Next-patch and previous-patch Huber loss over channel windows [B, L].
 
@@ -129,8 +131,8 @@ def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     bb = backbone_forward(x_hat, model)
     patches = x_hat.array.reshape(b_, n_tokens, cfg.patch_len)
 
-    next_pred = _apply_patch_head(T.slice_axis(bb.fwd_rep, 1, 0, n_tokens - 1), heads.next_w, heads.next_b)
-    prev_pred = _apply_patch_head(T.slice_axis(bb.bwd_rep_aligned, 1, 1, n_tokens), heads.prev_w, heads.prev_b)
+    next_pred = T.linear(T.slice_axis(bb.fwd_rep, 1, 0, n_tokens - 1), heads.next_w.value, heads.next_b.value)
+    prev_pred = T.linear(T.slice_axis(bb.bwd_rep_aligned, 1, 1, n_tokens), heads.prev_w.value, heads.prev_b.value)
     pred = T.concat([next_pred, prev_pred], axis=0)
     target = Tensor(np.concatenate([patches[:, 1:], patches[:, :-1]], axis=0))
     return huber_loss(pred, target, cfg.huber_delta)

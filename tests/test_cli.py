@@ -255,6 +255,30 @@ def test_pretrain_diverging_lr_exits5_without_checkpoint(workdir, tmp_path, caps
     assert not list(tmp_path.glob(".ckpt-*"))
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [(section, key) for section, rates in (("stage1", ("lr",)), ("stage2", ("lr_new", "lr_backbone")), ("finetune", ("lr",)))
+     for key in rates + ("weight_decay", "grad_clip_norm")],
+)
+def test_negative_optimizer_setting_exits2_naming_its_key(workdir, tmp_path, capsys, section, key):
+    _, data_path, config_path = workdir
+    raw = json.loads(Path(config_path).read_text())
+    raw[section][key] = -1e-3
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps(raw))
+    if section == "stage1":
+        argv = ["pretrain", "--stage", "1"]
+    else:
+        s1, s2 = _pretrain_both(tmp_path, data_path, config_path)
+        argv = ["pretrain", "--stage", "2", "--init", s1] if section == "stage2" else ["finetune", "--init", s2]
+    capsys.readouterr()
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.csv"
+    assert main(argv + ["--config", str(bad), "--data", data_path, "--out", str(out), "--log", str(log)]) == 2
+    assert f"{section} key {key!r}" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+    assert not list(tmp_path.glob(".ckpt-*"))
+
+
 def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     # external named-tensor file holding Mamba-block weights, layer-indexed names
     _, data_path, config_path = workdir

@@ -672,6 +672,24 @@ def test_row_groups_change_no_bits_but_a_logs(batch, length, d_inner, n_state, d
     assert (np.abs(got[5] - want[5]) <= tol).all()
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4), st.integers(1, 5),
+    st.sampled_from([np.float32, np.float64]), st.data(),
+)
+def test_linear_bias_gradient_sums_leading_axes_one_at_a_time(lead, n, dtype, data):
+    """linear's bias gradient has the bytes of the sum, one leading axis at
+    a time and first to last, that a bias widened to [1, ..., 1, n] got."""
+    g = data.draw(hnp.arrays(dtype, lead + (n,), elements=st.floats(-1e6, 1e6, width=32)), label="g")
+    x, w, b = Tensor(np.ones(lead + (2,), dtype)), Tensor(np.ones((2, n), dtype)), Tensor(np.zeros(n, dtype), requires=True)
+    got = T.linear(x, w, b).pairs[0][1](g)
+    want = g
+    for axis, size in enumerate(lead):
+        if size != 1:
+            want = want.sum(axis=axis, keepdims=True)
+    assert got.dtype == dtype and got.tobytes() == want.reshape(n).tobytes()
+
+
 # affine gap allowed per unit of output magnitude: about 1e4 machine epsilons,
 # for the cancellation in x - mean at |mean| / std up to a few hundred
 REVIN_TOL = {np.float32: 1e-3, np.float64: 1e-11}

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from _tape import tape_arrays
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import tensor as T
@@ -276,6 +277,47 @@ def test_stage_config_invariants():
     for stage in ("stage1_autoregressive", "finetune"):  # only stage 2 has two learning rates
         with pytest.raises(InvalidConfig):
             TR.StageConfig(stage, lr_new=1e-3, lr_backbone=1e-5, epochs=1, batch_size=8)
+
+
+@pytest.mark.parametrize(
+    "make, key",
+    [(TR.stage1_config, "lr"), (TR.finetune_config, "lr"), (TR.stage2_config, "lr_new"), (TR.stage2_config, "lr_backbone")]
+    + [(make, key) for make in (TR.stage1_config, TR.stage2_config, TR.finetune_config) for key in ("weight_decay", "grad_clip_norm")],
+)
+def test_stage_config_refuses_negative_optimizer_settings(make, key):
+    # a negative learning rate would run gradient ascent; zero is allowed
+    make(epochs=1, batch_size=8, **{"lr_backbone": 0.0} if key == "lr_new" else {}, **{key: 0.0})
+    with pytest.raises(InvalidConfig, match=f"key '{key}'"):
+        make(epochs=1, batch_size=8, **{key: -1.0})
+
+
+def test_no_tape_holds_a_widened_bias():
+    # every bias enters through T.linear, so no stage's tape keeps an array
+    # whose every row is a 1-D parameter; all parameters are drawn, so that
+    # no zero weight makes an activation equal a bias by accident
+    rng = np.random.default_rng(51)
+    cfg = tiny_config(n_channels=3)
+    model = M.build_model(cfg, seed=51, dtype=np.float64)
+    xmodel = M.build_model(tiny_config(n_channels=3, xchannel_enabled=True), seed=52, dtype=np.float64)
+    heads = TR.init_stage1_heads(rng, cfg, np.float64)
+    for p in model.parameters() + xmodel.parameters() + heads.parameters():
+        p.assign(p.value.array + 0.1 * rng.standard_normal(p.value.shape))
+    for p in xmodel.frozen_block_parameters():
+        p.set_trainable(False)
+    x = rng.standard_normal((4, 3, cfg.lookback))
+    y = rng.standard_normal((4, 3, cfg.horizon))
+    losses = {
+        "stage1": (TR.stage1_loss(Tensor(x[:, 0]), model, heads), model.parameters() + heads.parameters()),
+        "stage2": (TR.stage2_loss(Tensor(x[:, 0]), Tensor(y[:, 0]), model), model.parameters()),
+        "finetune": (TR.stage2_loss(Tensor(x), Tensor(y), xmodel), xmodel.parameters()),
+    }
+    for stage, (loss, params) in losses.items():
+        vectors = [p for p in params if p.value.ndim == 1]
+        for arr in tape_arrays(loss):
+            for p in vectors:
+                n = p.value.shape[0]
+                if arr.shape[-1:] == (n,) and arr.size > n:
+                    assert not (arr.reshape(-1, n) == p.value.array).all(), f"{stage} tape widens {p.name} to {arr.shape}"
 
 
 # ---------------------------------------------------------------------------
