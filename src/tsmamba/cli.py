@@ -156,8 +156,6 @@ class RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    if not os.path.exists(path):
-        raise InvalidConfig(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -169,12 +167,6 @@ def load_run_config(path: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 # Shared data plumbing
 # ---------------------------------------------------------------------------
-
-
-def _load_dataset(path: str, ffill: bool = False) -> D.TimeSeriesDataset:
-    if not os.path.exists(path):
-        raise DataError(f"data file not found: {path}")
-    return D.load_csv(path, ffill=ffill)
 
 
 def _int_list(text: str, flag: str) -> list[int]:
@@ -224,7 +216,7 @@ def _run_pretrain(args) -> int:
     rc = load_run_config(args.config)
     if args.stage == 2 and not args.init:
         raise InvalidConfig("--init is required for stage 2 (stage-1 checkpoint)")
-    datasets = [_load_dataset(p, args.ffill) for p in args.data]
+    datasets = [D.load_csv(p, ffill=args.ffill) for p in args.data]
     n_channels = datasets[0].n_channels
     model_cfg = rc.model_config(n_channels)
     windows, targets = _pool_channel_windows(datasets, rc, model_cfg.lookback, model_cfg.horizon)
@@ -261,7 +253,7 @@ def _run_pretrain(args) -> int:
 
 def _run_finetune(args) -> int:
     rc = load_run_config(args.config)
-    ds = _load_dataset(args.data, args.ffill)
+    ds = D.load_csv(args.data, ffill=args.ffill)
     foundation = load_checkpoint(args.init)
     if foundation.stage not in ("stage2", "finetune"):
         raise CheckpointMismatch(f"--init must be a foundation checkpoint, got stage {foundation.stage!r}")
@@ -297,7 +289,7 @@ def _run_forecast(args) -> int:
     cfg = model.config
     if args.horizon != cfg.horizon:
         raise CheckpointMismatch(f"checkpoint was trained for horizon {cfg.horizon}, requested {args.horizon}")
-    ds = _load_dataset(args.input, args.ffill)
+    ds = D.load_csv(args.input, ffill=args.ffill)
     if ds.n_total < cfg.lookback:
         raise DataError(f"input has {ds.n_total} rows, model needs at least {cfg.lookback}")
     window = ds.values[-cfg.lookback :].T.astype(model.embedding.weight.value.dtype)
@@ -358,10 +350,10 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
 
 
 def _group_windows(cfg: M.ModelConfig, channels: int, itemsize: int) -> int:
-    """Windows per forecast call: as many as keep one step's scan state
-    [windows x channels, d_state, d_inner] within ``ssm.SCAN_BUDGET``, and at
-    least one, so a call's scans step all their rows as one group."""
-    return max(1, ssm.SCAN_BUDGET // (channels * cfg.d_inner * cfg.d_state * itemsize))
+    """Windows per forecast call: the scan's rows per group
+    (``ssm.rows_per_group``) shared among the channels, and at least one, so
+    a call's scans step all their rows as one group."""
+    return max(1, ssm.rows_per_group(cfg.d_state, cfg.d_inner, itemsize) // channels)
 
 
 def _batched_forecast(model: M.Model, inputs: np.ndarray) -> np.ndarray:
@@ -386,7 +378,7 @@ def _run_evaluate(args) -> int:
     if not horizons:
         raise InvalidConfig("--horizons must name at least one horizon")
     ckpts = _checkpoints_for_horizons(args.model, horizons)
-    ds = _load_dataset(args.data, args.ffill)
+    ds = D.load_csv(args.data, ffill=args.ffill)
     spec = D.SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, test_frac=args.test_frac)
     if (args.train_end is None) != (args.val_end is None):
         raise InvalidConfig("--train-end and --val-end must be given together")

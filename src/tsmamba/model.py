@@ -168,13 +168,15 @@ def revin_normalize(x: Tensor, eps: float = 1e-5) -> tuple[Tensor, NormStats]:
 
 
 def revin_denormalize(y_hat: Tensor, stats: NormStats) -> Tensor:
-    """y = y_hat * (std + eps) + mean, broadcast over the horizon axis."""
-    shape = y_hat.shape
-    if stats.mean.shape != shape[:-1]:
-        raise ShapeMismatch(f"stats for {stats.mean.shape} cannot denormalize {shape}")
-    denom = np.broadcast_to(stats.denom[..., None], shape).astype(y_hat.dtype, copy=False)
-    mean = np.broadcast_to(stats.mean[..., None], shape).astype(y_hat.dtype, copy=False)
-    return T.add(T.mul(y_hat, Tensor(np.ascontiguousarray(denom))), Tensor(np.ascontiguousarray(mean)))
+    """y = y_hat * (std + eps) + mean over the horizon axis, as one taped op
+    whose VJP is g * (std + eps); the per-row stats are never widened."""
+    yv = y_hat.array
+    if stats.mean.shape != yv.shape[:-1]:
+        raise ShapeMismatch(f"stats for {stats.mean.shape} cannot denormalize {yv.shape}")
+    scale = stats.denom[..., None].astype(yv.dtype, copy=False)
+    out = yv * scale
+    out += stats.mean[..., None].astype(yv.dtype, copy=False)
+    return T.apply_op(out, [(y_hat, lambda g: g * scale)])
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,12 @@ def init_encoder(
 SCAN_BUDGET = 256 * 1024
 
 
+def rows_per_group(n_state: int, d_inner: int, itemsize: int) -> int:
+    """Batch rows whose one-step state [rows, n_state, d_inner] fits
+    ``SCAN_BUDGET`` bytes; 0 when one row's state already exceeds it."""
+    return SCAN_BUDGET // (n_state * d_inner * itemsize)
+
+
 class _StepCoeffs:
     """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
     for the whole sequence, the state-sized step terms one step at a time,
@@ -231,7 +237,7 @@ class _StepCoeffs:
         self.dt += np.maximum(self.pre, 0.0)
         self.dtx = self.dt * x
         n = self.a.shape[0]
-        rows = max(1, min(b_, SCAN_BUDGET // (n * d * x.itemsize)))
+        rows = max(1, min(b_, rows_per_group(n, d, x.itemsize)))
         self.rows = slice(None)  # the current group's batch rows: all of them until groups() runs
         self.a_bar, self.bx = (np.empty((rows, n, d), dtype=x.dtype) for _ in range(2))
 

@@ -7,9 +7,12 @@ gradients into :class:`~tsmamba.params.Parameter` slots and consumes the
 graph as it goes, so each activation is freed once its VJPs have run.
 
 Broadcasting is never implicit: elementwise ops demand identical shapes, and
-a bias enters only through :func:`linear`, so no tape holds a bias widened
-to an activation's shape. Dtypes must agree as well, so a float32 run cannot
-silently promote to float64 halfway through a graph.
+no op widens a scalar or a per-row statistic to an activation's shape. A
+bias enters only through :func:`linear`; the Huber loss
+(``train.huber_loss``) and RevIN's inverse (``model.revin_denormalize``) are
+single ops that apply their constants and per-row stats inside. Dtypes must
+agree as well, so a float32 run cannot silently promote to float64 halfway
+through a graph.
 
 The tape holds only what each backward reads: a VJP keeps its op's inputs
 (or a layout of them the op built, as depthwise_conv1d's taps) and per-row
@@ -109,10 +112,6 @@ def ones(shape, dtype=np.float64) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype))
 
 
-def constant_like(t: Tensor, value: float) -> Tensor:
-    return Tensor(np.full(t.shape, value, dtype=t.dtype))
-
-
 def apply_op(out_array: np.ndarray, pairs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     """Wrap an op result, recording only grad-requiring parents."""
     if grad_enabled():
@@ -152,22 +151,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     return apply_op(a.array * c, [(a, lambda g: g * c)])
-
-
-def absolute(a: Tensor) -> Tensor:
-    av = a.array
-    return apply_op(np.abs(av), [(a, lambda g: g * np.sign(av))])
-
-
-def where(cond: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Select ``a`` where ``cond`` else ``b``; ``cond`` is a plain bool array."""
-    _check_binary(a, b, "where")
-    if cond.shape != a.array.shape:
-        raise ShapeMismatch(f"where: cond shape {cond.shape} != {a.array.shape}")
-    return apply_op(
-        np.where(cond, a.array, b.array),
-        [(a, lambda g: np.where(cond, g, 0.0)), (b, lambda g: np.where(cond, 0.0, g))],
-    )
 
 
 # ---------------------------------------------------------------------------

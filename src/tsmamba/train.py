@@ -82,16 +82,27 @@ def finetune_config(epochs: int, batch_size: int, lr: float = 5e-4, **kw) -> Sta
 
 
 def huber_loss(pred: Tensor, target: Tensor, delta: float) -> Tensor:
-    """Mean of 0.5 e^2 inside |e| <= delta, delta (|e| - delta/2) outside."""
-    if pred.shape != target.shape:
-        raise ShapeMismatch(f"huber_loss: {pred.shape} vs {target.shape}")
+    """Mean of 0.5 e^2 inside |e| <= delta, delta (|e| - delta/2) outside,
+    for e = pred - target, as one taped op that keeps e and the inside mask.
+    Its forward and VJP repeat the elementwise chain's operations in order,
+    so signed zeros keep their signs (``clip(e, -delta, delta)`` would not)."""
+    pv, tv = pred.array, target.array
+    if pv.shape != tv.shape or pv.dtype != tv.dtype:
+        raise ShapeMismatch(f"huber_loss: {pv.shape} {pv.dtype} vs {tv.shape} {tv.dtype}")
     if delta <= 0:
         raise InvalidConfig("huber delta must be > 0")
-    e = T.sub(pred, target)
-    ae = T.absolute(e)
-    quad = T.scale(T.mul(e, e), 0.5)
-    lin = T.sub(T.scale(ae, delta), T.constant_like(ae, delta * delta / 2.0))
-    return T.mean_all(T.where(ae.array <= delta, quad, lin))
+    e = pv - tv
+    ae = np.abs(e)
+    inside = ae <= delta
+    loss = np.asarray(np.where(inside, (e * e) * 0.5, ae * delta - delta * delta / 2.0).mean())
+
+    def vjp(g):
+        mean_g = (g / e.size).astype(e.dtype)
+        gq = np.where(inside, mean_g, 0.0) * 0.5
+        gl = np.where(inside, 0.0, mean_g) * delta
+        return (gq * e + gq * e) + gl * np.sign(e)  # e*e's two factors, then |e|
+
+    return T.apply_op(loss, [(pred, vjp), (target, lambda g: -vjp(g))])
 
 
 @dataclass

@@ -129,11 +129,16 @@ def test_pretrain_missing_data_exit3(workdir, tmp_path):
     assert code == 3
 
 
-def test_pretrain_config_directory_exit3(workdir, tmp_path, capsys):
+@pytest.mark.parametrize("unreadable", ["directory", "missing"])
+def test_pretrain_config_directory_exit3(workdir, tmp_path, capsys, unreadable):
+    # a config path that cannot be read exits 3 naming it, as --data does
     _, data_path, _ = workdir
-    code = main(["pretrain", "--stage", "1", "--config", str(tmp_path), "--data", data_path, "--out", str(tmp_path / "x.ckpt")])
+    config = tmp_path if unreadable == "directory" else tmp_path / "absent.json"
+    out, log = tmp_path / "x.ckpt", tmp_path / "x.log"
+    code = main(["pretrain", "--stage", "1", "--config", str(config), "--data", data_path, "--out", str(out), "--log", str(log)])
     err = capsys.readouterr().err
-    assert code == 3 and str(tmp_path) in err and "Traceback" not in err
+    assert code == 3 and str(config) in err and "Traceback" not in err
+    assert not out.exists() and not log.exists()
 
 
 def test_pretrain_zero_epochs_checkpoint_equals_init(workdir, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from _tape import held_arrays
 from tsmamba import model as M
 from tsmamba import tensor as T
 from tsmamba.errors import DegenerateWindow, InvalidConfig, PatchLengthMismatch, ShapeMismatch
@@ -74,6 +75,24 @@ def test_revin_denormalize_cases():
     stats = M.NormStats(mean=np.array([1.0]), std=np.array([2.0]), eps=0.0)
     out = M.revin_denormalize(T.tensor([[1.0]]), stats)
     np.testing.assert_allclose(out.array, [[3.0]])
+
+
+@pytest.mark.parametrize("stats_dtype, dtype", [(np.float32, np.float32), (np.float64, np.float64), (np.float64, np.float32)])
+def test_revin_denormalize_has_the_broadcast_chains_bytes(stats_dtype, dtype):
+    # one op gives the output and gradient of mul and add over [B, D, H]
+    # copies of the stats
+    rng = np.random.default_rng(7)
+    _, stats = M.revin_normalize(Tensor((rng.standard_normal((3, 2, 16)) * 4.0 + 2.0).astype(stats_dtype)), eps=1e-5)
+    y, proj = rng.standard_normal((2, 3, 2, 5)).astype(dtype)
+    denom, mean = (Tensor(np.ascontiguousarray(np.broadcast_to(s[..., None], y.shape).astype(dtype))) for s in (stats.denom, stats.mean))
+    results = []
+    for denormalize in (lambda t: M.revin_denormalize(t, stats), lambda t: T.add(T.mul(t, denom), mean)):
+        yt = Tensor(y.copy(), requires=True)
+        out = denormalize(yt)
+        results.append((out.array, T.grad_map(T.sum_all(T.mul(out, Tensor(proj))))[id(yt)]))
+    (got, got_g), (want, want_g) = results
+    assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+    assert got_g.dtype == want_g.dtype and got_g.tobytes() == want_g.tobytes()
 
 
 def test_revin_rejects_degenerate_windows():
@@ -383,6 +402,22 @@ def test_forecast_batch_matches_single_windows():
         single = np.stack([M.forecast(T.tensor(w), model).array for w in x])
     assert batched.shape == (3, 2, 4)
     np.testing.assert_allclose(batched, single, atol=1e-12)
+
+
+def test_forecast_records_revin_inverse_as_one_node():
+    # its only parent is the normalized forecast, and it keeps per-row stats,
+    # no array of the forecast's shape
+    cfg = tiny_config()
+    model = M.build_model(cfg, seed=42, dtype=np.float64)
+    randomize(model, np.random.default_rng(43))
+    x = np.random.default_rng(44).standard_normal((3, 2, 32))
+    out = M.forecast(T.tensor(x), model)
+    ((parent, vjp),) = out.pairs
+    with T.no_grad():
+        x_hat, _ = M.revin_normalize(T.tensor(x), eps=cfg.revin_eps)
+        y_hat = M.forecast_normalized(x_hat, model).array
+    assert parent.array.tobytes() == y_hat.tobytes()
+    assert all(arr.shape != out.shape for arr in held_arrays([vjp]))
 
 
 def test_forecast_scan_mode_only_sequential():

@@ -1,6 +1,7 @@
 """Property-based tests of the config format and values, the CSV reader's
 numeric boundaries and malformed text, the window splits, the checkpoint
-reader, the scan with the tape on and off, and RevIN's affine equivariance."""
+reader, the scan with the tape on and off, its row groups, the Huber op
+against its elementwise chain, and RevIN's affine equivariance."""
 
 import contextlib
 import csv
@@ -28,6 +29,7 @@ from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import tensor as T
+from tsmamba import train as TR
 from tsmamba.errors import CorruptCheckpoint, DataError, InvalidConfig, ParseError, RaggedRows
 from tsmamba.tensor import Tensor
 
@@ -688,6 +690,88 @@ def test_linear_bias_gradient_sums_leading_axes_one_at_a_time(lead, n, dtype, da
         if size != 1:
             want = want.sum(axis=axis, keepdims=True)
     assert got.dtype == dtype and got.tobytes() == want.reshape(n).tobytes()
+
+
+def old_rows_per_group(batch, n_state, d_inner, itemsize):
+    """Rows per scan group as ``_StepCoeffs`` computed them inline."""
+    return max(1, min(batch, ssm.SCAN_BUDGET // (n_state * d_inner * itemsize)))
+
+
+def old_group_windows(cfg, channels, itemsize):
+    """Windows per forecast call as ``cli._group_windows`` computed them inline."""
+    return max(1, ssm.SCAN_BUDGET // (channels * cfg.d_inner * cfg.d_state * itemsize))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 64), st.integers(1, 32), st.integers(5, 256), st.integers(1, 16),
+    st.sampled_from([np.float32, np.float64]), st.integers(1, 2**22),
+)
+def test_rows_per_group_keeps_both_old_formulas(batch, n_state, d_model, channels, dtype, budget):
+    """``ssm.rows_per_group`` gives both callers what they computed inline."""
+    cfg = M.ModelConfig(horizon=1, n_channels=1, lookback=2, patch_len=1, d_model=d_model, d_state=n_state)
+    itemsize = np.dtype(dtype).itemsize
+    weights = ssm._scan_weights(ssm.init_ssm_params(np.random.default_rng(0), cfg.d_inner, n_state, dtype, "s"), dtype)
+    x = np.zeros((batch, 1, cfg.d_inner), dtype)
+    with mock.patch.object(ssm, "SCAN_BUDGET", budget):
+        assert ssm._StepCoeffs(x, weights).a_bar.shape[0] == old_rows_per_group(batch, n_state, cfg.d_inner, itemsize)
+        assert CLI._group_windows(cfg, channels, itemsize) == old_group_windows(cfg, channels, itemsize)
+
+
+def chain_huber(pred, target, delta):
+    """The Huber loss as the elementwise chain of taped ops it was before it
+    became one op: sub -> absolute -> mul -> scale -> scale - constant ->
+    where -> mean_all. ``absolute``, ``where`` and the constant are written
+    out here with the operations those ops had."""
+    e = T.sub(pred, target)
+    ev = e.array
+    ae = T.apply_op(np.abs(ev), [(e, lambda g: g * np.sign(ev))])
+    quad = T.scale(T.mul(e, e), 0.5)
+    lin = T.sub(T.scale(ae, delta), Tensor(np.full(ae.shape, delta * delta / 2.0, dtype=ae.dtype)))
+    cond = ae.array <= delta
+    picked = T.apply_op(
+        np.where(cond, quad.array, lin.array),
+        [(quad, lambda g: np.where(cond, g, 0.0)), (lin, lambda g: np.where(cond, 0.0, g))],
+    )
+    return T.mean_all(picked)
+
+
+@st.composite
+def huber_cases(draw):
+    """(pred, target, delta): errors from e^-8 to e^8, absolute or in units
+    of delta, with planted exact zero errors, +-0.0 inputs and |e| == delta."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 12))
+    delta = float(10.0 ** draw(st.floats(-6, 6)))
+    unit = delta if draw(st.booleans()) else 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pred, target = (unit * np.exp(rng.uniform(-8, 8, (2, n))) * rng.choice([-1.0, 1.0], (2, n))).astype(dtype)
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(["free", "zero", "signed_zeros", "at_delta"]), min_size=n, max_size=n))):
+        signs = rng.choice([-1.0, 1.0], 2)
+        if kind == "zero":
+            target[i] = pred[i]
+        elif kind == "signed_zeros":
+            pred[i], target[i] = signs * 0.0
+        elif kind == "at_delta":
+            pred[i], target[i] = signs[0] * delta, signs[1] * 0.0
+    return pred, target, delta
+
+
+@settings(deadline=None, max_examples=400)
+@given(huber_cases())
+def test_huber_op_has_the_chains_bytes(case):
+    """The one-op Huber loss gives its elementwise chain's loss and both
+    gradients to the byte, signed zeros included."""
+    pred, target, delta = case
+    results = []
+    for loss_fn in (TR.huber_loss, chain_huber):
+        p, t = Tensor(pred.copy(), requires=True), Tensor(target.copy(), requires=True)
+        loss = loss_fn(p, t, delta)
+        grads = T.grad_map(loss)
+        results.append([loss.array, grads[id(p)], grads[id(t)]])
+    for name, got, want in zip(("loss", "pred grad", "target grad"), *results):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
 
 
 # affine gap allowed per unit of output magnitude: about 1e4 machine epsilons,

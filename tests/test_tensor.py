@@ -216,12 +216,12 @@ def test_rmsnorm_rms_bound():
     assert np.all(rms <= 1.0 + eps)
 
 
-@pytest.mark.parametrize("op", [T.silu, T.gelu, T.absolute])
+@pytest.mark.parametrize("op", [T.silu, T.gelu])
 @pytest.mark.parametrize("shape", [(7,), (3, 5), (2, 3, 4)])
 def test_elementwise_gradients(op, shape):
     seed = zlib.crc32(f"{op.__name__}{shape}".encode())  # stable across runs
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape) * 2.0 + 0.1  # keep |x| away from abs kink
+    x = rng.standard_normal(shape) * 2.0 + 0.1
     proj = rng.standard_normal(shape)
     fd_check(lambda xt: T.sum_all(T.mul(op(xt), T.tensor(proj))), x)
 
@@ -379,16 +379,12 @@ def test_structural_gradients():
         fd_check(lambda t, f=f, proj=proj: T.sum_all(T.mul(f(t), T.tensor(proj))), x)
 
 
-def test_concat_and_where_gradients():
+def test_concat_gradients():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((3, 4))
     b = rng.standard_normal((3, 4))
-    cond = rng.standard_normal((3, 4)) > 0
     proj6 = rng.standard_normal((6, 4))
-    proj3 = rng.standard_normal((3, 4))
     fd_check(lambda t: T.sum_all(T.mul(T.concat([t, T.tensor(b)], axis=0), T.tensor(proj6))), a)
-    fd_check(lambda t: T.sum_all(T.mul(T.where(cond, t, T.tensor(b)), T.tensor(proj3))), a)
-    fd_check(lambda t: T.sum_all(T.mul(T.where(cond, T.tensor(a), t), T.tensor(proj3))), b)
 
 
 def test_mean_gradients():

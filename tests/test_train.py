@@ -82,6 +82,28 @@ def test_huber_shape_check():
         TR.huber_loss(T.ones((2,)), T.ones((3,)), 1.0)
 
 
+def test_huber_refuses_unequal_dtypes_and_nonpositive_delta():
+    with pytest.raises(ShapeMismatch):
+        TR.huber_loss(T.ones((2,)), T.ones((2,), dtype=np.float32), 1.0)
+    with pytest.raises(InvalidConfig):
+        TR.huber_loss(T.ones((2,)), T.ones((2,)), 0.0)
+
+
+def test_huber_gradients_match_finite_differences():
+    # float64, every |e| at least 0.05 from the kink at delta
+    rng = np.random.default_rng(15)
+    delta = 0.7
+    e = np.where(rng.random((3, 5)) < 0.5, rng.uniform(0.0, 0.65, (3, 5)), rng.uniform(0.75, 3.0, (3, 5)))
+    target = rng.standard_normal((3, 5))
+    pred = target + e * rng.choice([-1.0, 1.0], (3, 5))
+    p, t = Tensor(pred.copy(), requires=True), Tensor(target.copy(), requires=True)
+    grads = T.grad_map(TR.huber_loss(p, t, delta))
+    numeric_p = T.finite_diff_grad(lambda q: TR.huber_loss(q, Tensor(target), delta), Tensor(pred), 1e-6).array
+    numeric_t = T.finite_diff_grad(lambda q: TR.huber_loss(Tensor(pred), q, delta), Tensor(target), 1e-6).array
+    np.testing.assert_allclose(grads[id(p)], numeric_p, rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(grads[id(t)], numeric_t, rtol=1e-6, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Stage losses
 # ---------------------------------------------------------------------------
@@ -318,6 +340,38 @@ def test_no_tape_holds_a_widened_bias():
                 n = p.value.shape[0]
                 if arr.shape[-1:] == (n,) and arr.size > n:
                     assert not (arr.reshape(-1, n) == p.value.array).all(), f"{stage} tape widens {p.name} to {arr.shape}"
+
+
+def test_each_stage_loss_is_one_node_over_the_prediction():
+    # the Huber loss is one taped op whose only parent is the prediction,
+    # not mean_all over an elementwise chain
+    rng = np.random.default_rng(61)
+    cfg = tiny_config(n_channels=3)
+    model = M.build_model(cfg, seed=61, dtype=np.float64)
+    xmodel = M.build_model(tiny_config(n_channels=3, xchannel_enabled=True), seed=62, dtype=np.float64)
+    heads = TR.init_stage1_heads(rng, cfg, np.float64)
+    for p in model.parameters() + xmodel.parameters() + heads.parameters():
+        p.assign(p.value.array + 0.1 * rng.standard_normal(p.value.shape))
+    for p in xmodel.frozen_block_parameters():
+        p.set_trainable(False)
+    x = rng.standard_normal((4, 3, cfg.lookback))
+    y = rng.standard_normal((4, 3, cfg.horizon))
+    n = cfg.n_tokens
+    with T.no_grad():
+        x_hat, _ = M.revin_normalize(Tensor(x[:, 0]), eps=cfg.revin_eps)
+        bb = M.backbone_forward(x_hat, model)
+        next_pred = T.linear(T.slice_axis(bb.fwd_rep, 1, 0, n - 1), heads.next_w.value, heads.next_b.value)
+        prev_pred = T.linear(T.slice_axis(bb.bwd_rep_aligned, 1, 1, n), heads.prev_w.value, heads.prev_b.value)
+        stage2_pred = M.forecast_normalized(T.reshape(x_hat, (4, 1, cfg.lookback)), model).array[:, 0]
+        finetune_pred = M.forecast_normalized(M.revin_normalize(Tensor(x), eps=cfg.revin_eps)[0], xmodel).array
+    losses = {
+        "stage1": (TR.stage1_loss(Tensor(x[:, 0]), model, heads), np.concatenate([next_pred.array, prev_pred.array])),
+        "stage2": (TR.stage2_loss(Tensor(x[:, 0]), Tensor(y[:, 0]), model), stage2_pred),
+        "finetune": (TR.stage2_loss(Tensor(x), Tensor(y), xmodel), finetune_pred),
+    }
+    for stage, (loss, pred) in losses.items():
+        ((parent, _),) = loss.pairs
+        assert parent.array.tobytes() == pred.tobytes(), stage
 
 
 # ---------------------------------------------------------------------------
