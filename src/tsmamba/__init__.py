@@ -50,8 +50,10 @@ from .ssm import (
 from .tensor import Tensor, backward, finite_diff_grad, no_grad
 from .train import (
     AdamW,
+    FinetuneConfig,
+    Stage1Config,
     Stage1Heads,
-    StageConfig,
+    Stage2Config,
     TrainResult,
     huber_loss,
     run_finetune,

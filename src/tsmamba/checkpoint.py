@@ -39,6 +39,15 @@ class Checkpoint:
     def config(self) -> ModelConfig:
         return ModelConfig.from_dict(self.model_config)
 
+    def dtype(self, where: str = "checkpoint") -> np.dtype:
+        """The one dtype of the tensors. A checkpoint without tensors is a
+        CheckpointMismatch, one whose tensors mix dtypes a CorruptCheckpoint,
+        each naming ``where``."""
+        dtype = _single_dtype(where, self.tensors)
+        if dtype is None:
+            raise CheckpointMismatch(f"{where}: checkpoint holds no tensors")
+        return dtype
+
 
 def checkpoint_from_model(model: Model, stage: str, prefixes: tuple[str, ...] | None = None) -> Checkpoint:
     """Snapshot model tensors (optionally restricted to name prefixes)."""
@@ -209,11 +218,10 @@ def model_from_checkpoint(ckpt: Checkpoint) -> Model:
     """Rebuild the architecture recorded in the manifest and fill every tensor.
 
     The model is built without random draws, since every tensor is loaded
-    over; tensors of two dtypes are a CorruptCheckpoint.
+    over; tensors of two dtypes are a CorruptCheckpoint, and no tensors a
+    CheckpointMismatch.
     """
-    cfg = ckpt.config()
-    dtype = _single_dtype("checkpoint", ckpt.tensors)
-    model = _unfilled_model(cfg, np.float32 if dtype is None else dtype)
+    model = _unfilled_model(ckpt.config(), ckpt.dtype())
     expected = set(model.named_parameters())
     missing = expected - set(ckpt.tensors)
     if missing:

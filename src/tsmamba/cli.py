@@ -72,43 +72,9 @@ def _check_output_path(path: str | None) -> None:
 # Run configuration (strict JSON)
 # ---------------------------------------------------------------------------
 
-# each section's keys, with their JSON kinds and defaults
-_STAGE1_KEYS = {
-    "epochs": (int, 2),
-    "batch_size": (int, 64),
-    "lr": (float, 1e-3),
-    "weight_decay": (float, 0.0),
-    "grad_clip_norm": (float, 1.0),
-}
-_STAGE2_KEYS = {
-    "epochs": (int, 2),
-    "batch_size": (int, 64),
-    "lr_new": (float, 1e-3),
-    "lr_backbone": (float, 1e-5),
-    "weight_decay": (float, 0.0),
-    "grad_clip_norm": (float, 1.0),
-}
-_FINETUNE_KEYS = {
-    "epochs": (int, 1),
-    "batch_size": (int, 32),
-    "lr": (float, 5e-4),
-    "weight_decay": (float, 0.0),
-    "grad_clip_norm": (float, 1.0),
-    "min_samples_for_xchannel": (int, 10_000),
-}
-_SPLIT_KEYS = {f.name: (float, f.default) for f in dataclasses.fields(D.SplitSpec)}
-_TOP_KEYS = {"seed", "precision", "window_stride", "model", "split", "stage1", "stage2", "finetune"}
-
-
-def _check_section(section, keys: dict, name: str) -> dict:
-    """The values of a config section, each of its key's JSON kind, with
-    defaults filled in; rejects unknown keys."""
-    if not isinstance(section, dict):
-        raise InvalidConfig(f"config section {name!r} must be an object")
-    unknown = set(section) - set(keys)
-    if unknown:
-        raise InvalidConfig(f"unknown {name} keys: {sorted(unknown)}")
-    return {k: M.json_typed(name, k, section.get(k, default), kind) for k, (kind, default) in keys.items()}
+# the sections read by ``model.typed_section``, each into its dataclass
+_SECTION_TYPES = {"split": D.SplitSpec, "stage1": TR.Stage1Config, "stage2": TR.Stage2Config, "finetune": TR.FinetuneConfig}
+_TOP_KEYS = {"seed", "precision", "window_stride", "model", *_SECTION_TYPES}
 
 
 class RunConfig:
@@ -135,24 +101,15 @@ class RunConfig:
             raise InvalidConfig("config requires a 'model' object")
         self.model_section = M.ModelConfig.typed_dict(model_section)
 
-        self.split = D.SplitSpec(**_check_section(raw.get("split", {}), _SPLIT_KEYS, "split"))
-        self._stage1 = _check_section(raw.get("stage1", {}), _STAGE1_KEYS, "stage1")
-        self._stage2 = _check_section(raw.get("stage2", {}), _STAGE2_KEYS, "stage2")
-        self._finetune = _check_section(raw.get("finetune", {}), _FINETUNE_KEYS, "finetune")
+        # every section is built, and so checked, before any command does work
+        self.split, self.stage1, self.stage2, self.finetune = (
+            cls(**M.typed_section(cls, name, raw.get(name, {}))) for name, cls in _SECTION_TYPES.items()
+        )
 
     def model_config(self, n_channels: int) -> M.ModelConfig:
         section = dict(self.model_section)
         section.setdefault("n_channels", n_channels)
         return M.ModelConfig.from_dict(section)
-
-    def stage1_config(self) -> TR.StageConfig:
-        return TR.stage1_config(**self._stage1)
-
-    def stage2_config(self) -> TR.StageConfig:
-        return TR.stage2_config(**self._stage2)
-
-    def finetune_config(self, enable_xchannel: bool) -> TR.StageConfig:
-        return TR.finetune_config(**self._finetune, enable_xchannel=enable_xchannel)
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -202,7 +159,7 @@ def _pool_channel_windows(datasets, rc: RunConfig, lookback: int, horizon: int) 
 def _check_precision(ckpt: Checkpoint, path: str, rc: RunConfig) -> None:
     """Stage 2 and fine-tuning train in the dtype of the checkpoint they
     start from; a config asking for another precision is refused."""
-    dtype = next(iter(ckpt.tensors.values())).dtype
+    dtype = ckpt.dtype(path)
     if dtype != rc.dtype:
         raise CheckpointMismatch(f"{path} holds {dtype} tensors, but the config's precision is {np.dtype(rc.dtype)}")
 
@@ -229,7 +186,7 @@ def _run_pretrain(args) -> int:
 
             loaded = load_into_model(model, init_ckpt)
             _err(f"imported {len(loaded)} tensors from {args.init}")
-        result = TR.run_stage1(windows, rc.stage1_config(), model, seed=rc.seed, log_path=args.log)
+        result = TR.run_stage1(windows, rc.stage1, model, seed=rc.seed, log_path=args.log)
     else:
         file_ckpt = load_checkpoint(args.init)
         _check_precision(file_ckpt, args.init, rc)
@@ -239,7 +196,7 @@ def _run_pretrain(args) -> int:
             stage=file_ckpt.stage,
             tensors=file_ckpt.tensors,
         )
-        result = TR.run_stage2(windows, targets, rc.stage2_config(), stage1_ckpt, seed=rc.seed, log_path=args.log)
+        result = TR.run_stage2(windows, targets, rc.stage2, stage1_ckpt, seed=rc.seed, log_path=args.log)
 
     save_checkpoint(result.checkpoint, args.out)
     print(f"stage {args.stage} checkpoint written to {args.out}")
@@ -266,12 +223,12 @@ def _run_finetune(args) -> int:
     n, d = x.shape[0], x.shape[1]
 
     if args.xchannel == "auto":
-        enable, reason = TR.xchannel_gate(rc.finetune_config(enable_xchannel=False), n, d)
+        enable, reason = TR.xchannel_gate(rc.finetune, n, d)
     else:
         enable, reason = args.xchannel == "on", f"forced {args.xchannel}"
     _err(f"cross-channel attention {'enabled' if enable else 'disabled'}: {reason}")
 
-    cfg = rc.finetune_config(enable_xchannel=enable)
+    cfg = dataclasses.replace(rc.finetune, enable_xchannel=enable)
     result = TR.run_finetune(x, y, cfg, foundation, seed=rc.seed, log_path=args.log)
     save_checkpoint(result.checkpoint, args.out)
     print(f"fine-tuned checkpoint written to {args.out}")

@@ -167,12 +167,7 @@ def _looks_numeric(cell: str) -> bool:
 _CSV_READER_ONLY = '"\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 
 
-def load_csv(
-    path: str,
-    has_date_column: bool | None = None,
-    ffill: bool = False,
-    name: str | None = None,
-) -> TimeSeriesDataset:
+def load_csv(path: str, has_date_column: bool | None = None, ffill: bool = False) -> TimeSeriesDataset:
     """Read a rectangular numeric CSV; optional header and leading date column.
 
     ``has_date_column=None`` detects the date column: it is present when the
@@ -216,7 +211,7 @@ def load_csv(
             values[:, j] = col[idx]
 
     return TimeSeriesDataset(
-        name=name or path,
+        name=path,
         values=values,
         timestamps=timestamps,
         channel_names=channel_names,

@@ -42,6 +42,19 @@ def json_typed(section: str, key: str, value, kind: type):
     return value
 
 
+def typed_section(cls, section: str, d) -> dict:
+    """The items of config section ``d``, each value checked against the JSON
+    kind of the dataclass ``cls``'s field of that name; rejects a section that
+    is not an object, unknown keys, and fields marked ``config_key=False``."""
+    if not isinstance(d, dict):
+        raise InvalidConfig(f"config section {section!r} must be an object")
+    kinds = {f.name: {"int": int, "float": float, "bool": bool}[f.type] for f in fields(cls) if f.metadata.get("config_key", True)}
+    unknown = set(d) - set(kinds)
+    if unknown:
+        raise InvalidConfig(f"unknown {section} keys: {sorted(unknown)}")
+    return {k: json_typed(section, k, v, kinds[k]) for k, v in d.items()}
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -111,11 +124,7 @@ class ModelConfig:
             value = d.pop(key, fixed)
             if type(value) is not type(fixed) or value != fixed:
                 raise InvalidConfig(f"{key} {value!r} is not supported; the architecture fixes it at {fixed!r}")
-        kinds = {f.name: {"int": int, "float": float, "bool": bool}[f.type] for f in fields(cls)}
-        unknown = set(d) - set(kinds)
-        if unknown:
-            raise InvalidConfig(f"unknown ModelConfig keys: {sorted(unknown)}")
-        return {k: json_typed("model", k, v, kinds[k]) for k, v in d.items()}
+        return typed_section(cls, "model", d)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,51 +29,77 @@ from .model import (
 from .params import Parameter, uniform_init
 from .tensor import Tensor
 
-STAGES = ("stage1_autoregressive", "stage2_head", "finetune")
-# each stage's run-config section
-_SECTIONS = dict(zip(STAGES, ("stage1", "stage2", "finetune")))
+
+@dataclass
+class _StageSettings:
+    """What every stage's settings share: the run-config section that holds
+    them, the stage's name in logs, the optimizer's weight decay and clip
+    norm, and the floor of each value."""
+
+    section = ""
+    stage = ""
+
+    weight_decay: float = 0.0
+    grad_clip_norm: float = 1.0
+
+    def __post_init__(self):
+        # a count or a rate; a negative rate would run gradient ascent
+        for f in fields(self):
+            value, floor = getattr(self, f.name), int(f.name == "batch_size")
+            if f.type != "bool" and value < floor:
+                raise InvalidConfig(f"{self.section} key {f.name!r} must be >= {floor}, got {value!r}")
 
 
 @dataclass
-class StageConfig:
-    stage: str
-    lr_new: float
-    lr_backbone: float
-    epochs: int
-    batch_size: int
-    weight_decay: float = 0.0
-    grad_clip_norm: float = 1.0
-    enable_xchannel: bool = False
-    min_samples_for_xchannel: int = 10_000
+class Stage1Config(_StageSettings):
+    """The run config's ``stage1`` section: patch-wise autoregression trains
+    the embedding, both encoders and the alignment conv at one ``lr``."""
+
+    section = "stage1"
+    stage = "stage1_autoregressive"
+
+    epochs: int = 2
+    batch_size: int = 64
+    lr: float = 1e-3
+
+
+@dataclass
+class Stage2Config(_StageSettings):
+    """The run config's ``stage2`` section: the new head and alignment conv
+    train at ``lr_new``, the loaded embedding and encoders at ``lr_backbone``."""
+
+    section = "stage2"
+    stage = "stage2_head"
+
+    epochs: int = 2
+    batch_size: int = 64
+    lr_new: float = 1e-3
+    lr_backbone: float = 1e-5
 
     def __post_init__(self):
-        if self.stage not in STAGES:
-            raise InvalidConfig(f"unknown stage {self.stage!r}")
-        # named as the run config spells them: one "lr" outside stage 2
-        rates = {"lr_new": self.lr_new, "lr_backbone": self.lr_backbone} if self.stage == "stage2_head" else {"lr": self.lr_new}
-        for key, value in {**rates, "weight_decay": self.weight_decay, "grad_clip_norm": self.grad_clip_norm}.items():
-            if value < 0:
-                raise InvalidConfig(f"{_SECTIONS[self.stage]} key {key!r} must be >= 0, got {value!r}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise InvalidConfig("epochs must be >= 0 and batch_size >= 1")
-        if self.stage == "stage2_head" and self.lr_backbone > self.lr_new:
-            raise InvalidConfig("stage 2 requires lr_backbone <= lr_new")
-        if self.stage != "stage2_head" and self.lr_backbone != self.lr_new:
-            raise InvalidConfig("only stage 2 trains at two learning rates")
-        if self.stage != "finetune" and self.enable_xchannel:
-            raise InvalidConfig("cross-channel attention is a fine-tuning module")
+        super().__post_init__()
+        if self.lr_backbone > self.lr_new:
+            raise InvalidConfig(f"stage2 key 'lr_backbone' must be <= lr_new ({self.lr_new!r}), got {self.lr_backbone!r}")
 
 
-def stage1_config(epochs: int, batch_size: int, lr: float = 1e-3, **kw) -> StageConfig:
-    return StageConfig("stage1_autoregressive", lr_new=lr, lr_backbone=lr, epochs=epochs, batch_size=batch_size, **kw)
+@dataclass
+class FinetuneConfig(_StageSettings):
+    """The run config's ``finetune`` section: every unfrozen parameter trains
+    at one ``lr``. ``enable_xchannel`` is set by ``finetune --xchannel``, not
+    by the run config."""
+
+    section = "finetune"
+    stage = "finetune"
+
+    epochs: int = 1
+    batch_size: int = 32
+    lr: float = 5e-4
+    min_samples_for_xchannel: int = 10_000
+    enable_xchannel: bool = field(default=False, metadata={"config_key": False})
 
 
-def stage2_config(epochs: int, batch_size: int, lr_new: float = 1e-3, lr_backbone: float = 1e-5, **kw) -> StageConfig:
-    return StageConfig("stage2_head", lr_new=lr_new, lr_backbone=lr_backbone, epochs=epochs, batch_size=batch_size, **kw)
-
-
-def finetune_config(epochs: int, batch_size: int, lr: float = 5e-4, **kw) -> StageConfig:
-    return StageConfig("finetune", lr_new=lr, lr_backbone=lr, epochs=epochs, batch_size=batch_size, **kw)
+# the names callers have always built each stage's settings by
+stage1_config, stage2_config, finetune_config = Stage1Config, Stage2Config, FinetuneConfig
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +252,7 @@ class AdamW:
         return total, clip_scale
 
 
-def optimizer_step(opt: AdamW, params: list[tuple[Parameter, float]], cfg: StageConfig) -> tuple[float, float]:
+def optimizer_step(opt: AdamW, params: list[tuple[Parameter, float]], cfg: _StageSettings) -> tuple[float, float]:
     return opt.step(params, cfg.weight_decay, cfg.grad_clip_norm)
 
 
@@ -261,11 +287,13 @@ def _batch(rows, idx: np.ndarray, dtype) -> Tensor:
     return Tensor(np.ascontiguousarray(rows[idx], dtype=dtype))
 
 
-def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Parameter], rng, log_path):
+def _train_loop(loss_fn, n_samples: int, cfg: _StageSettings, rated: list[tuple[Parameter, float]], rng, log_path):
+    """Train each parameter of ``rated`` at the learning rate paired with it;
+    the log's lr_new and lr_backbone columns hold the largest and the
+    smallest rate."""
     opt = AdamW()
-    # stage 2 trains the new head and alignment conv at lr_new and the loaded
-    # backbone at lr_backbone; the other stages have one rate
-    rated = [(p, cfg.lr_new if p.name.startswith(("head.", "align_conv.")) else cfg.lr_backbone) for p in params]
+    params = [p for p, _ in rated]
+    lr_new, lr_backbone = max(lr for _, lr in rated), min(lr for _, lr in rated)
     rows = []
     step_losses: list[float] = []
     epoch_losses: list[float] = []
@@ -292,7 +320,7 @@ def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Paramete
             epoch_sum += value
             epoch_n += 1
             rows.append(
-                (cfg.stage, epoch, step, f"{value:.8g}", cfg.lr_new, cfg.lr_backbone, f"{wall_s * 1e3:.3f}")
+                (cfg.stage, epoch, step, f"{value:.8g}", lr_new, lr_backbone, f"{wall_s * 1e3:.3f}")
                 + (f"{grad_norm:.8g}", f"{clip_scale:.8g}", f"{len(idx) / wall_s:.1f}")
             )
         epoch_losses.append(epoch_sum / max(1, epoch_n))
@@ -302,7 +330,7 @@ def _train_loop(loss_fn, n_samples: int, cfg: StageConfig, params: list[Paramete
 
 def run_stage1(
     windows: np.ndarray,
-    cfg: StageConfig,
+    cfg: Stage1Config,
     model: Model,
     heads: Stage1Heads | None = None,
     seed: int = 0,
@@ -314,8 +342,8 @@ def run_stage1(
     ``windows`` is an [n, L] array, or anything that gathers [b, L] rows by
     an index array (``data.ChannelRows``); each batch is cast to the model's
     dtype."""
-    if cfg.stage != "stage1_autoregressive":
-        raise InvalidConfig(f"run_stage1 got stage {cfg.stage!r}")
+    if not isinstance(cfg, Stage1Config):
+        raise InvalidConfig(f"run_stage1 got {type(cfg).__name__}")
     if windows.ndim != 2 or windows.shape[0] == 0:
         raise DataError("stage 1 needs a non-empty [n, L] window array")
     dtype = model.embedding.weight.value.dtype
@@ -334,7 +362,7 @@ def run_stage1(
     def loss_fn(idx):
         return stage1_loss(_batch(windows, idx, dtype), model, heads)
 
-    step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, params, rng, log_path)
+    step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, [(p, cfg.lr) for p in params], rng, log_path)
     ckpt = checkpoint_from_model(model, "stage1", prefixes=STAGE1_PREFIXES)
     return TrainResult(ckpt, model, step_losses, epoch_losses)
 
@@ -342,7 +370,7 @@ def run_stage1(
 def run_stage2(
     windows: np.ndarray,
     targets: np.ndarray,
-    cfg: StageConfig,
+    cfg: Stage2Config,
     stage1_ckpt: Checkpoint,
     seed: int = 0,
     log_path: str | None = None,
@@ -352,27 +380,28 @@ def run_stage2(
 
     ``windows`` [n, L] and ``targets`` [n, T] gather batches as in
     ``run_stage1``, cast to the checkpoint's dtype."""
-    if cfg.stage != "stage2_head":
-        raise InvalidConfig(f"run_stage2 got stage {cfg.stage!r}")
+    if not isinstance(cfg, Stage2Config):
+        raise InvalidConfig(f"run_stage2 got {type(cfg).__name__}")
     if windows.ndim != 2 or windows.shape[0] == 0:
         raise DataError("stage 2 needs a non-empty [n, L] window array")
     model_cfg = stage1_ckpt.config()
     if targets.shape != (windows.shape[0], model_cfg.horizon):
         raise DataError(f"targets shape {targets.shape} != (n, horizon={model_cfg.horizon})")
-    dtype = next(iter(stage1_ckpt.tensors.values())).dtype
+    dtype = stage1_ckpt.dtype()
     model = build_model(model_cfg, seed=seed, dtype=dtype)
     load_into_model(model, stage1_ckpt, required_prefixes=STAGE1_PREFIXES)
-    params = model.parameters()
+    # the new head and alignment conv at lr_new, the loaded backbone at lr_backbone
+    rated = [(p, cfg.lr_new if p.name.startswith(("head.", "align_conv.")) else cfg.lr_backbone) for p in model.parameters()]
     rng = np.random.default_rng(seed)
 
     def loss_fn(idx):
         return stage2_loss(_batch(windows, idx, dtype), _batch(targets, idx, dtype), model)
 
-    step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, params, rng, log_path)
+    step_losses, epoch_losses = _train_loop(loss_fn, windows.shape[0], cfg, rated, rng, log_path)
     return TrainResult(checkpoint_from_model(model, "stage2"), model, step_losses, epoch_losses)
 
 
-def xchannel_gate(cfg: StageConfig, n_windows: int, n_channels: int) -> tuple[bool, str]:
+def xchannel_gate(cfg: FinetuneConfig, n_windows: int, n_channels: int) -> tuple[bool, str]:
     """Whether the cross-channel module should activate when the caller
     leaves it to the data (``finetune --xchannel auto``)."""
     if n_channels < 2:
@@ -386,7 +415,7 @@ def xchannel_gate(cfg: StageConfig, n_windows: int, n_channels: int) -> tuple[bo
 def run_finetune(
     windows: np.ndarray,
     targets: np.ndarray,
-    cfg: StageConfig,
+    cfg: FinetuneConfig,
     foundation_ckpt: Checkpoint,
     seed: int = 0,
     log_path: str | None = None,
@@ -398,8 +427,8 @@ def run_finetune(
     foundation's dtype; the cross-channel module starts inert (zero
     expansion), so step-0 forecasts equal zero-shot ones.
     """
-    if cfg.stage != "finetune":
-        raise InvalidConfig(f"run_finetune got stage {cfg.stage!r}")
+    if not isinstance(cfg, FinetuneConfig):
+        raise InvalidConfig(f"run_finetune got {type(cfg).__name__}")
     if windows.ndim != 3 or windows.shape[0] == 0:
         raise DataError("fine-tuning needs a non-empty [n, D, L] window array")
     n, d, _ = windows.shape
@@ -408,13 +437,12 @@ def run_finetune(
         model_cfg_dict["xchannel_enabled"] = True
         model_cfg_dict["n_channels"] = d
     model_cfg = ModelConfig.from_dict(model_cfg_dict)
-    dtype = next(iter(foundation_ckpt.tensors.values())).dtype
+    dtype = foundation_ckpt.dtype()
     model = build_model(model_cfg, seed=seed, dtype=dtype)
     load_into_model(model, foundation_ckpt, required_prefixes=STAGE1_PREFIXES + ("head.", "align_conv."))
 
     for p in model.frozen_block_parameters():
         p.set_trainable(False)
-    params = model.parameters()
     rng = np.random.default_rng(seed)
 
     # multivariate batches regardless of the xchannel switch, so paired runs
@@ -422,5 +450,5 @@ def run_finetune(
     def loss_fn(idx):
         return stage2_loss(_batch(windows, idx, dtype), _batch(targets, idx, dtype), model)
 
-    step_losses, epoch_losses = _train_loop(loss_fn, n, cfg, params, rng, log_path)
+    step_losses, epoch_losses = _train_loop(loss_fn, n, cfg, [(p, cfg.lr) for p in model.parameters()], rng, log_path)
     return TrainResult(checkpoint_from_model(model, "finetune"), model, step_losses, epoch_losses)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -211,7 +212,7 @@ def test_pretrain_pooled_batches_match_stacked_windows(tmp_path, stride):
 
     rc = cli.RunConfig(config)
     model = M.build_model(rc.model_config(2), seed=5, dtype=np.float32)
-    result = TR.run_stage1(np.array(pooled).astype(np.float32), rc.stage1_config(), model, seed=5)
+    result = TR.run_stage1(np.array(pooled).astype(np.float32), rc.stage1, model, seed=5)
     want = tmp_path / "want.ckpt"
     save_checkpoint(result.checkpoint, str(want))
     assert out.read_bytes() == want.read_bytes()
@@ -282,6 +283,54 @@ def test_negative_optimizer_setting_exits2_naming_its_key(workdir, tmp_path, cap
     assert f"{section} key {key!r}" in capsys.readouterr().err
     assert not out.exists() and not log.exists()
     assert not list(tmp_path.glob(".ckpt-*"))
+
+
+@pytest.mark.parametrize(
+    "section, values, key",
+    [
+        ("stage2", {"lr_new": -1e-3, "lr_backbone": 0.0}, "lr_new"),
+        ("stage2", {"lr_new": 1e-5, "lr_backbone": 1e-3}, "lr_backbone"),
+        ("finetune", {"batch_size": 0}, "batch_size"),
+    ],
+)
+def test_bad_later_stage_setting_exits2_before_stage1_trains(workdir, tmp_path, capsys, section, values, key):
+    # every section is checked when the config is read, not when its stage starts
+    _, data_path, config_path = workdir
+    raw = json.loads(Path(config_path).read_text())
+    raw[section].update(values)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out, log = tmp_path / "s1.ckpt", tmp_path / "log.csv"
+    argv = ["pretrain", "--stage", "1", "--config", str(bad), "--data", data_path, "--out", str(out), "--log", str(log)]
+    assert main(argv) == 2
+    assert f"{section} key {key!r}" in capsys.readouterr().err
+    assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "finetune"])
+def test_checkpoint_without_tensors_exits4_naming_it(workdir, tmp_path, capsys, command):
+    _, data_path, config_path = workdir
+    from tsmamba.checkpoint import FORMAT_VERSION, Checkpoint
+
+    cfg = cli.load_run_config(config_path).model_config(2)
+    empty = tmp_path / "empty.ckpt"
+    save_checkpoint(Checkpoint(FORMAT_VERSION, cfg.to_dict(), "stage2", {}), str(empty))
+    out, log = tmp_path / "out.ckpt", tmp_path / "log.csv"
+    argv = ["pretrain", "--stage", "2"] if command == "pretrain" else ["finetune"]
+    argv += ["--config", config_path, "--data", data_path, "--init", str(empty), "--out", str(out), "--log", str(log)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert str(empty) in err and "Traceback" not in err
+    assert not out.exists() and not log.exists()
+
+
+def test_readme_run_config_lists_every_key_at_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    raw = json.loads(next(block for block in readme.split("```json\n")[1:] if '"stage1"' in block).split("```")[0])
+    rc = cli.RunConfig(raw)
+    for name, cls in [("split", D.SplitSpec), ("stage1", TR.Stage1Config), ("stage2", TR.Stage2Config), ("finetune", TR.FinetuneConfig)]:
+        assert getattr(rc, name) == cls()
+        assert set(raw[name]) == {f.name for f in dataclasses.fields(cls)} - {"enable_xchannel"}
 
 
 def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):

@@ -98,14 +98,14 @@ RUN_CONFIG = {
     "model": {"horizon": 2, "lookback": 8, "patch_len": 4, "d_model": 5, "n_layers": 1, "d_state": 2},
     "stage1": {"epochs": 1, "batch_size": 32},
 }
-# (section, key, JSON kind) of every run-config and model key; section None is the top level
+SECTIONS = {"model": M.ModelConfig, "split": D.SplitSpec, "stage1": TR.Stage1Config, "stage2": TR.Stage2Config, "finetune": TR.FinetuneConfig}
+# (section, key, JSON kind) of every run-config and model key; section None is
+# the top level, and finetune's enable_xchannel is set by a flag, not a key
 CONFIG_KEYS = (
     [(None, "seed", int), (None, "precision", str), (None, "window_stride", int)]
-    + [(None, section, dict) for section in ("model", "split", "stage1", "stage2", "finetune")]
-    + [("model", f.name, {"int": int, "float": float, "bool": bool}[f.type]) for f in dataclasses.fields(M.ModelConfig)]
-    + [(name, key, kind) for name, keys in (("split", CLI._SPLIT_KEYS), ("stage1", CLI._STAGE1_KEYS),
-                                             ("stage2", CLI._STAGE2_KEYS), ("finetune", CLI._FINETUNE_KEYS))
-       for key, (kind, _) in keys.items()]
+    + [(None, section, dict) for section in SECTIONS]
+    + [(section, f.name, {"int": int, "float": float, "bool": bool}[f.type])
+       for section, cls in SECTIONS.items() for f in dataclasses.fields(cls) if f.name != "enable_xchannel"]
 )
 
 

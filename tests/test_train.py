@@ -1,5 +1,6 @@
 """Unit tests for the Huber objective, optimizer, and training stages."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -292,22 +293,35 @@ def test_adamw_float32_moments_stay_float32_after_clipping():
 
 
 def test_stage_config_invariants():
-    with pytest.raises(InvalidConfig):
-        TR.StageConfig("stage2_head", lr_new=1e-5, lr_backbone=1e-3, epochs=1, batch_size=8)
-    with pytest.raises(InvalidConfig):
-        TR.stage1_config(epochs=1, batch_size=8, enable_xchannel=True)
-    for stage in ("stage1_autoregressive", "finetune"):  # only stage 2 has two learning rates
-        with pytest.raises(InvalidConfig):
-            TR.StageConfig(stage, lr_new=1e-3, lr_backbone=1e-5, epochs=1, batch_size=8)
+    # stage 2 never trains its backbone faster than the head it refines
+    TR.Stage2Config(lr_new=1e-3, lr_backbone=1e-3)
+    with pytest.raises(InvalidConfig, match="key 'lr_backbone'"):
+        TR.Stage2Config(lr_new=1e-5, lr_backbone=1e-3)
+    # only stage 2 has two learning rates, and only fine-tuning the xchannel switch
+    fields = {cls: {f.name for f in dataclasses.fields(cls)} for cls in (TR.Stage1Config, TR.Stage2Config, TR.FinetuneConfig)}
+    assert {"lr_new", "lr_backbone"} & (fields[TR.Stage1Config] | fields[TR.FinetuneConfig]) == set()
+    assert "lr" not in fields[TR.Stage2Config]
+    assert "enable_xchannel" not in fields[TR.Stage1Config] | fields[TR.Stage2Config]
+    # the names callers build stage settings by
+    assert (TR.stage1_config, TR.stage2_config, TR.finetune_config) == (TR.Stage1Config, TR.Stage2Config, TR.FinetuneConfig)
+
+
+@pytest.mark.parametrize("make", [TR.Stage1Config, TR.Stage2Config, TR.FinetuneConfig])
+@pytest.mark.parametrize("key, value, floor", [("epochs", -1, 0), ("batch_size", 0, 1)])
+def test_stage_config_refuses_negative_epochs_and_empty_batches(make, key, value, floor):
+    make(**{key: floor})
+    with pytest.raises(InvalidConfig, match=f"^{make.section} key '{key}' must be >= {floor}, got {value}$"):
+        make(**{key: value})
 
 
 @pytest.mark.parametrize(
     "make, key",
-    [(TR.stage1_config, "lr"), (TR.finetune_config, "lr"), (TR.stage2_config, "lr_new"), (TR.stage2_config, "lr_backbone")]
-    + [(make, key) for make in (TR.stage1_config, TR.stage2_config, TR.finetune_config) for key in ("weight_decay", "grad_clip_norm")],
+    [("stage1_config", "lr"), ("finetune_config", "lr"), ("stage2_config", "lr_new"), ("stage2_config", "lr_backbone")]
+    + [(make, key) for make in ("stage1_config", "stage2_config", "finetune_config") for key in ("weight_decay", "grad_clip_norm")],
 )
 def test_stage_config_refuses_negative_optimizer_settings(make, key):
     # a negative learning rate would run gradient ascent; zero is allowed
+    make = getattr(TR, make)
     make(epochs=1, batch_size=8, **{"lr_backbone": 0.0} if key == "lr_new" else {}, **{key: 0.0})
     with pytest.raises(InvalidConfig, match=f"key '{key}'"):
         make(epochs=1, batch_size=8, **{key: -1.0})
