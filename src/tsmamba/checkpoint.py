@@ -31,7 +31,6 @@ STAGE1_PREFIXES = ("embedding.", "fwd_encoder.", "bwd_encoder.")
 
 @dataclass
 class Checkpoint:
-    format_version: int
     model_config: dict
     stage: str
     tensors: dict[str, np.ndarray]
@@ -56,7 +55,6 @@ def checkpoint_from_model(model: Model, stage: str, prefixes: tuple[str, ...] | 
         if prefixes is None or p.name.startswith(prefixes):
             tensors[p.name] = np.array(p.value.array, copy=True)
     return Checkpoint(
-        format_version=FORMAT_VERSION,
         model_config=model.config.to_dict(),
         stage=stage,
         tensors=tensors,
@@ -108,7 +106,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         offset += len(raw)
     _single_dtype(path, ckpt.tensors)
     manifest = {
-        "format_version": ckpt.format_version,
+        "format_version": FORMAT_VERSION,
         "model_config": ckpt.model_config,
         "stage": ckpt.stage,
         "tensors": index,
@@ -182,7 +180,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CorruptCheckpoint(f"{path}: tensors {n0!r} and {n1!r} overlap")
     _single_dtype(path, tensors)
     return Checkpoint(
-        format_version=version,
         model_config=model_config,
         stage=manifest.get("stage", ""),
         tensors=tensors,

@@ -25,7 +25,7 @@ from . import model as M
 from . import ssm
 from . import tensor as T
 from . import train as TR
-from .checkpoint import Checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, load_into_model, model_from_checkpoint, save_checkpoint
 from .errors import (
     CheckpointMismatch,
     CorruptCheckpoint,
@@ -182,8 +182,6 @@ def _run_pretrain(args) -> int:
         model = M.build_model(model_cfg, seed=rc.seed, dtype=rc.dtype)
         if args.init:
             init_ckpt = load_checkpoint(args.init)
-            from .checkpoint import load_into_model
-
             loaded = load_into_model(model, init_ckpt)
             _err(f"imported {len(loaded)} tensors from {args.init}")
         result = TR.run_stage1(windows, rc.stage1, model, seed=rc.seed, log_path=args.log)
@@ -191,7 +189,6 @@ def _run_pretrain(args) -> int:
         file_ckpt = load_checkpoint(args.init)
         _check_precision(file_ckpt, args.init, rc)
         stage1_ckpt = Checkpoint(
-            format_version=file_ckpt.format_version,
             model_config=model_cfg.to_dict(),
             stage=file_ckpt.stage,
             tensors=file_ckpt.tensors,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import DegenerateWindow, InvalidConfig, PatchLengthMismatch, ShapeMismatch
-from .params import NoDraws, Parameter, check_unique_names, normal_init, uniform_init
+from .params import NoDraws, Parameter, ParamTree, normal_init, uniform_init
 from .ssm import EncoderParams, encoder_forward_batched, init_encoder
 from .tensor import Tensor
 
@@ -194,39 +194,30 @@ def revin_denormalize(y_hat: Tensor, stats: NormStats) -> Tensor:
 
 
 @dataclass
-class EmbeddingParams:
+class EmbeddingParams(ParamTree):
     weight: Parameter  # [d_model, 1, patch_len], stride = kernel = patch_len
     bias: Parameter  # [d_model]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
 
 @dataclass
-class AlignConvParams:
+class AlignConvParams(ParamTree):
     weight: Parameter  # [d_model, ALIGN_KERNEL] depthwise over the token axis
     bias: Parameter  # [d_model]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
 
 @dataclass
-class HeadParams:
+class HeadParams(ParamTree):
     compress_w: Parameter  # [d_model, head_dim]
     compress_b: Parameter  # [head_dim]
     out_w: Parameter  # [n_tokens * head_dim, horizon]
     out_b: Parameter  # [horizon]
-
-    def parameters(self) -> list[Parameter]:
-        return [self.compress_w, self.compress_b, self.out_w, self.out_b]
 
     def param_count(self) -> int:
         return sum(p.value.size for p in self.parameters())
 
 
 @dataclass
-class XChannelParams:
+class XChannelParams(ParamTree):
     tshift_w: Parameter  # [n_channels, XSHIFT_KERNEL] per-channel FIR over tokens
     compress_w: Parameter  # [n_channels, d_compressed]
     compress_b: Parameter  # [d_compressed]
@@ -237,12 +228,9 @@ class XChannelParams:
     def n_channels(self) -> int:
         return self.tshift_w.value.shape[0]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.tshift_w, self.compress_w, self.compress_b, self.expand_w, self.expand_b]
-
 
 @dataclass
-class Model:
+class Model(ParamTree):
     config: ModelConfig
     embedding: EmbeddingParams
     fwd_encoder: EncoderParams
@@ -251,23 +239,18 @@ class Model:
     head: HeadParams
     xchannel: XChannelParams | None = None
 
-    def parameters(self) -> list[Parameter]:
-        out = [
-            *self.embedding.parameters(),
-            *self.fwd_encoder.parameters(),
-            *self.bwd_encoder.parameters(),
-            *self.align.parameters(),
-            *self.head.parameters(),
-        ]
-        if self.xchannel is not None:
-            out.extend(self.xchannel.parameters())
-        return out
-
     def named_parameters(self) -> dict[str, Parameter]:
-        return {p.name: p for p in self.parameters()}
+        """The parameters by name; a name held twice is an InvalidConfig."""
+        params = self.parameters()
+        named = {p.name: p for p in params}
+        if len(named) != len(params):
+            dupes = sorted({p.name for p in params if named[p.name] is not p})
+            raise InvalidConfig(f"duplicate parameter names: {dupes}")
+        return named
 
     def frozen_block_parameters(self) -> list[Parameter]:
-        return self.fwd_encoder.block_parameters() + self.bwd_encoder.block_parameters()
+        """The Mamba blocks' tensors, which fine-tuning freezes; norm gains excluded."""
+        return [p for enc in (self.fwd_encoder, self.bwd_encoder) for block, _ in enc.layers for p in block.parameters()]
 
 
 @dataclass
@@ -348,7 +331,7 @@ def _assemble(cfg: ModelConfig, rng, dtype) -> Model:
         head=init_head(rng, cfg, dtype),
         xchannel=init_xchannel(rng, cfg, dtype) if cfg.xchannel_enabled else None,
     )
-    check_unique_names(model.parameters())
+    model.named_parameters()  # refuses a duplicate name
     return model
 
 

@@ -12,18 +12,21 @@ from .tensor import Tensor
 
 @dataclass
 class Parameter:
-    """A named tensor with a gradient slot and a trainable flag."""
+    """A named tensor with a gradient slot. It starts trainable; whether it
+    trains is its tensor's ``requires`` flag, which ``set_trainable`` sets."""
 
     name: str
     value: Tensor
     grad: Tensor | None = None
-    trainable: bool = True
 
     def __post_init__(self):
-        self.value.requires = self.trainable
+        self.value.requires = True
+
+    @property
+    def trainable(self) -> bool:
+        return self.value.requires
 
     def set_trainable(self, flag: bool) -> None:
-        self.trainable = flag
         self.value.requires = flag
         if not flag:
             self.grad = None
@@ -34,14 +37,31 @@ class Parameter:
             raise InvalidConfig(
                 f"{self.name}: cannot assign shape {array.shape} over {self.value.array.shape}"
             )
-        self.value = Tensor(np.ascontiguousarray(array), requires=self.trainable)
+        self.value = Tensor(np.ascontiguousarray(array), requires=self.value.requires)
 
 
-def check_unique_names(params: list[Parameter]) -> None:
-    names = [p.name for p in params]
-    if len(names) != len(set(names)):
-        dupes = sorted({n for n in names if names.count(n) > 1})
-        raise InvalidConfig(f"duplicate parameter names: {dupes}")
+class ParamTree:
+    """Base of every parameter container. Its parameters are the
+    ``Parameter``s among its dataclass fields, in declaration order (the
+    order a dataclass ``__init__`` sets them), with nested trees and lists
+    or tuples of them expanded in place; any other field (``None``, a
+    config, a number) holds none. Checkpoint payload offsets and the
+    optimizer's gradient norm follow this order."""
+
+    def parameters(self) -> list[Parameter]:
+        out: list[Parameter] = []
+        _collect(vars(self).values(), out)
+        return out
+
+
+def _collect(values, out: list[Parameter]) -> None:
+    for v in values:
+        if isinstance(v, Parameter):
+            out.append(v)
+        elif isinstance(v, ParamTree):
+            _collect(vars(v).values(), out)
+        elif isinstance(v, (list, tuple)):
+            _collect(v, out)
 
 
 class NoDraws:

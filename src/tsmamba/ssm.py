@@ -36,7 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import InvalidConfig, ShapeMismatch
-from .params import NoDraws, Parameter, uniform_init
+from .params import NoDraws, Parameter, ParamTree, uniform_init
 from .tensor import Tensor
 
 NORM_EPS = 1e-5
@@ -48,7 +48,7 @@ NORM_EPS = 1e-5
 
 
 @dataclass
-class SSMParams:
+class SSMParams(ParamTree):
     """Input-dependent SSM maps for one Mamba block."""
 
     a_log: Parameter  # [d_inner, n_state], A = -exp(a_log)
@@ -66,12 +66,9 @@ class SSMParams:
     def n_state(self) -> int:
         return self.a_log.value.shape[1]
 
-    def parameters(self) -> list[Parameter]:
-        return [self.a_log, self.x_to_b, self.x_to_c, self.x_to_dt, self.dt_bias, self.d_skip]
-
 
 @dataclass
-class MambaBlockParams:
+class MambaBlockParams(ParamTree):
     in_proj: Parameter  # [d_model, 2*d_inner]: main branch | gate branch
     conv_weight: Parameter  # [d_inner, k], depthwise causal
     conv_bias: Parameter  # [d_inner]
@@ -86,29 +83,11 @@ class MambaBlockParams:
     def d_inner(self) -> int:
         return self.ssm.d_inner
 
-    def parameters(self) -> list[Parameter]:
-        return [self.in_proj, self.conv_weight, self.conv_bias, *self.ssm.parameters(), self.out_proj]
-
 
 @dataclass
-class EncoderParams:
+class EncoderParams(ParamTree):
     layers: list[tuple[MambaBlockParams, Parameter]]  # (block, pre-norm gain)
     final_norm: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for block, gain in self.layers:
-            out.extend(block.parameters())
-            out.append(gain)
-        out.append(self.final_norm)
-        return out
-
-    def block_parameters(self) -> list[Parameter]:
-        """Mamba block tensors only (frozen during fine-tuning); norms excluded."""
-        out: list[Parameter] = []
-        for block, _ in self.layers:
-            out.extend(block.parameters())
-        return out
 
 
 # ---------------------------------------------------------------------------

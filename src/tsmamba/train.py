@@ -26,7 +26,7 @@ from .model import (
     forecast_normalized,
     revin_normalize,
 )
-from .params import Parameter, uniform_init
+from .params import Parameter, ParamTree, uniform_init
 from .tensor import Tensor
 
 
@@ -132,16 +132,13 @@ def huber_loss(pred: Tensor, target: Tensor, delta: float) -> Tensor:
 
 
 @dataclass
-class Stage1Heads:
+class Stage1Heads(ParamTree):
     """Temporary linear heads predicting the next and the previous patch."""
 
     next_w: Parameter  # [d_model, patch_len] on forward representations
     next_b: Parameter
     prev_w: Parameter  # [d_model, patch_len] on aligned backward representations
     prev_b: Parameter
-
-    def parameters(self) -> list[Parameter]:
-        return [self.next_w, self.next_b, self.prev_w, self.prev_b]
 
 
 def init_stage1_heads(rng: np.random.Generator, cfg: ModelConfig, dtype) -> Stage1Heads:

@@ -125,7 +125,6 @@ def pipeline():
     x4, y4 = D.flatten_channel_windows(train4)
     x4, y4 = x4.astype(np.float32), y4.astype(np.float32)
     ckpt4 = Checkpoint(
-        format_version=r1.checkpoint.format_version,
         model_config=desk_config(SHORT_HORIZON).to_dict(),
         stage="stage1",
         tensors=r1.checkpoint.tensors,

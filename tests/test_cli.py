@@ -310,11 +310,11 @@ def test_bad_later_stage_setting_exits2_before_stage1_trains(workdir, tmp_path, 
 @pytest.mark.parametrize("command", ["pretrain", "finetune"])
 def test_checkpoint_without_tensors_exits4_naming_it(workdir, tmp_path, capsys, command):
     _, data_path, config_path = workdir
-    from tsmamba.checkpoint import FORMAT_VERSION, Checkpoint
+    from tsmamba.checkpoint import Checkpoint
 
     cfg = cli.load_run_config(config_path).model_config(2)
     empty = tmp_path / "empty.ckpt"
-    save_checkpoint(Checkpoint(FORMAT_VERSION, cfg.to_dict(), "stage2", {}), str(empty))
+    save_checkpoint(Checkpoint(cfg.to_dict(), "stage2", {}), str(empty))
     out, log = tmp_path / "out.ckpt", tmp_path / "log.csv"
     argv = ["pretrain", "--stage", "2"] if command == "pretrain" else ["finetune"]
     argv += ["--config", config_path, "--data", data_path, "--init", str(empty), "--out", str(out), "--log", str(log)]
@@ -336,12 +336,12 @@ def test_readme_run_config_lists_every_key_at_its_default():
 def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     # external named-tensor file holding Mamba-block weights, layer-indexed names
     _, data_path, config_path = workdir
-    from tsmamba.checkpoint import FORMAT_VERSION, Checkpoint, save_checkpoint
+    from tsmamba.checkpoint import Checkpoint, save_checkpoint
 
     donor = M.build_model(M.ModelConfig(horizon=4, n_channels=2, lookback=16, patch_len=4, d_model=8, n_layers=1, d_state=2, head_compress_dim=4), seed=99, dtype=np.float64)
     block_tensors = {p.name: p.value.array.copy() for p in donor.frozen_block_parameters()}
     init_path = tmp_path / "blocks.ckpt"
-    save_checkpoint(Checkpoint(FORMAT_VERSION, donor.config.to_dict(), "import", block_tensors), str(init_path))
+    save_checkpoint(Checkpoint(donor.config.to_dict(), "import", block_tensors), str(init_path))
 
     raw = json.loads(Path(config_path).read_text())
     raw["stage1"]["epochs"] = 0
@@ -357,7 +357,7 @@ def test_pretrain_stage1_imports_block_weights(workdir, tmp_path):
     # shape conflict in the import file is a checkpoint error
     bad = {"fwd_encoder.layer0.mamba.in_proj": np.zeros((3, 3))}
     bad_path = tmp_path / "bad.ckpt"
-    save_checkpoint(Checkpoint(FORMAT_VERSION, donor.config.to_dict(), "import", bad), str(bad_path))
+    save_checkpoint(Checkpoint(donor.config.to_dict(), "import", bad), str(bad_path))
     assert main(["pretrain", "--stage", "1", "--config", str(cfg0), "--data", data_path, "--init", str(bad_path), "--out", str(out)]) == 4
 
 

@@ -1,5 +1,7 @@
 """Unit tests for the forecasting network."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -8,6 +10,7 @@ from _tape import held_arrays
 from tsmamba import model as M
 from tsmamba import tensor as T
 from tsmamba.errors import DegenerateWindow, InvalidConfig, PatchLengthMismatch, ShapeMismatch
+from tsmamba.params import Parameter, ParamTree
 from tsmamba.tensor import Tensor
 
 
@@ -455,3 +458,81 @@ def test_config_roundtrip_and_strictness():
     assert again == cfg
     with pytest.raises(InvalidConfig):
         M.ModelConfig.from_dict({**cfg.to_dict(), "mystery": 1})
+
+
+# ---------------------------------------------------------------------------
+# Parameter tree
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Leaf(ParamTree):
+    w: Parameter
+    count: int
+
+
+@dataclass
+class _Tree(ParamTree):
+    first: Parameter
+    leaf: _Leaf
+    pairs: list
+    missing: Parameter | None
+    n: int
+    last: Parameter
+
+
+def test_param_tree_lists_its_parameters_in_declaration_order():
+    def p(name):
+        return Parameter(name, T.tensor([0.0]))
+
+    # keywords out of order: the fields' declaration order decides
+    tree = _Tree(
+        last=p("g"),
+        n=7,
+        missing=None,
+        pairs=[(_Leaf(p("c"), 0), p("d")), (_Leaf(p("e"), 1), p("f"))],
+        leaf=_Leaf(count=3, w=p("b")),
+        first=p("a"),
+    )
+    got = tree.parameters()
+    assert all(type(q) is Parameter for q in got)
+    assert [q.name for q in got] == list("abcdefg")
+
+
+def _encoder_names(prefix, n_layers):
+    block = ["in_proj", "conv_weight", "conv_bias", "ssm.a_log", "ssm.x_to_b", "ssm.x_to_c", "ssm.x_to_dt", "ssm.dt_bias", "ssm.d_skip", "out_proj"]
+    names = []
+    for i in range(n_layers):
+        names += [f"{prefix}.layer{i}.mamba.{n}" for n in block] + [f"{prefix}.layer{i}.norm_gain"]
+    return names + [f"{prefix}.final_norm_gain"]
+
+
+def test_model_parameter_order_follows_the_architecture():
+    # checkpoint payload offsets and AdamW's gradient norm both follow this order
+    want = (
+        ["embedding.weight", "embedding.bias"]
+        + _encoder_names("fwd_encoder", 2)
+        + _encoder_names("bwd_encoder", 2)
+        + ["align_conv.weight", "align_conv.bias"]
+        + ["head.compress_w", "head.compress_b", "head.out_w", "head.out_b"]
+    )
+    xchannel = ["xchannel.tshift_w", "xchannel.compress_w", "xchannel.compress_b", "xchannel.expand_w", "xchannel.expand_b"]
+    model = M.build_model(tiny_config(n_layers=2, xchannel_enabled=True), seed=40, dtype=np.float64)
+    assert [p.name for p in model.parameters()] == want + xchannel
+    assert list(model.named_parameters()) == want + xchannel
+    plain = M.build_model(tiny_config(n_layers=2), seed=40, dtype=np.float64)
+    assert [p.name for p in plain.parameters()] == want
+
+
+def test_frozen_block_parameters_are_both_encoders_mamba_blocks():
+    model = M.build_model(tiny_config(n_layers=2, xchannel_enabled=True), seed=41, dtype=np.float64)
+    want = [n for n in _encoder_names("fwd_encoder", 2) + _encoder_names("bwd_encoder", 2) if ".mamba." in n]
+    assert [p.name for p in model.frozen_block_parameters()] == want
+    assert want == [n for n in model.named_parameters() if ".mamba." in n]
+
+
+def test_duplicate_parameter_name_is_refused():
+    model = M.build_model(tiny_config(), seed=42, dtype=np.float64)
+    model.head.out_b.name = "head.out_w"
+    with pytest.raises(InvalidConfig, match=r"duplicate parameter names: \['head.out_w'\]"):
+        model.named_parameters()

@@ -421,12 +421,29 @@ def test_backward_non_scalar_raises():
 
 
 def test_backward_skips_non_trainable():
-    p = Parameter("p", T.tensor([2.0]), trainable=False)
+    p = Parameter("p", T.tensor([2.0]))
+    p.set_trainable(False)
     q = Parameter("q", T.tensor([3.0]))
     loss = T.sum_all(T.mul(p.value, q.value))
     T.backward(loss, [p, q])
     assert p.grad is None
     np.testing.assert_allclose(q.grad.array, [2.0])
+
+
+def test_frozen_parameter_stays_frozen_across_assign():
+    p = Parameter("p", T.tensor([2.0]))
+    q = Parameter("q", T.tensor([3.0]))
+    p.set_trainable(False)
+    p.assign(np.array([5.0]))
+    assert not p.trainable
+    T.backward(T.sum_all(T.mul(p.value, q.value)), [p, q])
+    assert p.grad is None
+    np.testing.assert_allclose(q.grad.array, [5.0])
+    p.set_trainable(True)
+    p.assign(np.array([7.0]))
+    assert p.trainable
+    T.backward(T.sum_all(T.mul(p.value, q.value)), [p, q])
+    np.testing.assert_allclose(p.grad.array, [3.0])
 
 
 def test_backward_tiny_model_matches_finite_differences():

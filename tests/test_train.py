@@ -160,6 +160,11 @@ def test_stage1_rejects_single_patch():
         TR.stage1_loss(T.ones((1, 8), dtype=np.float64), model, heads)
 
 
+def test_stage1_heads_parameter_order():
+    heads = TR.init_stage1_heads(np.random.default_rng(0), tiny_config(), np.float64)
+    assert [p.name for p in heads.parameters()] == ["stage1.next_w", "stage1.next_b", "stage1.prev_w", "stage1.prev_b"]
+
+
 def test_stage1_zero_heads_constant_channel_gives_zero_loss():
     cfg = tiny_config()
     model = M.build_model(cfg, seed=7, dtype=np.float64)
