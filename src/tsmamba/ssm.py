@@ -16,11 +16,11 @@ and the weights. Its backward replays one group's states from h_0 = 0,
 then walks the steps in reverse, recomputing each step's a_bar, so
 training stores no per-step coefficient arrays and no state between the
 forward and the backward, and the backward holds one group's states. A
-Mamba block is two such ops after its in_proj GEMMs: causal conv -> SiLU
--> scan, which keeps the main branch z_main, and gate -> out_proj, which
-keeps the scan's output y and the gate branch z_gate. So the tape keeps
-three d_inner-wide arrays per block, and the backward recomputes the conv
-output and both SiLUs, as Mamba's fused kernel does.
+whole residual pre-norm Mamba layer is one taped op too, which keeps its
+input, RMSNorm's per-row scale and the scan's output y. So the tape keeps
+one d_inner-wide array per layer, and the backward recomputes the
+normalized input, both in_proj branches, the conv output, both SiLUs and
+the gate, as Mamba's fused kernel recomputes a block's intermediates.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -374,16 +374,13 @@ def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray):
     return T._conv_apply(xv, taps, wk, b), taps, wk
 
 
-def _selective_scan_batched(x: Tensor, ssm: SSMParams, conv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
     """Selective scan over x [B, L, d_inner] -> [B, L, d_inner], skip included.
 
-    With ``conv`` = (weight [d_inner, K], bias [d_inner]) the scan reads
-    SiLU(causal depthwise conv of x): the Mamba block's conv -> SiLU -> scan
-    as one op. Recorded on the tape as one op that keeps only x and the
-    weights: its backward recomputes the conv output, the SiLU and the
-    scan's coefficients and states instead of storing them, with the
-    forward's operations, so they are the forward's bytes. Conv and SSM
-    weight gradients are computed only when those weights want them.
+    Recorded on the tape as one op that keeps only x and the weights: its
+    backward recomputes the scan's coefficients and states instead of
+    storing them. SSM weight gradients are computed only when those weights
+    want them.
     """
     if x.ndim != 3 or x.shape[2] != ssm.d_inner:
         raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
@@ -391,54 +388,7 @@ def _selective_scan_batched(x: Tensor, ssm: SSMParams, conv: tuple[Tensor, Tenso
     weights = _scan_weights(ssm, xv.dtype)
     parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
     weight_grads = any(p.requires for p in parents[1:])
-    if conv is None:
-        return _taped(_sequential_scan_np(xv, weights), parents, lambda g: _sequential_scan_vjp(g, xv, weights, weight_grads))
-    w, b = conv
-
-    def adjoint_of(g: np.ndarray) -> tuple:
-        c, taps, wk = _causal_conv(xv, w.array, b.array)
-        sig = T._sigmoid(c)
-        s = c * sig
-        ds = T._dsilu(c, sig)  # written over sig
-        del c  # the scan's VJP, where the backward peaks, holds only s and ds
-        g_s, *g_weights = _sequential_scan_vjp(g, s, weights, weight_grads)
-        del s
-        g_s *= ds  # the gradient into the conv output
-        del ds
-        gw = T._conv_vjp_w(g_s, xv, taps, w.array) if w.requires else None
-        gb = g_s.sum(axis=(0, 1)) if b.requires else None
-        return (T._conv_vjp_x(g_s, xv, taps, wk), *g_weights, gw, gb)
-
-    return _taped(_sequential_scan_np(T._silu(_causal_conv(xv, w.array, b.array)[0]), weights), (*parents, w, b), adjoint_of)
-
-
-def _gate_out_proj(y: Tensor, z: Tensor, w: Tensor) -> Tensor:
-    """(y * SiLU(z)) @ w for y, z [B, L, d_inner] and w [d_inner, d_out], as
-    one taped op that keeps y, z and w: its backward recomputes SiLU(z) and
-    the gated product. The product is one GEMM over the folded leading
-    axes, as ``tensor.matmul`` runs it, and the weight gradient is computed
-    only when w wants one."""
-    T._check_binary(y, z, "gate")
-    yv, zv, wv = y.array, z.array, w.array
-    if wv.ndim != 2 or wv.shape[0] != yv.shape[-1] or wv.dtype != yv.dtype:
-        raise ShapeMismatch(f"gate: out_proj {wv.shape} {wv.dtype} vs input {yv.shape} {yv.dtype}")
-    d, n = wv.shape
-    gated = T._silu(zv)
-    gated *= yv
-
-    def adjoint_of(g: np.ndarray) -> tuple:
-        g2 = g.reshape(-1, n)
-        sig = T._sigmoid(zv)
-        s = zv * sig
-        gw = (s * yv).reshape(-1, d).T @ g2 if w.requires else None
-        g_gated = (g2 @ wv.T).reshape(yv.shape)
-        gy = g_gated * s
-        del s
-        g_gated *= yv
-        g_gated *= T._dsilu(zv, sig)
-        return gy, g_gated, gw
-
-    return _taped((gated.reshape(-1, d) @ wv).reshape(yv.shape[:-1] + (n,)), (y, z, w), adjoint_of)
+    return _taped(_sequential_scan_np(xv, weights), parents, lambda g: _sequential_scan_vjp(g, xv, weights, weight_grads))
 
 
 # ---------------------------------------------------------------------------
@@ -534,33 +484,124 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def mamba_block_batched(u: Tensor, p: MambaBlockParams) -> Tensor:
-    """Gated-MLP Mamba block over token-major input [B, L, d_model].
+def _in_half(w_in: np.ndarray, half: int) -> np.ndarray:
+    """in_proj's main (0) or gate (1) column half, as a contiguous copy."""
+    d = w_in.shape[1] // 2
+    return np.ascontiguousarray(w_in[:, half * d : (half + 1) * d])
 
-    The main and gate branches are two GEMMs of u against the column halves
-    of ``in_proj``, so no [B, L, 2*d_inner] product, nor a copy of its
-    halves, is made or taped. The main branch z_main runs through the fused
-    conv -> SiLU -> scan op, and the scan's output y and the gate branch
-    z_gate through the fused gate -> out_proj op. So the tape keeps three
-    d_inner-wide arrays per block, z_main, z_gate and y, beside the weights;
-    the backward recomputes the conv output and both SiLUs. The gate branch
-    is computed after the scan, so a no-tape call does not hold it while the
-    scan runs.
+
+def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
+    """One residual pre-norm Mamba layer over token-major x [B, L, d_model]:
+    x + out_proj(SiLU(z_gate) * scan(SiLU(conv(z_main)))), where
+    [z_main | z_gate] = RMSNorm(x, gain) @ in_proj.
+
+    Each branch is one GEMM against a column half of ``in_proj``, so no
+    [B, L, 2*d_inner] product is made. The gate branch is computed after the
+    scan, so the scan runs beside neither z_gate nor z_main.
+
+    Recorded on the tape as one op that keeps x, RMSNorm's per-row ``inv``
+    and the scan's output y beside the weights: one d_inner-wide array. Its
+    backward recomputes the normalized input, both branches (taking the
+    column halves from the one weight, so no half is kept), the conv
+    output, both SiLUs and the gate, with the forward's operations, so they
+    are the forward's bytes; the scan's VJP replays its states. in_proj's
+    gradient is one [d_model, 2*d_inner] array, and a weight's gradient is
+    computed only when it wants one.
     """
-    if u.ndim != 3 or u.shape[2] != p.d_model:
-        raise ShapeMismatch(f"mamba block input {u.shape} vs d_model {p.d_model}")
-    d_inner = p.d_inner
-    w_in = p.in_proj.value  # [d_model, 2*d_inner]: main branch | gate branch
-    z_main = T.matmul(u, T.slice_axis(w_in, 1, 0, d_inner))
-    y = _selective_scan_batched(z_main, p.ssm, (p.conv_weight.value, p.conv_bias.value))
-    z_gate = T.matmul(u, T.slice_axis(w_in, 1, d_inner, 2 * d_inner))
-    return _gate_out_proj(y, z_gate, p.out_proj.value)
+    xv, gv = x.array, gain.array
+    s_p = p.ssm
+    parents = (x, gain, *(q.value for q in (p.in_proj, p.conv_weight, p.conv_bias, s_p.x_to_b, s_p.x_to_c, s_p.x_to_dt, s_p.dt_bias, s_p.a_log, s_p.d_skip, p.out_proj)))
+    if xv.ndim != 3 or xv.shape[2] != p.d_model or gv.shape != (p.d_model,):
+        raise ShapeMismatch(f"mamba layer: input {xv.shape} and gain {gv.shape} vs d_model {p.d_model}")
+    if any(t.dtype != xv.dtype for t in parents):
+        raise ShapeMismatch(f"mamba layer: every tensor must have the input's dtype {xv.dtype}")
+    w_in, conv_w, conv_b, w_out = parents[2].array, parents[3].array, parents[4].array, parents[-1].array
+    weights = _scan_weights(s_p, xv.dtype)
+    weight_grads = any(t.requires for t in parents[5:-1])
+    b_, l_, k = xv.shape
+    d = p.d_inner
+    inv = 1.0 / np.sqrt((xv * xv).mean(axis=-1, keepdims=True) + NORM_EPS)
+
+    def normed() -> np.ndarray:  # RMSNorm's output, as [B*L, d_model]
+        un = xv * inv
+        un *= gv
+        return un.reshape(-1, k)
+
+    un = normed()
+    s = T._silu(_causal_conv((un @ _in_half(w_in, 0)).reshape(b_, l_, d), conv_w, conv_b)[0])
+    y = _sequential_scan_np(s, weights)
+    del s
+    gated = T._silu(un @ _in_half(w_in, 1))
+    del un
+    gated *= y.reshape(-1, d)
+    out = gated @ w_out
+    del gated
+    out += xv.reshape(-1, k)  # the residual
+
+    def adjoint_of(g: np.ndarray) -> tuple:
+        g2, y2 = g.reshape(-1, k), y.reshape(-1, d)
+        norm_grads = x.requires or gain.requires  # RMSNorm's input or gain wants a gradient
+        un = normed()
+        w_main, w_gate = _in_half(w_in, 0), _in_half(w_in, 1)
+        gw_in = np.empty_like(w_in) if parents[2].requires else None
+        # gate -> out_proj, then the gate branch's share of in_proj's
+        # gradients, so that its gradient is let go before the scan's VJP
+        z_gate = un @ w_gate
+        sig = T._sigmoid(z_gate)
+        s = z_gate * sig
+        gw_out = (s * y2).T @ g2 if parents[-1].requires else None
+        g_gate = g2 @ w_out.T
+        gy = np.multiply(g_gate, s, out=s)
+        g_gate *= y2
+        g_gate *= T._dsilu(z_gate, sig)  # the gradient into z_gate
+        del z_gate, sig
+        if gw_in is not None:
+            gw_in[:, d:] = un.T @ g_gate
+        g_un = g_gate @ w_gate.T if norm_grads else None
+        del g_gate
+        # conv -> SiLU -> scan; the scan's VJP, where the backward peaks,
+        # holds only z_main, s and ds of the branch's arrays
+        z_main = (un @ w_main).reshape(b_, l_, d)
+        del un
+        c, taps, wk = _causal_conv(z_main, conv_w, conv_b)
+        sig = T._sigmoid(c)
+        s = c * sig
+        ds = T._dsilu(c, sig)  # written over sig
+        del c
+        g_s, *g_ssm = _sequential_scan_vjp(gy.reshape(b_, l_, d), s, weights, weight_grads)
+        del s, gy
+        g_s *= ds  # the gradient into the conv output
+        del ds
+        gw_conv = T._conv_vjp_w(g_s, z_main, taps, conv_w) if parents[3].requires else None
+        gb_conv = g_s.sum(axis=(0, 1)) if parents[4].requires else None
+        g_main = T._conv_vjp_x(g_s, z_main, taps, wk).reshape(-1, d)
+        del g_s, z_main
+        if gw_in is not None:
+            gw_in[:, :d] = normed().T @ g_main
+        gx = g_gain = None
+        if norm_grads:
+            g_un = np.add(g_main @ w_main.T, g_un, out=g_un).reshape(xv.shape)
+            if gain.requires:
+                xn = xv * inv
+                xn *= g_un
+                g_gain = xn.reshape(-1, k).sum(axis=0)
+            if x.requires:
+                # RMSNorm: d/dx [x * inv] = inv * g - x * inv^3 / k * sum(g * x)
+                gg = np.multiply(g_un, gv, out=g_un)
+                gx = xv * (inv**3 / k)
+                gx *= (gg * xv).sum(axis=-1, keepdims=True)
+                gg *= inv
+                gx = np.subtract(gg, gx, out=gx)
+                gx += g  # the residual
+        return (gx, g_gain, gw_in, gw_conv, gb_conv, *g_ssm, gw_out)
+
+    return _taped(out.reshape(xv.shape), parents, adjoint_of)
 
 
 def encoder_forward_batched(tokens: Tensor, enc: EncoderParams) -> Tensor:
-    """Pre-norm residual stack of Mamba blocks with a final RMSNorm."""
+    """Residual pre-norm Mamba layers, one taped op each (see
+    :func:`mamba_block_batched`), then a final RMSNorm."""
     u = tokens
     for block, gain in enc.layers:
-        u = T.add(u, mamba_block_batched(T.rmsnorm(u, gain.value, NORM_EPS), block))
+        u = mamba_block_batched(u, gain.value, block)
     return T.rmsnorm(u, enc.final_norm.value, NORM_EPS)
-

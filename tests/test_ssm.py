@@ -520,12 +520,19 @@ def make_block(rng, d_model=4, d_inner=8, n_state=2, k=4, dtype=np.float64, pref
     return ssm.init_mamba_block(rng, d_model, d_inner, n_state, k, dtype, prefix)
 
 
+def make_gain(rng, d_model=4, dtype=np.float64):
+    """A drawn pre-norm gain, so that a layer that ignored it would show."""
+    return Tensor((1.0 + 0.3 * rng.standard_normal(d_model)).astype(dtype))
+
+
 def test_mamba_block_zero_out_proj():
+    # the block adds zero, so the layer passes its input through
     rng = np.random.default_rng(15)
     p = make_block(rng)
     p.out_proj.assign(np.zeros_like(p.out_proj.value.array))
-    out = ssm.mamba_block_batched(T.tensor(rng.standard_normal((1, 6, 4))), p)
-    np.testing.assert_array_equal(out.array, np.zeros((1, 6, 4)))
+    x = T.tensor(rng.standard_normal((1, 6, 4)))
+    out = ssm.mamba_block_batched(x, make_gain(rng), p)
+    np.testing.assert_array_equal(out.array, x.array)
 
 
 def test_mamba_block_gate_saturation():
@@ -534,8 +541,9 @@ def test_mamba_block_gate_saturation():
     w = p.in_proj.value.array.copy()
     w[:, p.d_inner :] = -100.0  # silu(-400) under all-ones input: gate closes
     p.in_proj.assign(w)
-    out = ssm.mamba_block_batched(T.ones((1, 5, 4)), p)
-    assert np.max(np.abs(out.array)) < 1e-12
+    x = T.ones((1, 5, 4))
+    out = ssm.mamba_block_batched(x, T.ones(4), p)
+    assert np.max(np.abs(out.array - x.array)) < 1e-12
 
 
 def reference_mamba_block(u, p):
@@ -584,30 +592,41 @@ def reference_mamba_block(u, p):
     return gated @ w_out
 
 
+def reference_mamba_layer(u, gain, p):
+    """The residual pre-norm layer around the block's reference."""
+    un = u / np.sqrt((u * u).mean(axis=-1, keepdims=True) + ssm.NORM_EPS) * gain
+    return u + reference_mamba_block(un, p)
+
+
 def test_mamba_block_matches_straight_line_oracle():
     rng = np.random.default_rng(17)
     p = make_block(rng, d_model=4, d_inner=8, n_state=2)
+    gain = make_gain(rng)
     u = rng.standard_normal((5, 4))
-    got = ssm.mamba_block_batched(T.tensor(u[None]), p).array[0]
-    want = reference_mamba_block(u, p)
+    got = ssm.mamba_block_batched(T.tensor(u[None]), gain, p).array[0]
+    want = reference_mamba_layer(u, gain.array, p)
     np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 def test_mamba_block_parameter_gradients():
+    # every gradient of the layer op, the input's and the gain's included,
+    # against central differences
     rng = np.random.default_rng(18)
     p = make_block(rng, d_model=3, d_inner=6, n_state=2)
-    u = rng.standard_normal((1, 4, 3))
+    x = Parameter("x", T.tensor(rng.standard_normal((1, 4, 3))))
+    gain = Parameter("gain", make_gain(rng, 3))
     proj = rng.standard_normal((1, 4, 3))
 
-    for param in p.parameters():
+    def loss():
+        return T.sum_all(T.mul(ssm.mamba_block_batched(x.value, gain.value, p), T.tensor(proj)))
+
+    for param in [x, gain, *p.parameters()]:
         base = param.value.array.copy()
-        loss = T.sum_all(T.mul(ssm.mamba_block_batched(T.tensor(u), p), T.tensor(proj)))
-        T.backward(loss, [param])
+        T.backward(loss(), [param])
 
         def f(t, param=param):
             param.assign(t.array)
-            out = T.sum_all(T.mul(ssm.mamba_block_batched(T.tensor(u), p), T.tensor(proj)))
-            return out
+            return loss()
 
         fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)
         param.assign(base)
@@ -615,10 +634,10 @@ def test_mamba_block_parameter_gradients():
 
 
 def unfused_block(u, p, one_gemm=False):
-    """The block op by op: the reference for its fused conv -> SiLU -> scan
-    and gate -> out_proj ops. With ``one_gemm``, in_proj is one
+    """The block op by op: the reference for the layer op's in_proj, conv ->
+    SiLU -> scan and gate -> out_proj. With ``one_gemm``, in_proj is one
     [B, L, 2*d_inner] GEMM whose halves are then sliced off: the reference
-    for the block's GEMM per branch."""
+    for the layer's GEMM per branch."""
     d_inner, k = p.d_inner, p.conv_weight.value.shape[1]
     w_in = p.in_proj.value
     if one_gemm:
@@ -631,6 +650,11 @@ def unfused_block(u, p, one_gemm=False):
     return T.matmul(T.mul(y, T.silu(z_gate)), p.out_proj.value)
 
 
+def unfused_layer(x, gain, p, one_gemm=False):
+    """The residual pre-norm layer op by op: RMSNorm, the block, the add."""
+    return T.add(x, unfused_block(T.rmsnorm(x, gain, ssm.NORM_EPS), p, one_gemm))
+
+
 @pytest.mark.parametrize("dtype,grad_tol", [(np.float32, 1e-6), (np.float64, 1e-13)])
 @pytest.mark.parametrize("batch,d_model", [(63, 32), (32, 128)])
 def test_mamba_block_two_gemms_match_one_gemm_reference(batch, d_model, dtype, grad_tol):
@@ -638,44 +662,62 @@ def test_mamba_block_two_gemms_match_one_gemm_reference(batch, d_model, dtype, g
     # 32-row batches at d_model 128, 32 tokens each
     rng = np.random.default_rng(28)
     p = make_block(rng, d_model=d_model, d_inner=2 * d_model, n_state=16, dtype=dtype)
+    gain = make_gain(rng, d_model, dtype)
     u = rng.standard_normal((batch, 32, d_model)).astype(dtype)
     proj = T.tensor(rng.standard_normal((batch, 32, d_model)), dtype)
     got_u, want_u = Tensor(u.copy(), requires=True), Tensor(u.copy(), requires=True)
-    got, want = ssm.mamba_block_batched(got_u, p), unfused_block(want_u, p, one_gemm=True)
+    got, want = ssm.mamba_block_batched(got_u, gain, p), unfused_layer(want_u, gain, p, one_gemm=True)
     assert got.array.tobytes() == want.array.tobytes()
-    # u's gradient now sums two GEMMs of depth d_inner where the reference
-    # runs one of depth 2*d_inner, so it may round differently
+    # the normalized input's gradient now sums two GEMMs of depth d_inner
+    # where the reference runs one of depth 2*d_inner, so it may round
+    # differently; the residual's part, proj itself, is the same in both
     g_got = T.grad_map(T.sum_all(T.mul(got, proj)))[id(got_u)]
     g_want = T.grad_map(T.sum_all(T.mul(want, proj)))[id(want_u)]
-    assert np.max(np.abs(g_got - g_want)) <= grad_tol * np.max(np.abs(g_want))
+    assert np.max(np.abs(g_got - g_want)) <= grad_tol * np.max(np.abs(g_want - proj.array))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("batch,d_model", [(63, 32), (32, 128)])
 def test_fused_block_matches_unfused_composition(batch, d_model, dtype):
-    # evaluate's 63-row groups at d_model 32, train's 32-row batches at d_model 128
+    # the layer op against RMSNorm -> block -> add op by op, at evaluate's
+    # 63-row groups at d_model 32 and train's 32-row batches at d_model 128:
+    # a trained block, then one with every tensor frozen, as fine-tuning
+    # freezes it while the input and the gain still train
     rng = np.random.default_rng(31)
     p = make_block(rng, d_model=d_model, d_inner=2 * d_model, n_state=16, dtype=dtype)
+    gain = make_gain(rng, d_model, dtype)
+    gain.requires = True
     u = rng.standard_normal((batch, 32, d_model)).astype(dtype)
     proj = T.tensor(rng.standard_normal((batch, 32, d_model)), dtype)
-    got_u, want_u = Tensor(u.copy(), requires=True), Tensor(u.copy(), requires=True)
-    got, want = ssm.mamba_block_batched(got_u, p), unfused_block(want_u, p)
-    assert got.array.tobytes() == want.array.tobytes()
-    g_got = T.grad_map(T.sum_all(T.mul(got, proj)))
-    g_want = T.grad_map(T.sum_all(T.mul(want, proj)))
-    assert g_got[id(got_u)].tobytes() == g_want[id(want_u)].tobytes()
-    for q in p.parameters():
-        assert g_got[id(q.value)].dtype == dtype and g_got[id(q.value)].tobytes() == g_want[id(q.value)].tobytes(), q.name
+    for frozen in (False, True):
+        for q in p.parameters():
+            q.set_trainable(not frozen)
+        got_u, want_u = Tensor(u.copy(), requires=True), Tensor(u.copy(), requires=True)
+        got, want = ssm.mamba_block_batched(got_u, gain, p), unfused_layer(want_u, gain, p)
+        assert got.array.dtype == dtype and got.array.tobytes() == want.array.tobytes()
+        with T.no_grad():
+            off = ssm.mamba_block_batched(got_u, gain, p)
+        assert not off.pairs and off.array.tobytes() == got.array.tobytes()
+        g_got = T.grad_map(T.sum_all(T.mul(got, proj)))
+        g_want = T.grad_map(T.sum_all(T.mul(want, proj)))
+        assert g_got[id(got_u)].dtype == dtype and g_got[id(got_u)].tobytes() == g_want[id(want_u)].tobytes()
+        assert g_got[id(gain)].dtype == dtype and g_got[id(gain)].tobytes() == g_want[id(gain)].tobytes()
+        for q in p.parameters():
+            if frozen:
+                assert id(q.value) not in g_got and id(q.value) not in g_want, q.name
+            else:
+                assert g_got[id(q.value)].dtype == dtype and g_got[id(q.value)].tobytes() == g_want[id(q.value)].tobytes(), q.name
 
 
 def test_frozen_block_computes_no_conv_or_ssm_weight_gradient(monkeypatch):
     # fine-tuning freezes every block tensor; the gradient still flows to u
     rng = np.random.default_rng(32)
     p = make_block(rng, d_model=4, d_inner=8, n_state=2)
+    gain = make_gain(rng)
     u = rng.standard_normal((2, 6, 4))
     proj = T.tensor(rng.standard_normal((2, 6, 4)))
     trained_u = Tensor(u.copy(), requires=True)
-    trained = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(trained_u, p), proj)))[id(trained_u)]
+    trained = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(trained_u, gain, p), proj)))[id(trained_u)]
     for q in p.parameters():
         q.set_trainable(False)
     adjoints, conv_w_grads = [], []
@@ -688,7 +730,7 @@ def test_frozen_block_computes_no_conv_or_ssm_weight_gradient(monkeypatch):
     monkeypatch.setattr(ssm, "_sequential_scan_vjp", spy)
     monkeypatch.setattr(T, "_conv_vjp_w", lambda *args: conv_w_grads.append(conv_vjp_w(*args)))
     frozen_u = Tensor(u.copy(), requires=True)
-    grads = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(frozen_u, p), proj)))
+    grads = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(frozen_u, gain, p), proj)))
     assert len(adjoints) == 1 and adjoints[0][1:] == (None,) * 6
     assert conv_w_grads == []
     assert all(id(q.value) not in grads for q in p.parameters())
@@ -696,26 +738,27 @@ def test_frozen_block_computes_no_conv_or_ssm_weight_gradient(monkeypatch):
 
 
 def test_taped_encoder_keeps_only_what_each_backward_reads():
-    # one layer: rmsnorm -> block (in_proj, conv -> SiLU -> scan, gate -> out_proj) -> residual -> rmsnorm
+    # two layers, each one op (rmsnorm -> in_proj -> conv -> SiLU -> scan ->
+    # gate -> out_proj -> residual), then the final rmsnorm
     rng = np.random.default_rng(29)
     b_, length, d_model, d_inner = 2, 5, 4, 8
-    enc = make_encoder(rng, 1, d_model=d_model, d_inner=d_inner)
-    block, gain = enc.layers[0]
+    enc = make_encoder(rng, 2, d_model=d_model, d_inner=d_inner)
     u = Tensor(rng.standard_normal((b_, length, d_model)), requires=True)
     out = ssm.encoder_forward_batched(u, enc)
 
-    # the per-token arrays the tape may keep, recomputed without it
+    # the per-token arrays the tape may keep, recomputed op by op without it
     def inv(x):  # rmsnorm's per-row scale
         return 1.0 / np.sqrt((x * x).mean(axis=-1, keepdims=True) + ssm.NORM_EPS)
 
+    want = [u.array, inv(u.array), out.array]
     with T.no_grad():
-        un = T.rmsnorm(u, gain.value, ssm.NORM_EPS)
-        z_main = T.matmul(un, T.slice_axis(block.in_proj.value, 1, 0, d_inner))
-        z_gate = T.matmul(un, T.slice_axis(block.in_proj.value, 1, d_inner, 2 * d_inner))
-        y = ssm._selective_scan_batched(z_main, block.ssm, (block.conv_weight.value, block.conv_bias.value))
-        block_out = ssm.mamba_block_batched(un, block)
-        resid = T.add(u, block_out)
-    want = [t.array for t in (u, un, z_main, z_gate, y, block_out, resid, out)] + [inv(u.array), inv(resid.array)]
+        x = u
+        for block, gain in enc.layers:
+            z_main = T.matmul(T.rmsnorm(x, gain.value, ssm.NORM_EPS), T.slice_axis(block.in_proj.value, 1, 0, d_inner))
+            k = block.conv_weight.value.shape[1]
+            conv = T.depthwise_conv1d(z_main, block.conv_weight.value, block.conv_bias.value, pad_left=k - 1, pad_right=0)
+            x = unfused_layer(x, gain.value, block)
+            want += [ssm._selective_scan_batched(T.silu(conv), block.ssm).array, x.array, inv(x.array)]
     # the buffers the tape keeps alive, each once, however many views of it it holds
     kept = {}
     for arr in tape_arrays(out):
@@ -724,13 +767,16 @@ def test_taped_encoder_keeps_only_what_each_backward_reads():
         kept[id(arr)] = arr
     # no weight has B*L = 10 rows
     per_token = [a for a in kept.values() if a.size // a.shape[-1] == b_ * length]
-    # per block: u with rmsnorm's inv, the normalized un, z_main, z_gate and
-    # y; the conv output and both SiLUs are recomputed
+    # per layer: its input with rmsnorm's inv, the scan's output y and the
+    # layer's output; the normalized input, both in_proj branches, the conv
+    # output, both SiLUs and the gate are recomputed
     assert sorted((a.shape[-1], a.tobytes()) for a in per_token) == sorted((a.shape[-1], a.tobytes()) for a in want)
-    assert [a.shape[-1] for a in per_token].count(d_inner) == 3
-    # the rest are weights: the parameters, in_proj's two column halves and A = -exp(a_log)
-    weight_shapes = {q.value.shape for q in enc.parameters()} | {(d_model, d_inner)}
-    assert {a.shape for a in kept.values() if a.size // a.shape[-1] != b_ * length} <= weight_shapes
+    assert [a.shape[-1] for a in per_token].count(d_inner) == len(enc.layers)
+    # the rest are weights: the parameters and A = -exp(a_log), and no
+    # column half of in_proj
+    weights = {a.shape for a in kept.values() if a.size // a.shape[-1] != b_ * length}
+    assert (d_model, d_inner) not in weights
+    assert weights <= {q.value.shape for q in enc.parameters()}
 
 
 def make_encoder(rng, n_layers, d_model=4, d_inner=8, n_state=2, prefix="enc"):
@@ -764,9 +810,9 @@ def test_encoder_matches_manual_composition():
 
     u = T.tensor(tokens)
     for block, gain in enc.layers:
-        u = T.add(u, ssm.mamba_block_batched(T.rmsnorm(u, gain.value, ssm.NORM_EPS), block))
+        u = unfused_layer(u, gain.value, block)
     want = T.rmsnorm(u, enc.final_norm.value, ssm.NORM_EPS).array
-    np.testing.assert_allclose(got, want, atol=1e-13)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_parameter_names_are_unique_and_prefixed():
