@@ -312,7 +312,8 @@ def _group_windows(cfg: M.ModelConfig, channels: int, itemsize: int) -> int:
 
 def _batched_forecast(model: M.Model, inputs: np.ndarray) -> np.ndarray:
     """Raw-space forecasts [n, D, horizon] of windows [n, D, L], run in groups
-    of whole windows sized by ``_group_windows``.
+    of whole windows sized by ``_group_windows``, each as a C-ordered array
+    in the model's dtype.
 
     Each channel row's arithmetic is the same in any group, so the result
     does not depend on the group size.
@@ -321,13 +322,23 @@ def _batched_forecast(model: M.Model, inputs: np.ndarray) -> np.ndarray:
     group = _group_windows(model.config, inputs.shape[1], dtype.itemsize)
     with T.no_grad():
         chunks = [
-            M.forecast(Tensor(inputs[start : start + group].astype(dtype)), model).array
+            M.forecast(Tensor(np.ascontiguousarray(inputs[start : start + group], dtype=dtype)), model).array
             for start in range(0, inputs.shape[0], group)
         ]
     return np.concatenate(chunks).astype(np.float64)
 
 
+def _error_sums(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """The sums of squared and of absolute errors, in float64."""
+    diff = preds - targets
+    return np.array([(diff * diff).sum(), np.abs(diff).sum()])
+
+
 def _run_evaluate(args) -> int:
+    """Score each horizon's split one ``_group_windows`` group at a time: a
+    group's inputs and targets are gathered from the window views, scored,
+    added to running error sums and let go, so no array grows with the
+    split. One ``no_grad`` block, and so one workspace, serves every group."""
     horizons = _int_list(args.horizons, "--horizons")
     if not horizons:
         raise InvalidConfig("--horizons must name at least one horizon")
@@ -341,41 +352,40 @@ def _run_evaluate(args) -> int:
     rows = []
     raw_rows = []
     window_rows = []
-    for horizon in horizons:
-        model = model_from_checkpoint(ckpts[horizon])
-        cfg = model.config
-        (train, val, test), stats = _standardized_splits(ds, spec, cfg.lookback, horizon, args.stride, boundaries)
-        windows = {"train": train, "val": val, "test": test}[args.split]
-        if not windows:
-            raise DataError(f"{args.split} split has no windows for horizon {horizon}")
-        inputs = D.stack_inputs(windows)
-        targets = D.stack_targets(windows)
-        if args.baseline == "repeat_last":
-            preds = np.repeat(inputs[:, :, -1:], horizon, axis=2)
-        elif args.baseline == "oracle":
-            preds = targets.copy()
-        else:
-            preds = _batched_forecast(model, inputs)
-        mse = D.metric_mse(preds, targets)
-        mae = D.metric_mae(preds, targets)
-        rows.append({"dataset": ds.name, "horizon": horizon, "mse": mse, "mae": mae, "n_windows": len(windows)})
-        if args.raw_metrics:
+    with T.no_grad():
+        for horizon in horizons:
+            model = model_from_checkpoint(ckpts[horizon])
+            cfg = model.config
+            (train, val, test), stats = _standardized_splits(ds, spec, cfg.lookback, horizon, args.stride, boundaries)
+            windows = {"train": train, "val": val, "test": test}[args.split]
+            if not windows:
+                raise DataError(f"{args.split} split has no windows for horizon {horizon}")
+            dtype = model.embedding.weight.value.dtype
+            group = _group_windows(cfg, windows.n_channels, dtype.itemsize)
             scale = stats.std[None, :, None]
             shift = stats.mean[None, :, None]
-            raw_rows.append(
-                {
-                    "dataset": f"{ds.name}:raw",
-                    "horizon": horizon,
-                    "mse": D.metric_mse(preds * scale + shift, targets * scale + shift),
-                    "mae": D.metric_mae(preds * scale + shift, targets * scale + shift),
-                    "n_windows": len(windows),
-                }
-            )
-        if args.window_errors:
-            window_rows += [
-                (horizon, origin, D.metric_mse(preds[i], targets[i]), D.metric_mae(preds[i], targets[i]))
-                for i, origin in enumerate(windows.origins)
-            ]
+            sums, raw_sums = np.zeros(2), np.zeros(2)
+            for start in range(0, len(windows), group):
+                part = windows[start : start + group]
+                targets = np.array(part.targets, dtype=np.float64, order="C")
+                if args.baseline == "repeat_last":
+                    preds = np.repeat(part.inputs[:, :, -1:], horizon, axis=2)
+                elif args.baseline == "oracle":
+                    preds = targets.copy()
+                else:
+                    preds = _batched_forecast(model, np.array(part.inputs, dtype=dtype, order="C"))
+                sums += _error_sums(preds, targets)
+                if args.raw_metrics:
+                    raw_sums += _error_sums(preds * scale + shift, targets * scale + shift)
+                if args.window_errors:
+                    window_rows += [
+                        (horizon, origin, D.metric_mse(p, t), D.metric_mae(p, t)) for p, t, origin in zip(preds, targets, part.origins)
+                    ]
+            mse, mae = (sums / (len(windows) * windows.n_channels * horizon)).tolist()
+            rows.append({"dataset": ds.name, "horizon": horizon, "mse": mse, "mae": mae, "n_windows": len(windows)})
+            if args.raw_metrics:
+                mse, mae = (raw_sums / (len(windows) * windows.n_channels * horizon)).tolist()
+                raw_rows.append({"dataset": f"{ds.name}:raw", "horizon": horizon, "mse": mse, "mae": mae, "n_windows": len(windows)})
 
     if args.window_errors:
         D.write_window_errors_csv(args.window_errors, ds.name, window_rows)

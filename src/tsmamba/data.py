@@ -2,8 +2,11 @@
 
 A split is a ``Windows``: a range of origins over one read-only
 sliding-window view of a standardized series. Nothing is stacked until a
-caller asks: ``stack_inputs``/``stack_targets`` gather a split once, and
-``ChannelRows`` gathers training batches of channel rows by index.
+caller asks. The CLI never stacks a split: ``evaluate`` gathers one window
+group at a time from the views, and ``ChannelRows`` gathers training
+batches of channel rows by index. ``stack_inputs``/``stack_targets``, which
+gather a whole split at once, stay for the tests, the demos and the
+benchmark.
 """
 
 from __future__ import annotations

@@ -21,6 +21,13 @@ input, RMSNorm's per-row scale and the scan's output y. So the tape keeps
 one d_inner-wide array per layer, and the backward recomputes the
 normalized input, both in_proj branches, the conv output, both SiLUs and
 the gate, as Mamba's fused kernel recomputes a block's intermediates.
+With the tape off, the layer op writes those intermediates, and the scan's
+maps, step buffers, state and y, with ``out=`` into the workspace of the
+outermost ``no_grad`` block (``tensor.Workspace``), as Mamba's kernel keeps
+a block's intermediates in reused fast memory; so ``evaluate`` allocates
+them once per call, not once per layer and group. Nothing the op returns
+lies in the workspace, and the raw scan and the taped path allocate
+fresh arrays.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -163,9 +170,11 @@ def init_encoder(
 # after another: its per-step state buffers (and the backward's replayed
 # states) then stay in a core's L2 cache, and its temporaries stay small
 # enough to reuse freed memory instead of faulting in new pages. `evaluate`
-# sizes its batches with the same budget, so they run as one group. Chosen
-# by a sweep of `evaluate`'s group sizes, 64 KiB to 1 MiB at d_model 32 and
-# 128.
+# sizes its window groups with the same budget, so each runs as one row
+# group, and a group is all of the split that `evaluate` holds at once; its
+# no-tape intermediates live in one workspace sized by the largest group.
+# Chosen by a sweep of `evaluate`'s group sizes, 64 KiB to 1 MiB at d_model
+# 32 and 128.
 SCAN_BUDGET = 256 * 1024
 
 
@@ -193,32 +202,38 @@ class _StepCoeffs:
     exp(dt*A) at step t for the current group, and ``fill(t)`` also computes
     bx = b * dtx (so B_bar = dt*B, as in Mamba), into two
     [rows, n_state, d_inner] buffers allocated once, the only arrays that
-    grow with the state. Every row's arithmetic is the same in any group. A
+    grow with the state. Every row's arithmetic is the same in any group.
+    Each array comes from the workspace ``ws`` (see ``tensor.Workspace``),
+    under ``scan.``-prefixed slots; the default allocates them afresh. A
     is kept transposed, as ``a`` [n_state, d_inner], so the state-major
     outer products run along the long channel axis and cost about what a
     plain multiply does: 0.3-0.4 ns per element at [32, 256, 16] float32
     (one thread), against 0.6-0.8 ns with the 16-wide state axis innermost.
     """
 
-    def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...]):
+    def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Workspace = T.FRESH):
         w_b, w_c, w_dt, dt_bias, a, _ = weights
-        b_, _, d = x.shape
+        b_, l_, d = x.shape
+        n = a.shape[1]
+
+        def take(slot: str, shape: tuple[int, ...]) -> np.ndarray:
+            return ws.take("scan." + slot, shape, x.dtype)
+
         self.a = np.ascontiguousarray(a.T)
-        self.b = np.matmul(x, w_b)
-        self.c = np.matmul(x, w_c)
-        self.pre = np.matmul(x, w_dt) + dt_bias
+        self.b = np.matmul(x, w_b, out=take("b", (b_, l_, n)))
+        self.c = np.matmul(x, w_c, out=take("c", (b_, l_, n)))
+        self.pre = np.add(np.matmul(x, w_dt), dt_bias, out=take("pre", x.shape))
         # softplus(pre) = max(pre, 0) + log1p(exp(-|pre|)) in place: several
         # times faster than np.logaddexp(0, pre) on float32
-        self.dt = np.abs(self.pre)
+        self.dt = np.abs(self.pre, out=take("dt", x.shape))
         np.negative(self.dt, out=self.dt)
         np.exp(self.dt, out=self.dt)
         np.log1p(self.dt, out=self.dt)
-        self.dt += np.maximum(self.pre, 0.0)
-        self.dtx = self.dt * x
-        n = self.a.shape[0]
+        self.dt += np.maximum(self.pre, 0.0, out=take("dtx", x.shape))  # dtx's slot, before dtx is written
+        self.dtx = np.multiply(self.dt, x, out=take("dtx", x.shape))
         rows = max(1, min(b_, rows_per_group(n, d, x.itemsize)))
         self.rows = slice(None)  # the current group's batch rows: all of them until groups() runs
-        self.a_bar, self.bx = (np.empty((rows, n, d), dtype=x.dtype) for _ in range(2))
+        self.a_bar, self.bx = take("a_bar", (rows, n, d)), take("bx", (rows, n, d))
 
     def groups(self):
         """Make each group of batch rows the current one in turn, and yield
@@ -257,24 +272,26 @@ def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
     )
 
 
-def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...]) -> np.ndarray:
+def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Workspace = T.FRESH) -> np.ndarray:
     """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], one step at a
     time, strictly left to right, with each row's state [n_state, d_inner]
     starting at h_0 = 0. The rows are stepped in groups (see
     :class:`_StepCoeffs`), and only the current group's state is held; the
-    backward pass replays the rest.
+    backward pass replays the rest. The coefficients, the state and y come
+    from the workspace ``ws``; by default y is a fresh array.
     """
     b_, l_, d = x.shape
-    co = _StepCoeffs(x, weights)
-    ys = np.empty((b_, l_, d), dtype=x.dtype)
+    co = _StepCoeffs(x, weights, ws)
+    ys = ws.take("scan.y", x.shape, x.dtype)
     for rows in co.groups():
-        h = np.zeros(co.a_bar.shape, dtype=x.dtype)
+        h = ws.take("scan.h", co.a_bar.shape, x.dtype)
+        h.fill(0.0)
         for t in range(l_):
             co.fill(t)
             h *= co.a_bar
             h += co.bx
             ys[rows, t] = np.matmul(co.c[rows, t, None, :], h)[:, 0, :]
-    ys += weights[5] * x
+    ys += np.multiply(weights[5], x, out=ws.take("scan.dtx", x.shape, x.dtype))  # no step reads dtx any more
     return ys
 
 
@@ -368,10 +385,11 @@ def _taped(out: np.ndarray, parents, adjoint_of) -> Tensor:
     return T.apply_op(out, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
 
 
-def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """(output, taps, wk) of the block's causal depthwise conv of xv [B, L, d_inner]."""
+def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray, out=None, prod=None):
+    """(output, taps, wk) of the block's causal depthwise conv of xv [B, L, d_inner],
+    written into ``out`` through ``prod`` when they are given."""
     taps, wk = T._conv_layout(xv.shape, w, w.shape[1] - 1, 0)
-    return T._conv_apply(xv, taps, wk, b), taps, wk
+    return T._conv_apply(xv, taps, wk, b, out, prod), taps, wk
 
 
 def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
@@ -507,6 +525,11 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     are the forward's bytes; the scan's VJP replays its states. in_proj's
     gradient is one [d_model, 2*d_inner] array, and a weight's gradient is
     computed only when it wants one.
+
+    The forward's [B, L, ·] intermediates and the scan's arrays are taken
+    from ``tensor.workspace()``: the enclosing ``no_grad`` block's
+    workspace with the tape off, fresh arrays with it on. The output is
+    always a fresh array.
     """
     xv, gv = x.array, gain.array
     s_p = p.ssm
@@ -520,18 +543,29 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     weight_grads = any(t.requires for t in parents[5:-1])
     b_, l_, k = xv.shape
     d = p.d_inner
-    inv = 1.0 / np.sqrt((xv * xv).mean(axis=-1, keepdims=True) + NORM_EPS)
+    ws = T.workspace()
 
-    def normed() -> np.ndarray:  # RMSNorm's output, as [B*L, d_model]
-        un = xv * inv
+    def take(slot: str, width: int) -> np.ndarray:  # a [B, L, width] array from the workspace
+        return ws.take("layer." + slot, (b_, l_, width), xv.dtype)
+
+    inv = 1.0 / np.sqrt(np.multiply(xv, xv, out=take("norm", k)).mean(axis=-1, keepdims=True) + NORM_EPS)
+
+    def normed(out: np.ndarray | None = None) -> np.ndarray:  # RMSNorm's output, as [B*L, d_model]
+        un = np.multiply(xv, inv, out=out)
         un *= gv
         return un.reshape(-1, k)
 
-    un = normed()
-    s = T._silu(_causal_conv((un @ _in_half(w_in, 0)).reshape(b_, l_, d), conv_w, conv_b)[0])
-    y = _sequential_scan_np(s, weights)
+    # slot "a" holds z_main, then SiLU(conv) and then z_gate; slot "b" holds
+    # the conv output, then SiLU(z_gate)
+    un = normed(take("norm", k))
+    z_main = np.matmul(un, _in_half(w_in, 0), out=take("a", d).reshape(-1, d)).reshape(b_, l_, d)
+    c = _causal_conv(z_main, conv_w, conv_b, take("b", d), take("prod", d))[0]
+    del z_main
+    s = T._silu(c, take("a", d))
+    del c
+    y = _sequential_scan_np(s, weights, ws)
     del s
-    gated = T._silu(un @ _in_half(w_in, 1))
+    gated = T._silu(np.matmul(un, _in_half(w_in, 1), out=take("a", d).reshape(-1, d)), take("b", d).reshape(-1, d))
     del un
     gated *= y.reshape(-1, d)
     out = gated @ w_out

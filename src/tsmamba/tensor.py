@@ -43,16 +43,62 @@ def grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
 
+class Workspace:
+    """Scratch arrays that the no-tape forward writes into with ``out=``
+    instead of allocating them afresh.
+
+    ``take(slot, shape, dtype)`` returns a C-ordered array of ``shape`` over
+    the slot's buffer for that dtype. The buffer is allocated at the first
+    request and grows only for a larger one, so a smaller request, such as
+    a shorter group of rows, gets a leading part of it. Its contents are
+    whatever the last user left. A caller holds a slot's array only until
+    it takes that slot again, and returns nothing that lies in a slot.
+
+    ``FRESH`` is the workspace that keeps no buffers: each ``take`` is a new
+    ``np.empty``, which is how the taped path and the raw scan allocate.
+    """
+
+    def __init__(self, reuse: bool = True):
+        self._buffers: dict | None = {} if reuse else None
+
+    def take(self, slot: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+        if self._buffers is None:
+            return np.empty(shape, dtype=dtype)
+        size = math.prod(shape)
+        key = (slot, np.dtype(dtype))
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
+FRESH = Workspace(reuse=False)
+
+
+def workspace() -> Workspace:
+    """The workspace of the outermost open ``no_grad`` block on this thread,
+    or ``FRESH`` while the tape records."""
+    return getattr(_state, "workspace", None) or FRESH
+
+
 class no_grad:
-    """Context manager that suspends tape recording on this thread."""
+    """Context manager that suspends tape recording on this thread.
+
+    The outermost block owns one :class:`Workspace`, which every no-tape
+    layer op inside it reuses and which is let go when the block exits.
+    """
 
     def __enter__(self):
         self._prev = grad_enabled()
+        if self._prev:
+            _state.workspace = Workspace()
         _state.grad_enabled = False
         return self
 
     def __exit__(self, *exc):
         _state.grad_enabled = self._prev
+        if self._prev:
+            _state.workspace = None
         return False
 
 
@@ -277,21 +323,22 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) in x's dtype, one fresh buffer written in place.
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, one buffer (``out``, or a fresh one)
+    written in place.
 
     Where exp(-x) overflows the result is 0, as in ``scipy.special.expit``,
     which evaluates the same formula one element at a time."""
-    s = np.negative(x)
+    s = np.negative(x, out=out)
     with np.errstate(over="ignore"):
         np.exp(s, out=s)
     s += 1.0
     return np.reciprocal(s, out=s)
 
 
-def _silu(x: np.ndarray) -> np.ndarray:
+def _silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x * sigmoid(x), written over the sigmoid's buffer."""
-    s = _sigmoid(x)
+    s = _sigmoid(x, out)
     s *= x
     return s
 
@@ -449,10 +496,16 @@ def _conv_layout(shape: tuple[int, ...], wv: np.ndarray, pad_left: int, pad_righ
     return taps, wk
 
 
-def _conv_apply(xv: np.ndarray, taps, wk: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+def _conv_apply(xv: np.ndarray, taps, wk: np.ndarray, bias: np.ndarray | None, out=None, prod=None) -> np.ndarray:
+    """The conv's output, summed tap by tap into ``out`` through the product
+    buffer ``prod``; each is a fresh array unless given."""
     out_shape = (xv.shape[0],) + wk.shape[1:]
-    out = np.zeros(out_shape, dtype=xv.dtype)
-    prod = np.empty(out_shape, dtype=xv.dtype)
+    if out is None:
+        out = np.zeros(out_shape, dtype=xv.dtype)
+    else:
+        out.fill(0.0)
+    if prod is None:
+        prod = np.empty(out_shape, dtype=xv.dtype)
     for kk, t0, t1, s0 in taps:
         m = t1 - t0
         out[:, t0:t1] += np.multiply(xv[:, s0 : s0 + m], wk[kk, :m], out=prod[:, :m])

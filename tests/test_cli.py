@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -674,6 +675,112 @@ def test_group_windows_from_config():
     assert group(768) == 1  # paper scale: one window's state already exceeds the budget
     assert group(768, itemsize=8) == 1
     assert group(32) > 1  # the benchmark's evaluate model
+
+
+def _drawn_checkpoint(path, horizon, dtype, n_channels=3, lookback=32, patch_len=8, seed=0) -> str:
+    """A checkpoint whose every tensor is drawn: a built head maps to zero,
+    which would hide the encoders from the scores."""
+    cfg = M.ModelConfig(horizon=horizon, n_channels=n_channels, lookback=lookback, patch_len=patch_len, d_model=32, n_layers=1,
+                        d_state=16, head_compress_dim=4)
+    model = M.build_model(cfg, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.assign((p.value.array + 0.1 * rng.standard_normal(p.value.shape)).astype(dtype))
+    save_checkpoint(checkpoint_from_model(model, "stage2"), str(path))
+    return str(path)
+
+
+def _series_csv(path, n_channels, rows, seed=7) -> str:
+    comps = [D.Sinusoid(freq=1 / 12, channel=c, phase=0.7 * c) for c in range(n_channels)] + [D.Trend(slope=1e-3), D.Noise(sigma=0.2)]
+    D.write_csv(D.synth_generate(seed, n_channels, rows, comps), str(path))
+    return str(path)
+
+
+def _stacked_evaluate(args, report, per_window):
+    """``evaluate`` as it scored before it streamed groups: the whole split
+    stacked, one ``_batched_forecast`` call and one metric call per row."""
+    ckpts = cli._checkpoints_for_horizons(args.model, cli._int_list(args.horizons, "--horizons"))
+    ds = D.load_csv(args.data)
+    spec = D.SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, test_frac=args.test_frac)
+    boundaries = (args.train_end, args.val_end) if args.train_end is not None else None
+    rows, raw_rows, window_rows = [], [], []
+    for horizon, ckpt in ckpts.items():
+        model = model_from_checkpoint(ckpt)
+        (_, _, windows), stats = cli._standardized_splits(ds, spec, model.config.lookback, horizon, args.stride, boundaries)
+        inputs, targets = D.stack_inputs(windows), D.stack_targets(windows)
+        if args.baseline == "repeat_last":
+            preds = np.repeat(inputs[:, :, -1:], horizon, axis=2)
+        elif args.baseline == "oracle":
+            preds = targets.copy()
+        else:
+            preds = cli._batched_forecast(model, inputs)
+        rows.append({"dataset": ds.name, "horizon": horizon, "mse": D.metric_mse(preds, targets), "mae": D.metric_mae(preds, targets),
+                     "n_windows": len(windows)})
+        scale, shift = stats.std[None, :, None], stats.mean[None, :, None]
+        raw_p, raw_t = preds * scale + shift, targets * scale + shift
+        raw_rows.append({"dataset": f"{ds.name}:raw", "horizon": horizon, "mse": D.metric_mse(raw_p, raw_t),
+                         "mae": D.metric_mae(raw_p, raw_t), "n_windows": len(windows)})
+        window_rows += [(horizon, origin, D.metric_mse(preds[i], targets[i]), D.metric_mae(preds[i], targets[i]))
+                        for i, origin in enumerate(windows.origins)]
+    D.write_window_errors_csv(str(per_window), ds.name, window_rows)
+    with open(report, "w", encoding="utf-8", newline="") as fh:
+        D.write_report_csv(fh, rows + raw_rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", ["uneven-groups", "shorter-than-a-group", "stride-3", "two-horizons"])
+def test_streamed_evaluate_matches_stacked_split_byte_for_byte(tmp_path, dtype, case):
+    # evaluate scores one window group at a time; its reports and per-window
+    # errors are the bytes of scoring the stacked split at once
+    data = _series_csv(tmp_path / "series.csv", 3, 600)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    for horizon in (8, 12):
+        _drawn_checkpoint(ckpt_dir / f"h{horizon}.ckpt", horizon, dtype, seed=horizon)
+    argv = ["evaluate", "--model", str(ckpt_dir / "h8.ckpt"), "--data", data, "--horizons", "8", "--raw-metrics"]
+    group = cli._group_windows(model_from_checkpoint(load_checkpoint(str(ckpt_dir / "h8.ckpt"))).config, 3, np.dtype(dtype).itemsize)
+    n_windows = 600 - 480 - 8 + 1  # the default test split at stride 1
+    if case == "uneven-groups":
+        assert n_windows > group and n_windows % group
+    elif case == "shorter-than-a-group":
+        argv += ["--train-end", "400", "--val-end", "588"]  # origins 588..592
+        assert 5 < group
+    elif case == "stride-3":
+        argv += ["--stride", "3"]
+    else:
+        argv[2:3] = [str(ckpt_dir)]
+        argv[6:7] = ["8,12"]
+    for baseline in ("none", "repeat_last", "oracle"):
+        run = argv + ["--baseline", baseline]
+        got, got_windows = tmp_path / f"{baseline}.csv", tmp_path / f"{baseline}-windows.csv"
+        want, want_windows = tmp_path / f"{baseline}-stacked.csv", tmp_path / f"{baseline}-stacked-windows.csv"
+        assert main(run + ["--out", str(got), "--window-errors", str(got_windows)]) == 0
+        _stacked_evaluate(cli.build_parser().parse_args(run), want, want_windows)
+        assert got.read_bytes() == want.read_bytes(), baseline
+        assert got_windows.read_bytes() == want_windows.read_bytes(), baseline
+        n_rows = len(_csv_rows(got_windows))
+        assert n_rows == {"shorter-than-a-group": 5, "stride-3": 37, "two-horizons": 113 + 109}.get(case, n_windows)
+
+
+def test_evaluate_memory_does_not_grow_with_the_split(tmp_path):
+    # evaluate holds one window group at a time, so 8x the test windows adds
+    # far less than stacking the larger split's inputs alone would take
+    ckpt = _drawn_checkpoint(tmp_path / "model.ckpt", 8, np.float64, n_channels=4, lookback=256, patch_len=16)
+    group = cli._group_windows(model_from_checkpoint(load_checkpoint(ckpt)).config, 4, 8)
+    peaks = {}
+    for n_test in (40, 320):
+        assert n_test > 2 * group
+        data = _series_csv(tmp_path / f"series{n_test}.csv", 4, 400 + 8 + n_test - 1)
+        argv = ["evaluate", "--model", ckpt, "--data", data, "--horizons", "8", "--train-end", "300", "--val-end", "400"]
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--out", str(tmp_path / "report.csv")]) == 0
+            peaks[n_test] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _csv_rows(tmp_path / "report.csv")[0]["n_windows"] == str(n_test)
+    stacked_inputs = 320 * 4 * 256 * 8
+    assert peaks[320] - peaks[40] < stacked_inputs / 8, (peaks, stacked_inputs)
 
 
 def test_evaluate_stdout_matches_out_file(workdir, tmp_path, capsysbinary):

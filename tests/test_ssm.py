@@ -511,6 +511,38 @@ def test_tape_on_and_off_agree_exactly(dtype):
     assert on.array.tobytes() == off.array.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_no_grad_workspace_lends_nothing_it_returns(dtype):
+    # every layer op in a no_grad block writes its intermediates into the
+    # block's one workspace; what a forecast, a layer or the raw scan
+    # returns is its own array, with the tape's bytes
+    rng = np.random.default_rng(34)
+    cfg = M.ModelConfig(horizon=4, n_channels=2, lookback=32, patch_len=8, d_model=8, n_layers=2, d_state=4)
+    model = M.build_model(cfg, seed=3, dtype=dtype)
+    for q in model.parameters():  # a built head maps to zero
+        q.assign((q.value.array + 0.3 * rng.standard_normal(q.value.shape)).astype(dtype))
+    first, second = (Tensor(rng.standard_normal((n, 2, 32)).astype(dtype)) for n in (3, 2))
+    with T.no_grad():
+        got = [M.forecast(w, model).array for w in (first, second)]
+    assert not np.shares_memory(got[0], got[1])
+    for w, g in zip((first, second), got):
+        with T.no_grad():
+            alone = M.forecast(w, model).array
+        assert g.tobytes() == alone.tobytes() == M.forecast(w, model).array.tobytes()
+
+    block, gain = make_block(rng, d_model=8, d_inner=16, n_state=4, dtype=dtype), make_gain(rng, 8, dtype)
+    xs = [Tensor(rng.standard_normal((3, 5, 8)).astype(dtype)) for _ in range(2)]
+    p = make_ssm(rng, 16, 4, dtype=dtype)
+    us = [Tensor(rng.standard_normal((3, 5, 16)).astype(dtype)) for _ in range(2)]
+    with T.no_grad():
+        layers = [ssm.mamba_block_batched(x, gain, block).array for x in xs]
+        scans = [ssm._selective_scan_batched(u, p).array for u in us]
+    for pair in (layers, scans):
+        assert not np.shares_memory(pair[0], pair[1])
+    assert [a.tobytes() for a in layers] == [ssm.mamba_block_batched(x, gain, block).array.tobytes() for x in xs]
+    assert [a.tobytes() for a in scans] == [ssm._selective_scan_batched(u, p).array.tobytes() for u in us]
+
+
 # ---------------------------------------------------------------------------
 # Mamba block and encoder
 # ---------------------------------------------------------------------------

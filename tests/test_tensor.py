@@ -552,3 +552,29 @@ def test_determinism_bit_identical():
         return T.matmul(T.gelu(T.tensor(x)), T.tensor(w)).array.tobytes()
 
     assert run() == run()
+
+
+def test_workspace_lives_as_long_as_the_outermost_no_grad_block():
+    assert T.workspace() is T.FRESH
+    with T.no_grad():
+        ws = T.workspace()
+        assert ws is not T.FRESH
+        with T.no_grad():
+            assert T.workspace() is ws
+        assert T.workspace() is ws
+    assert T.workspace() is T.FRESH
+    with T.no_grad():
+        assert T.workspace() is not ws
+
+
+def test_workspace_reuses_one_buffer_per_slot_and_dtype():
+    ws = T.Workspace()
+    big = ws.take("a", (4, 3), np.float32)
+    small = ws.take("a", (2, 3), np.float32)  # a shorter group: the leading rows
+    assert small.flags.c_contiguous and np.shares_memory(small, big[:2]) and not np.shares_memory(small, big[2:])
+    assert not np.shares_memory(big, ws.take("b", (4, 3), np.float32))
+    assert not np.shares_memory(big, ws.take("a", (4, 3), np.float64))
+    grown = ws.take("a", (5, 3), np.float32)
+    assert not np.shares_memory(grown, big) and np.shares_memory(ws.take("a", (4, 3), np.float32), grown)
+    # without reuse every take is a new array
+    assert not np.shares_memory(T.FRESH.take("a", (4, 3), np.float32), T.FRESH.take("a", (4, 3), np.float32))
