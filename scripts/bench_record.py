@@ -3,8 +3,10 @@
 Runs ``perfbench/run.py`` as it is, one process per workload and seed, in
 each checkout, for ``BENCHMARK.json``'s ``run_seconds``. Writes the median
 and quartiles of ``op_norm_ms``, ``peak_mb``, ``setup_s`` and
-``failed_frac`` per checkout and workload, with every run's values, its
-``env`` lines and the page faults and CPU time of its timed operations.
+``failed_frac`` per checkout and workload, and of the plain CPU and wall
+time behind ``op_norm_ms`` and the calibration kernel's time that scaled
+it, with every run's values, its ``env`` lines and the page faults and CPU
+time of its timed operations.
 The runs alternate between the checkouts seed by seed, and the order flips
 at each seed, so drift on a shared host falls on all of them alike. With
 two checkouts the file also counts, per workload and metric, the seeds on
@@ -32,7 +34,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 METRICS = ("op_norm_ms", "peak_mb", "setup_s", "failed_frac")
+# the plain CPU and wall time behind op_norm_ms, and the calibration kernel's
+# median time that scaled it, summarized beside the metrics
+DETAILS = ("op_cpu_ms", "op_wall_ms", "calibration_ms")
 _VALUE = re.compile(r"^(op_norm_ms|peak_mb|setup_s|failed_frac) (\S+)")
+_CLOCKS = re.compile(r"^op_norm_ms .*CPU time (\S+) ms, wall clock (\S+) ms")
+_CALIBRATION = re.compile(r"^calibration kernel: .* median (\S+) ms")
 _TIMED = re.compile(r"^timed operations: user (\S+) s, system (\S+) s, (\d+) minor page faults")
 
 
@@ -56,9 +63,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     for line in lines:
         if m := _VALUE.match(line):
             run[m.group(1)] = float(m.group(2))
+        if m := _CLOCKS.match(line):
+            run.update(op_cpu_ms=float(m.group(1)), op_wall_ms=float(m.group(2)))
+        elif m := _CALIBRATION.match(line):
+            run["calibration_ms"] = float(m.group(1))
         elif m := _TIMED.match(line):
             run.update(timed_user_s=float(m.group(1)), timed_system_s=float(m.group(2)), timed_minor_faults=int(m.group(3)))
-    missing = [name for name in METRICS if name not in run]
+    missing = [name for name in METRICS + DETAILS if name not in run]
     if missing:
         raise SystemExit(f"{checkout.name}: {workload} seed {seed} printed no {missing}")
     return run
@@ -74,7 +85,7 @@ def write_record(path: str, runs: dict, seconds: int) -> None:
     record = {"command": "python3 perfbench/run.py --workload W --seed S --seconds N --trace 0", "seconds": seconds, "trees": {}}
     for label, by_workload in runs.items():
         record["trees"][label] = {
-            w: {**{m: summary([r[m] for r in rs]) for m in METRICS}, "runs": sorted(rs, key=lambda r: r["seed"])}
+            w: {**{m: summary([r[m] for r in rs]) for m in METRICS + DETAILS}, "runs": sorted(rs, key=lambda r: r["seed"])}
             for w, rs in by_workload.items()
             if rs
         }
@@ -90,7 +101,7 @@ def write_record(path: str, runs: dict, seconds: int) -> None:
                     "median_change": second[w][m]["median"] - first[w][m]["median"],
                     "first_iqr": first[w][m]["q3"] - first[w][m]["q1"],
                 }
-                for m in METRICS
+                for m in METRICS + DETAILS
             }
     Path(path).write_text(json.dumps(record, indent=1) + "\n")
 

@@ -737,19 +737,19 @@ def test_streamed_evaluate_matches_stacked_split_byte_for_byte(tmp_path, dtype, 
     ckpt_dir.mkdir()
     for horizon in (8, 12):
         _drawn_checkpoint(ckpt_dir / f"h{horizon}.ckpt", horizon, dtype, seed=horizon)
-    argv = ["evaluate", "--model", str(ckpt_dir / "h8.ckpt"), "--data", data, "--horizons", "8", "--raw-metrics"]
-    group = cli._group_windows(model_from_checkpoint(load_checkpoint(str(ckpt_dir / "h8.ckpt"))).config, 3, np.dtype(dtype).itemsize)
+    model, horizons, extra = str(ckpt_dir / "h8.ckpt"), "8", []
+    group = cli._group_windows(model_from_checkpoint(load_checkpoint(model)).config, 3, np.dtype(dtype).itemsize)
     n_windows = 600 - 480 - 8 + 1  # the default test split at stride 1
     if case == "uneven-groups":
         assert n_windows > group and n_windows % group
     elif case == "shorter-than-a-group":
-        argv += ["--train-end", "400", "--val-end", "588"]  # origins 588..592
+        extra = ["--train-end", "400", "--val-end", "588"]  # origins 588..592
         assert 5 < group
     elif case == "stride-3":
-        argv += ["--stride", "3"]
+        extra = ["--stride", "3"]
     else:
-        argv[2:3] = [str(ckpt_dir)]
-        argv[6:7] = ["8,12"]
+        model, horizons = str(ckpt_dir), "8,12"
+    argv = ["evaluate", "--model", model, "--data", data, "--horizons", horizons, "--raw-metrics", *extra]
     for baseline in ("none", "repeat_last", "oracle"):
         run = argv + ["--baseline", baseline]
         got, got_windows = tmp_path / f"{baseline}.csv", tmp_path / f"{baseline}-windows.csv"
