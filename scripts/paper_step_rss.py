@@ -11,7 +11,7 @@ every gradient upstream of it, so the script draws the head's ``out_w``
 from the seed first; it exits 1 if a parameter's gradient is still all
 zero, since the backward then did not reach it.
 
-    PYTHONPATH=src python scripts/paper_step_rss.py --max-rss-mb 550
+    PYTHONPATH=src python scripts/paper_step_rss.py --max-rss-mb 470
 
 With ``--max-rss-mb`` the script exits 1 when the peak RSS exceeds the bound.
 Run it in a fresh process: ``ru_maxrss`` is the peak of the whole process.

@@ -4,8 +4,8 @@ The continuous system h' = A h + B x, y = C h, with input-dependent (B, C,
 dt), is discretized per step as Mamba's reference scan does: A_bar =
 exp(dt A) and B_bar = dt B. It is evaluated as a strict left-to-right
 recurrence by one kernel, with the tape on or off. The kernel computes the
-token-sized maps (B, C, dt) once per scan and the state-sized terms one
-step at a time. The state is laid out state-major, [rows, n_state,
+token-sized maps (B, C, dt) once per scan and the state-sized terms, and
+dt * x, one step at a time. The state is laid out state-major, [rows, n_state,
 d_inner], so every per-step pass over it (outer products, exp, update,
 contractions) runs along the long channel axis rather than the short state
 axis. The rows of a batch are independent, and the kernel steps them in
@@ -13,14 +13,20 @@ groups whose state fits ``SCAN_BUDGET`` bytes, one group after another, so
 the state stays in cache, as Mamba's kernel keeps each tile's state in fast
 memory. The tape records a scan as a single op that keeps only its input
 and the weights. Its backward replays one group's states from h_0 = 0,
-then walks the steps in reverse, recomputing each step's a_bar, so
-training stores no per-step coefficient arrays and no state between the
+then walks the steps in reverse, recomputing each step's a_bar and dt * x,
+so training stores no per-step coefficient arrays and no state between the
 forward and the backward, and the backward holds one group's states. A
 whole residual pre-norm Mamba layer is one taped op too, which keeps its
 input, RMSNorm's per-row scale and the scan's output y. So the tape keeps
 one d_inner-wide array per layer, and the backward recomputes the
 normalized input, both in_proj branches, the conv output, both SiLUs and
 the gate, as Mamba's fused kernel recomputes a block's intermediates.
+What a layer's backward holds at once, in [B, L, d_inner] arrays: five
+and one group's replayed states during the scan's reverse walk (the
+layer's z_main, scan input s and scan gradient gy; the scan's dt and the
+gradient into softplus's argument), and at most six in the scan's
+token-sized tail, where softplus's argument is recomputed and every
+product is written into a buffer the backward already owns.
 With the tape off, the layer op writes those intermediates, and the scan's
 maps, step buffers, state and y, with ``out=`` into the workspace of the
 outermost ``no_grad`` block (``tensor.Workspace``), as Mamba's kernel keeps
@@ -189,18 +195,20 @@ class _StepCoeffs:
     for the whole sequence, the state-sized step terms one step at a time,
     for one group of batch rows at a time.
 
-    The maps b = x W_b, c = x W_c, pre = x W_dt + dt_bias, dt = softplus(pre)
-    and dtx = dt * x are computed once over the whole sequence and batch. The
-    products stay one [L, d_inner] GEMM per batch row: a single
-    [B*L, d_inner] GEMM is no faster here and rounds differently at
-    d_inner >= 512 in float32 with OpenBLAS, which would change the model's
-    outputs.
+    The maps b = x W_b, c = x W_c and dt = softplus(x W_dt + dt_bias) are
+    computed once over the whole sequence and batch; dt is the one
+    token-sized array kept, and softplus runs in the buffer that held its
+    argument, so that argument is never kept. The products stay one
+    [L, d_inner] GEMM per batch row: a single [B*L, d_inner] GEMM is no
+    faster here and rounds differently at d_inner >= 512 in float32 with
+    OpenBLAS, which would change the model's outputs.
 
     The rows are stepped in groups of as many rows as keep one
     [rows, n_state, d_inner] state within ``SCAN_BUDGET`` bytes, and at least
     one; ``groups()`` walks them. ``fill_a_bar(t)`` computes a_bar =
-    exp(dt*A) at step t for the current group, and ``fill(t)`` also computes
-    bx = b * dtx (so B_bar = dt*B, as in Mamba), into two
+    exp(dt*A) at step t for the current group, ``fill_dtx(t)`` computes
+    dtx = dt * x at step t into a [rows, d_inner] buffer, and ``fill(t)``
+    computes both and bx = b * dtx (so B_bar = dt*B, as in Mamba), into two
     [rows, n_state, d_inner] buffers allocated once, the only arrays that
     grow with the state. Every row's arithmetic is the same in any group.
     Each array comes from the workspace ``ws`` (see ``tensor.Workspace``),
@@ -219,21 +227,23 @@ class _StepCoeffs:
         def take(slot: str, shape: tuple[int, ...]) -> np.ndarray:
             return ws.take("scan." + slot, shape, x.dtype)
 
+        self.x = x
         self.a = np.ascontiguousarray(a.T)
         self.b = np.matmul(x, w_b, out=take("b", (b_, l_, n)))
         self.c = np.matmul(x, w_c, out=take("c", (b_, l_, n)))
-        self.pre = np.add(np.matmul(x, w_dt), dt_bias, out=take("pre", x.shape))
-        # softplus(pre) = max(pre, 0) + log1p(exp(-|pre|)) in place: several
-        # times faster than np.logaddexp(0, pre) on float32
-        self.dt = np.abs(self.pre, out=take("dt", x.shape))
-        np.negative(self.dt, out=self.dt)
-        np.exp(self.dt, out=self.dt)
-        np.log1p(self.dt, out=self.dt)
-        self.dt += np.maximum(self.pre, 0.0, out=take("dtx", x.shape))  # dtx's slot, before dtx is written
-        self.dtx = np.multiply(self.dt, x, out=take("dtx", x.shape))
+        pre = np.add(np.matmul(x, w_dt), dt_bias, out=take("dt", x.shape))
+        # softplus(pre) = max(pre, 0) + log1p(exp(-|pre|)), written over pre:
+        # several times faster than np.logaddexp(0, pre) on float32
+        tail = np.abs(pre, out=take("tmp", x.shape))
+        np.negative(tail, out=tail)
+        np.exp(tail, out=tail)
+        np.log1p(tail, out=tail)
+        self.dt = np.maximum(pre, 0.0, out=pre)
+        self.dt += tail
         rows = max(1, min(b_, rows_per_group(n, d, x.itemsize)))
         self.rows = slice(None)  # the current group's batch rows: all of them until groups() runs
         self.a_bar, self.bx = take("a_bar", (rows, n, d)), take("bx", (rows, n, d))
+        self.dtx = take("dtx", (rows, d))
 
     def groups(self):
         """Make each group of batch rows the current one in turn, and yield
@@ -243,7 +253,7 @@ class _StepCoeffs:
         for start in range(0, b_, size):
             stop = min(start + size, b_)
             if stop - start < size:
-                self.a_bar, self.bx = self.a_bar[: stop - start], self.bx[: stop - start]
+                self.a_bar, self.bx, self.dtx = self.a_bar[: stop - start], self.bx[: stop - start], self.dtx[: stop - start]
             self.rows = slice(start, stop)
             yield self.rows
 
@@ -251,9 +261,12 @@ class _StepCoeffs:
         np.einsum("bd,nd->bnd", self.dt[self.rows, t], self.a, out=self.a_bar)
         np.exp(self.a_bar, out=self.a_bar)
 
+    def fill_dtx(self, t: int) -> np.ndarray:
+        return np.multiply(self.dt[self.rows, t], self.x[self.rows, t], out=self.dtx)
+
     def fill(self, t: int) -> None:
         self.fill_a_bar(t)
-        np.einsum("bn,bd->bnd", self.b[self.rows, t], self.dtx[self.rows, t], out=self.bx)
+        np.einsum("bn,bd->bnd", self.b[self.rows, t], self.fill_dtx(t), out=self.bx)
 
 
 def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
@@ -291,7 +304,7 @@ def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Wo
             h *= co.a_bar
             h += co.bx
             ys[rows, t] = np.matmul(co.c[rows, t, None, :], h)[:, 0, :]
-    ys += np.multiply(weights[5], x, out=ws.take("scan.dtx", x.shape, x.dtype))  # no step reads dtx any more
+    ys += np.multiply(weights[5], x, out=ws.take("scan.tmp", x.shape, x.dtype))  # softplus's slot, free again
     return ys
 
 
@@ -304,28 +317,37 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
 
     Takes the rows in the forward's groups. For each group it replays every
     state once from h_0 = 0 into ``hs`` [L+1, rows, n_state, d_inner], then
-    walks the steps in reverse, filling each step's a_bar again, since it is
-    not stored. Both use the forward's operations, so they are bit-identical
-    to the forward's; spent buffers are reused as scratch. ``hs`` grows with
-    L, as the tape's activations do, but holds one group: 33 states at
-    lookback 512 and patch 16, 6.5 MB for the two rows of a group at the
-    paper's d_inner 1536 in float32, where the whole batch of 64 would take
-    208 MB. The per-step adjoints of the token-sized maps are written into
-    whole-batch arrays and turned into gradients once, after the last
-    group and after ``hs`` is let go, so x's and every weight gradient but
-    a_log's are the same bytes in any grouping; a_log's sums its per-step
-    terms over the rows group by group.
+    walks the steps in reverse, filling each step's a_bar and dtx again,
+    since they are not stored. Both use the forward's operations, so they
+    are bit-identical to the forward's; spent buffers are reused as
+    scratch. ``hs`` grows with L, as the tape's activations do, but holds
+    one group: 33 states at lookback 512 and patch 16, 6.5 MB for the two
+    rows of a group at the paper's d_inner 1536 in float32, where the whole
+    batch of 64 would take 208 MB. The per-step adjoints of the token-sized
+    maps are written into whole-batch arrays and turned into gradients
+    once, after the last group and after ``hs`` is let go, so x's and every
+    weight gradient but a_log's are the same bytes in any grouping; a_log's
+    sums its per-step terms over the rows group by group.
+
+    Beside g and x, the walk holds two token-sized ([B, L, d_inner])
+    arrays: dt, and ``g_pre``, the gradient into softplus's argument pre =
+    x W_dt + dt_bias short of its sigmoid factor. Each step adds its share
+    of the adjoint rb of dtx = dt * x to both and writes x's share, dt * rb,
+    over that step's dt, which no earlier step reads. The tail recomputes
+    pre, for its sigmoid, into the one token-sized temporary it holds at a
+    time, sums x's gradient in dt's buffer and writes it over g_pre's once
+    that is summed; every sum is added in the order the written-out formula
+    gives, so the bytes are those of the whole-batch formula.
     """
     b_, l_, d = x.shape
-    w_b, w_c, w_dt, _, a, d_skip = weights
+    w_b, w_c, w_dt, dt_bias, a, d_skip = weights
     n = a.shape[1]
     co = _StepCoeffs(x, weights)
     hs = np.empty((l_ + 1, *co.a_bar.shape), dtype=x.dtype)  # hs[t] = h_{t-1}
     lam = np.empty(co.a_bar.shape, dtype=x.dtype)  # state adjoint dL/dh_t
     carry = np.empty(co.a_bar.shape, dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
     g_b, g_c = np.empty_like(co.b), np.empty_like(co.c)
-    rb = np.empty_like(co.dtx)  # dL/d(dtx)
-    g_ua = np.empty_like(co.dtx)  # dL/du contracted with A over the state axis
+    g_pre = np.empty_like(x)  # dL/d(pre), short of its sigmoid(pre) factor until the tail
     g_a = np.zeros_like(co.a)  # dL/dA, transposed as [n, d]
     for r in co.groups():
         k = co.a_bar.shape[0]  # the group's rows
@@ -346,29 +368,44 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
             np.multiply(co.a_bar, lam, out=carry)
             g_c[r, t] = np.matmul(hs[t + 1], g[r, t, :, None])[..., 0]
             # bx = b * dtx
-            rb[r, t] = np.matmul(co.b[r, t, None, :], lam)[:, 0, :]
-            g_b[r, t] = np.matmul(lam, co.dtx[r, t, :, None])[..., 0]
+            rb = np.matmul(co.b[r, t, None, :], lam)[:, 0, :]  # dL/d(dtx_t)
+            g_b[r, t] = np.matmul(lam, co.fill_dtx(t)[:, :, None])[..., 0]
             # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
             # it replaces h_t, which no later step reads
             g_u = np.multiply(carry, hs[t], out=hs[t + 1])
             # u = dt * A
             if weight_grads:
                 g_a += np.einsum("bnd,bd->nd", g_u, co.dt[r, t])
-            np.einsum("bnd,nd->bd", g_u, co.a, out=g_ua[r, t])
+            np.einsum("bnd,nd->bd", g_u, co.a, out=g_pre[r, t])
+            # dtx = dt * x, so pre's share through dt adds x * rb, and x's share
+            # dt * rb is written over this step's dt, which no step left to
+            # walk reads
+            g_pre[r, t] += np.multiply(co.x[r, t], rb, out=co.dtx)
+            co.dt[r, t] *= rb
     # the replayed states go before the token-sized tail, which no longer
     # reads them (g_u is a view into hs, unbound when L or B is 0)
     hs = g_u = None
-    # dt = softplus(pre); pre = x W_dt + dt_bias; dtx = dt * x
-    g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)
+    # dt = softplus(pre) and pre = x W_dt + dt_bias, recomputed as the
+    # forward computed it
+    pre = np.add(np.matmul(x, w_dt), dt_bias)
+    g_pre *= T._sigmoid(pre, out=pre)
+    del pre
     g_s = g_pre.sum(axis=-1, keepdims=True)
-    gx = g * d_skip
-    gx += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T
+    g_bias = g_pre.sum(axis=(0, 1)) if weight_grads else None
+    # x's gradient, g * d_skip + (((dt * rb + g_s w_dt) + g_b W_b^T) + g_c W_c^T),
+    # summed in dt's buffer and then in g_pre's, which nothing reads now
+    part = co.dt
+    part += g_s * w_dt[:, 0]
+    part += g_b @ w_b.T
+    part += g_c @ w_c.T
+    gx = np.multiply(g, d_skip, out=g_pre)
+    gx += part
     if not weight_grads:
         return (gx,) + (None,) * 6
     xf = x.reshape(-1, d).T
     g_wdt = (xf @ g_s.reshape(-1, 1)).reshape(-1)
     # A = -exp(a_log), so dA/da_log = A
-    return gx, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_pre.sum(axis=(0, 1)), g_a.T * a, (g * x).sum(axis=(0, 1))
+    return gx, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_bias, g_a.T * a, (g * x).sum(axis=(0, 1))
 
 
 def _taped(out: np.ndarray, parents, adjoint_of) -> Tensor:
@@ -522,9 +559,11 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     backward recomputes the normalized input, both branches (taking the
     column halves from the one weight, so no half is kept), the conv
     output, both SiLUs and the gate, with the forward's operations, so they
-    are the forward's bytes; the scan's VJP replays its states. in_proj's
-    gradient is one [d_model, 2*d_inner] array, and a weight's gradient is
-    computed only when it wants one.
+    are the forward's bytes; the scan's VJP replays its states. Across the
+    scan's VJP, where the backward peaks, it holds z_main, the scan's input
+    and its gradient, and it recomputes the conv output and SiLU's
+    derivative after it. in_proj's gradient is one [d_model, 2*d_inner]
+    array, and a weight's gradient is computed only when it wants one.
 
     The forward's [B, L, ·] intermediates and the scan's arrays are taken
     from ``tensor.workspace()``: the enclosing ``no_grad`` block's
@@ -593,19 +632,18 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
             gw_in[:, d:] = un.T @ g_gate
         g_un = g_gate @ w_gate.T if norm_grads else None
         del g_gate
-        # conv -> SiLU -> scan; the scan's VJP, where the backward peaks,
-        # holds only z_main, s and ds of the branch's arrays
+        # conv -> SiLU -> scan; across the scan's VJP, where the backward
+        # peaks, the layer holds only z_main, s and gy of the branch's
+        # arrays, and the conv output and SiLU's derivative are computed
+        # again after it
         z_main = (un @ w_main).reshape(b_, l_, d)
         del un
-        c, taps, wk = _causal_conv(z_main, conv_w, conv_b)
-        sig = T._sigmoid(c)
-        s = c * sig
-        ds = T._dsilu(c, sig)  # written over sig
-        del c
+        s = T._silu(_causal_conv(z_main, conv_w, conv_b)[0])
         g_s, *g_ssm = _sequential_scan_vjp(gy.reshape(b_, l_, d), s, weights, weight_grads)
         del s, gy
-        g_s *= ds  # the gradient into the conv output
-        del ds
+        c, taps, wk = _causal_conv(z_main, conv_w, conv_b)
+        g_s *= T._dsilu(c, T._sigmoid(c))  # the gradient into the conv output
+        del c
         gw_conv = T._conv_vjp_w(g_s, z_main, taps, conv_w) if parents[3].requires else None
         gb_conv = g_s.sum(axis=(0, 1)) if parents[4].requires else None
         g_main = T._conv_vjp_x(g_s, z_main, taps, wk).reshape(-1, d)

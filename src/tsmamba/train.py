@@ -216,7 +216,14 @@ class AdamW:
     def step(self, params: list[tuple[Parameter, float]], weight_decay: float = 0.0, grad_clip_norm: float = 0.0) -> tuple[float, float]:
         """One update of each trainable parameter at the learning rate paired
         with it; returns (global gradient norm, clip scale). A NaN or infinite
-        norm raises NonFiniteLoss before any parameter or moment changes."""
+        norm raises NonFiniteLoss before any parameter or moment changes. So
+        does an update that leaves any parameter non-finite, before any
+        parameter changes: the new values are held until every one is
+        checked, and each gradient is let go as its new value is made, so
+        the step holds no more than one update did. A refused step has
+        spent the gradients and moved the moments. numpy's overflow
+        warnings are silenced: a divergence is reported as this error, not
+        as a warning."""
         live = [(p, lr) for p, lr in params if p.trainable]
         for p, _ in live:
             if p.grad is None:
@@ -232,20 +239,27 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1**t
         bc2 = 1.0 - self.beta2**t
-        for p, lr in live:
-            g = p.grad.array * clip_scale
-            m = self._m.get(p.name)
-            if m is None:
-                m = np.zeros_like(g)
-                self._v[p.name] = np.zeros_like(g)
-            v = self._v[p.name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
-            self._m[p.name] = m
-            self._v[p.name] = v
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps) + weight_decay * p.value.array
-            p.assign((p.value.array - lr * update).astype(p.value.dtype, copy=False))
-            p.grad = None
+        updated = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p, lr in live:
+                g = p.grad.array * clip_scale
+                p.grad = None
+                m = self._m.get(p.name)
+                if m is None:
+                    m = np.zeros_like(g)
+                    self._v[p.name] = np.zeros_like(g)
+                v = self._v[p.name]
+                m = self.beta1 * m + (1.0 - self.beta1) * g
+                v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+                self._m[p.name] = m
+                self._v[p.name] = v
+                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps) + weight_decay * p.value.array
+                new = (p.value.array - lr * update).astype(p.value.dtype, copy=False)
+                if not np.isfinite(new).all():
+                    raise NonFiniteLoss(f"the update leaves {p.name} non-finite")
+                updated.append((p, new))
+        for p, new in updated:
+            p.assign(new)
         return total, clip_scale
 
 
@@ -301,13 +315,17 @@ def _train_loop(loss_fn, n_samples: int, cfg: _StageSettings, rated: list[tuple[
         for start in range(0, n_samples, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             t0 = time.perf_counter()
-            loss = loss_fn(idx)
-            value = loss.item()
             step += 1
-            # checked before backward, so no update reaches the weights
-            if not np.isfinite(value):
-                raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: loss is {value}")
-            T.backward(loss, params)
+            # a diverging run overflows here long before its loss is
+            # non-finite; that loss, the gradient norm or the update is
+            # checked instead, so it ends as NonFiniteLoss, not as a warning
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                loss = loss_fn(idx)
+                value = loss.item()
+                # checked before backward, so no update reaches the weights
+                if not np.isfinite(value):
+                    raise NonFiniteLoss(f"{cfg.stage} epoch {epoch} step {step}: loss is {value}")
+                T.backward(loss, params)
             try:
                 grad_norm, clip_scale = optimizer_step(opt, rated, cfg)
             except NonFiniteLoss as exc:

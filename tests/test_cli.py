@@ -254,8 +254,7 @@ def test_pretrain_diverging_lr_exits5_without_checkpoint(workdir, tmp_path, caps
     cfg = tmp_path / "diverge.json"
     cfg.write_text(json.dumps(raw))
     out, log = tmp_path / "s1.ckpt", tmp_path / "log.csv"
-    with np.errstate(all="ignore"):
-        code = main(["pretrain", "--stage", "1", "--config", str(cfg), "--data", data_path, "--out", str(out), "--log", str(log)])
+    code = main(["pretrain", "--stage", "1", "--config", str(cfg), "--data", data_path, "--out", str(out), "--log", str(log)])
     assert code == 5
     assert "stage1_autoregressive epoch 0 step" in capsys.readouterr().err
     assert not out.exists() and not log.exists()

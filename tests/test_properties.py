@@ -10,6 +10,7 @@ import functools
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from unittest import mock
@@ -115,12 +116,9 @@ def _fits(value, kind) -> bool:
     return type(value) is kind
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.sampled_from(CONFIG_KEYS), st.one_of(json_values, st.sampled_from([float("nan"), float("inf"), 1.5, True, "4"])))
-def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
-    section, key, kind = entry
-    raw = json.loads(json.dumps(RUN_CONFIG))
-    (raw if section is None else raw.setdefault(section, {}))[key] = value
+def _pretrain_stage1(raw: dict) -> tuple[int, str, list[str]]:
+    """Exit code, stderr and the files left beside the config and data of
+    ``pretrain --stage 1`` under the run config ``raw``."""
     with tempfile.TemporaryDirectory() as tmp:
         config, data = os.path.join(tmp, "config.json"), os.path.join(tmp, "series.csv")
         with open(config, "w", encoding="utf-8") as fh:
@@ -128,11 +126,53 @@ def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
         D.write_csv(D.synth_generate(0, 2, 120, [D.Sinusoid(freq=1 / 8), D.Noise(sigma=0.1)]), data)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            code = CLI.main(["pretrain", "--stage", "1", "--config", config, "--data", data, "--out", os.path.join(tmp, "m.ckpt")])
-    assert code in (0, 2), err.getvalue()
+            argv = ["pretrain", "--stage", "1", "--config", config, "--data", data]
+            code = CLI.main(argv + ["--out", os.path.join(tmp, "m.ckpt"), "--log", os.path.join(tmp, "log.csv")])
+        left = sorted(set(os.listdir(tmp)) - {"config.json", "series.csv"})
+    return code, err.getvalue(), left
+
+
+# the stage, epoch and step a divergence names: "stage1_autoregressive epoch 0 step 2: loss is nan"
+DIVERGES_AT = re.compile(r"stage1_autoregressive epoch \d+ step \d+: ")
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(CONFIG_KEYS), st.one_of(json_values, st.sampled_from([float("nan"), float("inf"), 1.5, True, "4"])))
+@example(("stage1", "lr", float), 1e300)
+@example(("stage1", "weight_decay", float), 5.5e65)
+def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
+    """Every value trains (0) or is refused naming its key (2); a finite
+    stage-1 ``lr`` or ``weight_decay`` may also make training diverge,
+    which exits 5 naming the stage and the step."""
+    section, key, kind = entry
+    raw = json.loads(json.dumps(RUN_CONFIG))
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
+    code, err, _ = _pretrain_stage1(raw)
+    if code == 5:
+        assert section == "stage1" and key in ("lr", "weight_decay") and _fits(value, kind), err
+        assert DIVERGES_AT.search(err), err
+    else:
+        assert code in (0, 2), err
     if not _fits(value, kind):
         assert code == 2
-        assert key in err.getvalue()
+        assert key in err
+
+
+@pytest.mark.parametrize(
+    "precision, batch_size, key, value",
+    [("float64", 32, "lr", 1e300), ("float64", 32, "lr", 3.6e8), ("float64", 32, "weight_decay", 5.5e65),
+     ("float32", 64, "lr", 1e300), ("float32", 64, "weight_decay", 5.5e65)],
+)
+def test_diverging_optimizer_setting_exits5_naming_stage_and_step(precision, batch_size, key, value):
+    # no np.errstate: tier-1 makes a RuntimeWarning an error, so none may
+    # escape; float32 at one step per epoch diverges in the first update
+    raw = json.loads(json.dumps(RUN_CONFIG))
+    raw["precision"] = precision
+    raw["stage1"].update({"batch_size": batch_size, key: value})
+    code, err, left = _pretrain_stage1(raw)
+    assert code == 5, err
+    assert DIVERGES_AT.search(err), err
+    assert left == []  # no checkpoint, no log
 
 
 cells = st.one_of(
@@ -600,10 +640,12 @@ def whole_batch_scan(g, x, weights):
     """The scan's output, the gradients of <g, y> and, for a_log's gradient,
     the sum of its terms' magnitudes, with every batch row stepped together,
     as the kernel ran before it stepped rows in groups. It shares only the
-    token-sized maps of ``ssm._StepCoeffs``; the steps and the tail are
-    written out here with the kernel's operations."""
-    w_b, w_c, w_dt, _, a, d_skip = weights
+    token-sized maps of ``ssm._StepCoeffs``; dtx, softplus's argument, the
+    steps and the tail are written out here with the kernel's operations."""
+    w_b, w_c, w_dt, dt_bias, a, d_skip = weights
     co = ssm._StepCoeffs(x, weights)
+    pre = np.add(np.matmul(x, w_dt), dt_bias)
+    dtx = co.dt * x
     b_, l_, d = x.shape
     n = a.shape[1]
 
@@ -613,7 +655,7 @@ def whole_batch_scan(g, x, weights):
     hs = np.zeros((l_ + 1, b_, n, d), dtype=x.dtype)
     y = np.empty_like(x)
     for t in range(l_):
-        hs[t + 1] = a_bar(t) * hs[t] + np.einsum("bn,bd->bnd", co.b[:, t], co.dtx[:, t])
+        hs[t + 1] = a_bar(t) * hs[t] + np.einsum("bn,bd->bnd", co.b[:, t], dtx[:, t])
         y[:, t] = np.matmul(co.c[:, t, None, :], hs[t + 1])[:, 0, :]
     y += d_skip * x
     carry = np.zeros((b_, n, d), dtype=x.dtype)
@@ -624,12 +666,12 @@ def whole_batch_scan(g, x, weights):
         carry = a_bar(t) * lam
         g_c[:, t] = np.matmul(hs[t + 1], g[:, t, :, None])[..., 0]
         rb[:, t] = np.matmul(co.b[:, t, None, :], lam)[:, 0, :]
-        g_b[:, t] = np.matmul(lam, co.dtx[:, t, :, None])[..., 0]
+        g_b[:, t] = np.matmul(lam, dtx[:, t, :, None])[..., 0]
         g_u = carry * hs[t]
         g_a += np.einsum("bnd,bd->nd", g_u, co.dt[:, t])
         g_a_abs += np.einsum("bnd,bd->nd", np.abs(g_u), co.dt[:, t])  # dt > 0
         g_ua[:, t] = np.einsum("bnd,nd->bd", g_u, co.a)
-    g_pre = (x * rb + g_ua) * T._sigmoid(co.pre)
+    g_pre = (x * rb + g_ua) * T._sigmoid(pre)
     g_s = g_pre.sum(axis=-1, keepdims=True)
     gx = g * d_skip
     gx += co.dt * rb + g_s * w_dt[:, 0] + g_b @ w_b.T + g_c @ w_c.T

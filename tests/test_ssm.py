@@ -159,7 +159,7 @@ def test_selective_params_matches_matvec_oracle():
     rng = np.random.default_rng(4)
     p = make_ssm(rng, 5, 3)
     x = rng.standard_normal((2, 3, 5))
-    co, _, _ = step_coeffs(x, p)
+    co, _, bx = step_coeffs(x, p)
     for i in range(2):
         for t in range(3):
             xt = x[i, t]
@@ -167,7 +167,8 @@ def test_selective_params_matches_matvec_oracle():
             np.testing.assert_allclose(co.c[i, t], xt @ p.x_to_c.value.array, rtol=1e-12)
             dt = np.log1p(np.exp(p.dt_bias.value.array + float(xt @ p.x_to_dt.value.array)))
             np.testing.assert_allclose(co.dt[i, t], dt, rtol=1e-12)
-            np.testing.assert_allclose(co.dtx[i, t], dt * xt, rtol=1e-12)
+            # B_bar x = b * (dt * x), with dt * x formed one step at a time
+            np.testing.assert_allclose(bx[i, t], np.outer(dt * xt, xt @ p.x_to_b.value.array), rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +810,33 @@ def test_taped_encoder_keeps_only_what_each_backward_reads():
     weights = {a.shape for a in kept.values() if a.size // a.shape[-1] != b_ * length}
     assert (d_model, d_inner) not in weights
     assert weights <= {q.value.shape for q in enc.parameters()}
+
+
+def test_layer_backward_holds_five_token_arrays_beside_the_states():
+    # a train-workload layer, x [B 32, L 32, d_model 128] with d_inner 256 and
+    # n_state 16 in float32: across the scan's reverse walk the backward holds
+    # one 16-row group's replayed states (8.25 MiB) and five [B, L, d_inner]
+    # arrays (1 MiB each; z_main, s and gy of the layer, dt and g_pre of the
+    # scan) beside a few d_model-wide ones. It peaked at 16.2 MiB; holding
+    # pre, dtx, rb and the SiLU derivative across the walk too peaked at
+    # 20.3 MiB
+    b_, l_, k, d, n = 32, 32, 128, 256, 16
+    rng = np.random.default_rng(37)
+    p = make_block(rng, d_model=k, d_inner=d, n_state=n, dtype=np.float32)
+    x = Tensor(rng.standard_normal((b_, l_, k)).astype(np.float32), requires=True)
+    gain = Tensor(np.ones(k, dtype=np.float32), requires=True)
+    proj = Tensor(rng.standard_normal((b_, l_, k)).astype(np.float32))
+    loss = T.sum_all(T.mul(ssm.mamba_block_batched(x, gain, p), proj))
+    rows = ssm.SCAN_BUDGET // (n * d * 4)
+    assert rows == 16
+    tracemalloc.start()
+    try:
+        T.grad_map(loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    group_states, token_array = (l_ + 1) * rows * n * d * 4, b_ * l_ * d * 4
+    assert peak < group_states + 9 * token_array, peak
 
 
 def make_encoder(rng, n_layers, d_model=4, d_inner=8, n_state=2, prefix="enc"):

@@ -292,6 +292,18 @@ def test_adamw_float32_moments_stay_float32_after_clipping():
     assert scale == 1.0
 
 
+def test_adamw_refuses_an_update_that_leaves_a_parameter_non_finite():
+    # q's float32 update overflows on the cast back; p comes first and would
+    # be updated, so the step checks every new value before it assigns any
+    p = Parameter("p", Tensor(np.array([1.0, 2.0], dtype=np.float32)))
+    q = Parameter("q", Tensor(np.array([3.0], dtype=np.float32)))
+    p.grad, q.grad = Tensor(np.array([0.5, 0.5], dtype=np.float32)), Tensor(np.array([0.5], dtype=np.float32))
+    before = p.value.array.tobytes(), q.value.array.tobytes()
+    with pytest.raises(NonFiniteLoss, match="the update leaves q non-finite"):
+        TR.AdamW().step([(p, 0.1), (q, 1e300)])
+    assert (p.value.array.tobytes(), q.value.array.tobytes()) == before
+
+
 # ---------------------------------------------------------------------------
 # Stage configs
 # ---------------------------------------------------------------------------
