@@ -17,7 +17,8 @@ rng = np.random.default_rng(0)
 
 print("== discretization: A_bar = exp(dt A), B_bar = dt B ==")
 # The kernel computes its coefficients in _StepCoeffs: the selective maps for
-# the whole sequence, the step terms one step at a time. Scalar system
+# the whole sequence, the step terms a block of steps at a time for each group
+# of rows. Scalar system
 # A=-1, B=1, x=1, dt=softplus(dt_bias)=0.5: A_bar = exp(-0.5), B_bar = dt*B = 0.5.
 scalar = ssm.init_ssm_params(rng, d_inner=1, n_state=1, dtype=np.float64, prefix="scalar")
 scalar.a_log.assign(np.zeros((1, 1)))
@@ -25,9 +26,10 @@ scalar.x_to_b.assign(np.ones((1, 1)))
 scalar.x_to_dt.assign(np.zeros(1))
 scalar.dt_bias.assign(np.log(np.expm1([0.5])))
 co = ssm._StepCoeffs(np.ones((1, 1, 1)), ssm._scan_weights(scalar, np.float64))
-co.fill(0)
-print(f"A_bar = {co.a_bar[0, 0, 0]:.6f}   (exp(-0.5) = {np.exp(-0.5):.6f})")
-print(f"B_bar = {co.bx[0, 0, 0]:.6f}   (dt*B = {0.5:.6f})")
+for _ in co.groups():  # the one row, whose one step is one block
+    co.fill(0, 1)
+print(f"A_bar = {co.a_bar[0, 0, 0, 0]:.6f}   (exp(-0.5) = {np.exp(-0.5):.6f})")
+print(f"B_bar = {co.bx[0, 0, 0, 0]:.6f}   (dt*B = {0.5:.6f})")
 
 print("\n== input-dependent parameters ==")
 params = ssm.init_ssm_params(rng, d_inner=6, n_state=4, dtype=np.float64, prefix="demo")

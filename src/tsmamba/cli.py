@@ -403,12 +403,31 @@ def _run_evaluate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: int, seed: int = 0):
-    """Median wall and process CPU time per kernel and length; both kernels
-    share inputs. CPU time leaves out other processes' share of a busy host.
+# How bench-scan warms up and samples. With more than one BLAS thread, the
+# kernel's larger GEMMs wake a BLAS worker thread that then busy-waits, and
+# the process's CPU time counts it in scheduler ticks (4 ms on a 250 Hz
+# kernel) while it runs on another core: a sample of one 5 ms call read 8 or
+# 12 ms. A sample of back-to-back calls spanning BENCH_SAMPLE_SECONDS of CPU
+# time shrinks that error to a few percent. In its first second or so a
+# process may also run that worker on the main thread's core, where each
+# threaded GEMM stalls the caller for a scheduler slice, about 7 ms per call
+# at d_inner 64 whatever the length; the warm-up runs BENCH_WARMUP_SECONDS
+# of calls so that no sample falls in that phase.
+BENCH_SAMPLE_SECONDS = 0.1
+BENCH_WARMUP_SECONDS = 1.0
 
-    Lengths are interleaved across repetition rounds so machine drift spreads
-    evenly instead of biasing whichever length ran first.
+
+def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: int, seed: int = 0):
+    """Median wall and process CPU time per kernel call and length; both
+    kernels share inputs. CPU time leaves out other processes' share of a
+    busy host.
+
+    Warm-up passes over every length run for ``BENCH_WARMUP_SECONDS``; then
+    each sample times as many back-to-back calls as the last warm-up call
+    says take ``BENCH_SAMPLE_SECONDS`` of CPU time, and at least one, and
+    records the time per call. Lengths are interleaved across repetition
+    rounds so machine drift spreads evenly instead of biasing whichever
+    length ran first.
     """
     rng = np.random.default_rng(seed)
     params = ssm.init_ssm_params(rng, d_inner, n_state, np.float32, "bench")
@@ -420,18 +439,25 @@ def bench_scan(lengths: list[int], d_inner: int, n_state: int, mode: str, reps: 
     inputs = {length: Tensor(rng.standard_normal((d_inner, length)).astype(np.float32)) for length in lengths}
     times: dict[tuple[str, int], list[float]] = {(m, length): [] for m in modes for length in lengths}
     cpu_times: dict[tuple[str, int], list[float]] = {key: [] for key in times}
+    calls: dict[tuple[str, int], int] = {}
     outputs: dict[tuple[str, int], np.ndarray] = {}
     with T.no_grad():
-        for m in modes:  # warmup pass over every length
-            for length in lengths:
-                outputs[(m, length)] = kernels[m](inputs[length], params).array
+        start = time.perf_counter()
+        while not calls or time.perf_counter() - start < BENCH_WARMUP_SECONDS:  # warm-up passes over every length
+            for m in modes:
+                for length in lengths:
+                    c0 = time.process_time()
+                    outputs[(m, length)] = kernels[m](inputs[length], params).array
+                    calls[(m, length)] = max(1, int(BENCH_SAMPLE_SECONDS / max(time.process_time() - c0, 1e-6)))
         for _ in range(reps):
             for length in lengths:
                 for m in modes:
+                    k = calls[(m, length)]
                     t0, c0 = time.perf_counter(), time.process_time()
-                    outputs[(m, length)] = kernels[m](inputs[length], params).array
-                    cpu_times[(m, length)].append(time.process_time() - c0)
-                    times[(m, length)].append(time.perf_counter() - t0)
+                    for _ in range(k):
+                        outputs[(m, length)] = kernels[m](inputs[length], params).array
+                    cpu_times[(m, length)].append((time.process_time() - c0) / k)
+                    times[(m, length)].append((time.perf_counter() - t0) / k)
     rows = []
     for m in modes:
         for length in lengths:

@@ -4,18 +4,24 @@ The continuous system h' = A h + B x, y = C h, with input-dependent (B, C,
 dt), is discretized per step as Mamba's reference scan does: A_bar =
 exp(dt A) and B_bar = dt B. It is evaluated as a strict left-to-right
 recurrence by one kernel, with the tape on or off. The kernel computes the
-token-sized maps (B, C, dt) once per scan and the state-sized terms, and
-dt * x, one step at a time. The state is laid out state-major, [rows, n_state,
-d_inner], so every per-step pass over it (outer products, exp, update,
-contractions) runs along the long channel axis rather than the short state
-axis. The rows of a batch are independent, and the kernel steps them in
-groups whose state fits ``SCAN_BUDGET`` bytes, one group after another, so
-the state stays in cache, as Mamba's kernel keeps each tile's state in fast
-memory. The tape records a scan as a single op that keeps only its input
-and the weights. Its backward replays one group's states from h_0 = 0,
-then walks the steps in reverse, recomputing each step's a_bar and dt * x,
-so training stores no per-step coefficient arrays and no state between the
-forward and the backward, and the backward holds one group's states. A
+token-sized maps (B, C, dt) once per scan, and the state-sized terms
+a_bar = exp(dt A) and B_bar x = B (dt * x) a block of steps at a time, one
+call each per block; each step then only updates the state and writes its
+output. The state is laid out state-major, [rows, n_state, d_inner], so
+every pass over it (outer products, exp, update, contractions) runs along
+the long channel axis rather than the short state axis. The rows of a batch
+are independent, and the kernel steps them in groups whose state fits
+``SCAN_BUDGET`` bytes, one group after another, so the state stays in cache,
+as Mamba's kernel keeps each tile's state in fast memory. The same budget
+sets the block: a group whose state fills it takes one step per block, and
+a smaller group (a single forecast window, ``bench-scan``'s one row) as
+many steps as fit, so per-call overhead no longer dominates it. The tape
+records a scan as a single op that keeps only its input and the weights.
+Its backward replays one group's states from h_0 = 0, filling the forward's
+blocks, then walks the blocks in reverse, filling each block's a_bar and
+dt * x again, so training stores no per-step coefficient arrays and no
+state between the forward and the backward, and the backward holds one
+group's states. A
 whole residual pre-norm Mamba layer is one taped op too, which keeps its
 input, RMSNorm's per-row scale and the scan's output y. So the tape keeps
 one d_inner-wide array per layer, and the backward recomputes the
@@ -28,7 +34,8 @@ gradient into softplus's argument), and at most six in the scan's
 token-sized tail, where softplus's argument is recomputed and every
 product is written into a buffer the backward already owns.
 With the tape off, the layer op writes those intermediates, and the scan's
-maps, step buffers, state and y, with ``out=`` into the workspace of the
+maps, block buffers, a small group's time-major copies, state and y, with
+``out=`` into the workspace of the
 outermost ``no_grad`` block (``tensor.Workspace``), as Mamba's kernel keeps
 a block's intermediates in reused fast memory; so ``evaluate`` allocates
 them once per call, not once per layer and group. Nothing the op returns
@@ -175,12 +182,14 @@ def init_encoder(
 # may hold. The kernel steps a batch's rows in groups this small, one group
 # after another: its per-step state buffers (and the backward's replayed
 # states) then stay in a core's L2 cache, and its temporaries stay small
-# enough to reuse freed memory instead of faulting in new pages. `evaluate`
-# sizes its window groups with the same budget, so each runs as one row
-# group, and a group is all of the split that `evaluate` holds at once; its
-# no-tape intermediates live in one workspace sized by the largest group.
-# Chosen by a sweep of `evaluate`'s group sizes, 64 KiB to 1 MiB at d_model
-# 32 and 128.
+# enough to reuse freed memory instead of faulting in new pages. The budget
+# also sets how many steps' coefficients a group fills at once: a group whose
+# state is smaller fills blocks of as many steps as fit, and one that fills
+# it, one step at a time. `evaluate` sizes its window groups with the same
+# budget, so each runs as one row group, and a group is all of the split that
+# `evaluate` holds at once; its no-tape intermediates live in one workspace
+# sized by the largest group. Chosen by a sweep of `evaluate`'s group sizes,
+# 64 KiB to 1 MiB at d_model 32 and 128.
 SCAN_BUDGET = 256 * 1024
 
 
@@ -190,10 +199,18 @@ def rows_per_group(n_state: int, d_inner: int, itemsize: int) -> int:
     return SCAN_BUDGET // (n_state * d_inner * itemsize)
 
 
+def steps_per_block(rows: int, length: int, n_state: int, d_inner: int, itemsize: int) -> int:
+    """Steps whose coefficients [steps, rows, n_state, d_inner] a group of
+    ``rows`` rows fills at once: as many as fit ``SCAN_BUDGET`` bytes, at
+    most ``length`` and at least one, so a group whose state fills the budget
+    steps one step at a time."""
+    return max(1, min(length, SCAN_BUDGET // (rows * n_state * d_inner * itemsize)))
+
+
 class _StepCoeffs:
     """Scan coefficients of x [B, L, d_inner]: the token-sized selective maps
-    for the whole sequence, the state-sized step terms one step at a time,
-    for one group of batch rows at a time.
+    for the whole sequence, the state-sized step terms a block of steps at a
+    time, for one group of batch rows at a time.
 
     The maps b = x W_b, c = x W_c and dt = softplus(x W_dt + dt_bias) are
     computed once over the whole sequence and batch; dt is the one
@@ -205,12 +222,23 @@ class _StepCoeffs:
 
     The rows are stepped in groups of as many rows as keep one
     [rows, n_state, d_inner] state within ``SCAN_BUDGET`` bytes, and at least
-    one; ``groups()`` walks them. ``fill_a_bar(t)`` computes a_bar =
-    exp(dt*A) at step t for the current group, ``fill_dtx(t)`` computes
-    dtx = dt * x at step t into a [rows, d_inner] buffer, and ``fill(t)``
-    computes both and bx = b * dtx (so B_bar = dt*B, as in Mamba), into two
-    [rows, n_state, d_inner] buffers allocated once, the only arrays that
-    grow with the state. Every row's arithmetic is the same in any group.
+    one (``group_rows``); ``groups()`` walks them. Each group's steps go in
+    blocks of ``span`` steps (``steps_per_block``), which ``blocks()`` lists:
+    ``fill_a_bar(t0, s)`` computes a_bar = exp(dt*A) for the s steps from t0
+    into ``a_bar[:s]``, ``fill_dtx(t0, s)`` computes dtx = dt * x into
+    ``dtx[:s]``, and ``fill(t0, s)`` computes both and bx = b * dtx (so
+    B_bar = dt*B, as in Mamba) into ``bx[:s]``, one call each per block.
+    ``a_bar`` and ``bx`` are [span, rows, n_state, d_inner] buffers allocated
+    once, the only arrays that grow with the state, and stay within the
+    budget wherever span > 1. The group's dt, x, b and c are read
+    time-major, as ``dt_t``, ``x_t``, ``b_t`` and ``c_t`` [L, rows, ·], so a
+    block reads contiguous memory: copies when span > 1, which happens only
+    in a group whose state is smaller than the budget, and views of the
+    maps when a single row's view is contiguous already or span is 1, so a
+    group that fills the budget copies nothing and steps as a one-step loop
+    would. Every element's arithmetic is the same
+    at any span and in any group.
+
     Each array comes from the workspace ``ws`` (see ``tensor.Workspace``),
     under ``scan.``-prefixed slots; the default allocates them afresh. A
     is kept transposed, as ``a`` [n_state, d_inner], so the state-major
@@ -227,7 +255,7 @@ class _StepCoeffs:
         def take(slot: str, shape: tuple[int, ...]) -> np.ndarray:
             return ws.take("scan." + slot, shape, x.dtype)
 
-        self.x = x
+        self.x, self._take = x, take
         self.a = np.ascontiguousarray(a.T)
         self.b = np.matmul(x, w_b, out=take("b", (b_, l_, n)))
         self.c = np.matmul(x, w_c, out=take("c", (b_, l_, n)))
@@ -240,33 +268,49 @@ class _StepCoeffs:
         np.log1p(tail, out=tail)
         self.dt = np.maximum(pre, 0.0, out=pre)
         self.dt += tail
-        rows = max(1, min(b_, rows_per_group(n, d, x.itemsize)))
-        self.rows = slice(None)  # the current group's batch rows: all of them until groups() runs
-        self.a_bar, self.bx = take("a_bar", (rows, n, d)), take("bx", (rows, n, d))
-        self.dtx = take("dtx", (rows, d))
+        self.group_rows = rows = max(1, min(b_, rows_per_group(n, d, x.itemsize)))
+        # the largest block, in rows x steps, of a full group and of a shorter last one
+        last = b_ % rows or rows
+        steps_rows = max(k * steps_per_block(k, l_, n, d, x.itemsize) for k in (rows, last))
+        self._blocks = take("a_bar", (steps_rows * n * d,)), take("bx", (steps_rows * n * d,)), take("dtx", (steps_rows * d,))
 
     def groups(self):
         """Make each group of batch rows the current one in turn, and yield
-        its rows as a slice of the batch. A shorter last group gets step
-        buffers of its size, as views."""
-        b_, size = self.dt.shape[0], self.a_bar.shape[0]
-        for start in range(0, b_, size):
-            stop = min(start + size, b_)
-            if stop - start < size:
-                self.a_bar, self.bx, self.dtx = self.a_bar[: stop - start], self.bx[: stop - start], self.dtx[: stop - start]
-            self.rows = slice(start, stop)
-            yield self.rows
+        its rows as a slice of the batch: set its ``span``, its time-major
+        maps and its block buffers, as views of the buffers allocated once."""
+        (b_, l_, d), n = self.x.shape, self.a.shape[0]
+        a_bar, bx, dtx = self._blocks
+        for start in range(0, b_, self.group_rows):
+            rows = slice(start, min(start + self.group_rows, b_))
+            k = rows.stop - start
+            self.span = span = steps_per_block(k, l_, n, d, self.x.itemsize)
+            maps = {slot: m[rows].transpose(1, 0, 2) for slot, m in (("dt_t", self.dt), ("x_t", self.x), ("b_t", self.b), ("c_t", self.c))}
+            for slot, view in maps.items():
+                if span > 1 and not view.flags.c_contiguous:  # a small group of rows: a contiguous copy
+                    maps[slot] = self._take(slot, view.shape)
+                    maps[slot][...] = view
+            self.dt_t, self.x_t, self.b_t, self.c_t = maps.values()
+            self.a_bar = a_bar[: span * k * n * d].reshape(span, k, n, d)
+            self.bx = bx[: span * k * n * d].reshape(span, k, n, d)
+            self.dtx = dtx[: span * k * d].reshape(span, k, d)
+            yield rows
 
-    def fill_a_bar(self, t: int) -> None:
-        np.einsum("bd,nd->bnd", self.dt[self.rows, t], self.a, out=self.a_bar)
-        np.exp(self.a_bar, out=self.a_bar)
+    def blocks(self) -> list[tuple[int, int]]:
+        """The current group's blocks as (first step, steps), in order."""
+        l_ = self.x.shape[1]
+        return [(t0, min(self.span, l_ - t0)) for t0 in range(0, l_, self.span)]
 
-    def fill_dtx(self, t: int) -> np.ndarray:
-        return np.multiply(self.dt[self.rows, t], self.x[self.rows, t], out=self.dtx)
+    def fill_a_bar(self, t0: int, s: int) -> None:
+        a_bar = self.a_bar[:s]
+        np.einsum("sbd,nd->sbnd", self.dt_t[t0 : t0 + s], self.a, out=a_bar)
+        np.exp(a_bar, out=a_bar)
 
-    def fill(self, t: int) -> None:
-        self.fill_a_bar(t)
-        np.einsum("bn,bd->bnd", self.b[self.rows, t], self.fill_dtx(t), out=self.bx)
+    def fill_dtx(self, t0: int, s: int) -> np.ndarray:
+        return np.multiply(self.dt_t[t0 : t0 + s], self.x_t[t0 : t0 + s], out=self.dtx[:s])
+
+    def fill(self, t0: int, s: int) -> None:
+        self.fill_a_bar(t0, s)
+        np.einsum("sbn,sbd->sbnd", self.b_t[t0 : t0 + s], self.fill_dtx(t0, s), out=self.bx[:s])
 
 
 def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
@@ -288,22 +332,25 @@ def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
 def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Workspace = T.FRESH) -> np.ndarray:
     """y_t = <c_t, h_t> + d_skip * x_t over x [B, L, d_inner], one step at a
     time, strictly left to right, with each row's state [n_state, d_inner]
-    starting at h_0 = 0. The rows are stepped in groups (see
-    :class:`_StepCoeffs`), and only the current group's state is held; the
-    backward pass replays the rest. The coefficients, the state and y come
-    from the workspace ``ws``; by default y is a fresh array.
+    starting at h_0 = 0. The rows are stepped in groups and the steps'
+    coefficients filled a block at a time (see :class:`_StepCoeffs`); each
+    step then only updates the state and writes its y_t into place. Only the
+    current group's state is held; the backward pass replays the rest. The
+    coefficients, the state and y come from the workspace ``ws``; by
+    default y is a fresh array.
     """
     b_, l_, d = x.shape
     co = _StepCoeffs(x, weights, ws)
     ys = ws.take("scan.y", x.shape, x.dtype)
     for rows in co.groups():
-        h = ws.take("scan.h", co.a_bar.shape, x.dtype)
+        h = ws.take("scan.h", co.a_bar.shape[1:], x.dtype)
         h.fill(0.0)
-        for t in range(l_):
-            co.fill(t)
-            h *= co.a_bar
-            h += co.bx
-            ys[rows, t] = np.matmul(co.c[rows, t, None, :], h)[:, 0, :]
+        for t0, s in co.blocks():
+            co.fill(t0, s)
+            for j, t in enumerate(range(t0, t0 + s)):
+                h *= co.a_bar[j]
+                h += co.bx[j]
+                np.matmul(co.c_t[t, :, None, :], h, out=ys[rows, t, None, :])
     ys += np.multiply(weights[5], x, out=ws.take("scan.tmp", x.shape, x.dtype))  # softplus's slot, free again
     return ys
 
@@ -315,25 +362,34 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     are None and their per-step and final products are skipped; x's
     gradient is the same to the byte.
 
-    Takes the rows in the forward's groups. For each group it replays every
-    state once from h_0 = 0 into ``hs`` [L+1, rows, n_state, d_inner], then
-    walks the steps in reverse, filling each step's a_bar and dtx again,
-    since they are not stored. Both use the forward's operations, so they
-    are bit-identical to the forward's; spent buffers are reused as
-    scratch. ``hs`` grows with L, as the tape's activations do, but holds
-    one group: 33 states at lookback 512 and patch 16, 6.5 MB for the two
-    rows of a group at the paper's d_inner 1536 in float32, where the whole
-    batch of 64 would take 208 MB. The per-step adjoints of the token-sized
-    maps are written into whole-batch arrays and turned into gradients
-    once, after the last group and after ``hs`` is let go, so x's and every
-    weight gradient but a_log's are the same bytes in any grouping; a_log's
-    sums its per-step terms over the rows group by group.
+    Takes the rows in the forward's groups and the steps in the forward's
+    blocks. For each group it replays every state once from h_0 = 0 into
+    ``hs`` [L+1, rows, n_state, d_inner], filling each block's a_bar and bx
+    and stepping only the recurrence through it, then walks the blocks in
+    reverse: it fills a block's a_bar and dtx again, since they are not
+    stored, and walks that block's steps backwards. So the forward, the
+    replay and the reverse walk share one fill per block and phase, and use
+    the forward's operations, so they are bit-identical to the forward's;
+    spent buffers are reused as scratch. The replay holds ``hs`` and a
+    block's a_bar and bx, the reverse walk ``hs``, a block's a_bar and dtx,
+    and the state adjoint and its carry, [rows, n_state, d_inner] each.
+    ``hs`` grows with L, as the tape's activations do, but holds one group:
+    33 states at lookback 512 and patch 16, 6.5 MB for the two rows of a
+    group at the paper's d_inner 1536 in float32, where the whole batch of
+    64 would take 208 MB. The block buffers stay within ``SCAN_BUDGET``
+    wherever a block holds more than one step. The
+    per-step adjoints of the token-sized maps are written into whole-batch
+    arrays and turned into gradients once, after the last group and after
+    ``hs`` is let go, so x's and every weight gradient but a_log's are the
+    same bytes in any grouping; a_log's sums its per-step terms over the
+    rows group by group, one step at a time at any block length.
 
     Beside g and x, the walk holds two token-sized ([B, L, d_inner])
     arrays: dt, and ``g_pre``, the gradient into softplus's argument pre =
-    x W_dt + dt_bias short of its sigmoid factor. Each step adds its share
-    of the adjoint rb of dtx = dt * x to both and writes x's share, dt * rb,
-    over that step's dt, which no earlier step reads. The tail recomputes
+    x W_dt + dt_bias short of its sigmoid factor, and a small group its
+    time-major copies of dt, x, b and c. Each step adds its share of the
+    adjoint rb of dtx = dt * x to both and writes x's share, dt * rb, over
+    that step's dt, which no earlier step reads. The tail recomputes
     pre, for its sigmoid, into the one token-sized temporary it holds at a
     time, sums x's gradient in dt's buffer and writes it over g_pre's once
     that is summed; every sum is added in the order the written-out formula
@@ -343,45 +399,51 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     w_b, w_c, w_dt, dt_bias, a, d_skip = weights
     n = a.shape[1]
     co = _StepCoeffs(x, weights)
-    hs = np.empty((l_ + 1, *co.a_bar.shape), dtype=x.dtype)  # hs[t] = h_{t-1}
-    lam = np.empty(co.a_bar.shape, dtype=x.dtype)  # state adjoint dL/dh_t
-    carry = np.empty(co.a_bar.shape, dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
+    rows = co.group_rows
+    hs = np.empty((l_ + 1, rows, n, d), dtype=x.dtype)  # hs[t] = h_{t-1}
+    lam = np.empty((rows, n, d), dtype=x.dtype)  # state adjoint dL/dh_t
+    carry = np.empty((rows, n, d), dtype=x.dtype)  # a_bar_{t+1} * lam_{t+1}
     g_b, g_c = np.empty_like(co.b), np.empty_like(co.c)
     g_pre = np.empty_like(x)  # dL/d(pre), short of its sigmoid(pre) factor until the tail
     g_a = np.zeros_like(co.a)  # dL/dA, transposed as [n, d]
     for r in co.groups():
-        k = co.a_bar.shape[0]  # the group's rows
+        k = r.stop - r.start
         if k < lam.shape[0]:  # a shorter last group
             hs, lam, carry = hs[:, :k], lam[:k], carry[:k]
         hs[0] = 0.0
-        for t in range(l_):
-            co.fill(t)
-            np.multiply(co.a_bar, hs[t], out=hs[t + 1])
-            hs[t + 1] += co.bx
+        blocks = co.blocks()
+        for t0, s in blocks:
+            co.fill(t0, s)
+            for j, t in enumerate(range(t0, t0 + s)):
+                np.multiply(co.a_bar[j], hs[t], out=hs[t + 1])
+                hs[t + 1] += co.bx[j]
         carry[...] = 0.0
-        for t in range(l_ - 1, -1, -1):
-            co.fill_a_bar(t)
-            # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
-            # adjoint lam_t = c_t g_t + a_bar_{t+1} lam_{t+1}
-            np.einsum("bn,bd->bnd", co.c[r, t], g[r, t], out=lam)
-            lam += carry
-            np.multiply(co.a_bar, lam, out=carry)
-            g_c[r, t] = np.matmul(hs[t + 1], g[r, t, :, None])[..., 0]
-            # bx = b * dtx
-            rb = np.matmul(co.b[r, t, None, :], lam)[:, 0, :]  # dL/d(dtx_t)
-            g_b[r, t] = np.matmul(lam, co.fill_dtx(t)[:, :, None])[..., 0]
-            # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
-            # it replaces h_t, which no later step reads
-            g_u = np.multiply(carry, hs[t], out=hs[t + 1])
-            # u = dt * A
-            if weight_grads:
-                g_a += np.einsum("bnd,bd->nd", g_u, co.dt[r, t])
-            np.einsum("bnd,nd->bd", g_u, co.a, out=g_pre[r, t])
-            # dtx = dt * x, so pre's share through dt adds x * rb, and x's share
-            # dt * rb is written over this step's dt, which no step left to
-            # walk reads
-            g_pre[r, t] += np.multiply(co.x[r, t], rb, out=co.dtx)
-            co.dt[r, t] *= rb
+        for t0, s in reversed(blocks):
+            co.fill_a_bar(t0, s)
+            dtx = co.fill_dtx(t0, s)
+            for j in range(s - 1, -1, -1):
+                t = t0 + j
+                # y_t = <c_t, h_t> and h_t = a_bar_t h_{t-1} + bx_t give the state
+                # adjoint lam_t = c_t g_t + a_bar_{t+1} lam_{t+1}
+                np.einsum("bn,bd->bnd", co.c_t[t], g[r, t], out=lam)
+                lam += carry
+                np.multiply(co.a_bar[j], lam, out=carry)
+                g_c[r, t] = np.matmul(hs[t + 1], g[r, t, :, None])[..., 0]
+                # bx = b * dtx
+                rb = np.matmul(co.b_t[t, :, None, :], lam)[:, 0, :]  # dL/d(dtx_t)
+                g_b[r, t] = np.matmul(lam, dtx[j, :, :, None])[..., 0]
+                # a_bar = exp(u), so dL/du_t = lam_t h_{t-1} a_bar_t = carry h_{t-1};
+                # it replaces h_t, which no later step reads
+                g_u = np.multiply(carry, hs[t], out=hs[t + 1])
+                # u = dt * A
+                if weight_grads:
+                    g_a += np.einsum("bnd,bd->nd", g_u, co.dt[r, t])
+                np.einsum("bnd,nd->bd", g_u, co.a, out=g_pre[r, t])
+                # dtx = dt * x, so pre's share through dt adds x * rb, and x's share
+                # dt * rb is written over this step's dt, which no step left to
+                # walk reads
+                g_pre[r, t] += np.multiply(co.x[r, t], rb, out=dtx[j])
+                co.dt[r, t] *= rb
     # the replayed states go before the token-sized tail, which no longer
     # reads them (g_u is a view into hs, unbound when L or B is 0)
     hs = g_u = None
@@ -525,10 +587,11 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
     _check_scan_input(x, ssm)
     xv = np.ascontiguousarray(x.array.T[None])  # [1, L, d_inner]
     co = _StepCoeffs(xv, _scan_weights(ssm, xv.dtype))
-    a_bar, bx = np.empty((2, xv.shape[1], *co.bx.shape[1:]), dtype=xv.dtype)  # [L, n_state, d_inner]
-    for t in range(xv.shape[1]):
-        co.fill(t)
-        a_bar[t], bx[t] = co.a_bar[0], co.bx[0]
+    a_bar, bx = np.empty((2, xv.shape[1], *co.a.shape), dtype=xv.dtype)  # [L, n_state, d_inner]
+    for _ in co.groups():  # the one row
+        for t0, s in co.blocks():
+            co.fill(t0, s)
+            a_bar[t0 : t0 + s], bx[t0 : t0 + s] = co.a_bar[:s, 0], co.bx[:s, 0]
     h = linear_recurrence_parallel(a_bar, bx, time_axis=0)
     y = np.matmul(co.c[0, :, None, :], h)[:, 0, :] + ssm.d_skip.value.array * xv[0]
     return Tensor(np.ascontiguousarray(y.T))

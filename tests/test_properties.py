@@ -1,7 +1,8 @@
 """Property-based tests of the config format and values, the CSV reader's
 numeric boundaries and malformed text, the window splits, the checkpoint
-reader, the scan with the tape on and off, its row groups, the Huber op
-against its elementwise chain, and RevIN's affine equivariance."""
+reader, the scan with the tape on and off, its row groups and step blocks,
+the Huber op against its elementwise chain, and RevIN's affine
+equivariance."""
 
 import contextlib
 import csv
@@ -699,7 +700,7 @@ def test_row_groups_change_no_bits_but_a_logs(batch, length, d_inner, n_state, d
     x, g = rng.standard_normal((2, batch, length, d_inner)).astype(dtype)
     want_y, want, a_log_abs = whole_batch_scan(g, x, weights)
     with mock.patch.object(ssm, "SCAN_BUDGET", rows * n_state * d_inner * np.dtype(dtype).itemsize):
-        assert ssm._StepCoeffs(x, weights).a_bar.shape[0] == rows
+        assert ssm._StepCoeffs(x, weights).group_rows == rows
         y = ssm._sequential_scan_np(x, weights)
         got = ssm._sequential_scan_vjp(g, x, weights, True)
         frozen = ssm._sequential_scan_vjp(g, x, weights, False)
@@ -714,6 +715,42 @@ def test_row_groups_change_no_bits_but_a_logs(batch, length, d_inner, n_state, d
     # within twice that of each other
     tol = 2 * batch * length * np.finfo(dtype).eps * a_log_abs
     assert (np.abs(got[5] - want[5]) <= tol).all()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from([1, 2, 7]), st.integers(1, 20), st.integers(1, 6), st.integers(1, 4), st.integers(1, 21),
+    st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1),
+)
+@example(batch=1, length=10, d_inner=5, n_state=3, span=3, dtype=np.float32, seed=1)
+@example(batch=2, length=10, d_inner=5, n_state=3, span=4, dtype=np.float64, seed=2)
+@example(batch=7, length=10, d_inner=5, n_state=3, span=3, dtype=np.float32, seed=3)
+@example(batch=7, length=11, d_inner=5, n_state=3, span=4, dtype=np.float64, seed=4)
+def test_block_lengths_change_no_bits(batch, length, d_inner, n_state, span, dtype, seed):
+    """Filling a block of steps' coefficients at once gives the one-step
+    kernel's output and all seven gradients, a_log's included, to the byte,
+    at any block length, a partial last block included. The budget keeps
+    every row in one group and sets ``span`` steps per block."""
+    rng = np.random.default_rng(seed)
+    p = ssm.init_ssm_params(rng, d_inner, n_state, dtype, "s")
+    for q in p.parameters():
+        q.assign((q.value.array + 0.3 * rng.standard_normal(q.value.shape)).astype(dtype))
+    weights = ssm._scan_weights(p, dtype)
+    x, g = rng.standard_normal((2, batch, length, d_inner)).astype(dtype)
+    want_y, want, _ = whole_batch_scan(g, x, weights)
+    state = batch * n_state * d_inner * np.dtype(dtype).itemsize
+    with mock.patch.object(ssm, "SCAN_BUDGET", span * state + state - 1):
+        co = ssm._StepCoeffs(x, weights)
+        next(co.groups())
+        assert co.group_rows == batch and co.span == min(span, length)
+        y = ssm._sequential_scan_np(x, weights)
+        got = ssm._sequential_scan_vjp(g, x, weights, True)
+        frozen = ssm._sequential_scan_vjp(g, x, weights, False)
+    assert y.tobytes() == want_y.tobytes()
+    for name, got_i, want_i in zip(("x", "x_to_b", "x_to_c", "x_to_dt", "dt_bias", "a_log", "d_skip"), got, want):
+        assert got_i.dtype == want_i.dtype and got_i.shape == want_i.shape, name
+        assert got_i.tobytes() == want_i.tobytes(), name
+    assert frozen[0].tobytes() == want[0].tobytes() and frozen[1:] == (None,) * 6
 
 
 @settings(deadline=None, max_examples=200)
@@ -756,7 +793,7 @@ def test_rows_per_group_keeps_both_old_formulas(batch, n_state, d_model, channel
     weights = ssm._scan_weights(ssm.init_ssm_params(np.random.default_rng(0), cfg.d_inner, n_state, dtype, "s"), dtype)
     x = np.zeros((batch, 1, cfg.d_inner), dtype)
     with mock.patch.object(ssm, "SCAN_BUDGET", budget):
-        assert ssm._StepCoeffs(x, weights).a_bar.shape[0] == old_rows_per_group(batch, n_state, cfg.d_inner, itemsize)
+        assert ssm._StepCoeffs(x, weights).group_rows == old_rows_per_group(batch, n_state, cfg.d_inner, itemsize)
         assert CLI._group_windows(cfg, channels, itemsize) == old_group_windows(cfg, channels, itemsize)
 
 

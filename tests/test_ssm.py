@@ -51,13 +51,14 @@ def scan_loss(x, p, proj):
 
 def step_coeffs(x, p):
     """``_StepCoeffs`` of x [B, L, d_inner], with the step terms (a_bar, bx) that
-    ``fill`` gives at every step in its [B, n_state, d_inner] buffers, stacked
-    to [B, L, d_inner, n_state]."""
+    ``fill`` gives at every step, a block of steps at a time, in its
+    [span, rows, n_state, d_inner] buffers, stacked to [B, L, d_inner, n_state]."""
     co = ssm._StepCoeffs(x, ssm._scan_weights(p, x.dtype))
     a_bar, bx = np.empty((2, x.shape[0], x.shape[1], p.d_inner, p.n_state), dtype=x.dtype)
-    for t in range(x.shape[1]):
-        co.fill(t)
-        a_bar[:, t], bx[:, t] = co.a_bar.transpose(0, 2, 1), co.bx.transpose(0, 2, 1)
+    for r in co.groups():
+        for t0, s in co.blocks():
+            co.fill(t0, s)
+            a_bar[r, t0 : t0 + s], bx[r, t0 : t0 + s] = co.a_bar[:s].transpose(1, 0, 3, 2), co.bx[:s].transpose(1, 0, 3, 2)
     return co, a_bar, bx
 
 
@@ -331,6 +332,40 @@ def test_scan_backward_holds_one_group_of_states():
         tracemalloc.stop()
     group_states, token_array = (l_ + 1) * rows * n * d * 4, b_ * l_ * d * 4
     assert peak < group_states + 10 * token_array, peak
+
+
+@pytest.mark.parametrize(
+    "d_model, batch",
+    [
+        (128, 32),  # train: a stage-1 or stage-2 step's 32 channel windows
+        (128, 28),  # train: a fine-tune step's 4 windows x 7 channels
+        (32, 63),  # evaluate: a full group of 9 windows x 7 channels
+        (768, 64),  # the paper's scale
+    ],
+)
+def test_groups_that_fill_the_budget_step_one_step_at_a_time(monkeypatch, d_model, batch):
+    # every group of these float32 scans holds a state that fills the
+    # budget, so each fill covers one step, in the forward and in both of
+    # the backward's walks, and no group copies its maps time-major
+    cfg = M.ModelConfig(horizon=96, n_channels=7, lookback=512, patch_len=16, d_model=d_model, d_state=16)
+    d, n, l_ = cfg.d_inner, cfg.d_state, cfg.n_tokens
+    spans = []
+    fill_a_bar = ssm._StepCoeffs.fill_a_bar  # every phase fills each block's a_bar once
+    monkeypatch.setattr(ssm._StepCoeffs, "fill_a_bar", lambda co, t0, s: spans.append(s) or fill_a_bar(co, t0, s))
+    p = make_ssm(np.random.default_rng(0), d, n, np.float32)
+    weights = ssm._scan_weights(p, np.float32)
+    x = np.zeros((batch, l_, d), dtype=np.float32)
+    rows = ssm.rows_per_group(n, d, 4) or 1
+    groups = -(-batch // rows)
+    for k in {rows, batch - (groups - 1) * rows}:
+        assert ssm.steps_per_block(k, l_, n, d, 4) == 1
+    ssm._sequential_scan_np(x, weights)
+    assert spans == [1] * (groups * l_)
+    if d_model == 768:
+        return  # the backward at the paper's scale is measured by scripts/paper_step_rss.py
+    spans.clear()
+    ssm._sequential_scan_vjp(x, x, weights, True)
+    assert spans == [1] * (2 * groups * l_)  # the replay's fills, then the reverse walk's
 
 
 def test_scan_rejects_input_dtype_mismatch():
