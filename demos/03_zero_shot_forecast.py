@@ -28,9 +28,9 @@ ds = D.synth_generate(
 n1, _ = D.train_boundaries(ds.n_total, spec)
 std = D.standardize(ds, D.compute_train_stats(ds, n1))
 train, _, _ = D.split_windows(std, spec, L, T_HORIZON, stride=8)
-x, y = D.flatten_channel_windows(train)
-x, y = x.astype(np.float32), y.astype(np.float32)
-print(f"{x.shape[0]} univariate training windows from {len(periods)} series")
+# channel rows gathered per batch and cast to the model's dtype by the trainer
+x, y = D.ChannelRows([train], "inputs"), D.ChannelRows([train], "targets")
+print(f"{len(x)} univariate training windows from {len(periods)} series")
 
 cfg = M.ModelConfig(horizon=T_HORIZON, n_channels=len(periods), lookback=L, patch_len=8,
                     d_model=24, n_layers=2, d_state=8, head_compress_dim=6)

@@ -32,8 +32,7 @@ n1, _ = D.train_boundaries(ds.n_total, spec)
 std = D.standardize(ds, D.compute_train_stats(ds, n1))
 train, val, test = D.split_windows(std, spec, L, T_HORIZON, stride=8)
 print(f"windows: train={len(train)} val={len(val)} test={len(test)}")
-x, y = D.flatten_channel_windows(train)
-x, y = x.astype(np.float32), y.astype(np.float32)
+x, y = D.ChannelRows([train], "inputs"), D.ChannelRows([train], "targets")
 
 cfg = M.ModelConfig(horizon=T_HORIZON, n_channels=4, lookback=L, patch_len=8,
                     d_model=32, n_layers=2, d_state=8, head_compress_dim=8)
@@ -50,9 +49,9 @@ print(f"head-init loss {r2.step_losses[0]:.4f} -> final {r2.step_losses[-1]:.4f}
       f"({1 - r2.step_losses[-1] / r2.step_losses[0]:.1%} reduction)")
 
 print("\n== held-out evaluation ==")
-inputs, targets = D.stack_inputs(test), D.stack_targets(test)
+inputs, targets = test.inputs, test.targets
 with no_grad():
-    preds = forecast(Tensor(inputs.astype(np.float32)), r2.model).array
+    preds = forecast(Tensor(np.ascontiguousarray(inputs, dtype=np.float32)), r2.model).array
 naive = np.repeat(inputs[:, :, -1:], T_HORIZON, axis=2)
 mse, mae = D.metric_mse(preds, targets), D.metric_mae(preds, targets)
 mse_naive = D.metric_mse(naive, targets)

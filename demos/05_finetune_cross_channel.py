@@ -29,8 +29,7 @@ pre = D.synth_generate(
 n1, _ = D.train_boundaries(pre.n_total, spec)
 std = D.standardize(pre, D.compute_train_stats(pre, n1))
 train, _, _ = D.split_windows(std, spec, L, T_HORIZON, stride=8)
-x, y = D.flatten_channel_windows(train)
-x, y = x.astype(np.float32), y.astype(np.float32)
+x, y = D.ChannelRows([train], "inputs"), D.ChannelRows([train], "targets")
 cfg = M.ModelConfig(horizon=T_HORIZON, n_channels=4, lookback=L, patch_len=8,
                     d_model=32, n_layers=2, d_state=8, head_compress_dim=8)
 model = M.build_model(cfg, seed=7, dtype=np.float32)
@@ -54,17 +53,15 @@ lag = D.synth_generate(
 n1, _ = D.train_boundaries(lag.n_total, spec)
 lag_std = D.standardize(lag, D.compute_train_stats(lag, n1))
 ftrain, _, ftest = D.split_windows(lag_std, spec, L, T_HORIZON, stride=4)
-fx = D.stack_inputs(ftrain).astype(np.float32)
-fy = D.stack_targets(ftrain).astype(np.float32)
 print(f"fine-tune windows: {len(ftrain)}, held-out: {len(ftest)}")
 
 results = {}
 for enable in (False, True):
     ft_cfg = TR.finetune_config(epochs=3, batch_size=16, enable_xchannel=enable, min_samples_for_xchannel=1)
-    r = TR.run_finetune(fx, fy, ft_cfg, foundation, seed=11)
+    r = TR.run_finetune(ftrain.inputs, ftrain.targets, ft_cfg, foundation, seed=11)
     with no_grad():
-        preds = forecast(Tensor(D.stack_inputs(ftest).astype(np.float32)), r.model).array
-    results[enable] = D.metric_mse(preds, D.stack_targets(ftest))
+        preds = forecast(Tensor(np.ascontiguousarray(ftest.inputs, dtype=np.float32)), r.model).array
+    results[enable] = D.metric_mse(preds, ftest.targets)
     label = "with xchannel" if enable else "no xchannel  "
     print(f"{label}: step-0 loss {r.step_losses[0]:.5f}, final {r.step_losses[-1]:.5f}, "
           f"held-out MSE {results[enable]:.5f}")

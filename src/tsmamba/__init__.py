@@ -16,10 +16,8 @@ from .data import (
     SplitSpec,
     TimeSeriesDataset,
     Trend,
-    WindowSample,
     Windows,
     load_csv,
-    make_windows,
     metric_mae,
     metric_mse,
     split_windows,

@@ -88,6 +88,8 @@ class RunConfig:
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
         self.seed = M.json_typed("config", "seed", raw.get("seed", 0), int)
+        if self.seed < 0:
+            raise InvalidConfig(f"config key 'seed' must be >= 0, got {self.seed}")
         precision = raw.get("precision", "float32")
         if precision not in ("float32", "float64"):
             raise InvalidConfig(f"precision must be float32 or float64, got {precision!r}")
@@ -340,8 +342,8 @@ def _run_evaluate(args) -> int:
     added to running error sums and let go, so no array grows with the
     split. One ``no_grad`` block, and so one workspace, serves every group."""
     horizons = _int_list(args.horizons, "--horizons")
-    if not horizons:
-        raise InvalidConfig("--horizons must name at least one horizon")
+    if not horizons or min(horizons) < 1:
+        raise InvalidConfig("--horizons needs positive horizons")
     ckpts = _checkpoints_for_horizons(args.model, horizons)
     ds = D.load_csv(args.data, ffill=args.ffill)
     spec = D.SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, test_frac=args.test_frac)

@@ -1,12 +1,17 @@
 """Dataset ingestion, windowing, chronological splits, metrics, synthetic data.
 
 A split is a ``Windows``: a range of origins over one read-only
-sliding-window view of a standardized series. Nothing is stacked until a
-caller asks. The CLI never stacks a split: ``evaluate`` gathers one window
-group at a time from the views, and ``ChannelRows`` gathers training
-batches of channel rows by index. ``stack_inputs``/``stack_targets``, which
-gather a whole split at once, stay for the tests, the demos and the
-benchmark.
+sliding-window view of a standardized series, made by ``split_windows`` or
+``Windows.over``. Nothing is copied until a caller asks. The one windowing
+API is the ``inputs``, ``targets`` and ``origins`` views of a ``Windows``
+and ``ChannelRows``, which gathers training batches of channel rows by
+index: ``evaluate`` gathers one window group at a time from the views, and
+training gathers its batches through ``ChannelRows``.
+
+The benchmark (``perfbench/``) still calls an older API, which stays only
+until it moves: a ``Windows``' integer index (a ``WindowSample`` of views),
+the list branch of ``stack_inputs``/``stack_targets``, and
+``flatten_channel_windows``.
 """
 
 from __future__ import annotations
@@ -62,8 +67,8 @@ class Windows:
     over one read-only sliding-window view of a series; nothing is copied.
 
     ``spans[i]`` is ``values[t-L : t+T).T``, [D, L+T], for t = ``origins[i]``.
-    An integer index gives a WindowSample of views, a slice the Windows at
-    the selected origins; iteration yields every WindowSample in order.
+    A slice gives the Windows at the selected origins, an integer index a
+    WindowSample of views.
     """
 
     spans: np.ndarray  # [n, D, L+T]
@@ -105,17 +110,11 @@ class Windows:
     def __len__(self) -> int:
         return len(self.origins)
 
-    def _sample(self, span: np.ndarray, origin: int) -> WindowSample:
-        return WindowSample(input=span[:, : self.lookback], target=span[:, self.lookback :], origin_index=origin)
-
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Windows(self.spans[i], self.lookback, self.origins[i])
-        return self._sample(self.spans[i], self.origins[i])
-
-    def __iter__(self):
-        for span, origin in zip(self.spans, self.origins):
-            yield self._sample(span, origin)
+        span = self.spans[i]
+        return WindowSample(input=span[:, : self.lookback], target=span[:, self.lookback :], origin_index=self.origins[i])
 
 
 @dataclass
@@ -126,9 +125,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
-            raise InvalidConfig("split fractions must sum to 1")
+            raise InvalidConfig("split keys 'train_frac', 'val_frac' and 'test_frac' must sum to 1")
         if min(self.train_frac, self.val_frac, self.test_frac) < 0:
-            raise InvalidConfig("split fractions must be non-negative")
+            raise InvalidConfig("split keys 'train_frac', 'val_frac' and 'test_frac' must be >= 0")
 
 
 @dataclass
@@ -379,12 +378,6 @@ def standardize(ds: TimeSeriesDataset, stats: ChannelStats) -> TimeSeriesDataset
     )
 
 
-def make_windows(ds: TimeSeriesDataset, lookback: int, horizon: int, stride: int = 1) -> Windows:
-    """All (input, target) windows ordered by origin, over a read-only view
-    of ``ds.values``; empty if the series is short."""
-    return Windows.over(ds.values, lookback, horizon, stride)
-
-
 def split_windows(
     ds: TimeSeriesDataset,
     spec: SplitSpec,
@@ -399,7 +392,7 @@ def split_windows(
     A window with origin t is train when t + horizon <= train_end, else val
     when t >= train_end and t + horizon <= val_end, else test when
     t >= val_end. Each rule holds on a run of consecutive origins, so each
-    split is a slice of ``make_windows``' origins, found by arithmetic.
+    split is a slice of ``Windows.over``'s origins, found by arithmetic.
 
     ``boundaries`` overrides the fractional spec with explicit
     (train_end, val_end) row indices, matching benchmark conventions that fix

@@ -23,10 +23,18 @@ from .tensor import Tensor
 ALIGN_KERNEL = 3
 XSHIFT_KERNEL = 3
 EXPAND_FACTOR = 2  # Mamba block inner width = EXPAND_FACTOR * d_model
+LOCAL_CONV_KERNEL = 4  # Mamba block causal conv width, Mamba's d_conv
 
 # Keys of configs written before these choices were fixed; each is accepted
-# only at the value the architecture now hardwires.
-_RETIRED_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
+# only at the value the architecture, or the loss, now hardwires (a float
+# also as the equal JSON integer).
+_RETIRED_KEYS = {
+    "expand_factor": 2,
+    "revin_affine": False,
+    "combine_mode": "add",
+    "local_conv_kernel": LOCAL_CONV_KERNEL,
+    "huber_delta": 1.0,
+}
 
 _JSON_KINDS = {int: "an integer", float: "a finite number", bool: "true or false"}
 
@@ -60,6 +68,20 @@ def typed_section(cls, section: str, d) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# the least value of each numeric ModelConfig field
+_LOWER_BOUNDS = {
+    "horizon": 1,
+    "n_channels": 1,
+    "lookback": 1,
+    "patch_len": 1,
+    "d_model": 1,
+    "n_layers": 0,
+    "d_state": 1,
+    "head_compress_dim": 0,
+    "revin_eps": 0.0,
+}
+
+
 @dataclass
 class ModelConfig:
     """Architecture hyperparameters; one checkpoint bakes in one horizon."""
@@ -72,8 +94,6 @@ class ModelConfig:
     n_layers: int = 3
     d_state: int = 16
     head_compress_dim: int = 0  # 0 derives max(4, d_model // 12)
-    local_conv_kernel: int = 4
-    huber_delta: float = 1.0
     revin_eps: float = 1e-5
     xchannel_enabled: bool = False
 
@@ -81,10 +101,10 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.horizon < 1 or self.n_channels < 1 or self.lookback < 1:
-            raise InvalidConfig("horizon, n_channels and lookback must be positive")
-        if self.patch_len < 1 or self.d_model < 1 or self.n_layers < 0:
-            raise InvalidConfig("patch_len and d_model must be positive")
+        for key, low in _LOWER_BOUNDS.items():
+            value = getattr(self, key)
+            if value < low:
+                raise InvalidConfig(f"model key {key!r} must be >= {low}, got {value!r}")
         if self.lookback % self.patch_len != 0:
             raise PatchLengthMismatch(
                 f"lookback {self.lookback} not divisible by patch_len {self.patch_len}"
@@ -95,10 +115,6 @@ class ModelConfig:
             )
         if self.xchannel_enabled and self.n_channels < 2:
             raise InvalidConfig("cross-channel attention requires n_channels >= 2")
-        if self.huber_delta <= 0:
-            raise InvalidConfig("huber_delta must be > 0")
-        if self.revin_eps < 0:
-            raise InvalidConfig("revin_eps must be >= 0")
 
     @property
     def n_tokens(self) -> int:
@@ -122,8 +138,9 @@ class ModelConfig:
         d = dict(d)
         for key, fixed in _RETIRED_KEYS.items():
             value = d.pop(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise InvalidConfig(f"{key} {value!r} is not supported; the architecture fixes it at {fixed!r}")
+            kinds = (int, float) if type(fixed) is float else (type(fixed),)
+            if type(value) not in kinds or value != fixed:
+                raise InvalidConfig(f"model key {key!r} is retired: {value!r} is not supported, only {fixed!r}")
         return typed_section(cls, "model", d)
 
     @classmethod
@@ -211,9 +228,6 @@ class HeadParams(ParamTree):
     compress_b: Parameter  # [head_dim]
     out_w: Parameter  # [n_tokens * head_dim, horizon]
     out_b: Parameter  # [horizon]
-
-    def param_count(self) -> int:
-        return sum(p.value.size for p in self.parameters())
 
 
 @dataclass
@@ -325,8 +339,8 @@ def _assemble(cfg: ModelConfig, rng, dtype) -> Model:
     model = Model(
         config=cfg,
         embedding=init_embedding(rng, cfg, dtype),
-        fwd_encoder=init_encoder(rng, cfg.n_layers, cfg.d_model, cfg.d_inner, cfg.d_state, cfg.local_conv_kernel, dtype, "fwd_encoder"),
-        bwd_encoder=init_encoder(rng, cfg.n_layers, cfg.d_model, cfg.d_inner, cfg.d_state, cfg.local_conv_kernel, dtype, "bwd_encoder"),
+        fwd_encoder=init_encoder(rng, cfg.n_layers, cfg.d_model, cfg.d_inner, cfg.d_state, LOCAL_CONV_KERNEL, dtype, "fwd_encoder"),
+        bwd_encoder=init_encoder(rng, cfg.n_layers, cfg.d_model, cfg.d_inner, cfg.d_state, LOCAL_CONV_KERNEL, dtype, "bwd_encoder"),
         align=init_align(rng, cfg, dtype),
         head=init_head(rng, cfg, dtype),
         xchannel=init_xchannel(rng, cfg, dtype) if cfg.xchannel_enabled else None,
@@ -387,9 +401,13 @@ def head_core(combined: Tensor, head: HeadParams) -> Tensor:
     return T.linear(flat, head.out_w.value, head.out_b.value)
 
 
-def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tensor]:
-    """Steps 1-3 of the cross-channel module over [B, D, n_tokens, d_model]:
-    (attention weights [B, n_tokens, d_c, d_c], attended [B, n_tokens, d_c, d_model])."""
+def xchannel_attention_batched(combined: Tensor, xp: XChannelParams) -> Tensor:
+    """Cross-channel correction over [B, D, n_tokens, d_model].
+
+    Per-channel temporal shift, channel compression to ceil(log2 D), scaled
+    dot-product attention across compressed channels at each token, expansion
+    back to D channels (zero-initialized), residual add.
+    """
     d, d_model = combined.shape[1], combined.shape[3]
     if d != xp.n_channels:
         raise ShapeMismatch(f"xchannel built for {xp.n_channels} channels, got {d}")
@@ -406,18 +424,7 @@ def _xchannel_attend(combined: Tensor, xp: XChannelParams) -> tuple[Tensor, Tens
     # (3) attention over compressed channels, applied per token
     q = T.transpose(comp, (0, 1, 3, 2))  # [B, n_tokens, d_c, d_model]
     scores = T.scale(T.matmul(q, T.transpose(q, (0, 1, 3, 2))), 1.0 / math.sqrt(d_model))
-    attn = T.softmax(scores, axis=-1)
-    return attn, T.matmul(attn, q)
-
-
-def xchannel_attention_batched(combined: Tensor, xp: XChannelParams) -> Tensor:
-    """Cross-channel correction over [B, D, n_tokens, d_model].
-
-    Per-channel temporal shift, channel compression to ceil(log2 D), scaled
-    dot-product attention across compressed channels at each token, expansion
-    back to D channels (zero-initialized), residual add.
-    """
-    _, attended = _xchannel_attend(combined, xp)
+    attended = T.matmul(T.softmax(scores, axis=-1), q)
 
     # (4) expand d_c -> D; weights start at zero so the module begins inert
     expanded = T.linear(T.transpose(attended, (0, 1, 3, 2)), xp.expand_w.value, xp.expand_b.value)  # [B, n_tokens, d_model, D]
@@ -425,13 +432,6 @@ def xchannel_attention_batched(combined: Tensor, xp: XChannelParams) -> Tensor:
 
     # (5) residual
     return T.add(combined, correction)
-
-
-def attention_weights(combined: Tensor, xp: XChannelParams) -> np.ndarray:
-    """Softmax attention matrix per token, for inspection: [n_tokens, d_c, d_c]."""
-    with T.no_grad():
-        attn, _ = _xchannel_attend(T.reshape(combined, (1,) + combined.shape), xp)
-    return attn.array[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from .model import (
 from .params import Parameter, ParamTree, uniform_init
 from .tensor import Tensor
 
+HUBER_DELTA = 1.0  # the training loss's switch from quadratic to linear, in normalized units
+
 
 @dataclass
 class _StageSettings:
@@ -160,7 +162,7 @@ def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     b_, length = windows.shape
     n_tokens = length // cfg.patch_len
     if n_tokens < 2:
-        raise InsufficientPatches(f"need >= 2 patches, got {n_tokens}")
+        raise InsufficientPatches(f"stage 1 needs >= 2 patches: lookback {length}, patch_len {cfg.patch_len}")
     x_hat, _ = revin_normalize(windows, eps=cfg.revin_eps)
     bb = backbone_forward(x_hat, model)
     patches = x_hat.array.reshape(b_, n_tokens, cfg.patch_len)
@@ -169,7 +171,7 @@ def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     prev_pred = T.linear(T.slice_axis(bb.bwd_rep_aligned, 1, 1, n_tokens), heads.prev_w.value, heads.prev_b.value)
     pred = T.concat([next_pred, prev_pred], axis=0)
     target = Tensor(np.concatenate([patches[:, 1:], patches[:, :-1]], axis=0))
-    return huber_loss(pred, target, cfg.huber_delta)
+    return huber_loss(pred, target, HUBER_DELTA)
 
 
 def _normalize_pair(inputs: np.ndarray, targets: np.ndarray, eps: float):
@@ -194,7 +196,7 @@ def stage2_loss(inputs: Tensor, targets: Tensor, model: Model) -> Tensor:
     x_hat, t_hat = _normalize_pair(inputs.array, targets.array, cfg.revin_eps)
     batch = x_hat if inputs.ndim == 3 else T.reshape(x_hat, (x_hat.shape[0], 1, x_hat.shape[1]))
     pred = T.reshape(forecast_normalized(batch, model), x_hat.shape[:-1] + (cfg.horizon,))
-    return huber_loss(pred, t_hat, cfg.huber_delta)
+    return huber_loss(pred, t_hat, HUBER_DELTA)
 
 
 # ---------------------------------------------------------------------------

@@ -281,9 +281,9 @@ def test_model_from_checkpoint_refuses_mixed_dtypes():
     assert "float32" in msg and "float64" in msg and repr(f32) in msg and repr(f64) in msg
 
 
-# the three ModelConfig keys of earlier manifests, at the values they were
-# always saved with; the architecture now hardwires them
-LEGACY_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
+# the ModelConfig keys of earlier manifests, at the values they were always
+# saved with; the architecture and the loss now hardwire them
+LEGACY_KEYS = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add", "local_conv_kernel": 4, "huber_delta": 1.0}
 
 
 def test_legacy_manifest_loads_and_forecasts_identically(tmp_path):
@@ -306,7 +306,10 @@ def test_legacy_manifest_loads_and_forecasts_identically(tmp_path):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("key,value", [("combine_mode", "concat"), ("revin_affine", True), ("expand_factor", 3)])
+@pytest.mark.parametrize(
+    "key,value",
+    [("combine_mode", "concat"), ("revin_affine", True), ("expand_factor", 3), ("local_conv_kernel", 3), ("huber_delta", 0.5)],
+)
 def test_legacy_manifest_with_other_setting_rejected(tmp_path, key, value):
     path = tmp_path / "legacy.ckpt"
     C.save_checkpoint(C.checkpoint_from_model(tiny_model(seed=16), "stage2"), str(path))

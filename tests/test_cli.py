@@ -112,6 +112,7 @@ def test_pretrain_unknown_config_key(workdir, tmp_path):
         ("model", "xchannel_enabled", "yes"),
         ("model", "horizon", "4"),
         ("model", "huber_delta", float("nan")),
+        (None, "seed", -1),
     ],
 )
 def test_pretrain_mistyped_config_value_exit2(workdir, tmp_path, capsys, section, key, value):
@@ -164,12 +165,14 @@ def test_pretrain_retired_model_keys(workdir, tmp_path, capsys):
     _, data_path, config_path = workdir
     raw = json.loads(Path(config_path).read_text())
     raw["stage1"]["epochs"] = 0
-    fixed = {"combine_mode": "add", "revin_affine": False, "expand_factor": 2}
+    fixed = {"combine_mode": "add", "revin_affine": False, "expand_factor": 2, "local_conv_kernel": 4, "huber_delta": 1.0}
     cfg = tmp_path / "retired.json"
     argv = ["pretrain", "--stage", "1", "--config", str(cfg), "--data", data_path, "--out", str(tmp_path / "r.ckpt")]
-    cfg.write_text(json.dumps({**raw, "model": {**raw["model"], **fixed}}))
-    assert main(argv) == 0
-    for key, value in (("combine_mode", "concat"), ("revin_affine", True), ("expand_factor", 3)):
+    for fixed_as_written in (fixed, {**fixed, "huber_delta": 1}):
+        cfg.write_text(json.dumps({**raw, "model": {**raw["model"], **fixed_as_written}}))
+        assert main(argv) == 0
+    others = (("combine_mode", "concat"), ("revin_affine", True), ("expand_factor", 3), ("local_conv_kernel", 3), ("huber_delta", 0.5))
+    for key, value in others:
         cfg.write_text(json.dumps({**raw, "model": {**raw["model"], **fixed, key: value}}))
         assert main(argv) == 2
         assert key in capsys.readouterr().err
@@ -384,13 +387,17 @@ def test_evaluate_explicit_boundaries(workdir, tmp_path):
         assert code == 2, (train_end, val_end)
 
 
-def test_evaluate_bad_horizons_exit2(workdir, capsys):
+def test_evaluate_bad_horizons_exit2(workdir, tmp_path, capsys):
     wd, data_path, config_path = workdir
     _, s2 = _pretrain_both(wd, data_path, config_path)
-    assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", "4,x"]) == 2
-    assert "--horizons" in capsys.readouterr().err
-    assert main(["evaluate", "--model", s2, "--data", data_path, "--horizons", ","]) == 2
-    assert "--horizons" in capsys.readouterr().err
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
+    # a horizon below 1 is a bad flag, whether --model is a file or a directory
+    for model in (s2, str(ckpt_dir)):
+        for horizons in ("4,x", ",", "0", "-8", "8,0", "4,-4"):
+            assert main(["evaluate", "--model", model, "--data", data_path, "--horizons", horizons]) == 2, horizons
+            assert "--horizons" in capsys.readouterr().err
 
 
 def test_evaluate_report_does_not_depend_on_group_size(workdir, tmp_path, monkeypatch):
@@ -929,6 +936,40 @@ def test_evaluate_directory_skips_rejected_config(workdir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "h8.ckpt" in err and "combine_mode" in err
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "8"]) == 4
+
+
+def test_manifest_retired_keys_forecast_identically_or_exit2(workdir, tmp_path, capsys):
+    # checkpoints written while the conv kernel and the Huber delta were
+    # config keys hold them at 4 and 1.0; they forecast byte for byte as
+    # before, and any other value is refused naming the key
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    window = tmp_path / "window.csv"
+    D.write_csv(D.TimeSeriesDataset(name="w", values=D.load_csv(data_path).values[-16:]), str(window))
+
+    def forecast(ckpt):
+        out = tmp_path / "fc.csv"
+        code = main(["forecast", "--model", str(ckpt), "--input", str(window), "--horizon", "4", "--out", str(out)])
+        return code, out.read_bytes() if code == 0 else None
+
+    want = forecast(s2)
+    assert want[0] == 0
+    for i, keys in enumerate(({"local_conv_kernel": 4, "huber_delta": 1.0}, {"local_conv_kernel": 4, "huber_delta": 1})):
+        _rewrite_manifest(s2, tmp_path / f"old{i}.ckpt", lambda m: m["model_config"].update(keys))
+        assert forecast(tmp_path / f"old{i}.ckpt") == want
+    capsys.readouterr()
+    for key, value in (("local_conv_kernel", 3), ("local_conv_kernel", 4.0), ("huber_delta", 0.5), ("huber_delta", True)):
+        _rewrite_manifest(s2, tmp_path / "other.ckpt", lambda m: m["model_config"].update({key: value}))
+        assert forecast(tmp_path / "other.ckpt")[0] == 2
+        assert repr(key) in capsys.readouterr().err
+
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
+    _rewrite_manifest(s2, ckpt_dir / "delta.ckpt", lambda m: m["model_config"].update(huber_delta=2.0))
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "delta.ckpt" in err and "huber_delta" in err
 
 
 def test_evaluate_directory_skips_unreadable_file(workdir, tmp_path, capsys, monkeypatch):

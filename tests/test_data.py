@@ -144,55 +144,55 @@ def test_standardize_not_idempotent():
 @pytest.mark.parametrize(
     "n_extra,expected", [(0, 1), (5, 6)]
 )
-def test_make_windows_count(n_extra, expected):
+def test_windows_over_count(n_extra, expected):
     lookback, horizon = 8, 4
-    ds = D.TimeSeriesDataset(name="w", values=np.arange(float(lookback + horizon + n_extra))[:, None])
-    windows = D.make_windows(ds, lookback, horizon, stride=1)
+    windows = D.Windows.over(np.arange(float(lookback + horizon + n_extra))[:, None], lookback, horizon, stride=1)
     assert len(windows) == expected
 
 
-def test_make_windows_short_series_is_empty():
-    ds = D.TimeSeriesDataset(name="w", values=np.arange(10.0)[:, None])
-    assert len(D.make_windows(ds, 8, 4)) == 0
+def test_windows_over_short_series_is_empty():
+    windows = D.Windows.over(np.arange(10.0)[:, None], 8, 4)
+    assert len(windows) == 0
+    assert windows.inputs.shape == (0, 1, 8) and windows.targets.shape == (0, 1, 4)
 
 
 def test_window_contiguity():
-    ds = D.TimeSeriesDataset(name="w", values=np.arange(30.0)[:, None])
-    for w in D.make_windows(ds, 8, 4, stride=3):
-        assert w.input[0, -1] + 1 == w.target[0, 0]
-        np.testing.assert_array_equal(w.input[0], np.arange(w.origin_index - 8, w.origin_index))
-        np.testing.assert_array_equal(w.target[0], np.arange(w.origin_index, w.origin_index + 4))
+    windows = D.Windows.over(np.arange(30.0)[:, None], 8, 4, stride=3)
+    assert windows.origins == range(8, 27, 3)
+    for t, x, y in zip(windows.origins, windows.inputs, windows.targets):
+        np.testing.assert_array_equal(x[0], np.arange(t - 8, t))
+        np.testing.assert_array_equal(y[0], np.arange(t, t + 4))
 
 
 def test_windows_are_read_only_views_of_the_series():
-    ds = D.TimeSeriesDataset(name="w", values=np.arange(60.0).reshape(30, 2))
-    for w in D.make_windows(ds, 8, 4, stride=5):
-        for arr in (w.input, w.target):
-            assert np.shares_memory(arr, ds.values)
-            with pytest.raises(ValueError):
-                arr[0, 0] = -1.0
-    np.testing.assert_array_equal(ds.values, np.arange(60.0).reshape(30, 2))
+    values = np.arange(60.0).reshape(30, 2)
+    windows = D.Windows.over(values, 8, 4, stride=5)
+    for arr in (windows.inputs, windows.targets, windows[1:].inputs):
+        assert np.shares_memory(arr, values)
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = -1.0
+    np.testing.assert_array_equal(values, np.arange(60.0).reshape(30, 2))
 
 
 def test_stacks_are_c_contiguous_copies():
     rng = np.random.default_rng(4)
-    ds = D.TimeSeriesDataset(name="w", values=rng.standard_normal((40, 3)))
+    values = rng.standard_normal((40, 3))
     for stride in (1, 3):
-        windows = D.make_windows(ds, 8, 4, stride=stride)
-        want_x = np.stack([np.ascontiguousarray(w.input) for w in windows])
-        want_y = np.stack([np.ascontiguousarray(w.target) for w in windows])
+        windows = D.Windows.over(values, 8, 4, stride=stride)
+        want_x = np.stack([np.ascontiguousarray(x) for x in windows.inputs])
+        want_y = np.stack([np.ascontiguousarray(y) for y in windows.targets])
         for got, want in ((D.stack_inputs(windows), want_x), (D.stack_targets(windows), want_y)):
             assert got.flags.c_contiguous and got.flags.writeable
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
-            assert not np.shares_memory(got, ds.values)
+            assert not np.shares_memory(got, values)
         flat_x, flat_y = D.flatten_channel_windows(windows)
         for got, want in ((flat_x, want_x.reshape(-1, 8)), (flat_y, want_y.reshape(-1, 4))):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             if stride == 1:  # rows of the series itself, not a copy
                 assert not got.flags.writeable
-                assert np.shares_memory(got, ds.values)
+                assert np.shares_memory(got, values)
 
 
 def test_split_windows_no_leakage():
@@ -201,12 +201,10 @@ def test_split_windows_no_leakage():
     lookback, horizon = 16, 8
     train, val, test = D.split_windows(ds, spec, lookback, horizon)
     assert train and val and test
-    max_train_origin = max(w.origin_index for w in train)
-    for w in test:
-        assert w.origin_index > max_train_origin + horizon
+    assert min(test.origins) > max(train.origins) + horizon
     n1, n2 = D.train_boundaries(200, spec)
-    assert all(w.origin_index + horizon <= n1 for w in train)
-    assert all(w.origin_index >= n2 for w in test)
+    assert max(train.origins) + horizon <= n1
+    assert min(test.origins) >= n2
 
 
 def test_split_spec_validation():
@@ -218,9 +216,9 @@ def test_split_windows_explicit_boundaries():
     ds = D.TimeSeriesDataset(name="w", values=np.arange(200.0)[:, None])
     spec = D.SplitSpec()
     train, val, test = D.split_windows(ds, spec, 16, 8, boundaries=(120, 160))
-    assert max(w.origin_index for w in train) + 8 <= 120
-    assert all(120 <= w.origin_index and w.origin_index + 8 <= 160 for w in val)
-    assert min(w.origin_index for w in test) >= 160
+    assert max(train.origins) + 8 <= 120
+    assert 120 <= min(val.origins) and max(val.origins) + 8 <= 160
+    assert min(test.origins) >= 160
     for bad in ((150, 120), (0, 160), (-5, 160), (120, 201)):
         with pytest.raises(InvalidConfig):
             D.split_windows(ds, spec, 16, 8, boundaries=bad)

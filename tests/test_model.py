@@ -271,9 +271,10 @@ def test_head_parameter_count_formula():
     model = M.build_model(cfg, seed=16, dtype=np.float64)
     d_m, d_h, l_tok, horizon = 8, 4, 4, 4
     expected = d_m * d_h + d_h + (l_tok * d_h) * horizon + horizon
-    assert model.head.param_count() == expected
+    count = sum(p.value.size for p in model.head.parameters())
+    assert count == expected
     uncompressed = d_m * l_tok * horizon + horizon
-    assert model.head.param_count() < uncompressed
+    assert count < uncompressed
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +296,26 @@ def test_xchannel_zero_expansion_is_identity():
     assert out.array.tobytes() == combined.tobytes()
 
 
-def test_xchannel_attention_rows_sum_to_one():
+def test_xchannel_attention_rows_sum_to_one(monkeypatch):
     cfg = tiny_config(n_channels=7, xchannel_enabled=True)
     model = M.build_model(cfg, seed=19, dtype=np.float64)
     rng = np.random.default_rng(20)
     for p in model.xchannel.parameters():
         p.assign(rng.standard_normal(p.value.shape) * 0.3)
-    combined = rng.standard_normal((7, 4, 8))
-    attn = M.attention_weights(T.tensor(combined), model.xchannel)
-    assert attn.shape == (4, 3, 3)
-    np.testing.assert_allclose(attn.sum(axis=-1), np.ones((4, 3)), atol=1e-12)
+    combined = rng.standard_normal((1, 7, 4, 8))
+    # the module's one softmax is its attention over the compressed channels
+    weights = []
+    softmax = T.softmax
+
+    def recording_softmax(a, axis):
+        weights.append(softmax(a, axis))
+        return weights[-1]
+
+    monkeypatch.setattr(T, "softmax", recording_softmax)
+    M.xchannel_attention_batched(T.tensor(combined), model.xchannel)
+    (attn,) = weights
+    assert attn.shape == (1, 4, 3, 3)
+    np.testing.assert_allclose(attn.array.sum(axis=-1), np.ones((1, 4, 3)), atol=1e-12)
 
 
 def test_xchannel_rejects_single_channel():
@@ -446,8 +457,9 @@ def test_config_validation():
         tiny_config(lookback=30)
     with pytest.raises(InvalidConfig):
         tiny_config(head_compress_dim=8)
-    with pytest.raises(InvalidConfig):
-        tiny_config(huber_delta=0.0)
+    for key, value in (("horizon", 0), ("n_layers", -1), ("d_state", 0), ("head_compress_dim", -3), ("revin_eps", -1e-9)):
+        with pytest.raises(InvalidConfig, match=repr(key)):
+            tiny_config(**{key: value})
     cfg = tiny_config()
     assert cfg.n_tokens * cfg.patch_len == cfg.lookback
 

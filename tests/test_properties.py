@@ -35,8 +35,8 @@ from tsmamba import train as TR
 from tsmamba.errors import CorruptCheckpoint, DataError, InvalidConfig, ParseError, RaggedRows
 from tsmamba.tensor import Tensor
 
-# values the architecture hardwires for the keys of earlier configs
-RETIRED = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add"}
+# values the architecture and the loss hardwire for the keys of earlier configs
+RETIRED = {"expand_factor": 2, "revin_affine": False, "combine_mode": "add", "local_conv_kernel": 4, "huber_delta": 1.0}
 
 
 @st.composite
@@ -53,8 +53,6 @@ def model_configs(draw):
         n_layers=draw(st.integers(0, 4)),
         d_state=draw(st.integers(1, 32)),
         head_compress_dim=draw(st.one_of(st.just(0), st.integers(1, d_model - 1))),
-        local_conv_kernel=draw(st.integers(1, 8)),
-        huber_delta=draw(st.floats(1e-6, 1e6)),
         revin_eps=draw(st.floats(0.0, 1.0)),
         xchannel_enabled=n_channels >= 2 and draw(st.booleans()),
     )
@@ -86,7 +84,7 @@ json_values = st.recursive(any_json_value, lambda inner: st.lists(inner, max_siz
 @given(model_configs(), st.sampled_from(sorted(RETIRED)), any_json_value)
 def test_retired_key_rejected_at_any_other_value(cfg, key, value):
     fixed = RETIRED[key]
-    if type(value) is type(fixed) and value == fixed:
+    if type(value) in ((int, float) if type(fixed) is float else (type(fixed),)) and value == fixed:
         return
     with pytest.raises(InvalidConfig, match=key):
         M.ModelConfig.from_dict({**cfg.to_dict(), key: value})
@@ -141,28 +139,36 @@ DIVERGES_AT = re.compile(r"stage1_autoregressive epoch \d+ step \d+: ")
 @given(st.sampled_from(CONFIG_KEYS), st.one_of(json_values, st.sampled_from([float("nan"), float("inf"), 1.5, True, "4"])))
 @example(("stage1", "lr", float), 1e300)
 @example(("stage1", "weight_decay", float), 5.5e65)
+@example((None, "seed", int), -1)
+@example(("split", "train_frac", float), 0)
+@example(("model", "n_layers", int), -1)
+@example(("model", "d_state", int), 0)
+@example(("model", "head_compress_dim", int), -3)
+@example(("model", "patch_len", int), 8)
 def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
     """Every value trains (0) or is refused naming its key (2); a finite
     stage-1 ``lr`` or ``weight_decay`` may also make training diverge,
-    which exits 5 naming the stage and the step."""
+    which exits 5 naming the stage and the step, and writes no file."""
     section, key, kind = entry
     raw = json.loads(json.dumps(RUN_CONFIG))
     (raw if section is None else raw.setdefault(section, {}))[key] = value
-    code, err, _ = _pretrain_stage1(raw)
+    code, err, left = _pretrain_stage1(raw)
     if code == 5:
         assert section == "stage1" and key in ("lr", "weight_decay") and _fits(value, kind), err
         assert DIVERGES_AT.search(err), err
+        assert left == []
     else:
         assert code in (0, 2), err
+    if code == 2:
+        assert key in err, err
     if not _fits(value, kind):
         assert code == 2
-        assert key in err
 
 
 @pytest.mark.parametrize(
     "precision, batch_size, key, value",
     [("float64", 32, "lr", 1e300), ("float64", 32, "lr", 3.6e8), ("float64", 32, "weight_decay", 5.5e65),
-     ("float32", 64, "lr", 1e300), ("float32", 64, "weight_decay", 5.5e65)],
+     ("float32", 64, "lr", 1e300), ("float32", 64, "weight_decay", 5.5e65), ("float32", 32, "lr", 3.5e7)],
 )
 def test_diverging_optimizer_setting_exits5_naming_stage_and_step(precision, batch_size, key, value):
     # no np.errstate: tier-1 makes a RuntimeWarning an error, so none may
@@ -458,14 +464,14 @@ def test_split_windows_match_written_out_slices(case):
     n1, n2 = D.split_boundaries(n, spec, boundaries)
 
     grid = list(range(lookback, n - horizon + 1, stride))
-    assert [w.origin_index for w in train] == [t for t in grid if t + horizon <= n1]
-    assert [w.origin_index for w in val] == [t for t in grid if t >= n1 and t + horizon <= n2]
-    assert [w.origin_index for w in test] == [t for t in grid if t >= n2]
-    for w in list(train) + list(val) + list(test):
-        t = w.origin_index
-        assert (t - lookback) % stride == 0
-        np.testing.assert_array_equal(w.input, values[t - lookback : t].T, strict=True)
-        np.testing.assert_array_equal(w.target, values[t : t + horizon].T, strict=True)
+    assert list(train.origins) == [t for t in grid if t + horizon <= n1]
+    assert list(val.origins) == [t for t in grid if t >= n1 and t + horizon <= n2]
+    assert list(test.origins) == [t for t in grid if t >= n2]
+    for windows in (train, val, test):
+        for t, x, y in zip(windows.origins, windows.inputs, windows.targets):
+            assert (t - lookback) % stride == 0
+            np.testing.assert_array_equal(x, values[t - lookback : t].T, strict=True)
+            np.testing.assert_array_equal(y, values[t : t + horizon].T, strict=True)
 
 
 @st.composite

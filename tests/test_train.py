@@ -34,10 +34,8 @@ def tiny_config(**overrides):
 
 def sine_windows(n, length, horizon, seed=0):
     ds = D.synth_generate(seed, 1, n + length + horizon + 8, [D.Sinusoid(freq=1 / 16), D.Noise(sigma=0.05)])
-    windows = D.make_windows(ds, length, horizon, stride=1)[:n]
-    x = np.stack([w.input[0] for w in windows])
-    y = np.stack([w.target[0] for w in windows])
-    return x, y
+    windows = D.Windows.over(ds.values, length, horizon)[:n]
+    return np.ascontiguousarray(windows.inputs[:, 0]), np.ascontiguousarray(windows.targets[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +125,7 @@ def reference_stage1(windows, model, heads):
             pred = bwd[b, t] @ heads.prev_w.value.array + heads.prev_b.value.array
             errs.append(pred - patches[b, t - 1])
     e = np.concatenate(errs)
-    delta = cfg.huber_delta
+    delta = TR.HUBER_DELTA
     vals = np.where(np.abs(e) <= delta, 0.5 * e * e, delta * (np.abs(e) - delta / 2))
     return float(vals.mean())
 
@@ -214,7 +212,7 @@ def test_stage2_loss_matches_compositional_oracle():
         x_hat, stats = M.revin_normalize(Tensor(x), eps=cfg.revin_eps)
         pred_hat = T.reshape(M.forecast_normalized(T.reshape(x_hat, (3, 1, 32)), model), (3, 4))
     t_hat = (y - stats.mean[:, None]) / stats.denom[:, None]
-    want = TR.huber_loss(pred_hat, Tensor(t_hat), cfg.huber_delta).item()
+    want = TR.huber_loss(pred_hat, Tensor(t_hat), TR.HUBER_DELTA).item()
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -536,7 +534,7 @@ def multichannel_windows(n, d, length, horizon, seed=0):
         n + length + horizon + 4,
         [D.Sinusoid(freq=1 / 16, channel=c, phase=0.4 * c) for c in range(d)] + [D.Noise(sigma=0.05)],
     )
-    windows = D.make_windows(ds, length, horizon, stride=1)[:n]
+    windows = D.Windows.over(ds.values, length, horizon)[:n]
     return D.stack_inputs(windows), D.stack_targets(windows)
 
 
