@@ -152,7 +152,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CorruptCheckpoint(f"{path}: truncated manifest")
     try:
         manifest = json.loads(blob[len(MAGIC) + 8 : header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptCheckpoint(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CorruptCheckpoint(f"{path}: manifest is not a JSON object")

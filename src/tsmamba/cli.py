@@ -115,11 +115,14 @@ class RunConfig:
 
 
 def load_run_config(path: str) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfig(f"config is not valid JSON: {exc}") from exc
+    """The run config at ``path``; a file that is not UTF-8 JSON, or JSON
+    nested past Python's recursion limit, is an InvalidConfig naming it."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        raw = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidConfig(f"{path}: config is not valid JSON: {exc}") from exc
     return RunConfig(raw)
 
 

@@ -15,18 +15,19 @@ are independent, and the kernel steps them in groups whose state fits
 as Mamba's kernel keeps each tile's state in fast memory. The same budget
 sets the block: a group whose state fills it takes one step per block, and
 a smaller group (a single forecast window, ``bench-scan``'s one row) as
-many steps as fit, so per-call overhead no longer dominates it. The tape
-records a scan as a single op that keeps only its input and the weights.
-Its backward replays one group's states from h_0 = 0, filling the forward's
+many steps as fit, so per-call overhead no longer dominates it. The
+kernel's VJP replays one group's states from h_0 = 0, filling the forward's
 blocks, then walks the blocks in reverse, filling each block's a_bar and
 dt * x again, so training stores no per-step coefficient arrays and no
 state between the forward and the backward, and the backward holds one
-group's states. A
-whole residual pre-norm Mamba layer is one taped op too, which keeps its
-input, RMSNorm's per-row scale and the scan's output y. So the tape keeps
-one d_inner-wide array per layer, and the backward recomputes the
-normalized input, both in_proj branches, the conv output, both SiLUs and
-the gate, as Mamba's fused kernel recomputes a block's intermediates.
+group's states. Both list the SSM weights in ``SSMParams``' field order.
+The tape records a scan only inside a residual pre-norm Mamba layer, one
+taped op of its input, its RMSNorm gain and the block's ``parameters()``,
+which keeps its input, RMSNorm's per-row scale and the scan's output y. So
+the tape keeps one d_inner-wide array per layer, and the backward
+recomputes the normalized input, both in_proj branches, the conv output,
+both SiLUs and the gate, as Mamba's fused kernel recomputes a block's
+intermediates.
 What a layer's backward holds at once, in [B, L, d_inner] arrays: five
 and one group's replayed states during the scan's reverse walk (the
 layer's z_main, scan input s and scan gradient gy; the scan's dt and the
@@ -39,8 +40,8 @@ maps, block buffers, a small group's time-major copies, state and y, with
 outermost ``no_grad`` block (``tensor.Workspace``), as Mamba's kernel keeps
 a block's intermediates in reused fast memory; so ``evaluate`` allocates
 them once per call, not once per layer and group. Nothing the op returns
-lies in the workspace, and the raw scan and the taped path allocate
-fresh arrays.
+lies in the workspace, and the raw scan, which records no tape, and the
+taped path allocate fresh arrays.
 The work-efficient associative scan is kept as a single-threaded reference
 for the equivalence check and ``bench-scan``; at the model's token counts it
 is slower than the sequential kernel on a CPU. A is diagonal per inner
@@ -248,7 +249,7 @@ class _StepCoeffs:
     """
 
     def __init__(self, x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Workspace = T.FRESH):
-        w_b, w_c, w_dt, dt_bias, a, _ = weights
+        a, w_b, w_c, w_dt, dt_bias, _ = weights
         b_, l_, d = x.shape
         n = a.shape[1]
 
@@ -314,19 +315,14 @@ class _StepCoeffs:
 
 
 def _scan_weights(ssm: SSMParams, dtype) -> tuple[np.ndarray, ...]:
-    """The SSM parameters as the kernel reads them: (W_b, W_c, W_dt as a
-    column, dt_bias, A = -exp(a_log), d_skip). They must have the input's dtype."""
+    """The SSM parameters as the kernel reads them, in ``SSMParams``' order:
+    (A = -exp(a_log), W_b, W_c, W_dt as a column, dt_bias, d_skip). They must
+    have the input's dtype."""
     for p in ssm.parameters():
         if p.value.dtype != dtype:
             raise ShapeMismatch(f"scan: input dtype {dtype} != {p.name} dtype {p.value.dtype}")
-    return (
-        ssm.x_to_b.value.array,
-        ssm.x_to_c.value.array,
-        ssm.x_to_dt.value.array[:, None],
-        ssm.dt_bias.value.array,
-        -np.exp(ssm.a_log.value.array),
-        ssm.d_skip.value.array,
-    )
+    a_log, w_b, w_c, w_dt, dt_bias, d_skip = (p.value.array for p in ssm.parameters())
+    return -np.exp(a_log), w_b, w_c, w_dt[:, None], dt_bias, d_skip
 
 
 def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Workspace = T.FRESH) -> np.ndarray:
@@ -356,8 +352,9 @@ def _sequential_scan_np(x: np.ndarray, weights: tuple[np.ndarray, ...], ws: T.Wo
 
 
 def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray, ...], weight_grads: bool):
-    """Gradients of <g, y> for y from :func:`_sequential_scan_np`, as
-    (x, x_to_b, x_to_c, x_to_dt, dt_bias, a_log, d_skip). Without
+    """Gradients of <g, y> for y from :func:`_sequential_scan_np`: x's,
+    then the six weights' in ``SSMParams``' order (a_log, x_to_b, x_to_c,
+    x_to_dt, dt_bias, d_skip), as :func:`_scan_weights` lists them. Without
     ``weight_grads`` (every SSM parameter frozen) the six weight gradients
     are None and their per-step and final products are skipped; x's
     gradient is the same to the byte.
@@ -396,7 +393,7 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     gives, so the bytes are those of the whole-batch formula.
     """
     b_, l_, d = x.shape
-    w_b, w_c, w_dt, dt_bias, a, d_skip = weights
+    a, w_b, w_c, w_dt, dt_bias, d_skip = weights
     n = a.shape[1]
     co = _StepCoeffs(x, weights)
     rows = co.group_rows
@@ -467,45 +464,7 @@ def _sequential_scan_vjp(g: np.ndarray, x: np.ndarray, weights: tuple[np.ndarray
     xf = x.reshape(-1, d).T
     g_wdt = (xf @ g_s.reshape(-1, 1)).reshape(-1)
     # A = -exp(a_log), so dA/da_log = A
-    return gx, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_bias, g_a.T * a, (g * x).sum(axis=(0, 1))
-
-
-def _taped(out: np.ndarray, parents, adjoint_of) -> Tensor:
-    """Record ``out`` as one op of ``parents`` whose VJPs share one adjoint:
-    ``adjoint_of(g)`` returns every parent's gradient, in order, and runs
-    once per gradient."""
-    held: list = [None, None]  # (gradient, its adjoint)
-
-    def adjoint(g: np.ndarray) -> tuple:
-        if held[0] is not g:
-            held[:] = g, adjoint_of(g)
-        return held[1]
-
-    return T.apply_op(out, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
-
-
-def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray, out=None, prod=None):
-    """(output, taps, wk) of the block's causal depthwise conv of xv [B, L, d_inner],
-    written into ``out`` through ``prod`` when they are given."""
-    taps, wk = T._conv_layout(xv.shape, w, w.shape[1] - 1, 0)
-    return T._conv_apply(xv, taps, wk, b, out, prod), taps, wk
-
-
-def _selective_scan_batched(x: Tensor, ssm: SSMParams) -> Tensor:
-    """Selective scan over x [B, L, d_inner] -> [B, L, d_inner], skip included.
-
-    Recorded on the tape as one op that keeps only x and the weights: its
-    backward recomputes the scan's coefficients and states instead of
-    storing them. SSM weight gradients are computed only when those weights
-    want them.
-    """
-    if x.ndim != 3 or x.shape[2] != ssm.d_inner:
-        raise ShapeMismatch(f"scan input must be [B, L, d_inner={ssm.d_inner}], got {x.shape}")
-    xv = x.array
-    weights = _scan_weights(ssm, xv.dtype)
-    parents = (x, *(p.value for p in (ssm.x_to_b, ssm.x_to_c, ssm.x_to_dt, ssm.dt_bias, ssm.a_log, ssm.d_skip)))
-    weight_grads = any(p.requires for p in parents[1:])
-    return _taped(_sequential_scan_np(xv, weights), parents, lambda g: _sequential_scan_vjp(g, xv, weights, weight_grads))
+    return gx, g_a.T * a, xf @ g_b.reshape(-1, n), xf @ g_c.reshape(-1, n), g_wdt, g_bias, (g * x).sum(axis=(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +525,19 @@ def linear_recurrence_parallel(a: np.ndarray, b: np.ndarray, time_axis: int = 0)
 # ---------------------------------------------------------------------------
 
 
-def _check_scan_input(x: Tensor, ssm: SSMParams) -> None:
+def _token_major(x: Tensor, ssm: SSMParams) -> np.ndarray:
+    """A channel-major scan input x [d_inner, L] as the kernel's [1, L, d_inner]."""
     if x.ndim != 2 or x.shape[0] != ssm.d_inner:
         raise ShapeMismatch(f"scan input must be [d_inner, L], got {x.shape}")
+    return np.ascontiguousarray(x.array.T[None])
 
 
 def selective_scan_sequential(x: Tensor, ssm: SSMParams) -> Tensor:
-    """Strictly ordered scan of a channel-major sequence x [d_inner, L]."""
-    _check_scan_input(x, ssm)
-    y = _selective_scan_batched(T.reshape(T.transpose(x, (1, 0)), (1, x.shape[1], x.shape[0])), ssm)
-    return T.transpose(T.reshape(y, (x.shape[1], x.shape[0])), (1, 0))
+    """Strictly ordered scan of a channel-major sequence x [d_inner, L] by
+    the layer op's kernel; like :func:`selective_scan_parallel`, it records
+    no tape."""
+    xv = _token_major(x, ssm)
+    return Tensor(np.ascontiguousarray(_sequential_scan_np(xv, _scan_weights(ssm, xv.dtype))[0].T))
 
 
 def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
@@ -584,8 +546,7 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
     Single-threaded reference and benchmark path: it shares the kernel's
     coefficients, and the result is detached from the tape.
     """
-    _check_scan_input(x, ssm)
-    xv = np.ascontiguousarray(x.array.T[None])  # [1, L, d_inner]
+    xv = _token_major(x, ssm)
     co = _StepCoeffs(xv, _scan_weights(ssm, xv.dtype))
     a_bar, bx = np.empty((2, xv.shape[1], *co.a.shape), dtype=xv.dtype)  # [L, n_state, d_inner]
     for _ in co.groups():  # the one row
@@ -600,6 +561,27 @@ def selective_scan_parallel(x: Tensor, ssm: SSMParams) -> Tensor:
 # ---------------------------------------------------------------------------
 # Mamba block and encoder
 # ---------------------------------------------------------------------------
+
+
+def _taped(out: np.ndarray, parents, adjoint_of) -> Tensor:
+    """Record ``out`` as one op of ``parents`` whose VJPs share one adjoint:
+    ``adjoint_of(g)`` returns every parent's gradient, in order, and runs
+    once per gradient."""
+    held: list = [None, None]  # (gradient, its adjoint)
+
+    def adjoint(g: np.ndarray) -> tuple:
+        if held[0] is not g:
+            held[:] = g, adjoint_of(g)
+        return held[1]
+
+    return T.apply_op(out, [(p, lambda g, i=i: adjoint(g)[i]) for i, p in enumerate(parents)])
+
+
+def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray, out=None, prod=None):
+    """(output, taps, wk) of the block's causal depthwise conv of xv [B, L, d_inner],
+    written into ``out`` through ``prod`` when they are given."""
+    taps, wk = T._conv_layout(xv.shape, w, w.shape[1] - 1, 0)
+    return T._conv_apply(xv, taps, wk, b, out, prod), taps, wk
 
 
 def _in_half(w_in: np.ndarray, half: int) -> np.ndarray:
@@ -634,15 +616,15 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     always a fresh array.
     """
     xv, gv = x.array, gain.array
-    s_p = p.ssm
-    parents = (x, gain, *(q.value for q in (p.in_proj, p.conv_weight, p.conv_bias, s_p.x_to_b, s_p.x_to_c, s_p.x_to_dt, s_p.dt_bias, s_p.a_log, s_p.d_skip, p.out_proj)))
+    parents = (x, gain, *(q.value for q in p.parameters()))
     if xv.ndim != 3 or xv.shape[2] != p.d_model or gv.shape != (p.d_model,):
         raise ShapeMismatch(f"mamba layer: input {xv.shape} and gain {gv.shape} vs d_model {p.d_model}")
     if any(t.dtype != xv.dtype for t in parents):
         raise ShapeMismatch(f"mamba layer: every tensor must have the input's dtype {xv.dtype}")
-    w_in, conv_w, conv_b, w_out = parents[2].array, parents[3].array, parents[4].array, parents[-1].array
-    weights = _scan_weights(s_p, xv.dtype)
-    weight_grads = any(t.requires for t in parents[5:-1])
+    w_in, w_out = p.in_proj.value.array, p.out_proj.value.array
+    conv_w, conv_b = p.conv_weight.value.array, p.conv_bias.value.array
+    weights = _scan_weights(p.ssm, xv.dtype)
+    weight_grads = any(q.trainable for q in p.ssm.parameters())
     b_, l_, k = xv.shape
     d = p.d_inner
     ws = T.workspace()
@@ -650,12 +632,10 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     def take(slot: str, width: int) -> np.ndarray:  # a [B, L, width] array from the workspace
         return ws.take("layer." + slot, (b_, l_, width), xv.dtype)
 
-    inv = 1.0 / np.sqrt(np.multiply(xv, xv, out=take("norm", k)).mean(axis=-1, keepdims=True) + NORM_EPS)
+    inv = T._rmsnorm_inv(xv, NORM_EPS, take("norm", k))
 
     def normed(out: np.ndarray | None = None) -> np.ndarray:  # RMSNorm's output, as [B*L, d_model]
-        un = np.multiply(xv, inv, out=out)
-        un *= gv
-        return un.reshape(-1, k)
+        return T._rmsnorm_out(xv, inv, gv, out).reshape(-1, k)
 
     # slot "a" holds z_main, then SiLU(conv) and then z_gate; slot "b" holds
     # the conv output, then SiLU(z_gate)
@@ -679,13 +659,13 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
         norm_grads = x.requires or gain.requires  # RMSNorm's input or gain wants a gradient
         un = normed()
         w_main, w_gate = _in_half(w_in, 0), _in_half(w_in, 1)
-        gw_in = np.empty_like(w_in) if parents[2].requires else None
+        gw_in = np.empty_like(w_in) if p.in_proj.trainable else None
         # gate -> out_proj, then the gate branch's share of in_proj's
         # gradients, so that its gradient is let go before the scan's VJP
         z_gate = un @ w_gate
         sig = T._sigmoid(z_gate)
         s = z_gate * sig
-        gw_out = (s * y2).T @ g2 if parents[-1].requires else None
+        gw_out = (s * y2).T @ g2 if p.out_proj.trainable else None
         g_gate = g2 @ w_out.T
         gy = np.multiply(g_gate, s, out=s)
         g_gate *= y2
@@ -707,8 +687,8 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
         c, taps, wk = _causal_conv(z_main, conv_w, conv_b)
         g_s *= T._dsilu(c, T._sigmoid(c))  # the gradient into the conv output
         del c
-        gw_conv = T._conv_vjp_w(g_s, z_main, taps, conv_w) if parents[3].requires else None
-        gb_conv = g_s.sum(axis=(0, 1)) if parents[4].requires else None
+        gw_conv = T._conv_vjp_w(g_s, z_main, taps, conv_w) if p.conv_weight.trainable else None
+        gb_conv = g_s.sum(axis=(0, 1)) if p.conv_bias.trainable else None
         g_main = T._conv_vjp_x(g_s, z_main, taps, wk).reshape(-1, d)
         del g_s, z_main
         if gw_in is not None:
@@ -717,17 +697,11 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
         if norm_grads:
             g_un = np.add(g_main @ w_main.T, g_un, out=g_un).reshape(xv.shape)
             if gain.requires:
-                xn = xv * inv
-                xn *= g_un
-                g_gain = xn.reshape(-1, k).sum(axis=0)
+                g_gain = T._rmsnorm_vjp_gain(g_un, xv, inv)
             if x.requires:
-                # RMSNorm: d/dx [x * inv] = inv * g - x * inv^3 / k * sum(g * x)
-                gg = np.multiply(g_un, gv, out=g_un)
-                gx = xv * (inv**3 / k)
-                gx *= (gg * xv).sum(axis=-1, keepdims=True)
-                gg *= inv
-                gx = np.subtract(gg, gx, out=gx)
+                gx = T._rmsnorm_vjp_x(g_un, xv, inv, gv, out=g_un)
                 gx += g  # the residual
+        # the block's gradients in ``MambaBlockParams``' field order, as parents lists them
         return (gx, g_gain, gw_in, gw_conv, gb_conv, *g_ssm, gw_out)
 
     return _taped(out.reshape(xv.shape), parents, adjoint_of)

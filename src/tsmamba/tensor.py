@@ -435,28 +435,49 @@ def gelu(a: Tensor) -> Tensor:
     return apply_op((av * _gelu_cdf(av)).astype(av.dtype, copy=False), [(a, vjp)])
 
 
+def _rmsnorm_inv(xv: np.ndarray, eps: float, sq: np.ndarray | None = None) -> np.ndarray:
+    """RMSNorm's per-row 1 / sqrt(mean(x^2, last axis) + eps), squaring x into ``sq`` if given."""
+    return 1.0 / np.sqrt(np.multiply(xv, xv, out=sq).mean(axis=-1, keepdims=True) + eps)
+
+
+def _rmsnorm_out(xv: np.ndarray, inv: np.ndarray, gv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """RMSNorm's output x * inv * gain, written into ``out`` if given."""
+    un = np.multiply(xv, inv, out=out)
+    un *= gv
+    return un
+
+
+def _rmsnorm_vjp_x(g: np.ndarray, xv: np.ndarray, inv: np.ndarray, gv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x's gradient of <g, RMSNorm(x)>, inv * g' - x * inv^3 / d * sum(g' * x)
+    for g' = g * gain, which is written into ``out`` (g itself may be it)."""
+    gg = np.multiply(g, gv, out=out)
+    gx = xv * (inv**3 / xv.shape[-1])
+    gx *= (gg * xv).sum(axis=-1, keepdims=True)
+    gg *= inv
+    return np.subtract(gg, gx, out=gx)
+
+
+def _rmsnorm_vjp_gain(g: np.ndarray, xv: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The gain's gradient of <g, RMSNorm(x)>, recomputing x * inv."""
+    xn = xv * inv
+    xn *= g
+    return xn.reshape(-1, xv.shape[-1]).sum(axis=0)
+
+
 def rmsnorm(x: Tensor, gain: Tensor, eps: float) -> Tensor:
     """x / sqrt(mean(x^2, last axis) + eps) * gain, gain broadcast over leading axes.
 
     The VJPs keep x and the per-row ``inv`` = 1 / sqrt(mean(x^2) + eps), and
-    the gain's VJP recomputes the normalized x * inv."""
+    the gain's VJP recomputes the normalized x * inv. The Mamba layer op
+    (``ssm.mamba_block_batched``) runs the same statements."""
     xv, gv = x.array, gain.array
     if gv.ndim != 1 or xv.shape[-1] != gv.shape[0]:
         raise ShapeMismatch(f"rmsnorm: gain {gv.shape} vs last dim of {xv.shape}")
     if eps < 0:
         raise InvalidConfig("rmsnorm eps must be >= 0")
-    d = xv.shape[-1]
-    inv = 1.0 / np.sqrt((xv * xv).mean(axis=-1, keepdims=True) + eps)
-
-    def vjp_x(g):
-        gg = g * gv
-        # d/dx [x * inv]: inv * g - x * inv^3 / d * sum(g * x)
-        return inv * gg - xv * (inv**3 / d) * (gg * xv).sum(axis=-1, keepdims=True)
-
-    def vjp_gain(g):
-        return (g * (xv * inv)).reshape(-1, d).sum(axis=0)
-
-    return apply_op((xv * inv * gv).astype(xv.dtype, copy=False), [(x, vjp_x), (gain, vjp_gain)])
+    inv = _rmsnorm_inv(xv, eps)
+    vjps = [(x, lambda g: _rmsnorm_vjp_x(g, xv, inv, gv)), (gain, lambda g: _rmsnorm_vjp_gain(g, xv, inv))]
+    return apply_op(_rmsnorm_out(xv, inv, gv), vjps)
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:

@@ -19,7 +19,7 @@ from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import ssm
 from tsmamba import train as TR
-from tsmamba.checkpoint import checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
+from tsmamba.checkpoint import MAGIC, checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from tsmamba.cli import main
 from tsmamba.tensor import Tensor, no_grad
 
@@ -142,6 +142,26 @@ def test_pretrain_config_directory_exit3(workdir, tmp_path, capsys, unreadable):
     err = capsys.readouterr().err
     assert code == 3 and str(config) in err and "Traceback" not in err
     assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfe" + b'{"seed": 1}',  # not UTF-8
+        b'{"model": ' + b"[" * 100_000,  # nested past Python's recursion limit
+    ],
+    ids=["not-utf8", "too-deep"],
+)
+def test_pretrain_undecodable_config_exit2(workdir, tmp_path, capsys, content):
+    # a config that cannot be decoded is refused naming it, with no traceback
+    _, data_path, _ = workdir
+    config = tmp_path / "bad.json"
+    config.write_bytes(content)
+    out = tmp_path / "x.ckpt"
+    code = main(["pretrain", "--stage", "1", "--config", str(config), "--data", data_path, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and str(config) in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_pretrain_zero_epochs_checkpoint_equals_init(workdir, tmp_path):
@@ -970,6 +990,29 @@ def test_manifest_retired_keys_forecast_identically_or_exit2(workdir, tmp_path, 
     assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 0
     err = capsys.readouterr().err
     assert "delta.ckpt" in err and "huber_delta" in err
+
+
+def test_deeply_nested_manifest_is_corrupt(workdir, tmp_path, capsys):
+    # a manifest nested past Python's recursion limit is a corrupt checkpoint
+    # named by its file: forecast and evaluate exit 4, and a directory
+    # evaluate skips it by name
+    wd, data_path, config_path = workdir
+    _, s2 = _pretrain_both(wd, data_path, config_path)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
+    manifest = b"[" * 100_000
+    deep = ckpt_dir / "deep.ckpt"
+    deep.write_bytes(MAGIC + len(manifest).to_bytes(8, "little") + manifest)
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert main(["forecast", "--model", str(deep), "--input", data_path, "--horizon", "4", "--out", str(out)]) == 4
+    assert str(deep) in capsys.readouterr().err and not out.exists()
+    assert main(["evaluate", "--model", str(deep), "--data", data_path, "--horizons", "4"]) == 4
+    assert str(deep) in capsys.readouterr().err
+    assert main(["evaluate", "--model", str(ckpt_dir), "--data", data_path, "--horizons", "4"]) == 0
+    err = capsys.readouterr().err
+    assert "skipping checkpoint deep.ckpt" in err and "h4.ckpt" not in err
 
 
 def test_evaluate_directory_skips_unreadable_file(workdir, tmp_path, capsys, monkeypatch):

@@ -40,7 +40,29 @@ def make_scan_case(seed, batch=2, length=8, d_inner=3, n_state=2):
 
 
 def scan_loss(x, p, proj):
-    return T.sum_all(T.mul(ssm._selective_scan_batched(x, p), T.tensor(proj)))
+    """<proj, y> for y the kernel's scan of x [B, L, d_inner]."""
+    return float(np.sum(ssm._sequential_scan_np(x, ssm._scan_weights(p, x.dtype)) * proj))
+
+
+def scan_grads(x, p, proj):
+    """The kernel's VJP of ``scan_loss`` by name: "x", then each SSM
+    parameter's name, paired in order with ``p.parameters()``."""
+    got = ssm._sequential_scan_vjp(proj, x, ssm._scan_weights(p, x.dtype), True)
+    return dict(zip(["x", *(q.name for q in p.parameters())], got, strict=True))
+
+
+def fd_grad(f, base, h=1e-6):
+    """Central differences of the float-valued ``f`` at the array ``base``."""
+    return T.finite_diff_grad(lambda t: T.tensor(f(t.array)), T.tensor(base), h).array
+
+
+def param_fd_grad(q, f, h=1e-6):
+    """Central differences of ``f()`` in the parameter ``q``'s value, which is restored."""
+    base = q.value.array.copy()
+    try:
+        return fd_grad(lambda v: q.assign(v) or f(), base, h)
+    finally:
+        q.assign(base)
 
 
 # ---------------------------------------------------------------------------
@@ -124,17 +146,10 @@ def test_discretize_gradients():
     # four decades
     p, x, proj = make_scan_case(1, batch=1, length=2, d_inner=3, n_state=2)
     p.dt_bias.assign(np.log(np.expm1(np.array([1e-4, 1e-2, 1.0]))))
+    analytic = scan_grads(x, p, proj)
     for q in (p.a_log, p.dt_bias):
-        analytic = T.grad_map(scan_loss(T.tensor(x), p, proj))[id(q.value)]
-        base = q.value.array.copy()
-
-        def f(t, q=q):
-            q.assign(t.array)
-            return scan_loss(T.tensor(x), p, proj)
-
-        fd = T.finite_diff_grad(f, T.tensor(base), 1e-7)
-        q.assign(base)
-        assert rel_err(analytic, fd.array) < 1e-4, q.name
+        fd = param_fd_grad(q, lambda: scan_loss(x, p, proj), 1e-7)
+        assert rel_err(analytic[q.name], fd) < 1e-4, q.name
 
 
 def test_selective_params_zero_input():
@@ -206,69 +221,46 @@ def test_parallel_recurrence_matches_sequential(length):
 
 
 def test_scan_recurrence_gradients():
+    # the VJP's x gradient, then its six weight gradients paired by name with
+    # SSMParams.parameters(), against central differences of the forward kernel
     p, x, proj = make_scan_case(6)
-    xt = Tensor(x.copy(), requires=True)
-    grads = T.grad_map(scan_loss(xt, p, proj))
-    fd = T.finite_diff_grad(lambda t: scan_loss(t, p, proj), T.tensor(x), 1e-6)
-    assert rel_err(grads[id(xt)], fd.array) < 1e-4, "x"
-    assert len(p.parameters()) == 6
-    analytic = {q.name: grads[id(q.value)] for q in p.parameters()}
+    analytic = scan_grads(x, p, proj)
+    assert rel_err(analytic["x"], fd_grad(lambda v: scan_loss(v, p, proj), x)) < 1e-4, "x"
+    assert [q.name for q in p.parameters()] == [f"ssm.{f}" for f in ("a_log", "x_to_b", "x_to_c", "x_to_dt", "dt_bias", "d_skip")]
     for q in p.parameters():
-        base = q.value.array.copy()
-
-        def f(t, q=q):
-            q.assign(t.array)
-            return scan_loss(T.tensor(x), p, proj)
-
-        fd = T.finite_diff_grad(f, T.tensor(base), 1e-6)
-        q.assign(base)
-        assert rel_err(analytic[q.name], fd.array) < 1e-4, q.name
+        assert analytic[q.name].shape == q.value.shape, q.name
+        assert rel_err(analytic[q.name], param_fd_grad(q, lambda: scan_loss(x, p, proj))) < 1e-4, q.name
 
 
-def test_scan_gradients_with_frozen_ssm_params(monkeypatch):
+def test_scan_gradients_with_frozen_ssm_params():
+    # without weight gradients (every SSM parameter frozen) the VJP computes
+    # none, and x's gradient keeps its bytes; the layer op asks for none
+    # when its block is frozen (test_frozen_block_computes_no_conv_or_ssm_weight_gradient)
     p, x, proj = make_scan_case(23)
-    xt = Tensor(x.copy(), requires=True)
-    trained = T.grad_map(scan_loss(xt, p, proj))[id(xt)]
-    for q in p.parameters():
-        q.set_trainable(False)
-    xt = Tensor(x.copy(), requires=True)
-    y = ssm._selective_scan_batched(xt, p)
-    assert [parent is xt for parent, _ in y.pairs] == [True]
-    # the adjoint computes no weight gradient when no weight wants one
-    adjoints = []
-    vjp = ssm._sequential_scan_vjp
-
-    def spy(*args):
-        adjoints.append(vjp(*args))
-        return adjoints[-1]
-
-    monkeypatch.setattr(ssm, "_sequential_scan_vjp", spy)
-    grads = T.grad_map(T.sum_all(T.mul(y, T.tensor(proj))))
-    assert len(adjoints) == 1 and adjoints[0][1:] == (None,) * 6
-    assert all(id(q.value) not in grads for q in p.parameters())
-    assert grads[id(xt)].tobytes() == trained.tobytes()
-    fd = T.finite_diff_grad(lambda t: scan_loss(t, p, proj), T.tensor(x), 1e-6)
-    assert rel_err(grads[id(xt)], fd.array) < 1e-4
+    trained = scan_grads(x, p, proj)["x"]
+    frozen = ssm._sequential_scan_vjp(proj, x, ssm._scan_weights(p, x.dtype), False)
+    assert frozen[1:] == (None,) * 6
+    assert frozen[0].tobytes() == trained.tobytes()
+    assert rel_err(frozen[0], fd_grad(lambda v: scan_loss(v, p, proj), x)) < 1e-4
 
 
 def test_long_scan_directional_derivatives():
     # 600 steps: the state adjoint is carried back over the whole sequence
     p, x, proj = make_scan_case(29, length=600)
     rng = np.random.default_rng(30)
-    xt = Tensor(x.copy(), requires=True)
-    grads = T.grad_map(scan_loss(xt, p, proj))
+    grads = scan_grads(x, p, proj)
     eps = 1e-5
-    for name, base, grad, assign in [("x", x, grads[id(xt)], None)] + [
-        (q.name, q.value.array.copy(), grads[id(q.value)], q.assign) for q in p.parameters()
+    for name, base, grad, assign in [("x", x, grads["x"], None)] + [
+        (q.name, q.value.array.copy(), grads[q.name], q.assign) for q in p.parameters()
     ]:
         v = rng.standard_normal(base.shape)
 
         def loss(t, base=base, v=v, assign=assign):
             moved = base + t * v
             if assign is None:
-                return scan_loss(T.tensor(moved), p, proj).item()
+                return scan_loss(moved, p, proj)
             assign(moved)
-            return scan_loss(T.tensor(x), p, proj).item()
+            return scan_loss(x, p, proj)
 
         fd = (loss(eps) - loss(-eps)) / (2 * eps)
         if assign is not None:
@@ -278,37 +270,46 @@ def test_long_scan_directional_derivatives():
 
 
 def test_scan_adjoint_follows_each_gradient():
-    # one recorded scan, back-propagated from two different losses
-    p, x, proj = make_scan_case(25)
+    # one recorded layer op, back-propagated from two different losses: its
+    # one adjoint, the scan's VJP included, runs again for the second
+    rng = np.random.default_rng(25)
+    p, gain = make_block(rng), make_gain(rng)
+    x = rng.standard_normal((2, 8, 4))
     xt = Tensor(x.copy(), requires=True)
-    y = ssm._selective_scan_batched(xt, p)
+    y = ssm.mamba_block_batched(xt, gain, p)
+    proj = rng.standard_normal(x.shape)
     for weights in (proj, -2.0 * proj):
-        got = T.grad_map(T.sum_all(T.mul(y, T.tensor(weights))))[id(xt)]
+        got = T.grad_map(T.sum_all(T.mul(y, T.tensor(weights))))
         xf = Tensor(x.copy(), requires=True)
-        want = T.grad_map(scan_loss(xf, p, weights))[id(xf)]
-        assert got.tobytes() == want.tobytes()
+        want = T.grad_map(T.sum_all(T.mul(ssm.mamba_block_batched(xf, gain, p), T.tensor(weights))))
+        assert got[id(xt)].tobytes() == want[id(xf)].tobytes()
+        for q in p.parameters():
+            assert got[id(q.value)].tobytes() == want[id(q.value)].tobytes(), q.name
 
 
 def test_zero_step_scan_backward():
-    # an empty sequence back-propagates: a [d_inner, 0] input gradient and
-    # zero weight gradients
+    # an empty sequence back-propagates: a [B, 0, d_inner] input gradient and
+    # zero weight gradients; the raw scan returns a [d_inner, 0] output
     p, _, _ = make_scan_case(27)
-    xt = Tensor(np.zeros((3, 0)), requires=True)
-    grads = T.grad_map(T.sum_all(ssm.selective_scan_sequential(xt, p)))
-    assert grads[id(xt)].shape == (3, 0)
+    grads = scan_grads(np.zeros((2, 0, 3)), p, np.zeros((2, 0, 3)))
+    assert grads["x"].shape == (2, 0, 3)
     for q in p.parameters():
-        assert grads[id(q.value)].shape == q.value.shape and not grads[id(q.value)].any(), q.name
+        assert grads[q.name].shape == q.value.shape and not grads[q.name].any(), q.name
+    assert ssm.selective_scan_sequential(T.zeros((3, 0)), p).shape == (3, 0)
 
 
 @pytest.mark.parametrize("length", [1, 256, 257, 600])
 def test_taped_scan_keeps_no_state(length):
-    # the backward replays the states from h_0 = 0, so the tape holds none
-    p, x, _ = make_scan_case(26, batch=2, length=length, d_inner=3, n_state=2)
-    y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
+    # the layer op, the scan's one tape entry: its backward replays the
+    # states from h_0 = 0, so the tape holds none
+    rng = np.random.default_rng(26)
+    p = make_block(rng, d_model=4, d_inner=6, n_state=2)
+    x = rng.standard_normal((2, length, 4))
+    y = ssm.mamba_block_batched(Tensor(x, requires=True), make_gain(rng), p)
     # states are [B, n_state, d_inner]
-    assert not [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 2, 3)]
+    assert not [arr for arr in held_arrays(fn for _, fn in y.pairs) if arr.shape == (2, 2, 6)]
     with T.no_grad():
-        assert not ssm._selective_scan_batched(Tensor(x), p).pairs
+        assert not ssm.mamba_block_batched(Tensor(x, requires=True), make_gain(rng), p).pairs
 
 
 def test_scan_backward_holds_one_group_of_states():
@@ -319,14 +320,14 @@ def test_scan_backward_holds_one_group_of_states():
     b_, l_, d, n = 32, 32, 256, 16
     rng = np.random.default_rng(31)
     p = make_ssm(rng, d, n, np.float32)
-    x = Tensor(rng.standard_normal((b_, l_, d)).astype(np.float32), requires=True)
-    proj = Tensor(rng.standard_normal((b_, l_, d)).astype(np.float32))
-    loss = T.sum_all(T.mul(ssm._selective_scan_batched(x, p), proj))
+    x = rng.standard_normal((b_, l_, d)).astype(np.float32)
+    g = rng.standard_normal((b_, l_, d)).astype(np.float32)
+    weights = ssm._scan_weights(p, np.float32)
     rows = ssm.SCAN_BUDGET // (n * d * 4)
     assert rows == 16
     tracemalloc.start()
     try:
-        T.grad_map(loss)
+        ssm._sequential_scan_vjp(g, x, weights, True)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -373,12 +374,17 @@ def test_scan_rejects_input_dtype_mismatch():
     p = make_ssm(rng, 4, 3, dtype=np.float64)
     x32 = rng.standard_normal((2, 5, 4)).astype(np.float32)
     with pytest.raises(ShapeMismatch):
-        ssm._selective_scan_batched(Tensor(x32, requires=True), p)
-    with T.no_grad(), pytest.raises(ShapeMismatch):
-        ssm._selective_scan_batched(Tensor(x32), p)
+        ssm._scan_weights(p, np.float32)
     for kernel in (ssm.selective_scan_sequential, ssm.selective_scan_parallel):
         with pytest.raises(ShapeMismatch):
             kernel(Tensor(x32[0].T.copy()), p)
+    # the layer op, taped and not, refuses a block whose dtype is not its input's
+    block = make_block(rng, d_model=4, d_inner=4, n_state=3)
+    gain = Tensor(np.ones(4, dtype=np.float32))
+    with pytest.raises(ShapeMismatch):
+        ssm.mamba_block_batched(Tensor(x32, requires=True), gain, block)
+    with T.no_grad(), pytest.raises(ShapeMismatch):
+        ssm.mamba_block_batched(Tensor(x32), gain, block)
 
 
 def test_scan_linearity_at_fixed_coefficients():
@@ -466,14 +472,18 @@ def mamba_reference_scan(x, p):
 
 @pytest.mark.parametrize("taped", [True, False])
 def test_scan_matches_mamba_reference_recurrence(taped):
+    # the kernel as the layer op runs it with the tape on, into fresh
+    # arrays, and with it off, into the no_grad block's workspace
     p, x, _ = make_scan_case(27, batch=2, length=11, d_inner=3, n_state=2)
+    weights = ssm._scan_weights(p, x.dtype)
     if taped:
-        y = ssm._selective_scan_batched(Tensor(x, requires=True), p)
+        y = ssm._sequential_scan_np(x, weights)
     else:
         with T.no_grad():
-            y = ssm._selective_scan_batched(Tensor(x), p)
-    assert bool(y.pairs) == taped
-    np.testing.assert_allclose(y.array, mamba_reference_scan(x, p), rtol=1e-12)
+            ws = T.workspace()
+            assert ws is not T.FRESH
+            y = ssm._sequential_scan_np(x, weights, ws).copy()
+    np.testing.assert_allclose(y, mamba_reference_scan(x, p), rtol=1e-12)
 
 
 def test_float32_scan_tracks_float64():
@@ -483,10 +493,9 @@ def test_float32_scan_tracks_float64():
     for dtype in (np.float64, np.float32):
         for q in p.parameters():
             q.assign(q.value.array.astype(dtype))
-        xt = Tensor(x.astype(dtype), requires=True)
-        y = ssm._selective_scan_batched(xt, p)
-        grads = T.grad_map(T.sum_all(T.mul(y, Tensor(proj.astype(dtype)))))
-        results.append([y.array, grads[id(xt)], *(grads[id(q.value)] for q in p.parameters())])
+        weights = ssm._scan_weights(p, dtype)
+        y = ssm._sequential_scan_np(x.astype(dtype), weights)
+        results.append([y, *ssm._sequential_scan_vjp(proj.astype(dtype), x.astype(dtype), weights, True)])
     for want, got in zip(*results):
         assert got.dtype == np.float32
         assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want))
@@ -527,14 +536,14 @@ def test_selective_scan_shape_check():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_tape_on_and_off_agree_exactly(dtype):
-    # one kernel runs either way
+    # one kernel runs either way; the raw scan records no tape
     rng = np.random.default_rng(16)
     p = make_ssm(rng, 4, 3, dtype=dtype)
     x = Tensor(rng.standard_normal((4, 289)).astype(dtype), requires=True)
     with T.no_grad():
         off = ssm.selective_scan_sequential(x, p)
     on = ssm.selective_scan_sequential(x, p)
-    assert on.pairs and not off.pairs
+    assert not on.pairs and not off.pairs
     assert on.array.tobytes() == off.array.tobytes()
 
     cfg = M.ModelConfig(horizon=4, n_channels=2, lookback=32, patch_len=8, d_model=8, n_layers=1, d_state=4)
@@ -569,14 +578,14 @@ def test_no_grad_workspace_lends_nothing_it_returns(dtype):
     block, gain = make_block(rng, d_model=8, d_inner=16, n_state=4, dtype=dtype), make_gain(rng, 8, dtype)
     xs = [Tensor(rng.standard_normal((3, 5, 8)).astype(dtype)) for _ in range(2)]
     p = make_ssm(rng, 16, 4, dtype=dtype)
-    us = [Tensor(rng.standard_normal((3, 5, 16)).astype(dtype)) for _ in range(2)]
+    us = [Tensor(rng.standard_normal((16, 5)).astype(dtype)) for _ in range(2)]
     with T.no_grad():
         layers = [ssm.mamba_block_batched(x, gain, block).array for x in xs]
-        scans = [ssm._selective_scan_batched(u, p).array for u in us]
+        scans = [ssm.selective_scan_sequential(u, p).array for u in us]
     for pair in (layers, scans):
         assert not np.shares_memory(pair[0], pair[1])
     assert [a.tobytes() for a in layers] == [ssm.mamba_block_batched(x, gain, block).array.tobytes() for x in xs]
-    assert [a.tobytes() for a in scans] == [ssm._selective_scan_batched(u, p).array.tobytes() for u in us]
+    assert [a.tobytes() for a in scans] == [ssm.selective_scan_sequential(u, p).array.tobytes() for u in us]
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +710,22 @@ def test_mamba_block_parameter_gradients():
         assert rel_err(param.grad.array, fd.array) < 1e-4, param.name
 
 
+def test_layer_records_its_parents_in_parameter_order():
+    # x, the gain, then MambaBlockParams.parameters()' tensors in order, with
+    # every weight trainable; each recorded VJP gives its own parent's shape
+    rng = np.random.default_rng(38)
+    p = make_block(rng, d_model=3, d_inner=6, n_state=2)
+    x = Tensor(rng.standard_normal((2, 5, 3)), requires=True)
+    gain = make_gain(rng, 3)
+    gain.requires = True
+    y = ssm.mamba_block_batched(x, gain, p)
+    want = [x, gain, *(q.value for q in p.parameters())]
+    assert all(q.trainable for q in p.parameters())
+    assert [id(t) for t, _ in y.pairs] == [id(t) for t in want]
+    g = rng.standard_normal(y.shape)
+    assert [fn(g).shape for _, fn in y.pairs] == [t.shape for t in want]
+
+
 def unfused_block(u, p, one_gemm=False):
     """The block op by op: the reference for the layer op's in_proj, conv ->
     SiLU -> scan and gate -> out_proj. With ``one_gemm``, in_proj is one
@@ -714,8 +739,18 @@ def unfused_block(u, p, one_gemm=False):
     else:
         z_main, z_gate = T.matmul(u, T.slice_axis(w_in, 1, 0, d_inner)), T.matmul(u, T.slice_axis(w_in, 1, d_inner, 2 * d_inner))
     x_inner = T.silu(T.depthwise_conv1d(z_main, p.conv_weight.value, p.conv_bias.value, pad_left=k - 1, pad_right=0))
-    y = ssm._selective_scan_batched(x_inner, p.ssm)
-    return T.matmul(T.mul(y, T.silu(z_gate)), p.out_proj.value)
+    return T.matmul(T.mul(taped_scan(x_inner, p.ssm), T.silu(z_gate)), p.out_proj.value)
+
+
+def taped_scan(x, p):
+    """The scan of x [B, L, d_inner] as one taped op over the kernel pair,
+    with x and then ``p.parameters()``' tensors as its parents: the op-by-op
+    reference's scan."""
+    xv = x.array
+    weights = ssm._scan_weights(p, xv.dtype)
+    parents = (x, *(q.value for q in p.parameters()))
+    weight_grads = any(q.trainable for q in p.parameters())
+    return ssm._taped(ssm._sequential_scan_np(xv, weights), parents, lambda g: ssm._sequential_scan_vjp(g, xv, weights, weight_grads))
 
 
 def unfused_layer(x, gain, p, one_gemm=False):
@@ -826,7 +861,7 @@ def test_taped_encoder_keeps_only_what_each_backward_reads():
             k = block.conv_weight.value.shape[1]
             conv = T.depthwise_conv1d(z_main, block.conv_weight.value, block.conv_bias.value, pad_left=k - 1, pad_right=0)
             x = unfused_layer(x, gain.value, block)
-            want += [ssm._selective_scan_batched(T.silu(conv), block.ssm).array, x.array, inv(x.array)]
+            want += [ssm._sequential_scan_np(T.silu(conv).array, ssm._scan_weights(block.ssm, u.dtype)), x.array, inv(x.array)]
     # the buffers the tape keeps alive, each once, however many views of it it holds
     kept = {}
     for arr in tape_arrays(out):

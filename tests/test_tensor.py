@@ -153,8 +153,10 @@ def kernel_softplus(pre, dtype=np.float64):
     """dt = softplus(pre) as the scan kernel computes it in place (W_dt = 0, dt_bias = pre)."""
     pre = np.asarray(pre, dtype=dtype)
     d = pre.shape[0]
-    weights = (np.zeros((d, 1), dtype), np.zeros((d, 1), dtype), np.zeros((d, 1), dtype), pre, -np.ones((d, 1), dtype), np.ones(d, dtype))
-    return ssm._StepCoeffs(np.zeros((1, 1, d), dtype=dtype), weights).dt[0, 0]
+    p = ssm.init_ssm_params(np.random.default_rng(0), d, 1, dtype, "s")
+    p.x_to_dt.assign(np.zeros(d, dtype))
+    p.dt_bias.assign(pre)
+    return ssm._StepCoeffs(np.zeros((1, 1, d), dtype=dtype), ssm._scan_weights(p, dtype)).dt[0, 0]
 
 
 def test_softplus_values():
