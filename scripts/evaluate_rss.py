@@ -9,7 +9,8 @@ system CPU time. BLAS runs on one thread.
 
     PYTHONPATH=src python scripts/evaluate_rss.py --max-growth-mb 20
 
-With ``--max-growth-mb`` the script exits 1 when the peak RSS of the larger
+Each ``evaluate`` runs under the script's own ``-W`` warning filters. With
+``--max-growth-mb`` the script exits 1 when the peak RSS of the larger
 split exceeds that of the smaller one by more than the bound. Stacking the
 3200-window split's inputs in float64 alone would take 92 MB.
 """
@@ -48,7 +49,9 @@ def write_inputs(seed: int, workdir: str, n_test: int) -> str:
 def measure(ckpt: str, data: str) -> dict:
     """Run ``tsmamba evaluate`` in a fresh process; its rusage as a dict."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, "-m", "tsmamba.cli", "evaluate", "--model", ckpt, "--data", data, "--split", "test"]
+    # the child runs under this process's -W warning filters
+    argv = [sys.executable, *(f"-W{option}" for option in sys.warnoptions), "-m", "tsmamba.cli", "evaluate"]
+    argv += ["--model", ckpt, "--data", data, "--split", "test"]
     argv += ["--horizons", str(HORIZON), "--train-end", str(TRAIN_END), "--val-end", str(VAL_END)]
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)

@@ -161,6 +161,13 @@ def _pool_channel_windows(datasets, rc: RunConfig, lookback: int, horizon: int) 
     return D.ChannelRows(splits, "inputs"), D.ChannelRows(splits, "targets")
 
 
+def _first_not_finite(arrays: np.ndarray) -> int | None:
+    """The index of the first of ``arrays`` (along axis 0) holding a value
+    that is not finite, or None."""
+    finite = np.isfinite(arrays).reshape(len(arrays), -1).all(axis=1)
+    return None if finite.all() else int(np.argmin(finite))
+
+
 def _check_precision(ckpt: Checkpoint, path: str, rc: RunConfig) -> None:
     """Stage 2 and fine-tuning train in the dtype of the checkpoint they
     start from; a config asking for another precision is refused."""
@@ -251,9 +258,17 @@ def _run_forecast(args) -> int:
     ds = D.load_csv(args.input, ffill=args.ffill)
     if ds.n_total < cfg.lookback:
         raise DataError(f"input has {ds.n_total} rows, model needs at least {cfg.lookback}")
-    window = ds.values[-cfg.lookback :].T.astype(model.embedding.weight.value.dtype)
-    with T.no_grad():
+    dtype = model.embedding.weight.value.dtype
+    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
+        window = ds.values[-cfg.lookback :].T.astype(dtype)
+    if not np.isfinite(window).all():
+        raise DataError(f"{ds.name}: the last {cfg.lookback} rows hold a value beyond the range of the model's {dtype}")
+    # a window whose scale overflows in the model makes a forecast that is
+    # not finite, which is refused below
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         pred = M.forecast(Tensor(window), model).array
+    if not np.isfinite(pred).all():
+        raise DataError(f"{ds.name}: the forecast is not finite: the last {cfg.lookback} rows overflow the model's {dtype}")
     # csv.writer's bytes, in one write: it quotes the header as it needs, and
     # no number formatted with .9g needs quoting
     header = io.StringIO()
@@ -325,7 +340,9 @@ def _batched_forecast(model: M.Model, inputs: np.ndarray) -> np.ndarray:
     """
     dtype = model.embedding.weight.value.dtype
     group = _group_windows(model.config, inputs.shape[1], dtype.itemsize)
-    with T.no_grad():
+    # a window whose scale overflows in the model gives a forecast that is
+    # not finite, which evaluate refuses
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
         chunks = [
             M.forecast(Tensor(np.ascontiguousarray(inputs[start : start + group], dtype=dtype)), model).array
             for start in range(0, inputs.shape[0], group)
@@ -347,6 +364,9 @@ def _run_evaluate(args) -> int:
     horizons = _int_list(args.horizons, "--horizons")
     if not horizons or min(horizons) < 1:
         raise InvalidConfig("--horizons needs positive horizons")
+    repeated = [h for i, h in enumerate(horizons) if h in horizons[:i]]
+    if repeated:
+        raise InvalidConfig(f"--horizons names horizon {repeated[0]} more than once")
     ckpts = _checkpoints_for_horizons(args.model, horizons)
     ds = D.load_csv(args.data, ffill=args.ffill)
     spec = D.SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, test_frac=args.test_frac)
@@ -378,7 +398,18 @@ def _run_evaluate(args) -> int:
                 elif args.baseline == "oracle":
                     preds = targets.copy()
                 else:
-                    preds = _batched_forecast(model, np.array(part.inputs, dtype=dtype, order="C"))
+                    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
+                        inputs = np.array(part.inputs, dtype=dtype, order="C")
+                    bad = _first_not_finite(inputs)
+                    if bad is not None:
+                        raise DataError(
+                            f"{ds.name}: the window at origin {part.origins[bad]} holds a standardized value beyond the "
+                            f"range of the model's {dtype}"
+                        )
+                    preds = _batched_forecast(model, inputs)
+                    bad = _first_not_finite(preds)
+                    if bad is not None:
+                        raise DataError(f"{ds.name}: the forecast of the window at origin {part.origins[bad]} is not finite")
                 sums += _error_sums(preds, targets)
                 if args.raw_metrics:
                     raw_sums += _error_sums(preds * scale + shift, targets * scale + shift)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -35,7 +36,6 @@ ZERO_VARIANCE_EPS = 1e-8
 class TimeSeriesDataset:
     name: str
     values: np.ndarray  # [N_total, D]
-    timestamps: list[str] | None = None
     channel_names: list[str] | None = None
 
     @property
@@ -58,7 +58,6 @@ class WindowSample:
 
     input: np.ndarray  # [D, L] = values[t-L : t).T
     target: np.ndarray  # [D, T] = values[t : t+T).T
-    origin_index: int
 
 
 @dataclass(eq=False)
@@ -114,7 +113,7 @@ class Windows:
         if isinstance(i, slice):
             return Windows(self.spans[i], self.lookback, self.origins[i])
         span = self.spans[i]
-        return WindowSample(input=span[:, : self.lookback], target=span[:, self.lookback :], origin_index=self.origins[i])
+        return WindowSample(input=span[:, : self.lookback], target=span[:, self.lookback :])
 
 
 @dataclass
@@ -124,6 +123,9 @@ class SplitSpec:
     test_frac: float = 0.2
 
     def __post_init__(self):
+        for key in ("train_frac", "val_frac", "test_frac"):
+            if not math.isfinite(getattr(self, key)):
+                raise InvalidConfig(f"split key {key!r} must be finite, got {getattr(self, key)}")
         if abs(self.train_frac + self.val_frac + self.test_frac - 1.0) > 1e-9:
             raise InvalidConfig("split keys 'train_frac', 'val_frac' and 'test_frac' must sum to 1")
         if min(self.train_frac, self.val_frac, self.test_frac) < 0:
@@ -134,7 +136,6 @@ class SplitSpec:
 class ChannelStats:
     mean: np.ndarray  # [D]
     std: np.ndarray  # [D], clamped away from zero
-    zero_variance_channels: list[int] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +173,10 @@ _CSV_READER_ONLY = '"\x00\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 def load_csv(path: str, has_date_column: bool | None = None, ffill: bool = False) -> TimeSeriesDataset:
     """Read a rectangular numeric CSV; optional header and leading date column.
 
-    ``has_date_column=None`` detects the date column: it is present when the
-    first cell of every data row is non-numeric. Non-numeric body cells raise
-    ParseError and infinite ones (``inf``, or overflowing like ``1e999``)
+    A date column is dropped: the model reads values only, so none of its
+    cells is kept. ``has_date_column=None`` detects it: it is present when
+    the first cell of every data row is non-numeric. Non-numeric body cells
+    raise ParseError and infinite ones (``inf``, or overflowing like ``1e999``)
     DataError, each naming the 1-based row/column; uneven row widths raise
     RaggedRows, and text that is not UTF-8 or not CSV ParseError. A leading
     byte-order mark is dropped. NaNs are rejected unless ``ffill``
@@ -197,7 +199,7 @@ def load_csv(path: str, has_date_column: bool | None = None, ffill: bool = False
     table = _parse_plain(path, text, has_date_column)
     if table is None:
         table = _parse_rows(path, _csv_rows(path, io.StringIO(text, newline="")), has_date_column)
-    values, start_col, timestamps, channel_names = table
+    values, start_col, channel_names = table
 
     if np.isnan(values).any():
         if not ffill:
@@ -212,12 +214,7 @@ def load_csv(path: str, has_date_column: bool | None = None, ffill: bool = False
             np.maximum.accumulate(idx, out=idx)
             values[:, j] = col[idx]
 
-    return TimeSeriesDataset(
-        name=path,
-        values=values,
-        timestamps=timestamps,
-        channel_names=channel_names,
-    )
+    return TimeSeriesDataset(name=path, values=values, channel_names=channel_names)
 
 
 def _layout(path: str, first: list[str], n_rows: int, later_heads, has_date_column: bool | None) -> tuple[int, int]:
@@ -237,7 +234,7 @@ def _layout(path: str, first: list[str], n_rows: int, later_heads, has_date_colu
 
 
 def _parse_plain(path: str, text: str, has_date_column: bool | None):
-    """(values, start_col, timestamps, channel_names) of ``text`` with the
+    """(values, start_col, channel_names) of ``text`` with the
     body parsed by np.loadtxt, or None when csv.reader and the cell loop must
     judge it: text that needs csv.reader, a line longer than csv's field
     limit, rows of uneven width, a cell the C reader rejects (such as
@@ -270,8 +267,7 @@ def _parse_plain(path: str, text: str, has_date_column: bool | None):
         return None
     if values.shape != (len(body), width - start_col) or np.isinf(values).any():
         return None
-    timestamps = [line.partition(",")[0] for line in body] if start_col else None
-    return values, start_col, timestamps, first[start_col:] if header_rows else None
+    return values, start_col, first[start_col:] if header_rows else None
 
 
 def _csv_rows(path: str, lines: Iterable[str]) -> list[list[str]]:
@@ -312,23 +308,15 @@ def _parse_rows(path: str, rows: list[list[str]], has_date_column: bool | None):
         raise DataError(
             f"{path}: infinite cell at row {i + 1 + header_rows}, column {j + 1 + start_col}: {body[i][j + start_col]!r}"
         )
-    timestamps = [row[0] for row in body] if start_col else None
-    return values, start_col, timestamps, rows[0][start_col:] if header_rows else None
+    return values, start_col, rows[0][start_col:] if header_rows else None
 
 
 def write_csv(ds: TimeSeriesDataset, path: str) -> None:
-    """Write values with a header row (and date column when timestamps exist)."""
+    """Write values with a header row of channel labels."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        labels = ds.channel_labels()
-        if ds.timestamps is not None:
-            writer.writerow(["date"] + labels)
-            for ts, row in zip(ds.timestamps, ds.values):
-                writer.writerow([ts] + [f"{v:.17g}" for v in row])
-        else:
-            writer.writerow(labels)
-            for row in ds.values:
-                writer.writerow([f"{v:.17g}" for v in row])
+        writer.writerow(ds.channel_labels())
+        writer.writerows([f"{v:.17g}" for v in row] for row in ds.values)
 
 
 # ---------------------------------------------------------------------------
@@ -360,22 +348,15 @@ def compute_train_stats(ds: TimeSeriesDataset, train_end: int) -> ChannelStats:
     seg = ds.values[:train_end]
     mean = seg.mean(axis=0)
     std = seg.std(axis=0)
-    zero = [int(j) for j in np.where(std == 0)[0]]
-    for j in zero:
+    for j in np.flatnonzero(std == 0):
         warnings.warn(f"channel {j} has zero variance on the train split", ZeroVariance)
-    std = np.where(std == 0, ZERO_VARIANCE_EPS, std)
-    return ChannelStats(mean=mean, std=std, zero_variance_channels=zero)
+    return ChannelStats(mean=mean, std=np.where(std == 0, ZERO_VARIANCE_EPS, std))
 
 
 def standardize(ds: TimeSeriesDataset, stats: ChannelStats) -> TimeSeriesDataset:
     """z-score every channel with train-split statistics."""
     values = (ds.values - stats.mean[None, :]) / stats.std[None, :]
-    return TimeSeriesDataset(
-        name=ds.name,
-        values=values,
-        timestamps=ds.timestamps,
-        channel_names=ds.channel_names,
-    )
+    return TimeSeriesDataset(name=ds.name, values=values, channel_names=ds.channel_names)
 
 
 def split_windows(

@@ -584,25 +584,19 @@ def _causal_conv(xv: np.ndarray, w: np.ndarray, b: np.ndarray, out=None, prod=No
     return T._conv_apply(xv, taps, wk, b, out, prod), taps, wk
 
 
-def _in_half(w_in: np.ndarray, half: int) -> np.ndarray:
-    """in_proj's main (0) or gate (1) column half, as a contiguous copy."""
-    d = w_in.shape[1] // 2
-    return np.ascontiguousarray(w_in[:, half * d : (half + 1) * d])
-
-
 def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     """One residual pre-norm Mamba layer over token-major x [B, L, d_model]:
     x + out_proj(SiLU(z_gate) * scan(SiLU(conv(z_main)))), where
     [z_main | z_gate] = RMSNorm(x, gain) @ in_proj.
 
-    Each branch is one GEMM against a column half of ``in_proj``, so no
-    [B, L, 2*d_inner] product is made. The gate branch is computed after the
-    scan, so the scan runs beside neither z_gate nor z_main.
+    Each branch is one GEMM against a column half of ``in_proj``, read as a
+    view, so neither a [B, L, 2*d_inner] product nor a copy of a half is
+    made. The gate branch is computed after the scan, so the scan runs
+    beside neither z_gate nor z_main.
 
     Recorded on the tape as one op that keeps x, RMSNorm's per-row ``inv``
     and the scan's output y beside the weights: one d_inner-wide array. Its
-    backward recomputes the normalized input, both branches (taking the
-    column halves from the one weight, so no half is kept), the conv
+    backward recomputes the normalized input, both branches, the conv
     output, both SiLUs and the gate, with the forward's operations, so they
     are the forward's bytes; the scan's VJP replays its states. Across the
     scan's VJP, where the backward peaks, it holds z_main, the scan's input
@@ -627,6 +621,7 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     weight_grads = any(q.trainable for q in p.ssm.parameters())
     b_, l_, k = xv.shape
     d = p.d_inner
+    w_main, w_gate = w_in[:, :d], w_in[:, d:]
     ws = T.workspace()
 
     def take(slot: str, width: int) -> np.ndarray:  # a [B, L, width] array from the workspace
@@ -640,14 +635,14 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
     # slot "a" holds z_main, then SiLU(conv) and then z_gate; slot "b" holds
     # the conv output, then SiLU(z_gate)
     un = normed(take("norm", k))
-    z_main = np.matmul(un, _in_half(w_in, 0), out=take("a", d).reshape(-1, d)).reshape(b_, l_, d)
+    z_main = np.matmul(un, w_main, out=take("a", d).reshape(-1, d)).reshape(b_, l_, d)
     c = _causal_conv(z_main, conv_w, conv_b, take("b", d), take("prod", d))[0]
     del z_main
     s = T._silu(c, take("a", d))
     del c
     y = _sequential_scan_np(s, weights, ws)
     del s
-    gated = T._silu(np.matmul(un, _in_half(w_in, 1), out=take("a", d).reshape(-1, d)), take("b", d).reshape(-1, d))
+    gated = T._silu(np.matmul(un, w_gate, out=take("a", d).reshape(-1, d)), take("b", d).reshape(-1, d))
     del un
     gated *= y.reshape(-1, d)
     out = gated @ w_out
@@ -658,7 +653,6 @@ def mamba_block_batched(x: Tensor, gain: Tensor, p: MambaBlockParams) -> Tensor:
         g2, y2 = g.reshape(-1, k), y.reshape(-1, d)
         norm_grads = x.requires or gain.requires  # RMSNorm's input or gain wants a gradient
         un = normed()
-        w_main, w_gate = _in_half(w_in, 0), _in_half(w_in, 1)
         gw_in = np.empty_like(w_in) if p.in_proj.trainable else None
         # gate -> out_proj, then the gate branch's share of in_proj's
         # gradients, so that its gradient is let go before the scan's VJP

@@ -21,6 +21,7 @@ from tsmamba import ssm
 from tsmamba import train as TR
 from tsmamba.checkpoint import MAGIC, checkpoint_from_model, load_checkpoint, model_from_checkpoint, save_checkpoint
 from tsmamba.cli import main
+from tsmamba.errors import ZeroVariance
 from tsmamba.tensor import Tensor, no_grad
 
 
@@ -413,11 +414,58 @@ def test_evaluate_bad_horizons_exit2(workdir, tmp_path, capsys):
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
     (ckpt_dir / "h4.ckpt").write_bytes(Path(s2).read_bytes())
-    # a horizon below 1 is a bad flag, whether --model is a file or a directory
+    # a horizon below 1 or named twice is a bad flag, whether --model is a
+    # file or a directory; a repeated one would be scored twice and counted
+    # twice in the avg row
     for model in (s2, str(ckpt_dir)):
-        for horizons in ("4,x", ",", "0", "-8", "8,0", "4,-4"):
+        for horizons in ("4,x", ",", "0", "-8", "8,0", "4,-4", "4,4", "4,,4"):
             assert main(["evaluate", "--model", model, "--data", data_path, "--horizons", horizons]) == 2, horizons
-            assert "--horizons" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "--horizons" in err
+            if horizons in ("4,4", "4,,4"):
+                assert "horizon 4 more than once" in err
+
+
+@pytest.mark.parametrize("case", ["beyond-float32", "statistics-overflow"])
+def test_forecast_refuses_a_window_the_model_cannot_hold_exit3(tmp_path, capsys, case):
+    # 1e39 is finite in float64 but inf in a float32 model; a series
+    # alternating +-3e38 is finite in float32, but its RevIN variance is not,
+    # so the forecast would be NaN or inf
+    model = _drawn_checkpoint(tmp_path / "m.ckpt", 4, np.float32, n_channels=2)
+    values = np.random.default_rng(1).standard_normal((40, 2))
+    if case == "beyond-float32":
+        values[-3, 1] = 1e39
+    else:
+        values[:, 1] = 3e38 * (-1.0) ** np.arange(40)
+    data = str(tmp_path / "in.csv")
+    D.write_csv(D.TimeSeriesDataset(name="v", values=values), data)
+    out = tmp_path / "fc.csv"
+    capsys.readouterr()
+    assert main(["forecast", "--model", model, "--input", data, "--horizon", "4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert data in err and "float32" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["beyond-float32", "forecast-overflow"])
+def test_evaluate_refuses_a_window_the_model_cannot_hold_exit3(tmp_path, capsys, case):
+    # a constant train split standardizes with std 1e-8, so test values near
+    # 1e32 become 1e40 (inf in float32), and values of +-2e30 become +-2e38,
+    # finite in float32 but overflowing the RevIN variance
+    model = _drawn_checkpoint(tmp_path / "m.ckpt", 4, np.float32, n_channels=2)
+    values = np.random.default_rng(1).standard_normal((200, 2))
+    values[:140, 0] = 5.0
+    values[170:, 0] = (1e32 if case == "beyond-float32" else 2e30) * (-1.0) ** np.arange(30)
+    data = str(tmp_path / "in.csv")
+    D.write_csv(D.TimeSeriesDataset(name="v", values=values), data)
+    report = tmp_path / "report.csv"
+    capsys.readouterr()
+    with pytest.warns(ZeroVariance, match="channel 0"):
+        assert main(["evaluate", "--model", model, "--data", data, "--horizons", "4", "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    # the test split starts at origin 160; the first window whose input holds row 170 has origin 171
+    assert data in err and "origin 171" in err and "Traceback" not in err
+    assert not report.exists()
 
 
 def test_evaluate_report_does_not_depend_on_group_size(workdir, tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ def test_load_csv_without_date_column(tmp_path):
     p.write_text("1.5,2.5\n3.5,4.5\n")
     ds = D.load_csv(str(p), has_date_column=False)
     assert ds.n_channels == 2
-    assert ds.timestamps is None
+    np.testing.assert_array_equal(ds.values, [[1.5, 2.5], [3.5, 4.5]])
 
 
 def test_load_csv_names_bad_cell(tmp_path):
@@ -92,7 +92,16 @@ def test_load_csv_reads_a_plain_body_with_the_c_reader(tmp_path, monkeypatch):
     p.write_text("date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n")
     ds = D.load_csv(str(p))
     assert calls == [range(1, 3)]
-    assert ds.timestamps == ["2020-01-01", "2020-01-02"]
+    assert ds.channel_names == ["a", "b"]
+    np.testing.assert_array_equal(ds.values, [[1, 2], [3, 4]])
+
+
+def test_load_csv_drops_the_date_column_on_the_cell_path(tmp_path):
+    # a quoted cell sends the file through csv.reader, which drops the dates too
+    p = tmp_path / "quoted.csv"
+    p.write_text('date,"a",b\n2020-01-01,1,2\n"2020-01-02",3,4\n')
+    ds = D.load_csv(str(p))
+    assert ds.channel_names == ["a", "b"]
     np.testing.assert_array_equal(ds.values, [[1, 2], [3, 4]])
 
 
@@ -125,9 +134,15 @@ def test_standardize_zscore():
 
 def test_standardize_constant_channel_flags_zero_variance():
     ds = D.TimeSeriesDataset(name="c", values=np.full((8, 2), 3.0))
-    with pytest.warns(ZeroVariance):
+    values = ds.values.copy()
+    values[:, 1] = np.arange(8.0)
+    with pytest.warns(ZeroVariance) as caught:
+        D.compute_train_stats(D.TimeSeriesDataset(name="c", values=values), train_end=6)
+    assert [str(w.message) for w in caught] == ["channel 0 has zero variance on the train split"]
+    with pytest.warns(ZeroVariance) as caught:
         stats = D.compute_train_stats(ds, train_end=6)
-    assert stats.zero_variance_channels == [0, 1]
+    assert [str(w.message) for w in caught] == [f"channel {j} has zero variance on the train split" for j in (0, 1)]
+    np.testing.assert_array_equal(stats.std, [D.ZERO_VARIANCE_EPS] * 2)
     out = D.standardize(ds, stats)
     np.testing.assert_allclose(out.values, np.zeros((8, 2)))
 
@@ -210,6 +225,14 @@ def test_split_windows_no_leakage():
 def test_split_spec_validation():
     with pytest.raises(InvalidConfig):
         D.SplitSpec(train_frac=0.5, val_frac=0.1, test_frac=0.2)
+
+
+@pytest.mark.parametrize("key", ["train_frac", "val_frac", "test_frac"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_split_spec_refuses_a_fraction_that_is_not_finite(key, value):
+    # NaN compares False with everything, so the sum and sign checks alone let it through
+    with pytest.raises(InvalidConfig, match=f"'{key}' must be finite"):
+        D.SplitSpec(**{key: value})
 
 
 def test_split_windows_explicit_boundaries():

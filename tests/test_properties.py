@@ -165,6 +165,46 @@ def test_any_config_value_trains_or_exits_2_naming_its_key(entry, value):
         assert code == 2
 
 
+SPLIT_FLAGS = ("--train-frac", "--val-frac", "--test-frac")
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.floats(), st.floats(), st.one_of(st.none(), st.floats()))
+@example(0.7, 0.1, None)
+@example(float("nan"), 0.1, 0.2)
+@example(0.7, float("nan"), None)
+@example(0.7, 0.1, float("nan"))
+@example(float("inf"), float("-inf"), None)
+@example(1.0, 0.0, None)
+@example(1e-300, 0.5, None)
+@example(0.7, -5e-324, None)
+def test_any_split_fractions_evaluate_or_exit_2_or_3(train, val, test):
+    """Every float for the three split flags, NaN and +-inf included, scores
+    (0), is refused naming its key (2) or finds a split too short (3); none
+    escapes ``main``, and the first fraction that is not finite is named. A
+    ``test`` of None is 1 - train - val, so that many draws sum to 1."""
+    fractions = (train, val, 1.0 - train - val if test is None else test)
+    blob, _ = _saved_checkpoint()
+    with tempfile.TemporaryDirectory() as tmp:
+        model, data = os.path.join(tmp, "m.ckpt"), os.path.join(tmp, "series.csv")
+        with open(model, "wb") as fh:
+            fh.write(blob)
+        D.write_csv(D.synth_generate(0, 2, 120, [D.Sinusoid(freq=1 / 8), D.Noise(sigma=0.1)]), data)
+        argv = ["evaluate", "--model", model, "--data", data, "--horizons", "4", "--out", os.path.join(tmp, "report.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = CLI.main(argv + [f"{flag}={value!r}" for flag, value in zip(SPLIT_FLAGS, fractions)])
+    assert code in (0, 2, 3), err.getvalue()
+    keys = [flag[2:].replace("-", "_") for flag in SPLIT_FLAGS]
+    if code == 2:
+        assert any(f"'{key}'" in err.getvalue() for key in keys), err.getvalue()
+    not_finite = [key for key, value in zip(keys, fractions) if not np.isfinite(value)]
+    if not_finite:
+        assert code == 2 and f"'{not_finite[0]}' must be finite" in err.getvalue(), err.getvalue()
+    elif min(fractions) < 0:
+        assert code == 2
+
+
 def _flipped(blob: bytes, flips) -> bytes:
     """``blob`` with each (position, xor mask) of ``flips`` applied, positions wrapping."""
     out = bytearray(blob)
@@ -307,7 +347,7 @@ def test_malformed_csv_raises_only_data_errors(blob, has_date_column, ffill):
 
 def reference_load_csv(path, has_date_column=None, ffill=False):
     """``load_csv`` written out as csv.reader and one float() per cell, with
-    a leading byte-order mark dropped: (values, timestamps, channel_names)."""
+    a leading byte-order mark dropped: (values, channel_names)."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
@@ -359,8 +399,7 @@ def reference_load_csv(path, has_date_column=None, ffill=False):
                 if i == 0:
                     raise DataError(f"{path}: column {j + 1 + start_col} starts with NaN; cannot forward-fill")
                 values[i, j] = values[i - 1, j]
-    timestamps = [row[0] for row in body] if has_date_column else None
-    return values, timestamps, None if header is None else header[start_col:]
+    return values, None if header is None else header[start_col:]
 
 
 odd_cells = st.sampled_from(
@@ -425,10 +464,10 @@ def test_load_csv_matches_the_cell_by_cell_reader(text, has_date_column, ffill):
             assert type(err.value) is type(exc) and str(err.value) == str(exc)
             return
         ds = D.load_csv(path, has_date_column=has_date_column, ffill=ffill)
-    values, timestamps, channel_names = expected
+    values, channel_names = expected
+    # the shape shows whether a date column was found and dropped
     assert ds.values.dtype == np.float64 and ds.values.shape == values.shape
     assert ds.values.tobytes() == values.tobytes()
-    assert ds.timestamps == timestamps
     assert ds.channel_names == channel_names
 
 
