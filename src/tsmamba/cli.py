@@ -250,6 +250,8 @@ def _run_finetune(args) -> int:
 
 
 def _run_forecast(args) -> int:
+    if args.horizon < 1:
+        raise InvalidConfig(f"--horizon must be >= 1, got {args.horizon}")
     ckpt = load_checkpoint(args.model)
     model = model_from_checkpoint(ckpt)
     cfg = model.config
@@ -257,18 +259,9 @@ def _run_forecast(args) -> int:
         raise CheckpointMismatch(f"checkpoint was trained for horizon {cfg.horizon}, requested {args.horizon}")
     ds = D.load_csv(args.input, ffill=args.ffill)
     if ds.n_total < cfg.lookback:
-        raise DataError(f"input has {ds.n_total} rows, model needs at least {cfg.lookback}")
-    dtype = model.embedding.weight.value.dtype
-    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
-        window = ds.values[-cfg.lookback :].T.astype(dtype)
-    if not np.isfinite(window).all():
-        raise DataError(f"{ds.name}: the last {cfg.lookback} rows hold a value beyond the range of the model's {dtype}")
-    # a window whose scale overflows in the model makes a forecast that is
-    # not finite, which is refused below
-    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        pred = M.forecast(Tensor(window), model).array
-    if not np.isfinite(pred).all():
-        raise DataError(f"{ds.name}: the forecast is not finite: the last {cfg.lookback} rows overflow the model's {dtype}")
+        raise DataError(f"{ds.name}: input has {ds.n_total} rows, model needs at least {cfg.lookback}")
+    # the last window, at origin n_total
+    pred = _batched_forecast(model, D.Windows.over(ds.values, cfg.lookback, 0)[-1:], ds.name)[0]
     # csv.writer's bytes, in one write: it quotes the header as it needs, and
     # no number formatted with .9g needs quoting
     header = io.StringIO()
@@ -330,24 +323,32 @@ def _group_windows(cfg: M.ModelConfig, channels: int, itemsize: int) -> int:
     return max(1, ssm.rows_per_group(cfg.d_state, cfg.d_inner, itemsize) // channels)
 
 
-def _batched_forecast(model: M.Model, inputs: np.ndarray) -> np.ndarray:
-    """Raw-space forecasts [n, D, horizon] of windows [n, D, L], run in groups
-    of whole windows sized by ``_group_windows``, each as a C-ordered array
-    in the model's dtype.
+def _batched_forecast(model: M.Model, windows: D.Windows, name: str) -> np.ndarray:
+    """Raw-space forecasts [n, D, horizon], in float64, of the inputs of
+    ``windows``, gathered as one C-ordered array in the model's dtype. This
+    is the one place where ``forecast`` and ``evaluate`` run the model.
 
-    Each channel row's arithmetic is the same in any group, so the result
-    does not depend on the group size.
+    A cross-channel model given another channel count, a window that is not
+    finite in the model's dtype and a forecast that is not finite are
+    refused, each naming ``name``; the last two name the window's origin.
     """
+    cfg = model.config
     dtype = model.embedding.weight.value.dtype
-    group = _group_windows(model.config, inputs.shape[1], dtype.itemsize)
+    if model.xchannel is not None and windows.n_channels != cfg.n_channels:
+        raise ShapeMismatch(f"{name}: xchannel model expects {cfg.n_channels} channels, got {windows.n_channels}")
+    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
+        inputs = np.array(windows.inputs, dtype=dtype, order="C")
+    bad = _first_not_finite(inputs)
+    if bad is not None:
+        raise DataError(f"{name}: the window at origin {windows.origins[bad]} holds a value beyond the range of the model's {dtype}")
     # a window whose scale overflows in the model gives a forecast that is
-    # not finite, which evaluate refuses
+    # not finite, which is refused below
     with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        chunks = [
-            M.forecast(Tensor(np.ascontiguousarray(inputs[start : start + group], dtype=dtype)), model).array
-            for start in range(0, inputs.shape[0], group)
-        ]
-    return np.concatenate(chunks).astype(np.float64)
+        preds = M.forecast(Tensor(inputs), model).array
+    bad = _first_not_finite(preds)
+    if bad is not None:
+        raise DataError(f"{name}: the forecast of the window at origin {windows.origins[bad]} is not finite in the model's {dtype}")
+    return preds.astype(np.float64)
 
 
 def _error_sums(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -384,9 +385,8 @@ def _run_evaluate(args) -> int:
             (train, val, test), stats = _standardized_splits(ds, spec, cfg.lookback, horizon, args.stride, boundaries)
             windows = {"train": train, "val": val, "test": test}[args.split]
             if not windows:
-                raise DataError(f"{args.split} split has no windows for horizon {horizon}")
-            dtype = model.embedding.weight.value.dtype
-            group = _group_windows(cfg, windows.n_channels, dtype.itemsize)
+                raise DataError(f"{ds.name}: {args.split} split has no windows for horizon {horizon}")
+            group = _group_windows(cfg, windows.n_channels, model.embedding.weight.value.dtype.itemsize)
             scale = stats.std[None, :, None]
             shift = stats.mean[None, :, None]
             sums, raw_sums = np.zeros(2), np.zeros(2)
@@ -398,18 +398,7 @@ def _run_evaluate(args) -> int:
                 elif args.baseline == "oracle":
                     preds = targets.copy()
                 else:
-                    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
-                        inputs = np.array(part.inputs, dtype=dtype, order="C")
-                    bad = _first_not_finite(inputs)
-                    if bad is not None:
-                        raise DataError(
-                            f"{ds.name}: the window at origin {part.origins[bad]} holds a standardized value beyond the "
-                            f"range of the model's {dtype}"
-                        )
-                    preds = _batched_forecast(model, inputs)
-                    bad = _first_not_finite(preds)
-                    if bad is not None:
-                        raise DataError(f"{ds.name}: the forecast of the window at origin {part.origins[bad]} is not finite")
+                    preds = _batched_forecast(model, part, ds.name)
                 sums += _error_sums(preds, targets)
                 if args.raw_metrics:
                     raw_sums += _error_sums(preds * scale + shift, targets * scale + shift)

@@ -179,9 +179,10 @@ def revin_normalize(x: Tensor, eps: float = 1e-5) -> tuple[Tensor, NormStats]:
     """Normalize each leading-index series over its window; keeps the stats.
 
     The input is treated as data: gradients never flow into the window, only
-    through parameters downstream.
+    through parameters downstream. The statistics are taken over a C-ordered
+    copy of a window in any other layout, so they round alike in every layout.
     """
-    arr = x.array
+    arr = np.ascontiguousarray(x.array)
     if arr.shape[-1] < 2:
         raise DegenerateWindow(f"window length {arr.shape[-1]} < 2")
     mean = arr.mean(axis=-1)

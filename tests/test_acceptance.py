@@ -114,7 +114,7 @@ def pipeline():
 
     test_inputs = D.stack_inputs(test32)
     test_targets = D.stack_targets(test32)
-    preds = _batched_forecast(r2.model, test_inputs)
+    preds = _batched_forecast(r2.model, test32, "test")
     mse_model = D.metric_mse(preds, test_targets)
     mae_model = D.metric_mae(preds, test_targets)
     repeat = np.repeat(test_inputs[:, :, -1:], HORIZON, axis=2)
@@ -387,14 +387,13 @@ def test_criterion_8_cross_channel_gain(pipeline):
     foundation = pipeline["foundation_short"]
     x = D.stack_inputs(pipeline["lag_train"]).astype(np.float32)
     y = D.stack_targets(pipeline["lag_train"]).astype(np.float32)
-    test_inputs = D.stack_inputs(pipeline["lag_test"])
     test_targets = D.stack_targets(pipeline["lag_test"])
 
     mse = {}
     for enable in (False, True):
         cfg = TR.finetune_config(epochs=3, batch_size=16, enable_xchannel=enable, min_samples_for_xchannel=1)
         r = TR.run_finetune(x, y, cfg, foundation, seed=11)
-        preds = _batched_forecast(r.model, test_inputs)
+        preds = _batched_forecast(r.model, pipeline["lag_test"], "lag_test")
         mse[enable] = D.metric_mse(preds, test_targets)
 
     ok = mse[True] <= mse[False]

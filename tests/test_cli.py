@@ -655,12 +655,66 @@ def test_forecast_csv_formats_like_csv_writer(workdir, tmp_path, monkeypatch, va
     _, s2 = _pretrain_both(wd, data_path, config_path)
     input_path, labels = _quoted_labels_csv(tmp_path, data_path)
     # the written numbers are exactly these, whatever the model would say
-    monkeypatch.setattr(M, "forecast", lambda x, model: Tensor(values))
+    monkeypatch.setattr(M, "forecast", lambda x, model: Tensor(values[None]))
     out = tmp_path / "fc.csv"
     assert main(["forecast", "--model", s2, "--input", input_path, "--horizon", "4", "--out", str(out)]) == 0
     text = out.read_bytes()
     assert text == _csv_writer_bytes(labels, values)
     assert b"\r\n-0," in text  # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forecast_csv_is_the_library_forecast_of_the_last_window_in_any_layout(tmp_path, dtype):
+    model = _drawn_checkpoint(tmp_path / "m.ckpt", 8, dtype, n_channels=7, lookback=128, patch_len=16)
+    data = _series_csv(tmp_path / "series.csv", 7, 300)
+    out = tmp_path / "fc.csv"
+    assert main(["forecast", "--model", model, "--input", data, "--horizon", "8", "--out", str(out)]) == 0
+    ds = D.load_csv(data)
+    last = ds.values[-128:].T  # [D, L], F-ordered
+    built = model_from_checkpoint(load_checkpoint(model))
+    with no_grad():
+        for window in (np.ascontiguousarray(last, dtype=dtype), last.astype(dtype)):
+            pred = tsmamba.forecast(Tensor(window), built).array
+            assert out.read_bytes() == _csv_writer_bytes(ds.channel_labels(), pred)
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_forecast_horizon_below_one_exit2_before_reading_the_checkpoint(tmp_path, capsys, horizon):
+    data = _series_csv(tmp_path / "series.csv", 2, 60)
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(b"JUNKJUNKJUNK")
+    capsys.readouterr()
+    assert main(["forecast", "--model", str(junk), "--input", data, "--horizon", horizon, "--out", str(tmp_path / "o.csv")]) == 2
+    assert "--horizon" in capsys.readouterr().err
+
+
+def _xchannel_checkpoint(path) -> str:
+    cfg = M.ModelConfig(horizon=4, n_channels=3, lookback=32, patch_len=8, d_model=8, n_layers=1, d_state=2,
+                        head_compress_dim=4, xchannel_enabled=True)
+    save_checkpoint(checkpoint_from_model(M.build_model(cfg, seed=3, dtype=np.float32), "finetune"), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["forecast-short-input", "evaluate-empty-split", "forecast-channels", "evaluate-channels"])
+def test_data_refusals_name_the_data_file(tmp_path, capsys, case):
+    command, what = case.split("-", 1)
+    if what == "channels":
+        model, data = _xchannel_checkpoint(tmp_path / "x.ckpt"), _series_csv(tmp_path / "two.csv", 2, 120)
+    else:
+        model = _drawn_checkpoint(tmp_path / "m.ckpt", 4, np.float32, n_channels=2)
+        data = _series_csv(tmp_path / "series.csv", 2, 20 if what == "short-input" else 120)
+    if command == "forecast":
+        argv = ["forecast", "--model", model, "--input", data, "--horizon", "4", "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["evaluate", "--model", model, "--data", data, "--horizons", "4"]
+        if what == "empty-split":
+            argv += ["--split", "val", "--train-frac", "0.7", "--val-frac", "0.01", "--test-frac", "0.29"]
+    capsys.readouterr()
+    assert main(argv) == (4 if what == "channels" else 3)
+    err = capsys.readouterr().err
+    assert data in err and "Traceback" not in err
+    if what == "channels":
+        assert "expects 3 channels, got 2" in err
 
 
 # ---------------------------------------------------------------------------
@@ -730,13 +784,13 @@ def test_batched_forecast_groups_match_single_windows(monkeypatch, dtype, xchann
     rng = np.random.default_rng(6)
     for p in model.parameters():  # the zero-initialized xchannel expansion would hide it
         p.assign((rng.standard_normal(p.value.shape) * 0.3).astype(dtype))
-    inputs = rng.standard_normal((8, 3, 16))
-    # 3-window groups: 3 + 3 + 2
+    windows = D.Windows.over(rng.standard_normal((23, 3)), 16, 0)  # 8 windows
+    # the scan steps 3-window row groups: 3 + 3 + 2
     monkeypatch.setattr(ssm, "SCAN_BUDGET", 3 * 3 * cfg.d_inner * cfg.d_state * np.dtype(dtype).itemsize)
     assert cli._group_windows(cfg, 3, np.dtype(dtype).itemsize) == 3
-    preds = cli._batched_forecast(model, inputs)
+    preds = cli._batched_forecast(model, windows, "series")
     with no_grad():
-        singles = [M.forecast(Tensor(w.astype(dtype)), model).array for w in inputs]
+        singles = [M.forecast(Tensor(np.array(w, dtype=dtype, order="C")), model).array for w in windows.inputs]
     assert preds.dtype == np.float64
     assert preds.tobytes() == np.stack(singles).astype(np.float64).tobytes()
 
@@ -787,7 +841,7 @@ def _stacked_evaluate(args, report, per_window):
         elif args.baseline == "oracle":
             preds = targets.copy()
         else:
-            preds = cli._batched_forecast(model, inputs)
+            preds = cli._batched_forecast(model, windows, ds.name)
         rows.append({"dataset": ds.name, "horizon": horizon, "mse": D.metric_mse(preds, targets), "mae": D.metric_mae(preds, targets),
                      "n_windows": len(windows)})
         scale, shift = stats.std[None, :, None], stats.mean[None, :, None]

@@ -418,6 +418,34 @@ def test_forecast_batch_matches_single_windows():
     np.testing.assert_allclose(batched, single, atol=1e-12)
 
 
+def _layouts(w: np.ndarray) -> dict[str, np.ndarray]:
+    """``w`` [..., D, L] laid out four ways: C-ordered, F-ordered, a transposed
+    view of time-major storage, and a view of every other step of a longer
+    series."""
+    every_other = np.zeros(w.shape[:-1] + (2 * w.shape[-1],), dtype=w.dtype)
+    every_other[..., ::2] = w
+    return {
+        "C": np.ascontiguousarray(w),
+        "F": np.asfortranarray(w),
+        "transposed": np.ascontiguousarray(np.swapaxes(w, -1, -2)).swapaxes(-1, -2),
+        "strided": every_other[..., ::2],
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7, 128), (3, 7, 128)], ids=["D,L", "B,D,L"])
+def test_forecast_does_not_depend_on_the_input_layout(dtype, shape):
+    # RevIN's statistics reduce over the last axis, which sums in another
+    # order when that axis is not contiguous
+    cfg = tiny_config(n_channels=7, lookback=128, patch_len=16)
+    model = M.build_model(cfg, seed=41, dtype=dtype)
+    randomize(model, np.random.default_rng(42))
+    w = (np.random.default_rng(43).standard_normal(shape) * 3.0 + 50.0).astype(dtype)
+    with T.no_grad():
+        out = {name: M.forecast(Tensor(x), model).array.tobytes() for name, x in _layouts(w).items()}
+    assert all(x == out["C"] for x in out.values()), [name for name, x in out.items() if x != out["C"]]
+
+
 def test_forecast_records_revin_inverse_as_one_node():
     # its only parent is the normalized forecast, and it keeps per-row stats,
     # no array of the forecast's shape
