@@ -2,10 +2,12 @@
 
 Writes a seeded 7-channel series and a d_model 32, 2-layer checkpoint
 (lookback 512, patch 16, horizon 96, float32: the benchmark's inference
-model), then runs ``tsmamba evaluate`` on the test split in a fresh process,
-once with 400 and once with 3200 test windows. For each run it prints the
-process's peak RSS (``ru_maxrss``), its minor page faults and its user and
-system CPU time. BLAS runs on one thread.
+model), then runs ``tsmamba evaluate --raw-metrics --window-errors FILE`` on
+the test split in a fresh process, once with 400 and once with 3200 test
+windows, so the bound also covers the raw-space sums and the per-window
+rows. For each run it prints the process's peak RSS (``ru_maxrss``), its
+minor page faults and its user and system CPU time. BLAS runs on one
+thread.
 
     PYTHONPATH=src python scripts/evaluate_rss.py --max-growth-mb 20
 
@@ -53,6 +55,7 @@ def measure(ckpt: str, data: str) -> dict:
     argv = [sys.executable, *(f"-W{option}" for option in sys.warnoptions), "-m", "tsmamba.cli", "evaluate"]
     argv += ["--model", ckpt, "--data", data, "--split", "test"]
     argv += ["--horizons", str(HORIZON), "--train-end", str(TRAIN_END), "--val-end", str(VAL_END)]
+    argv += ["--raw-metrics", "--window-errors", os.path.splitext(data)[0] + "-windows.csv"]
     proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)

@@ -26,7 +26,6 @@ from .data import (
 )
 from .errors import NonFiniteLoss
 from .model import (
-    BackboneOutput,
     Model,
     ModelConfig,
     NormStats,

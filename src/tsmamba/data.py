@@ -477,22 +477,17 @@ def metric_mae(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def write_report_csv(fh: TextIO, rows: list[dict]) -> None:
-    """Aggregate report to an open text stream: one row per (dataset,
-    horizon) plus an average row."""
+    """Aggregate report to an open text stream: the rows of each dataset
+    label (``name``, then ``name:raw``), each label's followed by its
+    average row."""
     writer = csv.writer(fh)
     writer.writerow(["dataset", "horizon", "mse", "mae", "n_windows"])
-    for r in rows:
-        writer.writerow([r["dataset"], r["horizon"], f"{r['mse']:.6f}", f"{r['mae']:.6f}", r["n_windows"]])
-    if rows:
-        writer.writerow(
-            [
-                rows[0]["dataset"],
-                "avg",
-                f"{np.mean([r['mse'] for r in rows]):.6f}",
-                f"{np.mean([r['mae'] for r in rows]):.6f}",
-                sum(r["n_windows"] for r in rows),
-            ]
-        )
+    for label in dict.fromkeys(r["dataset"] for r in rows):
+        group = [r for r in rows if r["dataset"] == label]
+        for r in group:
+            writer.writerow([label, r["horizon"], f"{r['mse']:.6f}", f"{r['mae']:.6f}", r["n_windows"]])
+        mse, mae = np.mean([r["mse"] for r in group]), np.mean([r["mae"] for r in group])
+        writer.writerow([label, "avg", f"{mse:.6f}", f"{mae:.6f}", sum(r["n_windows"] for r in group)])
 
 
 def write_window_errors_csv(path: str, dataset: str, records: list[tuple[int, int, float, float]]) -> None:

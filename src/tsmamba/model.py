@@ -268,13 +268,6 @@ class Model(ParamTree):
         return [p for enc in (self.fwd_encoder, self.bwd_encoder) for block, _ in enc.layers for p in block.parameters()]
 
 
-@dataclass
-class BackboneOutput:
-    fwd_rep: Tensor
-    bwd_rep_aligned: Tensor
-    combined: Tensor
-
-
 # ---------------------------------------------------------------------------
 # Initialization
 # ---------------------------------------------------------------------------
@@ -371,27 +364,25 @@ def patch_embed_batched(x_hat: Tensor, emb: EmbeddingParams, patch_len: int) -> 
     return T.reshape(tokens, (b_, length // patch_len, d_model))
 
 
-def _align_conv(rep: Tensor, align: AlignConvParams) -> Tensor:
+def align_conv(rep: Tensor, align: AlignConvParams) -> Tensor:
     """Depthwise temporal conv over the token axis of [B, n_tokens, d_model], symmetric zero padding."""
     return T.depthwise_conv1d(rep, align.weight.value, align.bias.value, pad_left=ALIGN_KERNEL // 2, pad_right=ALIGN_KERNEL // 2)
 
 
-def backbone_forward(x_hat: Tensor, model: Model) -> BackboneOutput:
-    """Embed and encode each channel of the normalized input [D, L].
+def backbone_forward(x_hat: Tensor, model: Model) -> tuple[Tensor, Tensor]:
+    """Embed and encode each channel of the normalized input [D, L]:
+    (fwd_rep, bwd_rep), each [D, n_tokens, d_model].
 
-    The backward branch runs on the time-flipped token sequence, is flipped
-    back and passed through the alignment conv, then added to the forward
-    representation.
+    The backward encoder runs on the time-flipped token sequence and its
+    output is flipped back, so token t of ``fwd_rep`` has read patches 0..t
+    and token t of ``bwd_rep`` patches t..n_tokens-1.
     """
     if x_hat.ndim != 2:
         raise ShapeMismatch(f"backbone input must be [channels, L], got {x_hat.shape}")
-    cfg = model.config
-    tokens = patch_embed_batched(x_hat, model.embedding, cfg.patch_len)
+    tokens = patch_embed_batched(x_hat, model.embedding, model.config.patch_len)
     fwd_rep = encoder_forward_batched(tokens, model.fwd_encoder)
     bwd = encoder_forward_batched(T.flip(tokens, axis=1), model.bwd_encoder)
-    bwd_rep_aligned = _align_conv(T.flip(bwd, axis=1), model.align)
-    combined = T.add(fwd_rep, bwd_rep_aligned)
-    return BackboneOutput(fwd_rep=fwd_rep, bwd_rep_aligned=bwd_rep_aligned, combined=combined)
+    return fwd_rep, T.flip(bwd, axis=1)
 
 
 def head_core(combined: Tensor, head: HeadParams) -> Tensor:
@@ -443,8 +434,9 @@ def xchannel_attention_batched(combined: Tensor, xp: XChannelParams) -> Tensor:
 def forecast_normalized(x_hat: Tensor, model: Model) -> Tensor:
     """Normalized-space forecast for windows [B, D, L] -> [B, D, horizon].
 
-    Channels share the backbone as independent sequences; the xchannel
-    correction applies when present.
+    Channels share the backbone as independent sequences. The head reads the
+    forward representation plus the alignment conv of the backward one,
+    after the xchannel correction when present.
     """
     cfg = model.config
     if x_hat.ndim != 3:
@@ -454,8 +446,8 @@ def forecast_normalized(x_hat: Tensor, model: Model) -> Tensor:
         raise ShapeMismatch(f"expected lookback {cfg.lookback}, got {length}")
     if model.xchannel is not None and d != cfg.n_channels:
         raise ShapeMismatch(f"xchannel model expects {cfg.n_channels} channels, got {d}")
-    bb = backbone_forward(T.reshape(x_hat, (b_ * d, length)), model)
-    combined = bb.combined
+    fwd_rep, bwd_rep = backbone_forward(T.reshape(x_hat, (b_ * d, length)), model)
+    combined = T.add(fwd_rep, align_conv(bwd_rep, model.align))
     if model.xchannel is not None:
         stacked = T.reshape(combined, (b_, d) + combined.shape[1:])
         combined = T.reshape(xchannel_attention_batched(stacked, model.xchannel), combined.shape)

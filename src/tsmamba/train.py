@@ -21,8 +21,9 @@ from .errors import DataError, InsufficientPatches, InvalidConfig, MissingGrad, 
 from .model import (
     Model,
     ModelConfig,
-    build_model,
+    align_conv,
     backbone_forward,
+    build_model,
     forecast_normalized,
     revin_normalize,
 )
@@ -164,11 +165,12 @@ def stage1_loss(windows: Tensor, model: Model, heads: Stage1Heads) -> Tensor:
     if n_tokens < 2:
         raise InsufficientPatches(f"stage 1 needs >= 2 patches: lookback {length}, patch_len {cfg.patch_len}")
     x_hat, _ = revin_normalize(windows, eps=cfg.revin_eps)
-    bb = backbone_forward(x_hat, model)
+    fwd_rep, bwd_rep = backbone_forward(x_hat, model)
     patches = x_hat.array.reshape(b_, n_tokens, cfg.patch_len)
 
-    next_pred = T.linear(T.slice_axis(bb.fwd_rep, 1, 0, n_tokens - 1), heads.next_w.value, heads.next_b.value)
-    prev_pred = T.linear(T.slice_axis(bb.bwd_rep_aligned, 1, 1, n_tokens), heads.prev_w.value, heads.prev_b.value)
+    next_pred = T.linear(T.slice_axis(fwd_rep, 1, 0, n_tokens - 1), heads.next_w.value, heads.next_b.value)
+    # the conv runs over every token before the slice, so the boundary tokens keep their padding
+    prev_pred = T.linear(T.slice_axis(align_conv(bwd_rep, model.align), 1, 1, n_tokens), heads.prev_w.value, heads.prev_b.value)
     pred = T.concat([next_pred, prev_pred], axis=0)
     target = Tensor(np.concatenate([patches[:, 1:], patches[:, :-1]], axis=0))
     return huber_loss(pred, target, HUBER_DELTA)

@@ -1322,3 +1322,29 @@ def test_bench_scan_rejects_non_integer_lengths():
 
 def test_unknown_command_exit2():
     assert main(["do-nothing"]) == 2
+
+
+def test_evaluate_writes_one_avg_row_per_space(tmp_path):
+    # the standardized rows and the --raw-metrics rows are averaged apart:
+    # each avg row is the mean of its own label's rows and sums their windows
+    data = _series_csv(tmp_path / "series.csv", 3, 600)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    for horizon in (8, 12):
+        _drawn_checkpoint(ckpt_dir / f"h{horizon}.ckpt", horizon, np.float64, seed=horizon)
+    report = tmp_path / "report.csv"
+    argv = ["evaluate", "--model", str(ckpt_dir), "--data", data, "--horizons", "8,12", "--baseline", "repeat_last", "--raw-metrics"]
+    assert main(argv + ["--out", str(report)]) == 0
+    rows = _csv_rows(report)
+    labels = [data, f"{data}:raw"]
+    assert [r["dataset"] for r in rows] == [label for label in labels for _ in range(3)]
+    for label in labels:
+        *scored, avg = [r for r in rows if r["dataset"] == label]
+        assert [r["horizon"] for r in scored] == ["8", "12"] and avg["horizon"] == "avg"
+        for key in ("mse", "mae"):
+            assert abs(float(avg[key]) - np.mean([float(r[key]) for r in scored])) <= 1e-6
+        assert int(avg["n_windows"]) == sum(int(r["n_windows"]) for r in scored)
+    # without --raw-metrics the report is the standardized rows and their avg row
+    plain = tmp_path / "plain.csv"
+    assert main(argv[:-1] + ["--out", str(plain)]) == 0
+    assert plain.read_text().splitlines() == report.read_text().splitlines()[:4]

@@ -208,8 +208,10 @@ def test_backbone_backward_branch_off():
     model.align.weight.assign(np.zeros_like(model.align.weight.value.array))
     model.align.bias.assign(np.zeros_like(model.align.bias.value.array))
     x_hat, _ = M.revin_normalize(T.tensor(rng.standard_normal((2, 32))), eps=1e-5)
-    bb = M.backbone_forward(x_hat, model)
-    np.testing.assert_array_equal(bb.combined.array, bb.fwd_rep.array)
+    fwd_rep, _ = M.backbone_forward(x_hat, model)
+    # the head reads the forward representation alone
+    pred = M.forecast_normalized(T.reshape(x_hat, (2, 1, 32)), model)
+    np.testing.assert_array_equal(pred.array[:, 0], M.head_core(fwd_rep, model.head).array)
 
 
 def test_backbone_channel_permutation_equivariance():
@@ -219,17 +221,18 @@ def test_backbone_channel_permutation_equivariance():
     randomize(model, rng)
     x = rng.standard_normal((4, 32))
     perm = np.array([2, 0, 3, 1])
-    bb = M.backbone_forward(T.tensor(x), model)
-    bb_p = M.backbone_forward(T.tensor(x[perm]), model)
-    for a, b in [(bb.fwd_rep, bb_p.fwd_rep), (bb.bwd_rep_aligned, bb_p.bwd_rep_aligned), (bb.combined, bb_p.combined)]:
+    fwd, bwd = M.backbone_forward(T.tensor(x), model)
+    fwd_p, bwd_p = M.backbone_forward(T.tensor(x[perm]), model)
+    aligned, aligned_p = M.align_conv(bwd, model.align), M.align_conv(bwd_p, model.align)
+    for a, b in [(fwd, fwd_p), (bwd, bwd_p), (aligned, aligned_p)]:
         assert np.max(np.abs(a.array[perm] - b.array)) < 1e-12
 
 
 def test_backbone_shapes_match():
     cfg = tiny_config()
     model = M.build_model(cfg, seed=11, dtype=np.float64)
-    bb = M.backbone_forward(T.ones((3, 32), dtype=np.float64), model)
-    assert bb.fwd_rep.shape == bb.bwd_rep_aligned.shape == bb.combined.shape == (3, 4, 8)
+    fwd, bwd = M.backbone_forward(T.ones((3, 32), dtype=np.float64), model)
+    assert fwd.shape == bwd.shape == M.align_conv(bwd, model.align).shape == (3, 4, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +246,8 @@ def test_head_zero_weights_predicts_window_mean():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((2, 32)) * 2.0 + 7.0
     x_hat, stats = M.revin_normalize(T.tensor(x), eps=1e-5)
-    bb = M.backbone_forward(x_hat, model)
-    pred = M.revin_denormalize(M.head_core(bb.combined, model.head), stats)
+    fwd, bwd = M.backbone_forward(x_hat, model)
+    pred = M.revin_denormalize(M.head_core(T.add(fwd, M.align_conv(bwd, model.align)), model.head), stats)
     np.testing.assert_allclose(pred.array, np.broadcast_to(stats.mean[:, None], (2, 4)), atol=1e-12)
 
 

@@ -1,8 +1,9 @@
 """Property-based tests of the config format and values, the CSV reader's
 numeric boundaries and malformed text, the window splits, the checkpoint
 reader, the scan with the tape on and off, its row groups and step blocks,
-the Huber op against its elementwise chain, and RevIN's affine
-equivariance."""
+the Huber op against its elementwise chain, RevIN's affine equivariance,
+and what each prediction path reads: each backbone direction, batch rows,
+channels without xchannel, and ``evaluate``'s windows."""
 
 import contextlib
 import csv
@@ -999,7 +1000,16 @@ def test_revin_affine_equivariance(case):
     np.testing.assert_allclose(moved, want, rtol=0, atol=tol * (1 + np.abs(want).max()))
 
 
-MATMUL_TOL = {np.float32: 1e-6, np.float64: 1e-13}
+def assert_within_rounding(got, ref, abs_sum, n_terms):
+    """Each element of ``got``, a sum of ``n_terms`` products in its dtype,
+    is within ``n_terms * eps * abs_sum`` of ``ref``, the same sum in float64,
+    where ``abs_sum`` sums the terms' magnitudes: a float sum in any order is
+    within about half that of the exact sum, and so is the reference. A bound
+    scaled by the result instead would fail where the terms cancel."""
+    assert got.shape == ref.shape
+    bound = n_terms * np.finfo(got.dtype).eps * abs_sum
+    err = np.abs(got.astype(np.float64) - ref)
+    assert (err <= bound).all(), (err.max(), bound[np.unravel_index(err.argmax(), err.shape)])
 
 
 @settings(deadline=None, max_examples=120)
@@ -1010,6 +1020,8 @@ MATMUL_TOL = {np.float32: 1e-6, np.float64: 1e-13}
     st.sampled_from([np.float32, np.float64]),
     st.integers(0, 2**32 - 1),
 )
+# 36 weight-gradient terms whose magnitudes sum to 29.3 cancel to 0.0082
+@example(lead=[6, 6], k=1, n=1, dtype=np.float32, seed=25473935)
 def test_weight_matmul_matches_batched_reference(lead, k, n, dtype, seed):
     # a 2-D right operand takes the flattened path: one GEMM per product
     rng = np.random.default_rng(seed)
@@ -1017,16 +1029,19 @@ def test_weight_matmul_matches_batched_reference(lead, k, n, dtype, seed):
     b = rng.standard_normal((k, n)).astype(dtype)
     g = rng.standard_normal((*lead, n)).astype(dtype)
     out = T.matmul(Tensor(a, requires=True), Tensor(b, requires=True))
-    want = np.matmul(a, b)
-    assert out.array.shape == want.shape and out.array.dtype == dtype
-    np.testing.assert_allclose(out.array, want, rtol=0, atol=MATMUL_TOL[dtype] * np.abs(want).max())
+    assert out.array.dtype == dtype
+    a64, b64, g64 = (v.astype(np.float64) for v in (a, b, g))
+    assert_within_rounding(out.array, np.matmul(a64, b64), np.matmul(np.abs(a64), np.abs(b64)), k)
     (_, vjp_a), (_, vjp_b) = out.pairs
     ga, gb = vjp_a(g), vjp_b(g)
-    ref_a = np.matmul(g, b.T)
-    ref_b = np.matmul(np.swapaxes(a, -1, -2), g).reshape(-1, k, n).sum(axis=0)
-    for got, ref in ((ga, ref_a), (gb, ref_b)):
-        assert got.shape == ref.shape and got.dtype == dtype
-        np.testing.assert_allclose(got, ref, rtol=0, atol=MATMUL_TOL[dtype] * np.abs(ref).max())
+    assert ga.dtype == gb.dtype == dtype
+    assert_within_rounding(ga, np.matmul(g64, b64.T), np.matmul(np.abs(g64), np.abs(b64).T), n)
+
+    def batched_weight_grad(x, y):
+        return np.matmul(np.swapaxes(x, -1, -2), y).reshape(-1, k, n).sum(axis=0)
+
+    n_rows = int(np.prod(lead))
+    assert_within_rounding(gb, batched_weight_grad(a64, g64), batched_weight_grad(np.abs(a64), np.abs(g64)), n_rows)
 
 
 # float64 values as float32 or float64 arrays, with |x| up to 1e4, where
@@ -1107,3 +1122,196 @@ def test_gelu_float64_within_erf_ulp(x):
     got = T.gelu(Tensor(x)).array
     want = x * (0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0)))))
     assert (np.abs(got - want) <= np.abs(x) * 2.0**-52 + np.spacing(np.abs(want))).all()
+
+
+# ---------------------------------------------------------------------------
+# Information flow: perturbing what a prediction may not read leaves it
+# byte-identical, and perturbing what it reads moves it
+# ---------------------------------------------------------------------------
+
+
+def drawn_model(cfg, seed, dtype=np.float64):
+    """A model whose every tensor is drawn: the zero-initialized head and
+    xchannel expansion would hide what they read."""
+    model = M.build_model(cfg, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for p in model.parameters():
+        p.assign((p.value.array + 0.3 * rng.standard_normal(p.value.shape)).astype(dtype))
+    return model
+
+
+def scan_group_rows(cfg, rows, dtype=np.float64):
+    """A ``SCAN_BUDGET`` under which the scan steps ``rows`` rows per group."""
+    return mock.patch.object(ssm, "SCAN_BUDGET", rows * cfg.d_state * cfg.d_inner * np.dtype(dtype).itemsize)
+
+
+def tape(taped):
+    return contextlib.nullcontext() if taped else T.no_grad()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(1, 3), st.integers(1, 2),
+    st.booleans(), st.integers(0, 2**32 - 1), st.data(),
+)
+def test_each_backbone_direction_reads_only_its_own_side(n_tokens, patch_len, group, groups, n_layers, taped, seed, data):
+    """Token t of ``fwd_rep`` reads patches 0..t and token t of ``bwd_rep``
+    patches t..n_tokens-1: moving patch s leaves the forward tokens before s
+    and the backward tokens after s byte-identical, and moves token s of
+    both in every row. The rows outnumber a scan group, so the scan steps
+    several groups, the last possibly partial."""
+    cfg = M.ModelConfig(horizon=1, n_channels=1, lookback=n_tokens * patch_len, patch_len=patch_len, d_model=4, n_layers=n_layers, d_state=2,
+                        head_compress_dim=2)
+    model = drawn_model(cfg, seed)
+    rows = group * (1 + groups) + data.draw(st.integers(0, group - 1), label="rows of a partial group")
+    s = data.draw(st.integers(0, n_tokens - 1), label="moved patch")
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cfg.lookback))
+    moved = x.copy()
+    moved[:, s * patch_len : (s + 1) * patch_len] += 1.0 + rng.random((rows, patch_len))
+    with scan_group_rows(cfg, group), tape(taped):
+        assert ssm.rows_per_group(cfg.d_state, cfg.d_inner, 8) == group < rows
+        fwd, bwd = (rep.array for rep in M.backbone_forward(Tensor(x), model))
+        fwd_m, bwd_m = (rep.array for rep in M.backbone_forward(Tensor(moved), model))
+    assert fwd[:, :s].tobytes() == fwd_m[:, :s].tobytes()
+    assert bwd[:, s + 1 :].tobytes() == bwd_m[:, s + 1 :].tobytes()
+    assert (fwd[:, s] != fwd_m[:, s]).any(axis=-1).all()
+    assert (bwd[:, s] != bwd_m[:, s]).any(axis=-1).all()
+
+
+@st.composite
+def batch_cases(draw):
+    """(model, windows, moved window, moved inputs, rows per scan group): a
+    drawn model without xchannel, a batch of 2-6 windows, and one channel of
+    one window moved."""
+    d_model = draw(st.integers(2, 6), label="d_model")
+    lookback = draw(st.sampled_from([8, 12, 16]), label="lookback")
+    channels = draw(st.integers(1, 3), label="channels")
+    cfg = M.ModelConfig(horizon=draw(st.integers(1, 8), label="horizon"), n_channels=channels, lookback=lookback, patch_len=4,
+                        d_model=d_model, n_layers=1, d_state=2, head_compress_dim=1)
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    model = drawn_model(cfg, seed)
+    n_windows = draw(st.integers(2, 6), label="windows")
+    rng = np.random.default_rng(seed)
+    windows = D.Windows.over(rng.standard_normal((lookback + n_windows - 1 + cfg.horizon, channels)), lookback, cfg.horizon)
+    moved = np.array(windows.inputs, order="C")
+    i = draw(st.integers(0, n_windows - 1), label="moved window")
+    moved[i, draw(st.integers(0, channels - 1), label="moved channel")] += 1.0
+    group = draw(st.integers(1, n_windows * channels - 1), label="rows per scan group")
+    return model, windows, i, moved, group
+
+
+@settings(deadline=None, max_examples=60)
+@given(batch_cases(), st.booleans())
+def test_batch_rows_are_independent(case, taped):
+    """A batch's rows share nothing but their shape: moving one window moves
+    its own forecast and leaves every other one byte-identical, in
+    ``forecast_normalized``, taped and not, and in ``cli._batched_forecast``.
+    Stepping the rows in scan groups of any size, a partial last group and
+    its blocks of several steps included, changes no byte."""
+    model, windows, i, moved, group = case
+    x = np.array(windows.inputs, order="C")
+    moved_windows = D.Windows(np.concatenate([moved, np.array(windows.targets)], axis=2), windows.lookback, windows.origins)
+    outs = {}
+    for rows in (group, None):
+        budget = scan_group_rows(model.config, rows) if rows else contextlib.nullcontext()
+        with budget, tape(taped):
+            base, after = (M.forecast_normalized(Tensor(v), model).array for v in (x, moved))
+        with budget:
+            cli_base, cli_after = (CLI._batched_forecast(model, w, "series") for w in (windows, moved_windows))
+        outs[rows] = (base, after, cli_base, cli_after)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(outs[group], outs[None]))
+    others = np.arange(len(windows)) != i
+    for base, after in (outs[group][:2], outs[group][2:]):
+        assert after[others].tobytes() == base[others].tobytes()
+        assert (after[i] != base[i]).any()
+
+
+# One window forecast alone and the same window in a batch of two differ in
+# their last bits: numpy hands a one-row product to BLAS's gemv, and
+# OpenBLAS's gemm rounds a row by how many rows share it at some shapes
+# (here the head's [rows, 8] x [8, 3] product).
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="a GEMM row's rounding depends on the rows that share it")
+@settings(deadline=None, max_examples=40)
+@given(batch_cases(), st.booleans())
+@example(
+    case=(drawn_model(M.ModelConfig(horizon=3, n_channels=1, lookback=16, patch_len=4, d_model=4, n_layers=1, d_state=2,
+                                    head_compress_dim=2), 0),
+          D.Windows.over(np.random.default_rng(0).standard_normal((20, 1)), 16, 3), 0, None, 1),
+    taped=False,
+)
+def test_a_batch_forecasts_each_window_as_it_would_alone(case, taped):
+    """``forecast_normalized``, taped and not, and ``cli._batched_forecast``
+    of a batch equal each window forecast alone, byte for byte."""
+    model, windows, _, _, _ = case
+    x = np.array(windows.inputs, order="C")
+    with tape(taped):
+        batch = M.forecast_normalized(Tensor(x), model).array
+        alone = np.concatenate([M.forecast_normalized(Tensor(x[j : j + 1]), model).array for j in range(len(x))])
+    cli_alone = np.concatenate([CLI._batched_forecast(model, windows[j : j + 1], "series") for j in range(len(x))])
+    assert batch.tobytes() == alone.tobytes()
+    assert CLI._batched_forecast(model, windows, "series").tobytes() == cli_alone.tobytes()
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.integers(2, 5), st.integers(1, 3), st.integers(1, 4), st.integers(2, 4), st.integers(1, 8), st.integers(2, 6),
+    st.booleans(), st.integers(0, 2**32 - 1), st.data(),
+)
+def test_channels_are_independent_without_xchannel(channels, n_windows, n_tokens, patch_len, horizon, d_model, taped, seed, data):
+    """Without the cross-channel module, moving one channel of a raw window
+    leaves every other channel's forecast byte-identical and moves its own."""
+    cfg = M.ModelConfig(horizon=horizon, n_channels=channels, lookback=n_tokens * patch_len, patch_len=patch_len,
+                        d_model=d_model, n_layers=1, d_state=2, head_compress_dim=1)
+    model = drawn_model(cfg, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n_windows, channels, cfg.lookback)) * 3.0 + 10.0
+    c = data.draw(st.integers(0, channels - 1), label="moved channel")
+    moved = x.copy()
+    moved[:, c] += rng.standard_normal((n_windows, cfg.lookback))
+    with tape(taped):
+        out = M.forecast(Tensor(x), model).array
+        out_m = M.forecast(Tensor(moved), model).array
+    others = np.arange(channels) != c
+    assert out_m[:, others].tobytes() == out[:, others].tobytes()
+    assert (out_m[:, c] != out[:, c]).any(axis=-1).all()
+
+
+def window_error_rows(path) -> dict[int, tuple[str, str]]:
+    with open(path, newline="") as fh:
+        return {int(r["origin_index"]): (r["mse"], r["mae"]) for r in csv.DictReader(fh)}
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1), st.data())
+def test_evaluate_moves_only_the_windows_that_hold_a_moved_test_value(channels, seed, data):
+    """``evaluate`` standardizes with train-split statistics only: moving one
+    raw value at or after ``--val-end`` leaves the ``--window-errors`` row of
+    every window whose span [t-L, t+H) misses its row unchanged, and changes
+    at least one window that holds it. The head is drawn, so the forecasts
+    read the inputs."""
+    lookback, horizon, n_rows, train_end, val_end = 16, 4, 80, 40, 56
+    cfg = M.ModelConfig(horizon=horizon, n_channels=channels, lookback=lookback, patch_len=4, d_model=4, n_layers=1, d_state=2, head_compress_dim=2)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n_rows, channels))
+    row = data.draw(st.integers(val_end, n_rows - 1), label="moved row")
+    moved = values.copy()
+    moved[row, data.draw(st.integers(0, channels - 1), label="moved channel")] += data.draw(st.sampled_from([-5.0, 5.0]))
+    errors = []
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = os.path.join(tmp, "model.ckpt")
+        C.save_checkpoint(C.checkpoint_from_model(drawn_model(cfg, seed), "stage2"), ckpt)
+        for name, series in (("base", values), ("moved", moved)):
+            os.mkdir(os.path.join(tmp, name))
+            path = os.path.join(tmp, name, "series.csv")
+            D.write_csv(D.TimeSeriesDataset(name="series", values=series), path)
+            argv = ["evaluate", "--model", ckpt, "--data", path, "--horizons", str(horizon), "--train-end", str(train_end),
+                    "--val-end", str(val_end), "--out", os.path.join(tmp, name, "report.csv"),
+                    "--window-errors", os.path.join(tmp, name, "windows.csv")]
+            assert CLI.main(argv) == 0
+            errors.append(window_error_rows(os.path.join(tmp, name, "windows.csv")))
+    base, after = errors
+    assert sorted(base) == sorted(after) == list(range(val_end, n_rows - horizon + 1))
+    holds = {t for t in base if t - lookback <= row < t + horizon}
+    assert all(after[t] == base[t] for t in base if t not in holds)
+    assert any(after[t] != base[t] for t in holds)

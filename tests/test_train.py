@@ -112,9 +112,9 @@ def reference_stage1(windows, model, heads):
     """Both autoregressive streams computed explicitly in numpy."""
     cfg = model.config
     x_hat, _ = M.revin_normalize(Tensor(windows), eps=cfg.revin_eps)
-    bb = M.backbone_forward(x_hat, model)
-    fwd = bb.fwd_rep.array
-    bwd = bb.bwd_rep_aligned.array
+    fwd_rep, bwd_rep = M.backbone_forward(x_hat, model)
+    fwd = fwd_rep.array
+    bwd = M.align_conv(bwd_rep, model.align).array
     patches = x_hat.array.reshape(windows.shape[0], cfg.n_tokens, cfg.patch_len)
     errs = []
     for b in range(windows.shape[0]):
@@ -388,9 +388,9 @@ def test_each_stage_loss_is_one_node_over_the_prediction():
     n = cfg.n_tokens
     with T.no_grad():
         x_hat, _ = M.revin_normalize(Tensor(x[:, 0]), eps=cfg.revin_eps)
-        bb = M.backbone_forward(x_hat, model)
-        next_pred = T.linear(T.slice_axis(bb.fwd_rep, 1, 0, n - 1), heads.next_w.value, heads.next_b.value)
-        prev_pred = T.linear(T.slice_axis(bb.bwd_rep_aligned, 1, 1, n), heads.prev_w.value, heads.prev_b.value)
+        fwd_rep, bwd_rep = M.backbone_forward(x_hat, model)
+        next_pred = T.linear(T.slice_axis(fwd_rep, 1, 0, n - 1), heads.next_w.value, heads.next_b.value)
+        prev_pred = T.linear(T.slice_axis(M.align_conv(bwd_rep, model.align), 1, 1, n), heads.prev_w.value, heads.prev_b.value)
         stage2_pred = M.forecast_normalized(T.reshape(x_hat, (4, 1, cfg.lookback)), model).array[:, 0]
         finetune_pred = M.forecast_normalized(M.revin_normalize(Tensor(x), eps=cfg.revin_eps)[0], xmodel).array
     losses = {
