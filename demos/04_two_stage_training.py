@@ -8,7 +8,6 @@ chronological split against the repeat-last-value baseline.
 
 import numpy as np
 
-from tsmamba import Tensor, forecast, no_grad
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import train as TR
@@ -49,12 +48,11 @@ print(f"head-init loss {r2.step_losses[0]:.4f} -> final {r2.step_losses[-1]:.4f}
       f"({1 - r2.step_losses[-1] / r2.step_losses[0]:.1%} reduction)")
 
 print("\n== held-out evaluation ==")
-inputs, targets = test.inputs, test.targets
-with no_grad():
-    preds = forecast(Tensor(np.ascontiguousarray(inputs, dtype=np.float32)), r2.model).array
-naive = np.repeat(inputs[:, :, -1:], T_HORIZON, axis=2)
-mse, mae = D.metric_mse(preds, targets), D.metric_mae(preds, targets)
-mse_naive = D.metric_mse(naive, targets)
+# score the test split as `tsmamba evaluate` does: each window's (MSE, MAE),
+# forecast a group of windows at a time
+group = M.window_group(cfg, test.n_channels, np.dtype(np.float32).itemsize)
+mse, mae = D.score(lambda part: M.forecast_windows(r2.model, part, "test"), test, group).mean(axis=0)
+mse_naive = D.score(D.repeat_last, test, group)[:, 0].mean()
 print(f"model   MSE={mse:.4f}  MAE={mae:.4f}")
 print(f"baseline MSE={mse_naive:.4f} (repeat last value)")
 print(f"improvement over baseline: {1 - mse / mse_naive:.1%}")

@@ -11,7 +11,6 @@ import hashlib
 
 import numpy as np
 
-from tsmamba import Tensor, forecast, no_grad
 from tsmamba import data as D
 from tsmamba import model as M
 from tsmamba import train as TR
@@ -59,9 +58,8 @@ results = {}
 for enable in (False, True):
     ft_cfg = TR.finetune_config(epochs=3, batch_size=16, enable_xchannel=enable, min_samples_for_xchannel=1)
     r = TR.run_finetune(ftrain.inputs, ftrain.targets, ft_cfg, foundation, seed=11)
-    with no_grad():
-        preds = forecast(Tensor(np.ascontiguousarray(ftest.inputs, dtype=np.float32)), r.model).array
-    results[enable] = D.metric_mse(preds, ftest.targets)
+    group = M.window_group(r.model.config, ftest.n_channels, np.dtype(np.float32).itemsize)
+    results[enable] = D.score(lambda part: M.forecast_windows(r.model, part, "held-out"), ftest, group)[:, 0].mean()
     label = "with xchannel" if enable else "no xchannel  "
     print(f"{label}: step-0 loss {r.step_losses[0]:.5f}, final {r.step_losses[-1]:.5f}, "
           f"held-out MSE {results[enable]:.5f}")

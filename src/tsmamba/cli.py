@@ -57,15 +57,22 @@ def _err(msg: str) -> None:
 _OUTPUT_FLAGS = ("out", "log", "window_errors")
 
 
-def _check_output_path(path: str | None) -> None:
-    """Refuse an output file that could not be created: a directory, or a path
-    whose parent directory does not exist. The OSError names the path."""
-    if path is None:
-        return
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+def _check_outputs(args) -> None:
+    """Refuse an output file that could not be created, a directory or a path
+    whose parent directory does not exist (the OSError names the path), and
+    two output flags that name one file, through a symlink too."""
+    seen: dict[str, str] = {}
+    for flag in _OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        first = seen.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise InvalidConfig(f"--{first.replace('_', '-')} and --{flag.replace('_', '-')} name one file: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +168,21 @@ def _pool_channel_windows(datasets, rc: RunConfig, lookback: int, horizon: int) 
     return D.ChannelRows(splits, "inputs"), D.ChannelRows(splits, "targets")
 
 
-def _first_not_finite(arrays: np.ndarray) -> int | None:
-    """The index of the first of ``arrays`` (along axis 0) holding a value
-    that is not finite, or None."""
-    finite = np.isfinite(arrays).reshape(len(arrays), -1).all(axis=1)
-    return None if finite.all() else int(np.argmin(finite))
-
-
 def _check_precision(ckpt: Checkpoint, path: str, rc: RunConfig) -> None:
     """Stage 2 and fine-tuning train in the dtype of the checkpoint they
     start from; a config asking for another precision is refused."""
     dtype = ckpt.dtype(path)
     if dtype != rc.dtype:
         raise CheckpointMismatch(f"{path} holds {dtype} tensors, but the config's precision is {np.dtype(rc.dtype)}")
+
+
+def _forecasting_checkpoint(path: str) -> Checkpoint:
+    """The checkpoint at ``path``; one of a stage without a forecasting head
+    is a CheckpointMismatch naming the path and the stage."""
+    ckpt = load_checkpoint(path)
+    if ckpt.stage not in ("stage2", "finetune"):
+        raise CheckpointMismatch(f"{path}: a {ckpt.stage!r} checkpoint has no forecasting head; a stage2 or finetune one is needed")
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +229,7 @@ def _run_pretrain(args) -> int:
 def _run_finetune(args) -> int:
     rc = load_run_config(args.config)
     ds = D.load_csv(args.data, ffill=args.ffill)
-    foundation = load_checkpoint(args.init)
-    if foundation.stage not in ("stage2", "finetune"):
-        raise CheckpointMismatch(f"--init must be a foundation checkpoint, got stage {foundation.stage!r}")
+    foundation = _forecasting_checkpoint(args.init)
     model_cfg = foundation.config()
     (train, _, _), _ = _standardized_splits(ds, rc.split, model_cfg.lookback, model_cfg.horizon, rc.window_stride)
     if not train:
@@ -252,8 +259,7 @@ def _run_finetune(args) -> int:
 def _run_forecast(args) -> int:
     if args.horizon < 1:
         raise InvalidConfig(f"--horizon must be >= 1, got {args.horizon}")
-    ckpt = load_checkpoint(args.model)
-    model = model_from_checkpoint(ckpt)
+    model = model_from_checkpoint(_forecasting_checkpoint(args.model))
     cfg = model.config
     if args.horizon != cfg.horizon:
         raise CheckpointMismatch(f"checkpoint was trained for horizon {cfg.horizon}, requested {args.horizon}")
@@ -261,7 +267,7 @@ def _run_forecast(args) -> int:
     if ds.n_total < cfg.lookback:
         raise DataError(f"{ds.name}: input has {ds.n_total} rows, model needs at least {cfg.lookback}")
     # the last window, at origin n_total
-    pred = _batched_forecast(model, D.Windows.over(ds.values, cfg.lookback, 0)[-1:], ds.name)[0]
+    pred = M.forecast_windows(model, D.Windows.over(ds.values, cfg.lookback, 0)[-1:], ds.name)[0]
     # csv.writer's bytes, in one write: it quotes the header as it needs, and
     # no number formatted with .9g needs quoting
     header = io.StringIO()
@@ -282,9 +288,9 @@ def _run_forecast(args) -> int:
 def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Checkpoint]:
     """One checkpoint per horizon from a checkpoint file or a directory.
 
-    In a directory, files that are unreadable or whose config is rejected
-    are named on stderr and skipped; a horizon matched by no file or by
-    several is a CheckpointMismatch.
+    In a directory, files that are unreadable, whose config is rejected or
+    that hold no forecasting head are named on stderr and skipped; a horizon
+    matched by no file or by several is a CheckpointMismatch.
     """
     out: dict[int, Checkpoint] = {}
     if os.path.isdir(path):
@@ -294,9 +300,9 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
             if not os.path.isfile(full):
                 continue
             try:
-                ckpt = load_checkpoint(full)
+                ckpt = _forecasting_checkpoint(full)
                 candidates.append((name, ckpt, ckpt.config().horizon))
-            except (OSError, CorruptCheckpoint, *_CONFIG_ERRORS) as exc:
+            except (OSError, CorruptCheckpoint, CheckpointMismatch, *_CONFIG_ERRORS) as exc:
                 _err(f"skipping checkpoint {name}: {exc}")
         for horizon in horizons:
             match = [(name, c) for name, c, trained in candidates if trained == horizon]
@@ -307,7 +313,7 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
                 raise CheckpointMismatch(f"several checkpoints for horizon {horizon} in {path}: {names}")
             out[horizon] = match[0][1]
     else:
-        ckpt = load_checkpoint(path)
+        ckpt = _forecasting_checkpoint(path)
         trained = ckpt.config().horizon
         for horizon in horizons:
             if horizon != trained:
@@ -316,52 +322,15 @@ def _checkpoints_for_horizons(path: str, horizons: list[int]) -> dict[int, Check
     return out
 
 
-def _group_windows(cfg: M.ModelConfig, channels: int, itemsize: int) -> int:
-    """Windows per forecast call: the scan's rows per group
-    (``ssm.rows_per_group``) shared among the channels, and at least one, so
-    a call's scans step all their rows as one group."""
-    return max(1, ssm.rows_per_group(cfg.d_state, cfg.d_inner, itemsize) // channels)
-
-
-def _batched_forecast(model: M.Model, windows: D.Windows, name: str) -> np.ndarray:
-    """Raw-space forecasts [n, D, horizon], in float64, of the inputs of
-    ``windows``, gathered as one C-ordered array in the model's dtype. This
-    is the one place where ``forecast`` and ``evaluate`` run the model.
-
-    A cross-channel model given another channel count, a window that is not
-    finite in the model's dtype and a forecast that is not finite are
-    refused, each naming ``name``; the last two name the window's origin.
-    """
-    cfg = model.config
-    dtype = model.embedding.weight.value.dtype
-    if model.xchannel is not None and windows.n_channels != cfg.n_channels:
-        raise ShapeMismatch(f"{name}: xchannel model expects {cfg.n_channels} channels, got {windows.n_channels}")
-    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
-        inputs = np.array(windows.inputs, dtype=dtype, order="C")
-    bad = _first_not_finite(inputs)
-    if bad is not None:
-        raise DataError(f"{name}: the window at origin {windows.origins[bad]} holds a value beyond the range of the model's {dtype}")
-    # a window whose scale overflows in the model gives a forecast that is
-    # not finite, which is refused below
-    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
-        preds = M.forecast(Tensor(inputs), model).array
-    bad = _first_not_finite(preds)
-    if bad is not None:
-        raise DataError(f"{name}: the forecast of the window at origin {windows.origins[bad]} is not finite in the model's {dtype}")
-    return preds.astype(np.float64)
-
-
-def _error_sums(preds: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """The sums of squared and of absolute errors, in float64."""
-    diff = preds - targets
-    return np.array([(diff * diff).sum(), np.abs(diff).sum()])
+# ``evaluate`` runs the model through this name, looked up when it runs,
+# so that the benchmark's self-test (perfbench/selftest.py) can patch it
+_batched_forecast = M.forecast_windows
 
 
 def _run_evaluate(args) -> int:
-    """Score each horizon's split one ``_group_windows`` group at a time: a
-    group's inputs and targets are gathered from the window views, scored,
-    added to running error sums and let go, so no array grows with the
-    split. One ``no_grad`` block, and so one workspace, serves every group."""
+    """Score each horizon's split with ``data.score``, one
+    ``model.window_group`` group at a time. One ``no_grad`` block, and so
+    one workspace, serves every group."""
     horizons = _int_list(args.horizons, "--horizons")
     if not horizons or min(horizons) < 1:
         raise InvalidConfig("--horizons needs positive horizons")
@@ -375,51 +344,34 @@ def _run_evaluate(args) -> int:
         raise InvalidConfig("--train-end and --val-end must be given together")
     boundaries = (args.train_end, args.val_end) if args.train_end is not None else None
 
-    rows = []
-    raw_rows = []
-    window_rows = []
+    rows, window_rows = [], []
     with T.no_grad():
         for horizon in horizons:
             model = model_from_checkpoint(ckpts[horizon])
-            cfg = model.config
-            (train, val, test), stats = _standardized_splits(ds, spec, cfg.lookback, horizon, args.stride, boundaries)
+            (train, val, test), stats = _standardized_splits(ds, spec, model.config.lookback, horizon, args.stride, boundaries)
             windows = {"train": train, "val": val, "test": test}[args.split]
             if not windows:
                 raise DataError(f"{ds.name}: {args.split} split has no windows for horizon {horizon}")
-            group = _group_windows(cfg, windows.n_channels, model.embedding.weight.value.dtype.itemsize)
-            scale = stats.std[None, :, None]
-            shift = stats.mean[None, :, None]
-            sums, raw_sums = np.zeros(2), np.zeros(2)
-            for start in range(0, len(windows), group):
-                part = windows[start : start + group]
-                targets = np.array(part.targets, dtype=np.float64, order="C")
-                if args.baseline == "repeat_last":
-                    preds = np.repeat(part.inputs[:, :, -1:], horizon, axis=2)
-                elif args.baseline == "oracle":
-                    preds = targets.copy()
-                else:
-                    preds = _batched_forecast(model, part, ds.name)
-                sums += _error_sums(preds, targets)
-                if args.raw_metrics:
-                    raw_sums += _error_sums(preds * scale + shift, targets * scale + shift)
-                if args.window_errors:
-                    window_rows += [
-                        (horizon, origin, D.metric_mse(p, t), D.metric_mae(p, t)) for p, t, origin in zip(preds, targets, part.origins)
-                    ]
-            mse, mae = (sums / (len(windows) * windows.n_channels * horizon)).tolist()
-            rows.append({"dataset": ds.name, "horizon": horizon, "mse": mse, "mae": mae, "n_windows": len(windows)})
-            if args.raw_metrics:
-                mse, mae = (raw_sums / (len(windows) * windows.n_channels * horizon)).tolist()
-                raw_rows.append({"dataset": f"{ds.name}:raw", "horizon": horizon, "mse": mse, "mae": mae, "n_windows": len(windows)})
+            predict = {
+                "none": lambda part: _batched_forecast(model, part, ds.name),
+                "repeat_last": D.repeat_last,
+                "oracle": lambda part: part.targets,
+            }[args.baseline]
+            group = M.window_group(model.config, windows.n_channels, model.embedding.weight.value.dtype.itemsize)
+            errors = D.score(predict, windows, group, stats if args.raw_metrics else None)
+            # the report groups its rows by label: the model's, then the raw ones
+            for label, (mse, mae) in zip((ds.name, f"{ds.name}:raw"), errors.mean(axis=0).reshape(-1, 2).tolist()):
+                rows.append({"dataset": label, "horizon": horizon, "mse": mse, "mae": mae, "n_windows": len(windows)})
+            window_rows += [(horizon, origin, mse, mae) for origin, (mse, mae) in zip(windows.origins, errors[:, :2].tolist())]
 
     if args.window_errors:
         D.write_window_errors_csv(args.window_errors, ds.name, window_rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            D.write_report_csv(fh, rows + raw_rows)
+            D.write_report_csv(fh, rows)
         print(f"report written to {args.out}")
     else:
-        D.write_report_csv(sys.stdout, rows + raw_rows)
+        D.write_report_csv(sys.stdout, rows)
     return EXIT_OK
 
 
@@ -603,8 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = globals()["_run_" + args.command.replace("-", "_")]
     try:
         # before any work, so an unwritable output costs no training or timing
-        for flag in _OUTPUT_FLAGS:
-            _check_output_path(getattr(args, flag, None))
+        _check_outputs(args)
         return handler(args)
     except _CONFIG_ERRORS as exc:
         _err(str(exc))

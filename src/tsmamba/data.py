@@ -5,7 +5,7 @@ sliding-window view of a standardized series, made by ``split_windows`` or
 ``Windows.over``. Nothing is copied until a caller asks. The one windowing
 API is the ``inputs``, ``targets`` and ``origins`` views of a ``Windows``
 and ``ChannelRows``, which gathers training batches of channel rows by
-index: ``evaluate`` gathers one window group at a time from the views, and
+index: ``score`` gathers one window group at a time from the views, and
 training gathers its batches through ``ChannelRows``.
 
 The benchmark (``perfbench/``) still calls an older API, which stays only
@@ -23,7 +23,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -474,6 +474,33 @@ def metric_mae(pred: np.ndarray, target: np.ndarray) -> float:
     if pred.shape != target.shape:
         raise ShapeMismatch(f"metric_mae: {pred.shape} vs {target.shape}")
     return float(np.abs(pred - target).mean())
+
+
+def repeat_last(windows: Windows) -> np.ndarray:
+    """The repeat-last-value baseline: each input's last value held over the
+    horizon, [n, D, horizon] in float64."""
+    return np.repeat(np.asarray(windows.inputs[:, :, -1:], dtype=np.float64), windows.horizon, axis=2)
+
+
+def score(predict: Callable[[Windows], np.ndarray], windows: Windows, group: int, stats: ChannelStats | None = None) -> np.ndarray:
+    """Each window's errors, float64 [n, 2] of (MSE, MAE), or [n, 4] with the
+    raw-space (MSE, MAE) after them when ``stats`` undoes the standardization.
+    ``predict`` maps ``group`` windows at a time to float64 forecasts
+    [n, D, horizon] (``model.forecast_windows``, ``repeat_last``), so only
+    the result grows with the split. Row i is ``metric_mse`` and
+    ``metric_mae`` of window i alone, whatever ``group`` is."""
+    errors = np.empty((len(windows), 2 if stats is None else 4))
+    for start in range(0, len(windows), group):
+        part = windows[start : start + group]
+        preds, targets = predict(part), np.array(part.targets, dtype=np.float64, order="C")
+        if preds.shape != targets.shape:
+            raise ShapeMismatch(f"score: forecasts {preds.shape} vs targets {targets.shape}")
+        diffs = [preds - targets]
+        if stats is not None:
+            scale, shift = stats.std[None, :, None], stats.mean[None, :, None]
+            diffs.append((preds * scale + shift) - (targets * scale + shift))
+        errors[start : start + len(part)] = np.stack([f(d).mean(axis=(1, 2)) for d in diffs for f in (np.square, np.abs)], axis=1)
+    return errors
 
 
 def write_report_csv(fh: TextIO, rows: list[dict]) -> None:

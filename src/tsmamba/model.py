@@ -15,9 +15,10 @@ from dataclasses import MISSING, asdict, dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .errors import DegenerateWindow, InvalidConfig, PatchLengthMismatch, ShapeMismatch
+from .data import Windows
+from .errors import DataError, DegenerateWindow, InvalidConfig, PatchLengthMismatch, ShapeMismatch
 from .params import NoDraws, Parameter, ParamTree, normal_init, uniform_init
-from .ssm import EncoderParams, encoder_forward_batched, init_encoder
+from .ssm import EncoderParams, encoder_forward_batched, init_encoder, rows_per_group
 from .tensor import Tensor
 
 ALIGN_KERNEL = 3
@@ -474,3 +475,36 @@ def forecast(x: Tensor, model: Model, scan_mode: str = "sequential") -> Tensor:
     batch = x_hat if x.ndim == 3 else T.reshape(x_hat, (1,) + x.shape)
     y_hat = forecast_normalized(batch, model)
     return revin_denormalize(T.reshape(y_hat, x.shape[:-1] + (cfg.horizon,)), stats)
+
+
+def window_group(cfg: ModelConfig, channels: int, itemsize: int) -> int:
+    """Windows per ``forecast_windows`` call whose scans step all their rows
+    as one group: ``ssm.rows_per_group`` shared among the channels, and 1."""
+    return max(1, rows_per_group(cfg.d_state, cfg.d_inner, itemsize) // channels)
+
+
+def forecast_windows(model: Model, windows: Windows, name: str) -> np.ndarray:
+    """Raw-space forecasts [n, D, horizon], in float64, of the inputs of
+    ``windows`` gathered as one C-ordered array in the model's dtype: the one
+    path by which the ``forecast`` and ``evaluate`` commands run the model.
+    A cross-channel model given another channel count, a window that is not
+    finite in the model's dtype and a forecast that is not finite are
+    refused, each naming ``name``; the last two name the window's origin."""
+    cfg, dtype = model.config, model.embedding.weight.value.dtype
+    if model.xchannel is not None and windows.n_channels != cfg.n_channels:
+        raise ShapeMismatch(f"{name}: xchannel model expects {cfg.n_channels} channels, got {windows.n_channels}")
+
+    def refuse_not_finite(arrays: np.ndarray, what: str) -> None:
+        finite = np.isfinite(arrays).reshape(len(arrays), -1).all(axis=1)
+        if not finite.all():
+            raise DataError(f"{name}: {what.format(windows.origins[int(np.argmin(finite))])} the model's {dtype}")
+
+    with np.errstate(over="ignore"):  # a value beyond the dtype's range becomes inf, refused here
+        inputs = np.array(windows.inputs, dtype=dtype, order="C")
+    refuse_not_finite(inputs, "the window at origin {} holds a value beyond the range of")
+    # a window whose scale overflows gives a forecast that is not finite,
+    # refused below; ``forecast`` is looked up as it runs, so a patch holds
+    with T.no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        preds = forecast(Tensor(inputs), model).array
+    refuse_not_finite(preds, "the forecast of the window at origin {} is not finite in")
+    return preds.astype(np.float64)

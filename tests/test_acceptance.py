@@ -19,7 +19,7 @@ from tsmamba import ssm
 from tsmamba import tensor as T
 from tsmamba import train as TR
 from tsmamba.checkpoint import Checkpoint, load_checkpoint, model_from_checkpoint
-from tsmamba.cli import _batched_forecast, main
+from tsmamba.cli import main
 from tsmamba.tensor import Tensor
 
 
@@ -75,6 +75,13 @@ def desk_config(horizon: int) -> M.ModelConfig:
     )
 
 
+def held_out_errors(model: M.Model, windows: D.Windows) -> np.ndarray:
+    """Each window's (MSE, MAE) of the model's forecasts, scored as
+    ``evaluate`` scores them."""
+    group = M.window_group(model.config, windows.n_channels, model.embedding.weight.value.dtype.itemsize)
+    return D.score(lambda part: M.forecast_windows(model, part, "held-out"), windows, group)
+
+
 def _standardized(ds: D.TimeSeriesDataset, spec: D.SplitSpec, horizon: int, stride: int):
     n1, _ = D.train_boundaries(ds.n_total, spec)
     std = D.standardize(ds, D.compute_train_stats(ds, n1))
@@ -112,13 +119,8 @@ def pipeline():
     with T.no_grad():
         stage2_final = TR.stage2_loss(probe, probe_y, r2.model).item()
 
-    test_inputs = D.stack_inputs(test32)
-    test_targets = D.stack_targets(test32)
-    preds = _batched_forecast(r2.model, test32, "test")
-    mse_model = D.metric_mse(preds, test_targets)
-    mae_model = D.metric_mae(preds, test_targets)
-    repeat = np.repeat(test_inputs[:, :, -1:], HORIZON, axis=2)
-    mse_repeat = D.metric_mse(repeat, test_targets)
+    mse_model, mae_model = held_out_errors(r2.model, test32).mean(axis=0)
+    mse_repeat = D.score(D.repeat_last, test32, len(test32))[:, 0].mean()
 
     # short-horizon foundation for the fine-tuning criteria, reusing stage 1
     train4, _, _ = _standardized(ds, spec, SHORT_HORIZON, stride=16)
@@ -387,14 +389,12 @@ def test_criterion_8_cross_channel_gain(pipeline):
     foundation = pipeline["foundation_short"]
     x = D.stack_inputs(pipeline["lag_train"]).astype(np.float32)
     y = D.stack_targets(pipeline["lag_train"]).astype(np.float32)
-    test_targets = D.stack_targets(pipeline["lag_test"])
 
     mse = {}
     for enable in (False, True):
         cfg = TR.finetune_config(epochs=3, batch_size=16, enable_xchannel=enable, min_samples_for_xchannel=1)
         r = TR.run_finetune(x, y, cfg, foundation, seed=11)
-        preds = _batched_forecast(r.model, pipeline["lag_test"], "lag_test")
-        mse[enable] = D.metric_mse(preds, test_targets)
+        mse[enable] = held_out_errors(r.model, pipeline["lag_test"])[:, 0].mean()
 
     ok = mse[True] <= mse[False]
     report(

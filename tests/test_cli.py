@@ -787,8 +787,8 @@ def test_batched_forecast_groups_match_single_windows(monkeypatch, dtype, xchann
     windows = D.Windows.over(rng.standard_normal((23, 3)), 16, 0)  # 8 windows
     # the scan steps 3-window row groups: 3 + 3 + 2
     monkeypatch.setattr(ssm, "SCAN_BUDGET", 3 * 3 * cfg.d_inner * cfg.d_state * np.dtype(dtype).itemsize)
-    assert cli._group_windows(cfg, 3, np.dtype(dtype).itemsize) == 3
-    preds = cli._batched_forecast(model, windows, "series")
+    assert M.window_group(cfg, 3, np.dtype(dtype).itemsize) == 3
+    preds = M.forecast_windows(model, windows, "series")
     with no_grad():
         singles = [M.forecast(Tensor(np.array(w, dtype=dtype, order="C")), model).array for w in windows.inputs]
     assert preds.dtype == np.float64
@@ -798,7 +798,7 @@ def test_batched_forecast_groups_match_single_windows(monkeypatch, dtype, xchann
 def test_group_windows_from_config():
     def group(d_model, itemsize=4):
         cfg = M.ModelConfig(horizon=96, n_channels=7, lookback=512, patch_len=16, d_model=d_model, d_state=16)
-        return cli._group_windows(cfg, 7, itemsize)
+        return M.window_group(cfg, 7, itemsize)
 
     assert group(768) == 1  # paper scale: one window's state already exceeds the budget
     assert group(768, itemsize=8) == 1
@@ -826,7 +826,7 @@ def _series_csv(path, n_channels, rows, seed=7) -> str:
 
 def _stacked_evaluate(args, report, per_window):
     """``evaluate`` as it scored before it streamed groups: the whole split
-    stacked, one ``_batched_forecast`` call and one metric call per row."""
+    stacked, one ``model.forecast_windows`` call and one metric call per row."""
     ckpts = cli._checkpoints_for_horizons(args.model, cli._int_list(args.horizons, "--horizons"))
     ds = D.load_csv(args.data)
     spec = D.SplitSpec(train_frac=args.train_frac, val_frac=args.val_frac, test_frac=args.test_frac)
@@ -841,7 +841,7 @@ def _stacked_evaluate(args, report, per_window):
         elif args.baseline == "oracle":
             preds = targets.copy()
         else:
-            preds = cli._batched_forecast(model, windows, ds.name)
+            preds = M.forecast_windows(model, windows, ds.name)
         rows.append({"dataset": ds.name, "horizon": horizon, "mse": D.metric_mse(preds, targets), "mae": D.metric_mae(preds, targets),
                      "n_windows": len(windows)})
         scale, shift = stats.std[None, :, None], stats.mean[None, :, None]
@@ -866,7 +866,7 @@ def test_streamed_evaluate_matches_stacked_split_byte_for_byte(tmp_path, dtype, 
     for horizon in (8, 12):
         _drawn_checkpoint(ckpt_dir / f"h{horizon}.ckpt", horizon, dtype, seed=horizon)
     model, horizons, extra = str(ckpt_dir / "h8.ckpt"), "8", []
-    group = cli._group_windows(model_from_checkpoint(load_checkpoint(model)).config, 3, np.dtype(dtype).itemsize)
+    group = M.window_group(model_from_checkpoint(load_checkpoint(model)).config, 3, np.dtype(dtype).itemsize)
     n_windows = 600 - 480 - 8 + 1  # the default test split at stride 1
     if case == "uneven-groups":
         assert n_windows > group and n_windows % group
@@ -894,7 +894,7 @@ def test_evaluate_memory_does_not_grow_with_the_split(tmp_path):
     # evaluate holds one window group at a time, so 8x the test windows adds
     # far less than stacking the larger split's inputs alone would take
     ckpt = _drawn_checkpoint(tmp_path / "model.ckpt", 8, np.float64, n_channels=4, lookback=256, patch_len=16)
-    group = cli._group_windows(model_from_checkpoint(load_checkpoint(ckpt)).config, 4, 8)
+    group = M.window_group(model_from_checkpoint(load_checkpoint(ckpt)).config, 4, 8)
     peaks = {}
     for n_test in (40, 320):
         assert n_test > 2 * group
@@ -1289,6 +1289,68 @@ def test_unwritable_output_exits3_before_any_work(workdir, tmp_path, monkeypatch
     assert ran == []
     assert _tree(tmp_path) == before  # nothing created, and report.csv not truncated
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "pretrain-dot-slash", "pretrain-symlink", "finetune", "evaluate"])
+def test_two_output_flags_naming_one_file_exit2_before_any_work(workdir, tmp_path, monkeypatch, capsys, command):
+    _, data_path, config_path = workdir
+    model = _tiny_checkpoint(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to("out.ckpt")  # dangling until out.ckpt is written
+    ran = []
+    monkeypatch.setattr(M, "forecast", lambda x, model: ran.append("forecast"))
+    monkeypatch.setattr(TR, "run_stage1", lambda *args, **kwargs: ran.append("run_stage1"))
+    monkeypatch.setattr(TR, "run_finetune", lambda *args, **kwargs: ran.append("run_finetune"))
+    pretrain = ["pretrain", "--stage", "1", "--config", config_path, "--data", data_path, "--out", "out.ckpt", "--log"]
+    argv, second = {
+        "pretrain": (pretrain + ["out.ckpt"], "--log"),
+        "pretrain-dot-slash": (pretrain + ["./out.ckpt"], "--log"),
+        "pretrain-symlink": (pretrain + ["link"], "--log"),
+        "finetune": (["finetune", "--config", config_path, "--data", data_path, "--init", model, "--out", "out.ckpt", "--log", "out.ckpt"],
+                     "--log"),
+        "evaluate": (["evaluate", "--model", model, "--data", data_path, "--horizons", "4", "--out", "r.csv", "--window-errors", "r.csv"],
+                     "--window-errors"),
+    }[command]
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and "--out" in err and second in err and "Traceback" not in err, err
+    assert ran == []
+    assert _tree(tmp_path) == before
+
+
+def test_evaluate_directory_skips_a_stage1_checkpoint(workdir, tmp_path, capsys):
+    # one pipeline's two checkpoints: stage 1's has no head and cannot forecast
+    wd, data_path, config_path = workdir
+    s1, s2 = _pretrain_both(wd, data_path, config_path)
+    ckpt_dir = tmp_path / "ckpts"
+    ckpt_dir.mkdir()
+    for path in (s1, s2):
+        (ckpt_dir / Path(path).name).write_bytes(Path(path).read_bytes())
+    argv = ["evaluate", "--data", data_path, "--horizons", "4", "--out"]
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "dir.csv"), "--model", str(ckpt_dir)]) == 0
+    err = capsys.readouterr().err
+    assert "skipping checkpoint s1.ckpt" in err and "stage1" in err and "s2.ckpt" not in err
+    assert main(argv + [str(tmp_path / "file.csv"), "--model", s2]) == 0
+    assert (tmp_path / "dir.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["forecast", "evaluate", "finetune"])
+def test_stage1_checkpoint_file_exits4_naming_path_and_stage(workdir, tmp_path, capsys, command):
+    wd, data_path, config_path = workdir
+    s1, _ = _pretrain_both(wd, data_path, config_path)
+    argv = {
+        "forecast": ["forecast", "--model", s1, "--input", data_path, "--horizon", "4", "--out", str(tmp_path / "pred.csv")],
+        "evaluate": ["evaluate", "--model", s1, "--data", data_path, "--horizons", "4"],
+        "finetune": ["finetune", "--config", config_path, "--data", data_path, "--init", s1, "--out", str(tmp_path / "pred.csv")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert s1 in err and "stage1" in err and "missing" not in err and "Traceback" not in err
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def test_forecast_and_evaluate_import_no_scipy(workdir, tmp_path):

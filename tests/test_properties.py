@@ -891,7 +891,7 @@ def test_rows_per_group_keeps_both_old_formulas(batch, n_state, d_model, channel
     x = np.zeros((batch, 1, cfg.d_inner), dtype)
     with mock.patch.object(ssm, "SCAN_BUDGET", budget):
         assert ssm._StepCoeffs(x, weights).group_rows == old_rows_per_group(batch, n_state, cfg.d_inner, itemsize)
-        assert CLI._group_windows(cfg, channels, itemsize) == old_group_windows(cfg, channels, itemsize)
+        assert M.window_group(cfg, channels, itemsize) == old_group_windows(cfg, channels, itemsize)
 
 
 def chain_huber(pred, target, delta):
@@ -1180,6 +1180,66 @@ def test_each_backbone_direction_reads_only_its_own_side(n_tokens, patch_len, gr
 
 
 @st.composite
+def score_cases(draw):
+    """(test split, windows per score group, the split's ChannelStats): a
+    drawn series standardized with its train statistics, at a drawn stride,
+    and a group from one window to past the whole split."""
+    channels = draw(st.integers(1, 4), label="channels")
+    lookback = draw(st.integers(2, 8), label="lookback")
+    horizon = draw(st.integers(1, 40), label="horizon")
+    train_end = draw(st.integers(2, 20), label="train end")
+    val_end = train_end + draw(st.integers(0, 10), label="val rows")
+    stride = draw(st.integers(1, 4), label="stride")
+    n_rows = max(val_end, lookback) + horizon + stride - 1 + draw(st.integers(0, 40), label="test rows past one window")
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed")).standard_normal((n_rows, channels)) * 10.0 + 3.0
+    ds = D.TimeSeriesDataset("series", values)
+    stats = D.compute_train_stats(ds, train_end)
+    _, _, test = D.split_windows(D.standardize(ds, stats), D.SplitSpec(), lookback, horizon, stride, (train_end, val_end))
+    assert len(test) > 0
+    return test, draw(st.integers(1, len(test) + 3), label="group"), stats
+
+
+@settings(deadline=None, max_examples=100)
+@given(score_cases(), st.booleans(), st.data())
+def test_score_rows_are_each_windows_metrics_at_any_group(case, raw, data):
+    """``data.score`` with ``repeat_last`` and with the oracle gives, at any
+    group size, rows byte-identical to ``metric_mse``/``metric_mae`` of each
+    window alone, in raw space too when given the stats. The oracle scores
+    exactly 0, and a forecast moved in one window moves that window's row
+    and leaves every other row's bytes."""
+    windows, group, stats = case
+    stats = stats if raw else None
+
+    def oracle(part):
+        return part.targets
+
+    for predict in (D.repeat_last, oracle):
+        preds, targets = predict(windows), np.array(windows.targets)
+        pairs = [(preds, targets)]
+        if stats is not None:
+            pairs.append((preds * stats.std[:, None] + stats.mean[:, None], targets * stats.std[:, None] + stats.mean[:, None]))
+        want = np.array([[metric(p[i], t[i]) for p, t in pairs for metric in (D.metric_mse, D.metric_mae)] for i in range(len(windows))])
+        assert D.score(predict, windows, group, stats).tobytes() == want.tobytes()
+        assert D.score(predict, windows, 1, stats).tobytes() == want.tobytes()
+    assert not D.score(oracle, windows, group, stats).any()
+
+    i = data.draw(st.integers(0, len(windows) - 1), label="moved window")
+    channel = data.draw(st.integers(0, windows.n_channels - 1), label="moved channel")
+    step = data.draw(st.integers(0, windows.horizon - 1), label="moved step")
+
+    def moved(part):
+        preds = D.repeat_last(part)
+        if windows.origins[i] in part.origins:
+            preds[part.origins.index(windows.origins[i]), channel, step] += 1e4
+        return preds
+
+    base, after = D.score(D.repeat_last, windows, group, stats), D.score(moved, windows, group, stats)
+    others = np.arange(len(windows)) != i
+    assert after[others].tobytes() == base[others].tobytes()
+    assert (after[i] != base[i]).all()
+
+
+@st.composite
 def batch_cases(draw):
     """(model, windows, moved window, moved inputs, rows per scan group): a
     drawn model without xchannel, a batch of 2-6 windows, and one channel of
@@ -1206,7 +1266,7 @@ def batch_cases(draw):
 def test_batch_rows_are_independent(case, taped):
     """A batch's rows share nothing but their shape: moving one window moves
     its own forecast and leaves every other one byte-identical, in
-    ``forecast_normalized``, taped and not, and in ``cli._batched_forecast``.
+    ``forecast_normalized``, taped and not, and in ``model.forecast_windows``.
     Stepping the rows in scan groups of any size, a partial last group and
     its blocks of several steps included, changes no byte."""
     model, windows, i, moved, group = case
@@ -1218,7 +1278,7 @@ def test_batch_rows_are_independent(case, taped):
         with budget, tape(taped):
             base, after = (M.forecast_normalized(Tensor(v), model).array for v in (x, moved))
         with budget:
-            cli_base, cli_after = (CLI._batched_forecast(model, w, "series") for w in (windows, moved_windows))
+            cli_base, cli_after = (M.forecast_windows(model, w, "series") for w in (windows, moved_windows))
         outs[rows] = (base, after, cli_base, cli_after)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(outs[group], outs[None]))
     others = np.arange(len(windows)) != i
@@ -1241,16 +1301,16 @@ def test_batch_rows_are_independent(case, taped):
     taped=False,
 )
 def test_a_batch_forecasts_each_window_as_it_would_alone(case, taped):
-    """``forecast_normalized``, taped and not, and ``cli._batched_forecast``
+    """``forecast_normalized``, taped and not, and ``model.forecast_windows``
     of a batch equal each window forecast alone, byte for byte."""
     model, windows, _, _, _ = case
     x = np.array(windows.inputs, order="C")
     with tape(taped):
         batch = M.forecast_normalized(Tensor(x), model).array
         alone = np.concatenate([M.forecast_normalized(Tensor(x[j : j + 1]), model).array for j in range(len(x))])
-    cli_alone = np.concatenate([CLI._batched_forecast(model, windows[j : j + 1], "series") for j in range(len(x))])
+    cli_alone = np.concatenate([M.forecast_windows(model, windows[j : j + 1], "series") for j in range(len(x))])
     assert batch.tobytes() == alone.tobytes()
-    assert CLI._batched_forecast(model, windows, "series").tobytes() == cli_alone.tobytes()
+    assert M.forecast_windows(model, windows, "series").tobytes() == cli_alone.tobytes()
 
 
 @settings(deadline=None, max_examples=50)
